@@ -4,11 +4,7 @@ from refsat.assembly import (
     EDGE_CLASSES,
     QuotientSpace,
     TensorSpace,
-    load_matrix_edge,
-    load_matrix_quotient_edge,
-    load_matrix_volume,
     quotient_space,
-    stiffness_matrix,
     tensor_space,
 )
 from refsat.bases import (

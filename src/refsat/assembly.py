@@ -1,4 +1,4 @@
-"""Tensor-product spaces and matrix assembly on the reference square.
+"""Tensor-product spaces and Dirichlet edge classes on the reference square.
 
 The reference square is [-1, 1]^2. Its edges are numbered counterclockwise
 starting from the rightmost one: 1 is the right edge (x = +1), 2 the top
@@ -7,25 +7,17 @@ frozenset of these numbers and marks where homogeneous Dirichlet conditions
 are imposed.
 
 Flattening of tensor indices is row-major with the x factor outermost: the
-basis member (ix, iy) sits at flat index ix * ny + iy. All assembled
-stiffness matrices are sparse and exactly symmetric; load matrices are dense
-with one row per functional.
+basis member (ix, iy) sits at flat index ix * ny + iy. No 2D matrix is
+assembled: every operator on these spaces is a tensor product of the 1D
+Grams of the two factor bases, which ``refsat.coefficients`` works with
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.sparse
-
-from refsat.bases import (
-    Basis1D,
-    BoundaryCondition1D,
-    build_basis_1d,
-    boundary_trace,
-    gram_matrices,
-)
+from refsat.bases import Basis1D, BoundaryCondition1D, build_basis_1d
 
 __all__ = [
     "RIGHT",
@@ -38,10 +30,6 @@ __all__ = [
     "QuotientSpace",
     "tensor_space",
     "quotient_space",
-    "stiffness_matrix",
-    "load_matrix_volume",
-    "load_matrix_edge",
-    "load_matrix_quotient_edge",
 ]
 
 RIGHT, TOP, LEFT, BOTTOM = 1, 2, 3, 4
@@ -121,77 +109,3 @@ def quotient_space(degree: int) -> QuotientSpace:
     if degree < 1:
         raise ValueError("the quotient space needs degree >= 1 to be nonempty")
     return QuotientSpace(degree=degree, basis=build_basis_1d("mean_zero", r=degree))
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
-
-
-def _tensor_stiffness(bx: Basis1D, by: Basis1D) -> scipy.sparse.csr_matrix:
-    mx, sx = gram_matrices(bx, bx)
-    my, sy = gram_matrices(by, by)
-    mx, sx, my, sy = map(_sym, (mx, sx, my, sy))
-    a = scipy.sparse.kron(
-        scipy.sparse.csr_matrix(sx), scipy.sparse.csr_matrix(my)
-    ) + scipy.sparse.kron(scipy.sparse.csr_matrix(mx), scipy.sparse.csr_matrix(sy))
-    return a.tocsr()
-
-
-def stiffness_matrix(space: TensorSpace | QuotientSpace) -> scipy.sparse.csr_matrix:
-    """Gradient Gram matrix of the space, sparse and exactly symmetric.
-
-    For the quotient space the constant tensor member is dropped, which makes
-    the matrix positive definite again.
-    """
-    if isinstance(space, TensorSpace):
-        return _tensor_stiffness(space.basis_x, space.basis_y)
-    full = _tensor_stiffness(space.basis, space.basis)
-    return full[1:, :][:, 1:].tocsr()
-
-
-def load_matrix_volume(space: TensorSpace, p: int) -> np.ndarray:
-    """Rows are the volume functionals v -> <phi_i x phi_j, v> for i, j <= p.
-
-    Row order has i outermost, matching the tensor flattening.
-    """
-    if p < 0:
-        raise ValueError(f"functional degree must be nonnegative, got {p}")
-    probes = build_basis_1d("legendre", r=p)
-    gx, _ = gram_matrices(probes, space.basis_x)
-    gy, _ = gram_matrices(probes, space.basis_y)
-    return np.kron(gx, gy)
-
-
-def load_matrix_edge(space: TensorSpace, p: int) -> np.ndarray:
-    """Rows are the edge functionals v -> <phi_k, v(1, .)> for k <= p.
-
-    The functionals live on the right edge, so that edge must be free: a
-    Dirichlet condition there would annihilate every functional.
-    """
-    if p < 0:
-        raise ValueError(f"functional degree must be nonnegative, got {p}")
-    if RIGHT in space.edges:
-        raise ValueError(
-            "edge loads act on the right edge, which this space constrains "
-            "to zero; remove edge 1 from the Dirichlet set"
-        )
-    probes = build_basis_1d("legendre", r=p)
-    tx = boundary_trace(space.basis_x, 1.0)
-    gy, _ = gram_matrices(probes, space.basis_y)
-    return np.kron(tx[np.newaxis, :], gy)
-
-
-def load_matrix_quotient_edge(space: QuotientSpace, p: int) -> np.ndarray:
-    """Rows are v -> <phi_k, v(1, .)> for 1 <= k <= p on the quotient space.
-
-    Starting at k = 1 keeps the functionals mean free, so they are well
-    defined modulo constants.
-    """
-    if p < 1:
-        raise ValueError(f"quotient edge loads start at degree 1, got p={p}")
-    probes_full = build_basis_1d("legendre", r=p)
-    probes = Basis1D(kind="legendre", coefficients=probes_full.coefficients[1:])
-    tx = boundary_trace(space.basis, 1.0)
-    gy, _ = gram_matrices(probes, space.basis)
-    full = np.kron(tx[np.newaxis, :], gy)
-    return full[:, 1:]

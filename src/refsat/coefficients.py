@@ -28,22 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from refsat.assembly import (
     EDGE_CLASSES,
-    RIGHT,
     QuotientSpace,
     TensorSpace,
-    load_matrix_edge,
-    load_matrix_quotient_edge,
-    load_matrix_volume,
     normalize_edges,
     quotient_space,
-    stiffness_matrix,
     tensor_space,
 )
+from refsat.bases import Basis1D, boundary_trace, build_basis_1d, gram_matrices
 
 __all__ = [
     "FAMILIES",
@@ -53,9 +47,8 @@ __all__ = [
     "ProblemSpec",
     "SaturationResult",
     "q_strategy",
-    "schur_dual_gram",
+    "dual_gram",
     "max_generalized_eigenvalue",
-    "dual_norm_oracle",
     "saturation_coefficient",
 ]
 
@@ -153,40 +146,67 @@ def q_strategy(name: str, p: int) -> int:
     raise ValueError(f"unknown strategy {name!r}, expected one of {Q_STRATEGIES}")
 
 
-def _factorize(stiffness):
-    """Sparse LU of the stiffness matrix with an explicit singularity check.
+def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the 1D pencil S v = lambda M v, normalized so V^T M V = I.
 
-    SuperLU happily factors an exactly singular matrix through a roundoff
-    pivot, so the diagonal of U is inspected instead of trusting the solve.
+    The constant of the mean-zero family has no gradient and is L2-orthogonal
+    to every other member, so both Grams are exactly block diagonal there.
+    Its mode, lambda = 0 with v = e_0 / sqrt(M_00), is set up explicitly
+    instead of being read off a roundoff eigenvalue.
     """
-    a = scipy.sparse.csc_matrix(stiffness)
+    mass, stiff = gram_matrices(basis, basis)
+    start = 1 if basis.kind == "mean_zero" else 0
     try:
-        lu = scipy.sparse.linalg.splu(a)
-    except RuntimeError as exc:
-        raise NumericalError(f"stiffness factorization failed: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.size and np.min(pivots) < 1e-12 * np.max(pivots):
-        raise NumericalError("stiffness matrix is numerically singular")
-    return lu
+        lam, vec = scipy.linalg.eigh(stiff[start:, start:], mass[start:, start:])
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"1D eigensolve failed: {exc}") from exc
+    if start == 0:
+        return lam, vec
+    modes = np.zeros_like(mass)
+    modes[0, 0] = 1.0 / np.sqrt(mass[0, 0])
+    modes[1:, 1:] = vec
+    return np.concatenate(([0.0], lam)), modes
 
 
-def schur_dual_gram(load: np.ndarray, stiffness) -> np.ndarray:
-    """Dual Gram matrix R = L A^{-1} L^T, factoring A once for all rows of L.
+def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarray:
+    """Dual Gram matrix R = L A^{-1} L^T of the spec's loads on ``space``.
 
-    The result is symmetrized to remove roundoff skew. A singular stiffness
-    matrix raises NumericalError.
+    Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): with
+    the 1D modes V^T S V = diag(lambda), V^T M V = I of each factor basis,
+    the stiffness Sx (x) My + Mx (x) Sy is diagonal in the basis Vx (x) Vy
+    with entries lambda_i + mu_j. R therefore contracts the 1D load Grams
+    W = G V with the weights 1 / (lambda_i + mu_j), and no 2D matrix is
+    formed. Rows follow the load order of the family: probe pairs with the
+    x probe outermost for A, probe degrees for B and C. The result is
+    symmetrized to remove roundoff skew.
     """
-    load = np.atleast_2d(np.asarray(load, dtype=float))
-    a = scipy.sparse.csc_matrix(stiffness)
-    if a.shape[0] != a.shape[1] or a.shape[1] != load.shape[1]:
-        raise ValueError(
-            f"shape mismatch: load {load.shape} against stiffness {a.shape}"
-        )
-    lu = _factorize(a)
-    solved = lu.solve(load.T)
-    r = load @ solved
-    if not np.all(np.isfinite(r)):
-        raise NumericalError("stiffness matrix is numerically singular")
+    probes = build_basis_1d("legendre", r=spec.p)
+    if spec.family == "C":
+        bx = by = space.basis
+        # degrees k >= 1 only, so the functionals are mean free
+        probes = Basis1D(kind="legendre", coefficients=probes.coefficients[1:])
+    else:
+        bx, by = space.basis_x, space.basis_y
+    lam_x, vx = _modes(bx)
+    lam_y, vy = _modes(by)
+    denom = lam_x[:, np.newaxis] + lam_y
+    if spec.family == "C":
+        # the constant tensor member is not part of the quotient space
+        denom[0, 0] = np.inf
+    weights = 1.0 / denom
+    wy = gram_matrices(probes, by)[0] @ vy
+    if spec.family == "A":
+        n = probes.n_functions
+        wx = gram_matrices(probes, bx)[0] @ vx
+        # xx[(a, c), i] = wx[a, i] wx[c, i] and yy[j, (b, d)] = wy[b, j] wy[d, j]
+        xx = (wx[:, np.newaxis, :] * wx).reshape(n * n, -1)
+        yy = (wy.T[:, :, np.newaxis] * wy.T[:, np.newaxis, :]).reshape(-1, n * n)
+        r = (xx @ (weights @ yy)).reshape(n, n, n, n)
+        r = r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    else:
+        # the loads see v only through its trace tx on the right edge
+        trace = boundary_trace(bx, 1.0) @ vx
+        r = (wy * (trace**2 @ weights)) @ wy.T
     return (r + r.T) / 2.0
 
 
@@ -221,42 +241,25 @@ def max_generalized_eigenvalue(
     return top, vectors[:, -1].copy(), tie
 
 
-def dual_norm_oracle(functional: np.ndarray, load: np.ndarray, stiffness) -> float:
-    """Dual norm of one functional via its Galerkin representer.
-
-    Solves A u = L^T F and returns sqrt(u^T A u). Used as an independent
-    check of the quadratic form F^T R F.
-    """
-    functional = np.asarray(functional, dtype=float)
-    rhs = np.asarray(load, dtype=float).T @ functional
-    a = scipy.sparse.csc_matrix(stiffness)
-    u = _factorize(a).solve(rhs)
-    return float(np.sqrt(u @ (a @ u)))
-
-
-def _build_pair(spec: ProblemSpec, degree: int):
-    if spec.family == "A":
-        space = tensor_space(spec.edges, degree)
-        return stiffness_matrix(space), load_matrix_volume(space, spec.p)
-    if spec.family == "B":
-        space = tensor_space(spec.edges, degree)
-        return stiffness_matrix(space), load_matrix_edge(space, spec.p)
-    space = quotient_space(degree)
-    return stiffness_matrix(space), load_matrix_quotient_edge(space, spec.p)
+def _space(spec: ProblemSpec, degree: int) -> TensorSpace | QuotientSpace:
+    if spec.family == "C":
+        return quotient_space(degree)
+    return tensor_space(spec.edges, degree)
 
 
 def saturation_coefficient(spec: ProblemSpec) -> SaturationResult:
     """Compute the saturation coefficient for one problem spec.
 
-    Builds the fine (degree r) and intermediate (degree q) pairs, forms both
-    dual Grams and extracts the largest generalized eigenvalue. The returned
-    residual is the relative defect of the eigenpair and should be tiny.
+    Builds the fine (degree r) and intermediate (degree q) spaces, forms
+    both dual Grams and extracts the largest generalized eigenvalue. The
+    returned residual is the relative defect of the eigenpair and should be
+    tiny.
     """
     start = time.perf_counter()
-    stiff_fine, load_fine = _build_pair(spec, spec.r)
-    stiff_mid, load_mid = _build_pair(spec, spec.q)
-    r_fine = schur_dual_gram(load_fine, stiff_fine)
-    r_mid = schur_dual_gram(load_mid, stiff_mid)
+    fine = _space(spec, spec.r)
+    mid = _space(spec, spec.q)
+    r_fine = dual_gram(spec, fine)
+    r_mid = dual_gram(spec, mid)
     value, maximizer, tie = max_generalized_eigenvalue(r_fine, r_mid)
     defect = r_fine @ maximizer - value * (r_mid @ maximizer)
     scale = np.linalg.norm(r_fine, "fro") * np.linalg.norm(maximizer)
@@ -267,9 +270,9 @@ def saturation_coefficient(spec: ProblemSpec) -> SaturationResult:
         mu=mu,
         mu_squared=float(value),
         maximizer=maximizer,
-        dim_H=stiff_fine.shape[0],
-        dim_V=stiff_mid.shape[0],
-        dim_F=load_fine.shape[0],
+        dim_H=fine.dim,
+        dim_V=mid.dim,
+        dim_F=r_fine.shape[0],
         residual=residual,
         tie=tie,
         wall_seconds=time.perf_counter() - start,

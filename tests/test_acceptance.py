@@ -10,21 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from refsat.assembly import (
-    load_matrix_edge,
-    load_matrix_quotient_edge,
-    load_matrix_volume,
-    quotient_space,
-    stiffness_matrix,
-    tensor_space,
-)
+from refsat.assembly import quotient_space, tensor_space
 from refsat.cli import main as cli_main
 from refsat.coefficients import (
     CANONICAL_PROBLEMS,
     ProblemSpec,
+    dual_gram,
     max_generalized_eigenvalue,
     saturation_coefficient,
+)
+from sparse_oracle import (
+    load_matrix_edge,
+    load_matrix_quotient_edge,
+    load_matrix_volume,
     schur_dual_gram,
+    stiffness_matrix,
 )
 
 TOL = 2e-4
@@ -182,13 +182,9 @@ def test_criterion_6_dual_norm_cross_checks():
 
     # brute-force Rayleigh search cannot beat the computed maximum
     edges = frozenset({2})
-    fine = tensor_space(edges, 12)
-    coarse = tensor_space(edges, 8)
-    p = 5
-    r_fine = schur_dual_gram(load_matrix_edge(fine, p),
-                             stiffness_matrix(fine))
-    r_coarse = schur_dual_gram(load_matrix_edge(coarse, p),
-                               stiffness_matrix(coarse))
+    spec = ProblemSpec(family="B", edges=edges, p=5, q=8, r=12)
+    r_fine = dual_gram(spec, tensor_space(edges, 12))
+    r_coarse = dual_gram(spec, tensor_space(edges, 8))
     value, _, _ = max_generalized_eigenvalue(r_fine, r_coarse)
     directions = rng.standard_normal((1_000_000, r_fine.shape[0]))
     num = np.einsum("nd,de,ne->n", directions, r_fine, directions)

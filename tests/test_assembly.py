@@ -1,4 +1,9 @@
-"""Tests for tensor-space assembly against brute-force quadrature oracles."""
+"""Tests for the tensor spaces and for the sparse oracle's assembly.
+
+The sparse stiffness and load matrices of ``sparse_oracle`` are checked
+here against brute-force quadrature, so that the oracle the dual-Gram
+tests compare against is itself verified.
+"""
 
 import numpy as np
 import pytest
@@ -6,15 +11,17 @@ from numpy.polynomial import legendre as npleg
 
 from refsat.assembly import (
     EDGE_CLASSES,
-    load_matrix_edge,
-    load_matrix_quotient_edge,
-    load_matrix_volume,
     normalize_edges,
     quotient_space,
-    stiffness_matrix,
     tensor_space,
 )
 from refsat.bases import gauss_legendre_rule
+from sparse_oracle import (
+    load_matrix_edge,
+    load_matrix_quotient_edge,
+    load_matrix_volume,
+    stiffness_matrix,
+)
 
 
 def factor_values(basis, pts, deriv=False):

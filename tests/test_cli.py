@@ -10,6 +10,8 @@ import pytest
 
 from refsat.cli import (
     CSV_COLUMNS,
+    DEFAULT_BUDGET_SECONDS,
+    _spec_for_problem,
     estimated_seconds,
     load_published_table,
     load_sweep_config,
@@ -90,6 +92,19 @@ def test_compute_writes_to_file(tmp_path, capsys):
     row = dict(zip(header, rows[0]))
     assert row["edge_class"] == "F1"
     assert row["mu_display"] == "1.0295"
+
+
+def test_compute_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "row.csv"
+    code, out, err = run_cli(
+        ["compute", "--family", "C", "--p", "2", "--q", "4", "--r", "8",
+         "--output", str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ") and str(target) in err
+    assert err.count("\n") == 1
 
 
 def test_compute_invalid_inputs_exit_2(capsys):
@@ -215,6 +230,15 @@ def test_sweep_config_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(["sweep", "--config", str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_config_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{}")
@@ -284,6 +308,17 @@ def test_reproduce_budget_zero_compares_nothing(capsys):
     assert "0 compared" in err
 
 
+def test_reproduce_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, _, err = run_cli(
+        ["reproduce", "--max-p", "4", "--budget", "0", "--output", str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("invalid input: ") and str(target) in err
+    assert err.count("\n") == 1
+
+
 def test_reproduce_rejects_bad_tolerance(capsys):
     code, _, err = run_cli(["reproduce", "--tol", "-1"], capsys)
     assert code == 2
@@ -321,6 +356,16 @@ def test_patches_verify_rejects_malformed_catalog(tmp_path, capsys):
     assert "invalid input" in err
 
 
+def test_patches_verify_missing_catalog_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(
+        ["patches", "verify", "--catalog", str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
 def test_cost_estimate_is_deterministic_and_monotone():
     small = ProblemSpec(family="B", edges=frozenset({2}), p=4, q=8, r=16)
     large = ProblemSpec(family="B", edges=frozenset({2}), p=4, q=8, r=64)
@@ -343,3 +388,9 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_no_published_cell_exceeds_the_default_budget():
+    for entry in load_published_table():
+        spec = _spec_for_problem(entry.problem, entry.p, entry.q, entry.r)
+        assert estimated_seconds(spec) <= DEFAULT_BUDGET_SECONDS, entry

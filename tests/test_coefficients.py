@@ -2,25 +2,36 @@
 
 Published reference values are pinned to 2e-4 here only as spot checks; the
 full table comparison lives in the acceptance suite. The eigenvalue and dual
-norm routes are cross-checked against independent dense linear algebra.
+norm routes are cross-checked against independent dense linear algebra, and
+the fast-diagonalization dual Grams against the sparse-LU oracle in
+``sparse_oracle``.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from refsat.assembly import EDGE_CLASSES, tensor_space
+from refsat.assembly import EDGE_CLASSES, TensorSpace, tensor_space
+from refsat.bases import Basis1D, BoundaryCondition1D, build_basis_1d, gram_matrices
 from refsat.coefficients import (
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
-    dual_norm_oracle,
+    _modes,
+    _space,
+    dual_gram,
     max_generalized_eigenvalue,
     q_strategy,
     saturation_coefficient,
-    schur_dual_gram,
 )
-from refsat.assembly import load_matrix_volume, stiffness_matrix
+from sparse_oracle import (
+    _build_pair,
+    dual_norm_oracle,
+    load_matrix_edge,
+    load_matrix_volume,
+    schur_dual_gram,
+    stiffness_matrix,
+)
 
 
 def spec_for(name, p, q, r):
@@ -120,8 +131,6 @@ def test_dual_norm_oracle_matches_quadratic_form():
         if family == "A":
             load = load_matrix_volume(space, p)
         else:
-            from refsat.assembly import load_matrix_edge
-
             load = load_matrix_edge(space, p)
         assert a.shape[0] <= 200
         r = schur_dual_gram(load, a)
@@ -130,6 +139,75 @@ def test_dual_norm_oracle_matches_quadratic_form():
             via_gram = np.sqrt(f @ r @ f)
             via_solve = dual_norm_oracle(f, load, a)
             assert abs(via_gram - via_solve) < 1e-11 * max(1.0, via_solve)
+
+
+def oracle_saturation(spec):
+    """(mu, dim_H, dim_V, dim_F) through the sparse-LU dual Grams."""
+    stiff_fine, load_fine = _build_pair(spec, spec.r)
+    stiff_mid, load_mid = _build_pair(spec, spec.q)
+    value, _, _ = max_generalized_eigenvalue(
+        schur_dual_gram(load_fine, stiff_fine),
+        schur_dual_gram(load_mid, stiff_mid),
+    )
+    return (float(np.sqrt(value)), stiff_fine.shape[0], stiff_mid.shape[0],
+            load_fine.shape[0])
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_dual_gram_matches_sparse_oracle(name):
+    for p, degree in ((1, 2), (2, 2), (3, 3), (4, 8), (6, 13), (8, 24)):
+        spec = spec_for(name, p, degree, degree)
+        stiffness, load = _build_pair(spec, degree)
+        expect = schur_dual_gram(load, stiffness)
+        got = dual_gram(spec, _space(spec, degree))
+        assert got.shape == expect.shape
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_saturation_matches_sparse_oracle(name):
+    # (3, 6, 6) has q = r; (2, 2, 5) and (4, 4, 8) have p = q, which leaves
+    # the coarse space too small for the loads of some problems: then both
+    # routes must reject the problem as ill posed
+    for p, q, r in ((2, 5, 10), (4, 8, 16), (3, 6, 6), (2, 2, 5), (4, 4, 8)):
+        spec = spec_for(name, p, q, r)
+        try:
+            mu, dim_h, dim_v, dim_f = oracle_saturation(spec)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="ill-posed"):
+                saturation_coefficient(spec)
+            continue
+        res = saturation_coefficient(spec)
+        assert (res.dim_H, res.dim_V, res.dim_F) == (dim_h, dim_v, dim_f)
+        assert abs(res.mu - mu) <= 1e-10
+
+
+def test_modes_diagonalize_the_1d_pencil():
+    bases = [
+        build_basis_1d("integrated_legendre", BoundaryCondition1D(True, False), 9),
+        build_basis_1d("integrated_legendre", BoundaryCondition1D(), 9),
+        build_basis_1d("mean_zero", r=9),
+    ]
+    for basis in bases:
+        lam, vec = _modes(basis)
+        mass, stiff = gram_matrices(basis, basis)
+        assert np.allclose(vec.T @ mass @ vec, np.eye(lam.size), atol=1e-12)
+        assert np.allclose(vec.T @ stiff @ vec, np.diag(lam), atol=1e-10)
+    # the constant mode of the mean-zero family is exact, not a roundoff value
+    assert lam[0] == 0.0
+    assert np.count_nonzero(vec[0]) == 1 and np.count_nonzero(vec[:, 0]) == 1
+
+
+def test_failed_1d_eigensolve_is_a_numerical_error():
+    # a zero member makes the 1D mass matrix singular
+    good = build_basis_1d("integrated_legendre", r=4)
+    degenerate = Basis1D(
+        kind="integrated_legendre",
+        coefficients=np.vstack([good.coefficients, np.zeros(5)]),
+    )
+    space = TensorSpace(edges=frozenset({1}), basis_x=good, basis_y=degenerate)
+    with pytest.raises(NumericalError, match="eigensolve"):
+        dual_gram(spec_for("E1", 2, 4, 4), space)
 
 
 def test_published_spot_values():
