@@ -70,9 +70,6 @@ class TensorSpace:
     def dim(self) -> int:
         return self.basis_x.n_functions * self.basis_y.n_functions
 
-    def flat_index(self, ix: int, iy: int) -> int:
-        return ix * self.basis_y.n_functions + iy
-
 
 @dataclass(frozen=True)
 class QuotientSpace:

@@ -16,6 +16,7 @@ input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -35,7 +36,8 @@ from .coefficients import (
     saturation_coefficient,
 )
 from .patches import (
-    measured_extension_ratio,
+    SITUATIONS,
+    extension_norm,
     patch_catalog,
     verify_traversal_lemma,
 )
@@ -135,33 +137,35 @@ def _skipped_row(spec: ProblemSpec, label: str) -> dict:
     return row
 
 
-def format_rows(rows: list[dict], fmt: str) -> str:
+def _csv_line(values) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(values)
+    return buffer.getvalue()
+
+
+def _format_header(fmt: str) -> str:
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([row[name] for name in CSV_COLUMNS])
-        return buffer.getvalue()
+        return _csv_line(CSV_COLUMNS)
     if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(CSV_COLUMNS) + " |",
-            "|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|",
-        ]
-        for row in rows:
-            lines.append(
-                "| " + " | ".join(str(row[name]) for name in CSV_COLUMNS) + " |"
-            )
-        return "\n".join(lines) + "\n"
+        return ("| " + " | ".join(CSV_COLUMNS) + " |\n"
+                + "|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|\n")
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _format_row(row: dict, fmt: str) -> str:
+    values = [row[name] for name in CSV_COLUMNS]
+    if fmt == "csv":
+        return _csv_line(values)
+    return "| " + " | ".join(str(value) for value in values) + " |\n"
+
+
+@contextlib.contextmanager
+def _open_output(output: str | None):
     if output is None or output == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
 
 
 # ----------------------------------------------------------- sweep config
@@ -282,7 +286,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                        r=args.r)
     result = saturation_coefficient(spec)
     row = _result_row(spec, _edge_class_label(spec), result, "ok")
-    _emit(format_rows([row], "csv"), args.output)
+    with _open_output(args.output) as handle:
+        handle.write(_format_header("csv") + _format_row(row, "csv"))
     return 0
 
 
@@ -295,47 +300,65 @@ def _sweep_cells(config: SweepConfig):
                     yield problem, strategy, p, q, factor * q
 
 
+def _write_cells(cells, output: str | None, fmt: str, budget: float,
+                 tol: float = 0.0) -> tuple[int, int, list[str]]:
+    """Compute each cell and write its row as soon as the cell is done.
+
+    ``cells`` yields (spec, published) pairs. A published value gives the
+    row the status pass or fail by ``tol``; None gives it ok. Cells whose
+    cost estimate exceeds ``budget`` are written as skipped. The destination
+    is opened and the header written before the first cell, so an
+    unwritable destination fails before any work and a run stopped by an
+    error keeps the rows already finished. Returns the number of compared
+    and skipped cells and one line per failed comparison.
+    """
+    compared, skipped, failures = 0, 0, []
+    with _open_output(output) as handle:
+        handle.write(_format_header(fmt))
+        for spec, entry in cells:
+            label = _edge_class_label(spec)
+            if estimated_seconds(spec) > budget:
+                row = _skipped_row(spec, label)
+                skipped += 1
+            else:
+                result = saturation_coefficient(spec)
+                status = "ok"
+                if entry is not None:
+                    compared += 1
+                    diff = abs(result.mu - entry.value)
+                    status = "pass" if diff <= tol else "fail"
+                    if status == "fail":
+                        failures.append(
+                            f"{entry.problem} {entry.strategy} p={entry.p} "
+                            f"q={entry.q} r={entry.r}: expected "
+                            f"{entry.value:.4f}, got {result.mu:.6f} "
+                            f"(diff {diff:.2e})"
+                        )
+                row = _result_row(spec, label, result, status)
+            handle.write(_format_row(row, fmt))
+            handle.flush()
+    return compared, skipped, failures
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_sweep_config(args.config)
-    rows = []
-    for problem, _strategy, p, q, r in _sweep_cells(config):
-        spec = _spec_for_problem(problem, p, q, r)
-        label = _edge_class_label(spec)
-        if estimated_seconds(spec) > args.budget:
-            rows.append(_skipped_row(spec, label))
-            continue
-        result = saturation_coefficient(spec)
-        rows.append(_result_row(spec, label, result, "ok"))
-    _emit(format_rows(rows, config.format), config.output)
+    cells = (
+        (_spec_for_problem(problem, p, q, r), None)
+        for problem, _strategy, p, q, r in _sweep_cells(config)
+    )
+    _write_cells(cells, config.output, config.format, args.budget)
     return 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.tol <= 0:
         raise ValueError("--tol must be positive")
-    table = [row for row in load_published_table() if row.p <= args.max_p]
-    rows = []
-    failures = []
-    skipped = 0
-    for entry in table:
-        spec = _spec_for_problem(entry.problem, entry.p, entry.q, entry.r)
-        label = _edge_class_label(spec)
-        if estimated_seconds(spec) > args.budget:
-            rows.append(_skipped_row(spec, label))
-            skipped += 1
-            continue
-        result = saturation_coefficient(spec)
-        diff = abs(result.mu - entry.value)
-        status = "pass" if diff <= args.tol else "fail"
-        if status == "fail":
-            failures.append(
-                f"{entry.problem} {entry.strategy} p={entry.p} q={entry.q} "
-                f"r={entry.r}: expected {entry.value:.4f}, got "
-                f"{result.mu:.6f} (diff {diff:.2e})"
-            )
-        rows.append(_result_row(spec, label, result, status))
-    _emit(format_rows(rows, "csv"), args.output)
-    compared = len(rows) - skipped
+    cells = (
+        (_spec_for_problem(entry.problem, entry.p, entry.q, entry.r), entry)
+        for entry in load_published_table() if entry.p <= args.max_p
+    )
+    compared, skipped, failures = _write_cells(
+        cells, args.output, "csv", args.budget, args.tol)
     print(
         f"reproduce: {compared} compared, {len(failures)} failed, "
         f"{skipped} skipped (tol {args.tol:g})",
@@ -367,12 +390,10 @@ def _cmd_patches_verify(args: argparse.Namespace) -> int:
                 f"step {violation.step} edge {violation.edge}: "
                 f"{violation.reason}"
             )
-    print("extension operator seminorm ratios (degree 8):")
-    for situation, samples in (("a", 50), ("b", 50), ("c", 50), ("d", 500),
-                               ("e", 500)):
-        ratio = measured_extension_ratio(situation, 8, samples, seed=0)
-        print(f"    situation {situation}: worst {ratio:.6f} "
-              f"over {samples} draws")
+    print("extension operator norms in the H1 seminorm (degree 8, exact):")
+    for situation in SITUATIONS:
+        print(f"    situation {situation}: norm "
+              f"{extension_norm(situation, 8):.6f}")
     print("catalog " + ("verified" if all_passed else "FAILED"))
     return 0 if all_passed else 1
 

@@ -1,0 +1,114 @@
+"""Hand-written extension tables and Monte-Carlo ratios: the test oracle.
+
+``refsat.patches`` builds each situation's zero-extension from its witness
+layout in ``_LAYOUTS`` and reports the exact operator norm. The tables here
+are written out by hand instead: the seams inside each configuration and
+the outer sides that must come out clamped. The tests check them against
+the seams and clamped sides derived from ``_LAYOUTS``, and use them to
+check the built pieces. ``measured_extension_ratio`` samples random
+admissible polynomials, so it gives a lower bound on ``extension_norm``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from refsat.patches import (
+    PRE_ZERO_SIDES,
+    Extension,
+    _endpoint_nullspace,
+    extension_operator,
+    h1_seminorm_squared,
+    side_trace,
+)
+
+#: outer sides of the extended configuration that must come out clamped;
+#: keys are (offset, side-of-that-piece)
+_POST_ZERO: dict[str, tuple[tuple[tuple[int, int], str], ...]] = {
+    "a": (((0, 0), "e1"), ((0, 0), "e2"), ((0, 0), "e3"),
+          ((0, -1), "e1"), ((0, -1), "e3"), ((0, -1), "e4")),
+    "b": (((0, 0), "e2"), ((0, 0), "e3"), ((0, 0), "e4"),
+          ((1, 0), "e1"), ((1, 0), "e2"), ((1, 0), "e4")),
+    "c": (((0, 0), "e2"), ((0, 0), "e3"), ((1, 0), "e1"), ((1, 0), "e2"),
+          ((0, -1), "e3"), ((0, -1), "e4"), ((1, -1), "e1"), ((1, -1), "e4")),
+    "d": (((0, 0), "e2"), ((1, 0), "e2"), ((1, 0), "e1"),
+          ((0, -1), "e4"), ((1, -1), "e4"), ((1, -1), "e1")),
+    "e": (((0, 0), "e3"), ((0, -1), "e3"), ((0, -1), "e4"),
+          ((1, 0), "e1"), ((1, -1), "e1"), ((1, -1), "e4")),
+}
+
+#: interfaces inside each configuration: (offset_a, side_a, offset_b, side_b)
+_SEAMS: dict[str, tuple[tuple, ...]] = {
+    "a": (((0, 0), "e4", (0, -1), "e2"),),
+    "b": (((0, 0), "e1", (1, 0), "e3"),),
+    "c": (
+        ((0, 0), "e1", (1, 0), "e3"),
+        ((0, 0), "e4", (0, -1), "e2"),
+        ((1, 0), "e4", (1, -1), "e2"),
+        ((0, -1), "e1", (1, -1), "e3"),
+    ),
+    "d": (
+        ((0, 0), "e1", (1, 0), "e3"),
+        ((0, 0), "e4", (0, -1), "e2"),
+        ((1, 0), "e4", (1, -1), "e2"),
+        ((0, -1), "e1", (1, -1), "e3"),
+    ),
+    "e": (
+        ((0, 0), "e1", (1, 0), "e3"),
+        ((0, 0), "e4", (0, -1), "e2"),
+        ((1, 0), "e4", (1, -1), "e2"),
+        ((0, -1), "e1", (1, -1), "e3"),
+    ),
+}
+
+
+def extension_interface_checks(ext: Extension) -> tuple[float, float]:
+    """Max seam mismatch and max clamped-side trace of an extension.
+
+    Both are coefficient-space sup norms; conforming extensions keep them at
+    rounding level.
+    """
+    seam_err = 0.0
+    for off_a, side_a, off_b, side_b in _SEAMS[ext.situation]:
+        ta = side_trace(ext.pieces[off_a], side_a)
+        tb = side_trace(ext.pieces[off_b], side_b)
+        width = max(ta.size, tb.size)
+        pa = np.zeros(width)
+        pa[: ta.size] = ta
+        pb = np.zeros(width)
+        pb[: tb.size] = tb
+        seam_err = max(seam_err, float(np.max(np.abs(pa - pb), initial=0.0)))
+    clamp_err = 0.0
+    for offset, side in _POST_ZERO[ext.situation]:
+        tr = side_trace(ext.pieces[offset], side)
+        clamp_err = max(clamp_err, float(np.max(np.abs(tr), initial=0.0)))
+    return seam_err, clamp_err
+
+
+def random_admissible(
+    situation: str, degree: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Random coefficient matrix satisfying the situation's preconditions."""
+    zero = PRE_ZERO_SIDES[situation]
+    bx = _endpoint_nullspace(degree, "e3" in zero, "e1" in zero)
+    by = _endpoint_nullspace(degree, "e4" in zero, "e2" in zero)
+    for _ in range(100):
+        g = rng.standard_normal((bx.shape[1], by.shape[1]))
+        c = bx @ g @ by.T
+        if h1_seminorm_squared(c) > 1e-12:
+            return c
+    raise RuntimeError("failed to draw a nonzero admissible polynomial")
+
+
+def measured_extension_ratio(
+    situation: str, degree: int, samples: int, seed: int = 0
+) -> float:
+    """Largest observed seminorm ratio |Ev| / |v| over random admissible v."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        c = random_admissible(situation, degree, rng)
+        ext = extension_operator(situation, c)
+        ratio = np.sqrt(ext.seminorm_squared() / h1_seminorm_squared(c))
+        worst = max(worst, float(ratio))
+    return worst

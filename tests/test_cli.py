@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from refsat.cli import (
@@ -17,7 +18,12 @@ from refsat.cli import (
     load_sweep_config,
     main,
 )
-from refsat.coefficients import CANONICAL_PROBLEMS, ProblemSpec
+from refsat.coefficients import (
+    CANONICAL_PROBLEMS,
+    NumericalError,
+    ProblemSpec,
+    SaturationResult,
+)
 
 EXPECTED_HEADER = ("family,edge_class,p,q,r,mu,mu_display,"
                    "dim_H,dim_V,dim_F,wall_seconds,status")
@@ -44,6 +50,28 @@ def mask_wall(text):
         row[idx] = "X"
         masked.append(row)
     return masked
+
+
+def fake_result(spec):
+    """An instant, fixed stand-in for a saturation result."""
+    return SaturationResult(
+        spec=spec, mu=1.0 + spec.p / 7.0, mu_squared=0.0,
+        maximizer=np.zeros(1), dim_H=spec.r, dim_V=spec.q, dim_F=spec.p,
+        residual=0.0, tie=False, wall_seconds=0.25,
+    )
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Replace the coefficient computation by fake_result; list its specs."""
+    specs = []
+
+    def fake(spec):
+        specs.append(spec)
+        return fake_result(spec)
+
+    monkeypatch.setattr("refsat.cli.saturation_coefficient", fake)
+    return specs
 
 
 def test_compute_emits_one_well_formed_row(capsys):
@@ -319,6 +347,103 @@ def test_reproduce_unwritable_output_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_unwritable_output_fails_before_any_cell(tmp_path, capsys, computed):
+    target = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli(
+        ["reproduce", "--max-p", "4", "--output", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("invalid input: ") and str(target) in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problems": ["E1"], "p_values": [2],
+                                "output": str(target)}))
+    code, _, err = run_cli(["sweep", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("invalid input: ") and str(target) in err
+    assert computed == []
+
+
+@pytest.mark.parametrize("command", ["reproduce", "sweep"])
+def test_numerical_failure_keeps_the_finished_rows(tmp_path, capsys,
+                                                   monkeypatch, command):
+    target = tmp_path / "out.csv"
+    specs = []
+
+    def fail_on_third(spec):
+        specs.append(spec)
+        if len(specs) == 3:
+            raise NumericalError("third cell")
+        return fake_result(spec)
+
+    monkeypatch.setattr("refsat.cli.saturation_coefficient", fail_on_third)
+    if command == "reproduce":
+        argv = ["reproduce", "--max-p", "4", "--output", str(target)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problems": ["E1", "C"],
+                                    "strategies": ["2p"], "p_values": [2, 3],
+                                    "output": str(target)}))
+        argv = ["sweep", "--config", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "numerical failure: third cell" in err
+    header, rows = parse_csv(target.read_text())
+    assert ",".join(header) == EXPECTED_HEADER
+    assert [tuple(row[2:5]) for row in rows] == [
+        (str(spec.p), str(spec.q), str(spec.r)) for spec in specs[:2]]
+
+
+SWEEP_CSV = """\
+family,edge_class,p,q,r,mu,mu_display,dim_H,dim_V,dim_F,wall_seconds,status
+A,E1,2,4,8,1.2857142857142856,1.2857,8,4,2,0.250,ok
+A,E1,3,6,12,1.4285714285714286,1.4286,12,6,3,0.250,ok
+A,E1,40,80,160,---,---,---,---,---,---,skipped
+C,C,2,4,8,1.2857142857142856,1.2857,8,4,2,0.250,ok
+C,C,3,6,12,1.4285714285714286,1.4286,12,6,3,0.250,ok
+C,C,40,80,160,6.714285714285714,6.7143,160,80,40,0.250,ok
+"""
+
+SWEEP_MARKDOWN = """\
+| family | edge_class | p | q | r | mu | mu_display | dim_H | dim_V | dim_F \
+| wall_seconds | status |
+| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |
+| A | E1 | 2 | 4 | 8 | 1.2857142857142856 | 1.2857 | 8 | 4 | 2 | 0.250 | ok |
+| A | E1 | 3 | 6 | 12 | 1.4285714285714286 | 1.4286 | 12 | 6 | 3 | 0.250 | ok |
+| A | E1 | 40 | 80 | 160 | --- | --- | --- | --- | --- | --- | skipped |
+| C | C | 2 | 4 | 8 | 1.2857142857142856 | 1.2857 | 8 | 4 | 2 | 0.250 | ok |
+| C | C | 3 | 6 | 12 | 1.4285714285714286 | 1.4286 | 12 | 6 | 3 | 0.250 | ok |
+| C | C | 40 | 80 | 160 | 6.714285714285714 | 6.7143 | 160 | 80 | 40 | 0.250 \
+| ok |
+"""
+
+
+def test_streamed_rows_match_the_collected_table(tmp_path, capsys, computed):
+    """Rows written one by one read as the whole table written at the end."""
+    for fmt, expected in (("csv", SWEEP_CSV), ("markdown", SWEEP_MARKDOWN)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problems": ["E1", "C"],
+                                    "strategies": ["2p"],
+                                    "p_values": [2, 3, 40], "format": fmt}))
+        code, out, _ = run_cli(
+            ["sweep", "--config", str(path), "--budget", "0.05"], capsys)
+        assert code == 0
+        assert out == expected
+    code, out, err = run_cli(
+        ["reproduce", "--max-p", "4", "--budget", "0.0021"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:3] == [
+        EXPECTED_HEADER,
+        "A,E1,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
+        "A,E1,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
+    ]
+    statuses = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    assert statuses.count("fail") == 20 and statuses.count("skipped") == 12
+    assert err.splitlines()[:2] == [
+        "reproduce: 20 compared, 20 failed, 12 skipped (tol 0.0002)",
+        "  E1 p+4 p=4 q=8 r=16: expected 1.0017, got 1.571429 (diff 5.70e-01)",
+    ]
+
+
 def test_reproduce_rejects_bad_tolerance(capsys):
     code, _, err = run_cli(["reproduce", "--tol", "-1"], capsys)
     assert code == 2
@@ -332,8 +457,11 @@ def test_patches_verify_reports_all_patches(capsys):
         assert f"patch {pid:2d} " in out
     assert out.count(" ok") >= 13
     assert "catalog verified" in out
-    for situation in "abcde":
-        assert f"situation {situation}: worst" in out
+    lines = out.splitlines()
+    for situation, norm in (("a", "1.414214"), ("b", "1.414214"),
+                            ("c", "2.000000"), ("d", "2.154601"),
+                            ("e", "2.154601")):
+        assert f"    situation {situation}: norm {norm}" in lines
 
 
 def test_patches_verify_flags_corrupted_catalog(tmp_path, capsys):

@@ -1,0 +1,36 @@
+"""The public names of the package resolve.
+
+Tools that walk ``__all__`` (such as a tracer wrapping every public
+function) break on a name left behind by a removal, so each listed name
+must exist, and every name the package root re-exports must be a public
+name of its module.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import refsat
+
+MODULES = ("bases", "assembly", "coefficients", "patches", "cli")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_resolves(name):
+    module = importlib.import_module(f"refsat.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_package_exports_are_public_names_of_their_modules():
+    tree = ast.parse(Path(refsat.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+            assert getattr(refsat, alias.name) is getattr(module, alias.name)

@@ -1,26 +1,39 @@
-"""Tests for the refined patch catalog, traversal, and extensions."""
+"""Tests for the refined patch catalog, traversal, and extensions.
+
+The extensions built from ``_LAYOUTS`` are checked against the hand-written
+seam and clamped-side tables of ``extension_oracle``, and their exact norms
+against its Monte-Carlo ratios.
+"""
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from extension_oracle import (
+    _POST_ZERO,
+    _SEAMS,
+    extension_interface_checks,
+    measured_extension_ratio,
+    random_admissible,
+)
 from refsat.patches import (
+    PRE_ZERO_SIDES,
+    SITUATIONS,
     GridEdge,
     RefinedPatch,
+    TraversalViolation,
     boundary_edges_of,
     canonical_numbering,
-    extension_interface_checks,
+    extension_norm,
     extension_operator,
     h1_seminorm_squared,
     interior_edge_traversal,
     interior_edges_of,
     inverse_orientation,
     local_dirichlet_edges,
-    measured_extension_ratio,
     orient_patch,
     owner_square,
     patch_catalog,
-    random_admissible,
     side_trace,
     verify_traversal_lemma,
     _LAYOUTS,
@@ -212,6 +225,20 @@ def test_corrupted_numbering_is_caught_and_located():
     assert 0 <= v.orientation <= 7
     assert v.step >= 1
     assert v.edge is not None
+    # the step checks run once; their violations recur in every orientation
+    per_orientation = (
+        (6, GridEdge("H", 1, 1), "no admissible zero-extension layout"),
+        (8, GridEdge("V", 1, 1), "no situation matches sides ['e4']"),
+        (10, GridEdge("H", 0, 1), "empty local Dirichlet set"),
+        (11, GridEdge("V", 1, 2), "empty local Dirichlet set"),
+    )
+    assert report.violations == tuple(
+        TraversalViolation(patch_id=4, orientation=t, step=step, edge=edge,
+                           reason=reason)
+        for t in range(8)
+        for step, edge, reason in per_orientation
+    )
+    assert report.counts_dict() == {"a": 8, "b": 16, "c": 16, "d": 8, "e": 16}
 
 
 def test_orientation_round_trips():
@@ -240,6 +267,26 @@ def test_extension_layouts_only_reach_right_and_down():
     allowed = {(0, 0), (1, 0), (0, -1), (1, -1)}
     for name, layout in _LAYOUTS.items():
         assert set(layout) <= allowed, name
+    assert tuple(_LAYOUTS)[:5] == SITUATIONS
+
+
+def test_layout_seams_and_clamped_sides_match_oracle_tables():
+    """Seams and zero-trace outer sides read off _LAYOUTS equal the oracle."""
+    steps = {"e1": (1, 0), "e2": (0, 1), "e3": (-1, 0), "e4": (0, -1)}
+    opposite = {"e1": "e3", "e2": "e4", "e3": "e1", "e4": "e2"}
+    for situ in SITUATIONS:
+        layout = _LAYOUTS[situ]
+        seams, clamped = set(), set()
+        for offset, (sources, decayed) in layout.items():
+            for side, (dx, dy) in steps.items():
+                neighbor = (offset[0] + dx, offset[1] + dy)
+                if neighbor not in layout:
+                    if side in decayed or sources[side] in PRE_ZERO_SIDES[situ]:
+                        clamped.add((offset, side))
+                elif side in ("e1", "e4"):
+                    seams.add((offset, side, neighbor, opposite[side]))
+        assert seams == set(_SEAMS[situ]), situ
+        assert clamped == set(_POST_ZERO[situ]), situ
 
 
 def test_catalog_roundtrip_through_custom_path(tmp_path):
@@ -376,9 +423,40 @@ def test_decay_constant_measured_over_many_draws():
     assert 1.0 <= worst_e < 4.0
 
 
+def test_extension_norm_bounds_every_sampled_ratio():
+    for situ in SITUATIONS:
+        for degree in (3, 5, 8):
+            sampled = measured_extension_ratio(situ, degree, 40, seed=degree)
+            assert sampled <= extension_norm(situ, degree) + 1e-12, (situ, degree)
+
+
+def test_reflection_extension_norms_are_exact():
+    for degree in (2, 5, 8):
+        assert abs(extension_norm("a", degree) - np.sqrt(2.0)) < 1e-12
+        assert abs(extension_norm("b", degree) - np.sqrt(2.0)) < 1e-12
+        assert abs(extension_norm("c", degree) - 2.0) < 1e-12
+
+
+def test_decay_extension_norms_are_pinned_and_bounded():
+    pinned = {2: 2.134767, 4: 2.153802, 8: 2.154601, 12: 2.154603}
+    for situ in ("d", "e"):
+        norms = {degree: extension_norm(situ, degree) for degree in range(2, 13)}
+        for degree, value in pinned.items():
+            assert abs(norms[degree] - value) < 1e-6, (situ, degree)
+        assert max(norms.values()) < 4.0
+        running = norms[2]
+        for degree in range(3, 13):
+            assert norms[degree] <= 1.05 * running
+            running = max(running, norms[degree])
+
+
 def test_extension_rejects_bad_inputs():
     with pytest.raises(ValueError):
         extension_operator("f", np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        extension_norm("f", 8)
+    with pytest.raises(ValueError):
+        extension_norm("a", 1)
     with pytest.raises(ValueError):
         extension_operator("a", np.ones((3, 3)))
     with pytest.raises(ValueError):
