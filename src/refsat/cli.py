@@ -73,11 +73,15 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     per-cell overhead, the 1D eigensolves of the factor bases (~r^3), the
     contraction of the 1D load Grams into the two dual Grams
     (~n_load * r * (r + n_load) multiply-adds, which is (p+1)^4 r for
-    family A and (p+1) r^2 for families B and C), and the dense generalized
-    eigensolve of order n_load (~n_load^3). The constants are fitted to
-    single-threaded timings of the benchmark workloads' cells and of the
-    largest published family-A cells; the estimate stayed within a factor
-    2.5 of each of them.
+    family A and (p+1) r^2 for families B and C), and the top-of-spectrum
+    eigensolve of order n_load: the Cholesky factor of the coarse dual Gram
+    (~n_load^3 / 3) and a few dozen Lanczos operator applications of two
+    triangular solves and a GEMV each (~n_load^2 apiece). The eigensolve
+    constants are fitted to single-threaded timings of that stage alone on
+    the family-A cells E1 (28, 32, 64), (32, 64, 128), (40, 46, 92),
+    (48, 56, 112), (56, 64, 128), (60, 64, 128) and (64, 128, 256), within
+    25% of each; the others to the benchmark workloads' cells and the
+    largest published family-A cells.
     """
     if spec.family == "A":
         n_load = (spec.p + 1) ** 2
@@ -89,7 +93,7 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     overhead = 2e-3
     modes = 4e-9 * r ** 3
     contraction = 1e-10 * n_load * r * (r + n_load)
-    eig = 4e-10 * n_load ** 3
+    eig = 1.1e-11 * n_load ** 3 + 6e-8 * n_load ** 2
     return overhead + modes + contraction + eig
 
 

@@ -210,14 +210,64 @@ def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarr
     return (r + r.T) / 2.0
 
 
+#: orders up to which the eigensolves form their operator densely: a dense
+#: eigh of the explicit matrix beats the fixed cost of a Lanczos run (at
+#: least 20 operator applications) up to about this order
+_DENSE_ORDER = 100
+
+#: relative floor on the smallest eigenvalue of the denominator dual Gram
+_PD_FLOOR = 1e-12
+
+
+def _top_eigenpairs(
+    apply, n: int, k: int, tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
+
+    ``apply`` maps an n-vector or an n x m block to its image. Small orders
+    apply it to the identity and use a dense eigh; larger ones run ARPACK's
+    Lanczos (Lehoucq, Sorensen & Yang, 1998) to the relative accuracy
+    ``tol`` (0 asks for machine precision) from a seeded start vector, so
+    repeated runs return bitwise equal vectors.
+    """
+    if n <= _DENSE_ORDER:
+        # the full spectrum: LAPACK's index-subset drivers can return no
+        # eigenvalue at all for a tight cluster, as at q = r. eigh reads
+        # only the lower triangle, so roundoff skew needs no symmetrizing
+        try:
+            values, vectors = scipy.linalg.eigh(
+                apply(np.eye(n)), driver="evd", check_finite=False
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+        return values[n - k:], vectors[:, n - k:]
+    # imported here: scipy.sparse.linalg costs start-up time and memory
+    # that only the large orders need
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    op = LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        values, vectors = eigsh(op, k=k, which="LA", tol=tol, v0=start)
+    except ArpackError as exc:
+        raise NumericalError(f"Lanczos eigensolve failed: {exc}") from exc
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
+
+
 def max_generalized_eigenvalue(
     r_top: np.ndarray, r_bottom: np.ndarray
 ) -> tuple[float, np.ndarray, bool]:
     """Largest lambda with r_top F = lambda r_bottom F, plus maximizer and tie flag.
 
-    r_bottom must be safely positive definite: its smallest eigenvalue is
-    checked against 1e-12 times its trace and the problem is rejected as
-    ill posed otherwise, rather than silently regularized.
+    With the Cholesky factor r_bottom = L L^T the pencil becomes the
+    standard problem for L^{-1} r_top L^{-T}, whose top two eigenpairs give
+    the value, the tie flag and, through F = L^{-T} y, the maximizer. Only
+    the top of the spectrum is computed. r_bottom must be safely positive
+    definite: its smallest eigenvalue, estimated as 1 / lambda_max(r_bottom^{-1})
+    with the same factor, is checked against 1e-12 times its trace, and the
+    problem is rejected as ill posed otherwise, rather than silently
+    regularized.
     """
     r_top = np.asarray(r_top, dtype=float)
     r_bottom = np.asarray(r_bottom, dtype=float)
@@ -226,19 +276,48 @@ def max_generalized_eigenvalue(
             f"expected square matrices of equal shape, got {r_top.shape} "
             f"and {r_bottom.shape}"
         )
-    floor = 1e-12 * max(np.trace(r_bottom), np.finfo(float).tiny)
-    if np.min(scipy.linalg.eigvalsh(r_bottom)) < floor:
-        raise NumericalError(
-            "denominator dual Gram is numerically singular; the coarse space "
-            "cannot represent all functionals (ill-posed quotient)"
-        )
+    n = r_top.shape[0]
+    trace = max(float(np.trace(r_bottom)), np.finfo(float).tiny)
+    ill_posed = (
+        "denominator dual Gram is numerically singular; the coarse space "
+        "cannot represent all functionals (ill-posed quotient): "
+    )
     try:
-        values, vectors = scipy.linalg.eigh(r_top, r_bottom)
+        factor = scipy.linalg.cholesky(r_bottom, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
+        raise NumericalError(
+            ill_posed + f"its Cholesky factorization failed ({exc}), so "
+            f"lambda_min/trace is at or below roundoff, under the floor "
+            f"{_PD_FLOOR:.0e}"
+        ) from exc
+    # a Ritz value never exceeds lambda_max, so a loose tolerance can only
+    # overstate lambda_min by a relative 1e-8
+    inverse_top, _ = _top_eigenpairs(
+        lambda y: scipy.linalg.cho_solve((factor, True), y, check_finite=False),
+        n, 1, tol=1e-8,
+    )
+    margin = 1.0 / (float(inverse_top[-1]) * trace)
+    if margin < _PD_FLOOR:
+        raise NumericalError(
+            ill_posed + f"estimated lambda_min/trace {margin:.3e} is under the "
+            f"floor {_PD_FLOOR:.0e}"
+        )
+
+    def standard_form(y: np.ndarray) -> np.ndarray:
+        z = scipy.linalg.solve_triangular(
+            factor, y, lower=True, trans="T", check_finite=False
+        )
+        return scipy.linalg.solve_triangular(
+            factor, r_top @ z, lower=True, check_finite=False
+        )
+
+    values, vectors = _top_eigenpairs(standard_form, n, min(2, n))
     top = float(values[-1])
     tie = values.size >= 2 and (top - float(values[-2])) <= 1e-12 * max(1.0, abs(top))
-    return top, vectors[:, -1].copy(), tie
+    maximizer = scipy.linalg.solve_triangular(
+        factor, vectors[:, -1], lower=True, trans="T"
+    )
+    return top, maximizer, tie
 
 
 def _space(spec: ProblemSpec, degree: int) -> TensorSpace | QuotientSpace:

@@ -20,7 +20,7 @@ built from reflections and at most one linear decay factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -167,7 +167,7 @@ class RefinedPatch:
                 f"patch {self.id}: boundary-vertex patches need clamped edges"
             )
 
-    @property
+    @cached_property
     def interior_edges(self) -> frozenset[GridEdge]:
         return interior_edges_of(self.cells)
 
@@ -733,12 +733,18 @@ def _mirror_y(c: np.ndarray) -> np.ndarray:
 
 
 def _decay(c: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
-    """Multiply by a linear weight along one axis (degree grows by one)."""
+    """Multiply by a linear weight along one axis (degree grows by one).
+
+    With x P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1), multiplying every
+    column by w0 + w1 x is one product with an (m+1) x m tridiagonal matrix.
+    """
     moved = c if axis == 0 else c.T
-    out = np.zeros((moved.shape[0] + 1, moved.shape[1]))
-    for j in range(moved.shape[1]):
-        prod = npleg.legmul(weight, moved[:, j])
-        out[: prod.size, j] = prod
+    k = np.arange(moved.shape[0])
+    times = np.zeros((k.size + 1, k.size))
+    times[k, k] = weight[0]
+    times[k + 1, k] = weight[1] * (k + 1) / (2 * k + 1)
+    times[k[1:] - 1, k[1:]] = weight[1] * k[1:] / (2 * k[1:] + 1)
+    out = times @ moved
     return out if axis == 0 else out.T
 
 

@@ -7,11 +7,14 @@ the outer sides that must come out clamped. The tests check them against
 the seams and clamped sides derived from ``_LAYOUTS``, and use them to
 check the built pieces. ``measured_extension_ratio`` samples random
 admissible polynomials, so it gives a lower bound on ``extension_norm``.
+``decay_by_columns`` is the column-by-column ``legmul`` product that the
+one-matrix decay in ``refsat.patches._decay`` replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
 from refsat.patches import (
     PRE_ZERO_SIDES,
@@ -112,3 +115,13 @@ def measured_extension_ratio(
         ratio = np.sqrt(ext.seminorm_squared() / h1_seminorm_squared(c))
         worst = max(worst, float(ratio))
     return worst
+
+
+def decay_by_columns(c: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
+    """Multiply by a linear weight along one axis (degree grows by one)."""
+    moved = c if axis == 0 else c.T
+    out = np.zeros((moved.shape[0] + 1, moved.shape[1]))
+    for j in range(moved.shape[1]):
+        prod = npleg.legmul(weight, moved[:, j])
+        out[: prod.size, j] = prod
+    return out if axis == 0 else out.T

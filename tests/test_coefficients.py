@@ -2,9 +2,10 @@
 
 Published reference values are pinned to 2e-4 here only as spot checks; the
 full table comparison lives in the acceptance suite. The eigenvalue and dual
-norm routes are cross-checked against independent dense linear algebra, and
-the fast-diagonalization dual Grams against the sparse-LU oracle in
-``sparse_oracle``.
+norm routes are cross-checked against independent dense linear algebra, the
+top-of-spectrum eigensolve against the full-spectrum oracle in
+``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
+sparse-LU oracle in ``sparse_oracle``.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ import scipy.linalg
 
 from refsat.assembly import EDGE_CLASSES, TensorSpace, tensor_space
 from refsat.bases import Basis1D, BoundaryCondition1D, build_basis_1d, gram_matrices
+from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
 from refsat.coefficients import (
+    _DENSE_ORDER,
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
@@ -100,8 +103,31 @@ def test_max_generalized_eigenvalue_basics():
 
 def test_max_generalized_eigenvalue_rejects_singular_denominator():
     bottom = np.diag([1.0, 0.0])
-    with pytest.raises(NumericalError, match="ill-posed"):
+    with pytest.raises(NumericalError, match="ill-posed.*Cholesky.*floor 1e-12"):
         max_generalized_eigenvalue(np.eye(2), bottom)
+    # the factorization succeeds here, and the margin decides
+    with pytest.raises(
+        NumericalError,
+        match=r"ill-posed.*lambda_min/trace 1\.000e-14 is under the floor 1e-12",
+    ):
+        max_generalized_eigenvalue(np.eye(2), np.diag([1.0, 1e-14]))
+    value, _, _ = max_generalized_eigenvalue(np.eye(2), np.diag([1.0, 1e-10]))
+    assert abs(value - 1e10) <= 1e-4
+
+
+def test_nearly_singular_denominator_is_rejected_at_the_lanczos_order():
+    n = _DENSE_ORDER + 20
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = np.linspace(1.0, 2.0, n)
+    spectrum[0] = 1e-14 * spectrum.sum()
+    bottom = (basis * spectrum) @ basis.T
+    scipy.linalg.cholesky(bottom)  # succeeds: only the floor can reject it
+    with pytest.raises(
+        NumericalError,
+        match=r"ill-posed.*lambda_min/trace \d\.\d{3}e-14 is under the floor",
+    ):
+        max_generalized_eigenvalue(np.eye(n), bottom)
 
 
 def test_eigenvalue_dominates_random_rayleigh_quotients():
@@ -145,7 +171,7 @@ def oracle_saturation(spec):
     """(mu, dim_H, dim_V, dim_F) through the sparse-LU dual Grams."""
     stiff_fine, load_fine = _build_pair(spec, spec.r)
     stiff_mid, load_mid = _build_pair(spec, spec.q)
-    value, _, _ = max_generalized_eigenvalue(
+    value, _, _ = dense_oracle(
         schur_dual_gram(load_fine, stiff_fine),
         schur_dual_gram(load_mid, stiff_mid),
     )
@@ -180,6 +206,40 @@ def test_saturation_matches_sparse_oracle(name):
         res = saturation_coefficient(spec)
         assert (res.dim_H, res.dim_V, res.dim_F) == (dim_h, dim_v, dim_f)
         assert abs(res.mu - mu) <= 1e-10
+
+
+#: (p, q, r) per family: a dense order, then Lanczos orders plain, with
+#: q = r and with p = q
+EIGEN_CASES = {
+    "A": ((3, 6, 12), (12, 16, 32), (12, 16, 16), (12, 12, 24)),
+    "B": ((12, 16, 32), (104, 112, 128), (104, 112, 112), (104, 104, 120)),
+    "C": ((12, 16, 32), (104, 112, 128), (104, 112, 112), (104, 104, 120)),
+}
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_top_eigenpair_matches_dense_oracle(name):
+    family = CANONICAL_PROBLEMS[name][0]
+    lanczos = []
+    for p, q, r in EIGEN_CASES[family]:
+        spec = spec_for(name, p, q, r)
+        r_fine = dual_gram(spec, _space(spec, r))
+        r_mid = dual_gram(spec, _space(spec, q))
+        lanczos.append(r_fine.shape[0] > _DENSE_ORDER)
+        try:
+            expect, _, expect_tie = dense_oracle(r_fine, r_mid)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="ill-posed"):
+                max_generalized_eigenvalue(r_fine, r_mid)
+            continue
+        # every volume problem leaves the p = q coarse space too small
+        assert not (family == "A" and p == q)
+        value, maximizer, tie = max_generalized_eigenvalue(r_fine, r_mid)
+        assert abs(value - expect) <= 1e-12 * expect
+        assert tie == expect_tie == (q == r)
+        quotient = (maximizer @ r_fine @ maximizer) / (maximizer @ r_mid @ maximizer)
+        assert abs(quotient - value) <= 1e-12 * value
+    assert lanczos == [False, True, True, True]
 
 
 def test_modes_diagonalize_the_1d_pencil():
@@ -301,7 +361,9 @@ def test_canonical_problem_list():
 
 
 def test_results_are_deterministic():
-    first = saturation_coefficient(spec_for("F3", 4, 6, 9))
-    second = saturation_coefficient(spec_for("F3", 4, 6, 9))
-    assert first.mu == second.mu
-    assert np.array_equal(first.maximizer, second.maximizer)
+    # a dense order and a Lanczos order of the top eigensolve
+    for spec in (spec_for("F3", 4, 6, 9), spec_for("E1", 12, 16, 32)):
+        first = saturation_coefficient(spec)
+        second = saturation_coefficient(spec)
+        assert first.mu == second.mu
+        assert np.array_equal(first.maximizer, second.maximizer)

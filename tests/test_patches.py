@@ -12,10 +12,12 @@ from numpy.polynomial import legendre as npleg
 from extension_oracle import (
     _POST_ZERO,
     _SEAMS,
+    decay_by_columns,
     extension_interface_checks,
     measured_extension_ratio,
     random_admissible,
 )
+from refsat import patches
 from refsat.patches import (
     PRE_ZERO_SIDES,
     SITUATIONS,
@@ -390,6 +392,21 @@ def test_extension_degree_grows_by_at_most_one():
         assert worst <= 7
         if situ in ("a", "b", "c"):
             assert worst == 6
+
+
+def test_decay_matches_the_column_loop(monkeypatch):
+    rng = np.random.default_rng(53)
+    for degree in range(2, 13):
+        for situ in SITUATIONS:
+            c = random_admissible(situ, degree, rng)
+            pieces = extension_operator(situ, c).pieces
+            with monkeypatch.context() as m:
+                m.setattr(patches, "_decay", decay_by_columns)
+                expected = extension_operator(situ, c).pieces
+            for offset, piece in expected.items():
+                assert pieces[offset].shape == piece.shape
+                diff = np.max(np.abs(pieces[offset] - piece))
+                assert diff <= 1e-14 * np.max(np.abs(piece)), (situ, degree)
 
 
 def test_reflection_extensions_have_exact_energy_ratios():
