@@ -26,6 +26,7 @@ __all__ = [
     "BOTTOM",
     "EDGE_CLASSES",
     "normalize_edges",
+    "factor_conditions",
     "TensorSpace",
     "QuotientSpace",
     "tensor_space",
@@ -88,15 +89,23 @@ class QuotientSpace:
         return (self.degree + 1) ** 2 - 1
 
 
-def tensor_space(edges, degree: int) -> TensorSpace:
-    """Build the Dirichlet tensor space of coordinate degree at most ``degree``."""
-    edges = normalize_edges(edges)
+def factor_conditions(
+    edges: frozenset[int],
+) -> tuple[BoundaryCondition1D, BoundaryCondition1D]:
+    """Dirichlet flags of the x and the y factor basis for an edge set."""
     bc_x = BoundaryCondition1D(
         dirichlet_at_minus1=LEFT in edges, dirichlet_at_plus1=RIGHT in edges
     )
     bc_y = BoundaryCondition1D(
         dirichlet_at_minus1=BOTTOM in edges, dirichlet_at_plus1=TOP in edges
     )
+    return bc_x, bc_y
+
+
+def tensor_space(edges, degree: int) -> TensorSpace:
+    """Build the Dirichlet tensor space of coordinate degree at most ``degree``."""
+    edges = normalize_edges(edges)
+    bc_x, bc_y = factor_conditions(edges)
     basis_x = build_basis_1d("integrated_legendre", bc_x, degree)
     basis_y = build_basis_1d("integrated_legendre", bc_y, degree)
     return TensorSpace(edges=edges, basis_x=basis_x, basis_y=basis_y)

@@ -137,22 +137,16 @@ def legendre_eval_all(kmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interior_coeff(k: int, ncols: int) -> np.ndarray:
-    # xi_k = (L_{k-2} - L_k) / sqrt(4k - 2), the closed form of the integral
-    c = np.zeros(ncols)
-    c[k - 2] += 1.0
-    c[k] -= 1.0
-    return c / np.sqrt(4.0 * k - 2.0)
-
-
-def _supplement_coeffs(ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    left = np.zeros(ncols)
-    left[0] = np.sqrt(2.0) / 2.0
-    left[1] = -np.sqrt(2.0) / 2.0
-    right = np.zeros(ncols)
-    right[0] = np.sqrt(2.0) / 2.0
-    right[1] = np.sqrt(2.0) / 2.0
-    return left, right
+def _interior_rows(r: int) -> np.ndarray:
+    """Rows of xi_k = (L_{k-2} - L_k) / sqrt(4k - 2), the closed form of the
+    integral, for k = 2..r, each with r + 1 Legendre coefficients."""
+    k = np.arange(2, r + 1)
+    scale = 1.0 / np.sqrt(4.0 * k - 2.0)
+    rows = np.zeros((k.size, r + 1))
+    index = np.arange(k.size)
+    rows[index, k - 2] = scale
+    rows[index, k] = -scale
+    return rows
 
 
 def build_basis_1d(
@@ -175,46 +169,42 @@ def build_basis_1d(
         raise ValueError(f"degree bound must be nonnegative, got r={r}")
     if bc is None:
         bc = BoundaryCondition1D()
-    ncols = r + 1
 
     if kind == "legendre":
-        coeff = np.zeros((r + 1, ncols))
-        for k in range(r + 1):
-            coeff[k, k] = np.sqrt(k + 0.5)
+        coeff = np.diag(np.sqrt(np.arange(r + 1) + 0.5))
         return Basis1D(kind=kind, coefficients=coeff, bc=bc)
 
+    half = np.sqrt(2.0) / 2.0
     if kind == "integrated_legendre":
-        rows = []
+        # the left supplement (1 - x) sqrt(2)/2 and the right one (1 + x) sqrt(2)/2
+        supplements = []
         if r >= 1:
-            left, right = _supplement_coeffs(ncols)
             if not bc.dirichlet_at_minus1:
-                rows.append(left)
+                supplements.append((half, -half))
             if not bc.dirichlet_at_plus1:
-                rows.append(right)
-        for k in range(2, r + 1):
-            rows.append(_interior_coeff(k, ncols))
-        if not rows:
+                supplements.append((half, half))
+        n_supp = len(supplements)
+        coeff = np.zeros((n_supp + max(r - 1, 0), r + 1))
+        if n_supp:
+            coeff[:n_supp, :2] = supplements
+        coeff[n_supp:] = _interior_rows(r)
+        if coeff.shape[0] == 0:
             raise ValueError(
                 "basis is empty: no function of degree <= "
                 f"{r} satisfies the requested boundary conditions"
             )
-        return Basis1D(kind=kind, coefficients=np.array(rows), bc=bc)
+        return Basis1D(kind=kind, coefficients=coeff, bc=bc)
 
     # mean_zero: constant, then mean-shifted functions. Subtracting the mean
     # value <f, 1> / 2 zeroes the L_0 coefficient; only the k = 1 and k = 2
     # members have one to remove.
-    rows = [np.zeros(ncols)]
-    rows[0][0] = 1.0 / np.sqrt(2.0)
+    coeff = np.zeros((r + 1, r + 1))
+    coeff[0, 0] = 1.0 / np.sqrt(2.0)
     if r >= 1:
-        left, _ = _supplement_coeffs(ncols)
-        shifted = left.copy()
-        shifted[0] = 0.0
-        rows.append(shifted)
-    for k in range(2, r + 1):
-        c = _interior_coeff(k, ncols)
-        c[0] = 0.0
-        rows.append(c)
-    return Basis1D(kind=kind, coefficients=np.array(rows), bc=bc)
+        coeff[1, 1] = -half
+    coeff[2:] = _interior_rows(r)
+    coeff[2:, 0] = 0.0
+    return Basis1D(kind=kind, coefficients=coeff, bc=bc)
 
 
 def _required_points(degree_sum: int) -> int:

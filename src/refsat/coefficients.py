@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -33,11 +34,16 @@ from refsat.assembly import (
     EDGE_CLASSES,
     QuotientSpace,
     TensorSpace,
+    factor_conditions,
     normalize_edges,
-    quotient_space,
-    tensor_space,
 )
-from refsat.bases import Basis1D, boundary_trace, build_basis_1d, gram_matrices
+from refsat.bases import (
+    Basis1D,
+    BoundaryCondition1D,
+    boundary_trace,
+    build_basis_1d,
+    gram_matrices,
+)
 
 __all__ = [
     "FAMILIES",
@@ -168,46 +174,96 @@ def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0.0], lam)), modes
 
 
-def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarray:
-    """Dual Gram matrix R = L A^{-1} L^T of the spec's loads on ``space``.
+class _Factor(NamedTuple):
+    """One 1D factor basis in its eigenbasis, as the dual Grams use it."""
+
+    #: eigenvalues of the pencil S v = lambda M v
+    lam: np.ndarray
+    #: W[k, i] = <phi_k, v_i> for the probes phi_k of degree k = 0..degree
+    loads: np.ndarray
+    #: t[i] = v_i(+1), the values of the modes on the right edge
+    trace: np.ndarray
+
+
+def _factor(basis: Basis1D) -> _Factor:
+    """Modes of ``basis`` with its load Gram and right-edge trace in them.
+
+    The probes phi_k = sqrt(k + 1/2) L_k are orthonormal Legendre
+    polynomials, so <phi_k, sum_m c_m L_m> = c_k sqrt(2 / (2k + 1)): the
+    load Gram is W = diag(sqrt(2 / (2k + 1))) C^T V with C the coefficient
+    rows of the basis, and the Gram of the probes up to degree p is a row
+    slice of it.
+    """
+    lam, vec = _modes(basis)
+    k = np.arange(basis.degree + 1)
+    norms = np.sqrt(2.0 / (2.0 * k + 1.0))
+    loads = (norms[:, np.newaxis] * basis.coefficients.T) @ vec
+    return _Factor(lam, loads, boundary_trace(basis, 1.0) @ vec)
+
+
+def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
+    """Construction arguments (kind, bc, degree) of the x and y factor bases."""
+    if spec.family == "C":
+        args = ("mean_zero", BoundaryCondition1D(), degree)
+        return args, args
+    bc_x, bc_y = factor_conditions(spec.edges)
+    return (("integrated_legendre", bc_x, degree),
+            ("integrated_legendre", bc_y, degree))
+
+
+def _contract(spec: ProblemSpec, fx: _Factor, fy: _Factor) -> np.ndarray:
+    """Dual Gram R = L A^{-1} L^T of the spec's loads from the two 1D factors.
 
     Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): with
     the 1D modes V^T S V = diag(lambda), V^T M V = I of each factor basis,
     the stiffness Sx (x) My + Mx (x) Sy is diagonal in the basis Vx (x) Vy
     with entries lambda_i + mu_j. R therefore contracts the 1D load Grams
-    W = G V with the weights 1 / (lambda_i + mu_j), and no 2D matrix is
-    formed. Rows follow the load order of the family: probe pairs with the
-    x probe outermost for A, probe degrees for B and C. The result is
-    symmetrized to remove roundoff skew.
+    W with the weights 1 / (lambda_i + mu_j), and no 2D matrix is formed.
+    Rows follow the load order of the family: probe pairs with the x probe
+    outermost for A, probe degrees for B and C. The result is symmetrized
+    to remove roundoff skew.
     """
-    probes = build_basis_1d("legendre", r=spec.p)
+    denom = fx.lam[:, np.newaxis] + fy.lam
     if spec.family == "C":
-        bx = by = space.basis
-        # degrees k >= 1 only, so the functionals are mean free
-        probes = Basis1D(kind="legendre", coefficients=probes.coefficients[1:])
-    else:
-        bx, by = space.basis_x, space.basis_y
-    lam_x, vx = _modes(bx)
-    lam_y, vy = _modes(by)
-    denom = lam_x[:, np.newaxis] + lam_y
-    if spec.family == "C":
-        # the constant tensor member is not part of the quotient space
+        # the constant tensor member is not part of the quotient space, and
+        # probe degrees k >= 1 only keep the functionals mean free
         denom[0, 0] = np.inf
+        probes = slice(1, spec.p + 1)
+    else:
+        probes = slice(0, spec.p + 1)
     weights = 1.0 / denom
-    wy = gram_matrices(probes, by)[0] @ vy
+    wy = fy.loads[probes]
     if spec.family == "A":
-        n = probes.n_functions
-        wx = gram_matrices(probes, bx)[0] @ vx
+        n = spec.p + 1
+        wx = fx.loads[probes]
         # xx[(a, c), i] = wx[a, i] wx[c, i] and yy[j, (b, d)] = wy[b, j] wy[d, j]
         xx = (wx[:, np.newaxis, :] * wx).reshape(n * n, -1)
         yy = (wy.T[:, :, np.newaxis] * wy.T[:, np.newaxis, :]).reshape(-1, n * n)
         r = (xx @ (weights @ yy)).reshape(n, n, n, n)
         r = r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
     else:
-        # the loads see v only through its trace tx on the right edge
-        trace = boundary_trace(bx, 1.0) @ vx
-        r = (wy * (trace**2 @ weights)) @ wy.T
+        # the loads see v only through its trace on the right edge
+        r = (wy * (fx.trace**2 @ weights)) @ wy.T
     return (r + r.T) / 2.0
+
+
+def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarray:
+    """Dual Gram matrix R = L A^{-1} L^T of the spec's loads on ``space``.
+
+    The 1D factors of the space's bases are computed afresh and contracted
+    as in ``saturation_coefficient``. The space's degree must be at least
+    the load degree p.
+    """
+    if spec.family == "C":
+        bases = (space.basis,)
+    else:
+        bases = (space.basis_x, space.basis_y)
+    degree = min(basis.degree for basis in bases)
+    if spec.p > degree:
+        raise ValueError(
+            f"load degree p = {spec.p} exceeds the space degree {degree}")
+    factors = [_factor(basis) for basis in bases]
+    return _contract(spec, factors[0], factors[-1])
 
 
 #: orders up to which the eigensolves form their operator densely: a dense
@@ -320,25 +376,35 @@ def max_generalized_eigenvalue(
     return top, maximizer, tie
 
 
-def _space(spec: ProblemSpec, degree: int) -> TensorSpace | QuotientSpace:
-    if spec.family == "C":
-        return quotient_space(degree)
-    return tensor_space(spec.edges, degree)
-
-
-def saturation_coefficient(spec: ProblemSpec) -> SaturationResult:
+def saturation_coefficient(
+    spec: ProblemSpec, factors: dict | None = None
+) -> SaturationResult:
     """Compute the saturation coefficient for one problem spec.
 
-    Builds the fine (degree r) and intermediate (degree q) spaces, forms
-    both dual Grams and extracts the largest generalized eigenvalue. The
-    returned residual is the relative defect of the eigenpair and should be
-    tiny.
+    Forms the dual Grams of the fine (degree r) and intermediate (degree q)
+    spaces and extracts the largest generalized eigenvalue. The returned
+    residual is the relative defect of the eigenpair and should be tiny.
+
+    The 1D factors of both spaces are looked up in ``factors``, a table
+    keyed by their construction arguments (kind, bc, degree) and filled on
+    a miss. A caller that passes one table to many calls, as a sweep does,
+    builds each factor once; without a table the call starts from an empty
+    one of its own.
     """
     start = time.perf_counter()
-    fine = _space(spec, spec.r)
-    mid = _space(spec, spec.q)
-    r_fine = dual_gram(spec, fine)
-    r_mid = dual_gram(spec, mid)
+    if factors is None:
+        factors = {}
+    grams, dims = [], []
+    for degree in (spec.r, spec.q):
+        pair = []
+        for args in _factor_args(spec, degree):
+            if args not in factors:
+                factors[args] = _factor(build_basis_1d(*args))
+            pair.append(factors[args])
+        grams.append(_contract(spec, *pair))
+        # the quotient space leaves out the constant tensor member
+        dims.append(pair[0].lam.size * pair[1].lam.size - (spec.family == "C"))
+    r_fine, r_mid = grams
     value, maximizer, tie = max_generalized_eigenvalue(r_fine, r_mid)
     defect = r_fine @ maximizer - value * (r_mid @ maximizer)
     scale = np.linalg.norm(r_fine, "fro") * np.linalg.norm(maximizer)
@@ -349,8 +415,8 @@ def saturation_coefficient(spec: ProblemSpec) -> SaturationResult:
         mu=mu,
         mu_squared=float(value),
         maximizer=maximizer,
-        dim_H=fine.dim,
-        dim_V=mid.dim,
+        dim_H=dims[0],
+        dim_V=dims[1],
         dim_F=r_fine.shape[0],
         residual=residual,
         tie=tie,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from basis_oracle import basis_rows
 from refsat.bases import (
     Basis1D,
     BoundaryCondition1D,
@@ -235,6 +236,23 @@ def test_boundary_trace_values():
     assert np.allclose(boundary_trace(leg, 1.0), expect, atol=1e-14)
     with pytest.raises(ValueError):
         boundary_trace(leg, 0.5)
+
+
+def test_build_matches_the_row_by_row_oracle():
+    for kind in ("legendre", "integrated_legendre", "mean_zero"):
+        for left in (False, True):
+            for right in (False, True):
+                bc = BoundaryCondition1D(left, right)
+                for r in range(257):
+                    expect = basis_rows(kind, bc, r)
+                    if expect.shape[0] == 0:
+                        with pytest.raises(ValueError, match="empty"):
+                            build_basis_1d(kind, bc, r)
+                        continue
+                    got = build_basis_1d(kind, bc, r).coefficients
+                    # bitwise, signed zeros included
+                    assert got.shape == expect.shape, (kind, bc, r)
+                    assert got.tobytes() == expect.tobytes(), (kind, bc, r)
 
 
 def test_build_is_deterministic():

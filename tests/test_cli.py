@@ -23,6 +23,7 @@ from refsat.coefficients import (
     NumericalError,
     ProblemSpec,
     SaturationResult,
+    saturation_coefficient,
 )
 
 EXPECTED_HEADER = ("family,edge_class,p,q,r,mu,mu_display,"
@@ -66,7 +67,7 @@ def computed(monkeypatch):
     """Replace the coefficient computation by fake_result; list its specs."""
     specs = []
 
-    def fake(spec):
+    def fake(spec, factors=None):
         specs.append(spec)
         return fake_result(spec)
 
@@ -317,6 +318,62 @@ def test_reproduce_small_slice_passes(tmp_path, capsys):
     assert "0 failed" in err
 
 
+@pytest.fixture
+def pencil_solves(monkeypatch):
+    """Count the 1D pencil eigensolves done through refsat.coefficients."""
+    import refsat.coefficients as coefficients
+
+    solves = []
+    modes = coefficients._modes
+
+    def counting(basis):
+        solves.append(basis.degree)
+        return modes(basis)
+
+    monkeypatch.setattr(coefficients, "_modes", counting)
+    return solves
+
+
+def test_reproduce_builds_each_1d_factor_once(capsys, pencil_solves):
+    code, _, _ = run_cli(["reproduce", "--max-p", "16"], capsys)
+    assert code == 0
+    # 96 cells with 384 factor lookups share 28 distinct (kind, bc, degree)
+    assert len(pencil_solves) == 28
+
+
+def test_each_compute_builds_its_own_factors(capsys, pencil_solves):
+    argv = ["compute", "--family", "A", "--edges", "1",
+            "--p", "4", "--q", "8", "--r", "16"]
+    assert run_cli(argv, capsys)[0] == 0
+    # x and y factors at q and at r
+    assert len(pencil_solves) == 4
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(pencil_solves) == 8
+    # the quotient space has equal x and y factors: one solve per degree
+    assert run_cli(["compute", "--family", "C", "--p", "4", "--q", "8",
+                    "--r", "16"], capsys)[0] == 0
+    assert len(pencil_solves) == 10
+
+
+def test_reproduce_matches_cold_cells(tmp_path, capsys):
+    target = tmp_path / "repro.csv"
+    code, _, _ = run_cli(
+        ["reproduce", "--max-p", "16", "--output", str(target)], capsys)
+    assert code == 0
+    header, rows = parse_csv(target.read_text())
+    assert len(rows) == 96
+    for row in rows:
+        cell = dict(zip(header, row))
+        family, edges = CANONICAL_PROBLEMS[
+            "C" if cell["family"] == "C" else cell["edge_class"]]
+        spec = ProblemSpec(family=family, edges=edges, p=int(cell["p"]),
+                           q=int(cell["q"]), r=int(cell["r"]))
+        cold = saturation_coefficient(spec)
+        assert abs(float(cell["mu"]) - cold.mu) <= 1e-12 * cold.mu, cell
+        assert (int(cell["dim_H"]), int(cell["dim_V"]), int(cell["dim_F"])) == (
+            cold.dim_H, cold.dim_V, cold.dim_F)
+
+
 def test_reproduce_unreachable_tolerance_fails(capsys):
     code, out, err = run_cli(
         ["reproduce", "--max-p", "4", "--tol", "1e-12"], capsys)
@@ -368,7 +425,7 @@ def test_numerical_failure_keeps_the_finished_rows(tmp_path, capsys,
     target = tmp_path / "out.csv"
     specs = []
 
-    def fail_on_third(spec):
+    def fail_on_third(spec, factors=None):
         specs.append(spec)
         if len(specs) == 3:
             raise NumericalError("third cell")

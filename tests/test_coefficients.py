@@ -12,16 +12,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from refsat.assembly import EDGE_CLASSES, TensorSpace, tensor_space
-from refsat.bases import Basis1D, BoundaryCondition1D, build_basis_1d, gram_matrices
+from refsat.assembly import EDGE_CLASSES, TensorSpace, quotient_space, tensor_space
+from refsat.bases import (
+    Basis1D,
+    BoundaryCondition1D,
+    boundary_trace,
+    build_basis_1d,
+    gram_matrices,
+)
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
 from refsat.coefficients import (
     _DENSE_ORDER,
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
+    _factor,
     _modes,
-    _space,
     dual_gram,
     max_generalized_eigenvalue,
     q_strategy,
@@ -40,6 +46,12 @@ from sparse_oracle import (
 def spec_for(name, p, q, r):
     family, edges = CANONICAL_PROBLEMS[name]
     return ProblemSpec(family=family, edges=edges, p=p, q=q, r=r)
+
+
+def _space(spec, degree):
+    if spec.family == "C":
+        return quotient_space(degree)
+    return tensor_space(spec.edges, degree)
 
 
 def test_q_strategy_values():
@@ -256,6 +268,40 @@ def test_modes_diagonalize_the_1d_pencil():
     # the constant mode of the mean-zero family is exact, not a roundoff value
     assert lam[0] == 0.0
     assert np.count_nonzero(vec[0]) == 1 and np.count_nonzero(vec[:, 0]) == 1
+
+
+def probe_load_gram(basis, p, vec):
+    """Load Gram of the Legendre probes up to degree p in the modes ``vec``,
+    by the probe mass matrix: the oracle of the closed form in ``_factor``."""
+    probes = build_basis_1d("legendre", r=p)
+    return gram_matrices(probes, basis)[0] @ vec
+
+
+def test_closed_form_load_gram_matches_probe_products():
+    kinds = [("integrated_legendre", BoundaryCondition1D(left, right))
+             for left in (False, True) for right in (False, True)]
+    kinds.append(("mean_zero", BoundaryCondition1D()))
+    for kind, bc in kinds:
+        for degree in range(1, 65):
+            if bc.dirichlet_at_minus1 and bc.dirichlet_at_plus1 and degree < 2:
+                continue
+            basis = build_basis_1d(kind, bc, degree)
+            factor = _factor(basis)
+            lam, vec = _modes(basis)
+            assert np.array_equal(factor.lam, lam)
+            assert factor.loads.shape == (degree + 1, basis.n_functions)
+            for p in range(degree + 1):
+                expect = probe_load_gram(basis, p, vec)
+                assert np.max(np.abs(factor.loads[: p + 1] - expect)) <= 1e-14, (
+                    kind, bc, degree, p)
+            assert np.max(np.abs(
+                factor.trace - boundary_trace(basis, 1.0) @ vec)) <= 1e-14
+
+
+def test_dual_gram_rejects_loads_above_the_space_degree():
+    spec = spec_for("F1", 5, 6, 8)
+    with pytest.raises(ValueError, match="exceeds the space degree 4"):
+        dual_gram(spec, _space(spec, 4))
 
 
 def test_failed_1d_eigensolve_is_a_numerical_error():
