@@ -254,7 +254,9 @@ def gram_matrices(
         mass = rc @ (cc * norms).T
         if width >= 2:
             rd = npleg.legder(rc.T, axis=0)
-            cd = npleg.legder(cc.T, axis=0)
+            # legder loops over the degree in Python: differentiate a basis
+            # paired with itself once
+            cd = rd if col_basis is row_basis else npleg.legder(cc.T, axis=0)
             stiff = rd.T @ (cd * norms[: width - 1, np.newaxis])
         else:
             stiff = np.zeros_like(mass)

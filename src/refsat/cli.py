@@ -32,6 +32,7 @@ from .coefficients import (
     ProblemSpec,
     Q_STRATEGIES,
     SaturationResult,
+    block_orders,
     q_strategy,
     saturation_coefficient,
 )
@@ -72,36 +73,29 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     The terms follow the stages of ``saturation_coefficient``: a fixed
     per-cell overhead, the 1D eigensolves of the factor bases (~r^3; a lone
     ``compute`` starts cold, so the estimate counts them for every cell
-    although a sweep shares them), the contraction of the 1D load Grams into
-    the two dual Grams (~n_load * r * (r + n_load) multiply-adds, which is
-    (p+1)^4 r for family A and (p+1) r^2 for families B and C), and the
-    top-of-spectrum eigensolve of order n_load: the Cholesky factor of the
-    coarse dual Gram (~n_load^3 / 3) and a few dozen Lanczos operator
-    applications of two triangular solves and a GEMV each (~n_load^2
-    apiece). The eigensolve constants are fitted to single-threaded
-    timings of that stage alone on the family-A cells E1 (28, 32, 64),
-    (32, 64, 128), (40, 46, 92), (48, 56, 112), (56, 64, 128),
-    (60, 64, 128) and (64, 128, 256), within 25% of each. The contraction
-    constant is fitted, with the modes term fixed, to single-threaded
-    timings of the whole Gram stage (both dual Grams from a cold factor
-    table) on the 21 published family-A cells where that stage takes at
-    least 20 ms, E1..E5 at (28, 32, 64), (32, 64, 128), (56, 64, 128),
-    (60, 64, 128) and (64, 128, 256): the modelled stage is 0.57-1.77x the
-    measured one (E1 (64, 128, 256): 1.43 s modelled, 1.11 s measured), and
-    the whole estimate is 0.69-1.39x the measured time of each of the 20
-    published cells that take at least 0.1 s.
+    although a sweep shares them), and, summed over the diagonal blocks of
+    the dual Grams (``block_orders``), the contraction of the 1D load Grams
+    into a block of order n (~n * r * (r + n) multiply-adds) and its
+    top-of-spectrum eigensolve: the Cholesky factor of the coarse block
+    (~n^3 / 3) and a few dozen Lanczos operator applications of two
+    triangular solves and a GEMV each (~n^2 apiece). The constants are
+    fitted to single-threaded stage timings (``SaturationResult.stages``,
+    best of three cold runs) of the published family-A cells: the
+    eigensolve n^2 constant, with the n^3 one kept, on the 21 cells where
+    that stage takes at least 20 ms (0.71-1.19x of each), and the
+    contraction constant on the 15 cells of E1 and E3..E5 where the Gram
+    stage takes at least 5 ms: 0.22-1.63x of each, and 0.12-0.44x of the
+    5 such E2 cells, whose swap blocks are gathered from a product of
+    probe pairs. The whole estimate is 0.73-1.26x the measured time of each
+    of the 15 published cells that take at least 0.1 s (E2 (60, 64, 128):
+    0.55 s modelled, 0.76 s measured; E1 (64, 128, 256): 0.88 s both).
     """
-    if spec.family == "A":
-        n_load = (spec.p + 1) ** 2
-    elif spec.family == "B":
-        n_load = spec.p + 1
-    else:
-        n_load = spec.p
     r = spec.r
     overhead = 2e-3
     modes = 4e-9 * r ** 3
-    contraction = 2.8e-10 * n_load * r * (r + n_load)
-    eig = 1.1e-11 * n_load ** 3 + 6e-8 * n_load ** 2
+    blocks = block_orders(spec)
+    contraction = 6.4e-11 * sum(n * r * (r + n) for n in blocks)
+    eig = sum(1.1e-11 * n ** 3 + 4.9e-8 * n ** 2 for n in blocks)
     return overhead + modes + contraction + eig
 
 

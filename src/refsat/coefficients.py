@@ -24,7 +24,7 @@ Families:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
     "ProblemSpec",
     "SaturationResult",
     "q_strategy",
+    "block_orders",
     "dual_gram",
     "max_generalized_eigenvalue",
     "saturation_coefficient",
@@ -137,6 +138,9 @@ class SaturationResult:
     residual: float
     tie: bool
     wall_seconds: float
+    #: seconds spent building the 1D factors (``factors``), forming the dual
+    #: Gram blocks (``grams``) and solving them (``eigensolve``)
+    stages: dict[str, float] = field(default_factory=dict)
 
 
 def q_strategy(name: str, p: int) -> int:
@@ -158,10 +162,13 @@ def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
     The constant of the mean-zero family has no gradient and is L2-orthogonal
     to every other member, so both Grams are exactly block diagonal there.
     Its mode, lambda = 0 with v = e_0 / sqrt(M_00), is set up explicitly
-    instead of being read off a roundoff eigenvalue.
+    instead of being read off a roundoff eigenvalue. The odd parity class of
+    that family has no constant and is solved as it stands.
     """
     mass, stiff = gram_matrices(basis, basis)
-    start = 1 if basis.kind == "mean_zero" else 0
+    constant = (basis.kind == "mean_zero" and basis.n_functions > 0
+                and not basis.coefficients[0, 1:].any())
+    start = 1 if constant else 0
     try:
         lam, vec = scipy.linalg.eigh(stiff[start:, start:], mass[start:, start:])
     except scipy.linalg.LinAlgError as exc:
@@ -175,14 +182,16 @@ def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Factor(NamedTuple):
-    """One 1D factor basis in its eigenbasis, as the dual Grams use it."""
+    """One 1D factor basis, or one parity class of it, in its eigenbasis."""
 
     #: eigenvalues of the pencil S v = lambda M v
     lam: np.ndarray
-    #: W[k, i] = <phi_k, v_i> for the probes phi_k of degree k = 0..degree
+    #: W[k, i] = <phi_probes[k], v_i> for the probes phi_k that load the modes
     loads: np.ndarray
     #: t[i] = v_i(+1), the values of the modes on the right edge
     trace: np.ndarray
+    #: the probe degrees k of the rows of ``loads``, ascending
+    probes: np.ndarray
 
 
 def _factor(basis: Basis1D) -> _Factor:
@@ -198,7 +207,49 @@ def _factor(basis: Basis1D) -> _Factor:
     k = np.arange(basis.degree + 1)
     norms = np.sqrt(2.0 / (2.0 * k + 1.0))
     loads = (norms[:, np.newaxis] * basis.coefficients.T) @ vec
-    return _Factor(lam, loads, boundary_trace(basis, 1.0) @ vec)
+    return _Factor(lam, loads, boundary_trace(basis, 1.0) @ vec, k)
+
+
+def _symmetric(kind: str, bc: BoundaryCondition1D) -> bool:
+    """Whether a factor basis spans a space invariant under x -> -x."""
+    return kind == "mean_zero" or (
+        kind == "integrated_legendre"
+        and bc.dirichlet_at_minus1 == bc.dirichlet_at_plus1
+    )
+
+
+def _class_probes(kind: str, bc: BoundaryCondition1D, degree: int) -> list:
+    """Probe degrees up to ``degree`` of each class of a factor basis."""
+    k = np.arange(degree + 1)
+    return [k[0::2], k[1::2]] if _symmetric(kind, bc) else [k]
+
+
+def _classes(basis: Basis1D) -> tuple[_Factor, ...]:
+    """The factor of ``basis``, one ``_Factor`` per parity class.
+
+    The modes of a symmetric basis are even or odd, and the probe L_k of
+    parity k loads only the modes of its own parity. Each class is solved
+    from the basis rows of its parity and keeps only its own probe rows, so
+    the loads across parities are exactly zero rather than roundoff. In the
+    free-free case the supplements (1 -/+ x) sqrt(2)/2 are replaced by their
+    sum sqrt(2) L_0 and difference sqrt(2) L_1, which span the same space.
+    Any other basis is a single class.
+    """
+    if not _symmetric(basis.kind, basis.bc):
+        return (_factor(basis),)
+    coeff = basis.coefficients
+    if basis.kind == "integrated_legendre" and not basis.bc.dirichlet_at_minus1:
+        coeff = coeff.copy()
+        coeff[:2] = coeff[0] + coeff[1], coeff[1] - coeff[0]
+    odd = coeff[:, 1::2].any(axis=1)
+    if (odd & coeff[:, 0::2].any(axis=1)).any():
+        raise ValueError("a symmetric factor basis has rows of mixed parity")
+    classes = []
+    for parity in (0, 1):
+        part = _factor(Basis1D(basis.kind, coeff[odd == parity], basis.bc))
+        classes.append(part._replace(loads=part.loads[parity::2],
+                                     probes=part.probes[parity::2]))
+    return tuple(classes)
 
 
 def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
@@ -211,47 +262,207 @@ def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
             ("integrated_legendre", bc_y, degree))
 
 
-def _contract(spec: ProblemSpec, fx: _Factor, fy: _Factor) -> np.ndarray:
-    """Dual Gram R = L A^{-1} L^T of the spec's loads from the two 1D factors.
+class _Block(NamedTuple):
+    """One diagonal block of a dual Gram and its rows in the family's load order.
+
+    Loads are probe pairs (a, b) at a * (p + 1) + b for family A, with the x
+    probe outermost, and probe degrees for families B and C (from 1 for C).
+    A parity block has row k at ``index[k]``. A swap block has row k at
+    (e_index[k] + sign * e_partner[k]) / sqrt(2), or at e_index[k] where
+    ``index[k] == partner[k]``.
+    """
+
+    #: the x class contracted, None for families B and C (summed over)
+    x: int | None
+    #: the y class contracted
+    y: int
+    #: x and y probe degrees: the block loads are px x py for a parity
+    #: block, the pairs of px x px for a swap block, py for B and C
+    px: np.ndarray | None
+    py: np.ndarray
+    index: np.ndarray
+    partner: np.ndarray | None = None
+    sign: float = 1.0
+
+
+def _blocks(spec: ProblemSpec, x_key: tuple, y_key: tuple) -> list[_Block]:
+    """Diagonal blocks of the spec's dual Grams, skipping those without loads.
+
+    ``x_key`` and ``y_key`` are the (kind, bc) of the factor bases, which
+    are taken to be equal when the keys are. Family A has one block per
+    pair of x and y classes, except with equal non-symmetric factors (E2):
+    R is then invariant under (a, b) <-> (b, a) and splits into a
+    symmetric and an antisymmetric block of orders n(n + 1)/2 and
+    n(n - 1)/2. Families B and C have one block per y class.
+    """
+    first = 1 if spec.family == "C" else 0
+    ys = [k[k >= first] for k in _class_probes(*y_key, spec.p)]
+    if spec.family != "A":
+        return [_Block(None, y, None, py, py - first)
+                for y, py in enumerate(ys) if py.size]
+    n = spec.p + 1
+    xs = _class_probes(*x_key, spec.p)
+    if x_key == y_key and len(xs) == 1:
+        blocks = []
+        for offset, sign in ((0, 1.0), (1, -1.0)):
+            a, b = np.triu_indices(n, offset)
+            blocks.append(_Block(0, 0, xs[0], xs[0], a * n + b, b * n + a, sign))
+        return [block for block in blocks if block.index.size]
+    return [_Block(x, y, px, py, (px[:, np.newaxis] * n + py).ravel())
+            for x, px in enumerate(xs) for y, py in enumerate(ys)
+            if px.size and py.size]
+
+
+def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
+    """Place the block rows of ``rows`` in the family's load order of ``size``."""
+    out = np.zeros((size,) + rows.shape[1:])
+    if block.partner is None:
+        out[block.index] = rows
+        return out
+    pair = block.index != block.partner
+    scale = np.where(pair, np.sqrt(0.5), 1.0)
+    rows = rows * scale.reshape((-1,) + (1,) * (rows.ndim - 1))
+    out[block.index] = rows
+    out[block.partner[pair]] += block.sign * rows[pair]
+    return out
+
+
+def _weights(spec: ProblemSpec, fx: _Factor, fy: _Factor) -> np.ndarray:
+    """1 / (lambda_i + mu_j): the inverse stiffness in the tensor eigenbasis.
 
     Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): with
     the 1D modes V^T S V = diag(lambda), V^T M V = I of each factor basis,
     the stiffness Sx (x) My + Mx (x) Sy is diagonal in the basis Vx (x) Vy
-    with entries lambda_i + mu_j. R therefore contracts the 1D load Grams
-    W with the weights 1 / (lambda_i + mu_j), and no 2D matrix is formed.
-    Rows follow the load order of the family: probe pairs with the x probe
-    outermost for A, probe degrees for B and C. The result is symmetrized
-    to remove roundoff skew.
+    with entries lambda_i + mu_j, so a dual Gram contracts the 1D load
+    Grams W with these weights and no 2D matrix is formed.
     """
     denom = fx.lam[:, np.newaxis] + fy.lam
     if spec.family == "C":
-        # the constant tensor member is not part of the quotient space, and
-        # probe degrees k >= 1 only keep the functionals mean free
-        denom[0, 0] = np.inf
-        probes = slice(1, spec.p + 1)
-    else:
-        probes = slice(0, spec.p + 1)
-    weights = 1.0 / denom
-    wy = fy.loads[probes]
-    if spec.family == "A":
-        n = spec.p + 1
-        wx = fx.loads[probes]
-        # xx[(a, c), i] = wx[a, i] wx[c, i] and yy[j, (b, d)] = wy[b, j] wy[d, j]
-        xx = (wx[:, np.newaxis, :] * wx).reshape(n * n, -1)
-        yy = (wy.T[:, :, np.newaxis] * wy.T[:, np.newaxis, :]).reshape(-1, n * n)
-        r = (xx @ (weights @ yy)).reshape(n, n, n, n)
-        r = r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    else:
-        # the loads see v only through its trace on the right edge
-        r = (wy * (fx.trace**2 @ weights)) @ wy.T
-    return (r + r.T) / 2.0
+        # the constant tensor member is not part of the quotient space
+        denom[(fx.lam == 0.0)[:, np.newaxis] & (fy.lam == 0.0)] = np.inf
+    return 1.0 / denom
+
+
+def _edge_weights(spec: ProblemSpec, xs, fy: _Factor) -> np.ndarray:
+    """sum_i t_i^2 / (lambda_i + mu_j) over the x classes: edge loads see a
+    mode only through its trace on the right edge."""
+    return sum(fx.trace**2 @ _weights(spec, fx, fy) for fx in xs)
+
+
+def _rows(factor: _Factor, probes: np.ndarray) -> np.ndarray:
+    """The load rows of ``factor`` for the given probe degrees."""
+    return factor.loads[np.searchsorted(factor.probes, probes)]
+
+
+def _volume_gram(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """t[a, c, b, d] = R[(a, b), (c, d)] for the probe pairs of wx x wy.
+
+    xx[(a, c), i] = wx[a, i] wx[c, i] and yy[j, (b, d)] = wy[b, j] wy[d, j]
+    are bitwise symmetric in their index pairs, and so is the product.
+    """
+    nx, ny = len(wx), len(wy)
+    xx = (wx[:, np.newaxis, :] * wx).reshape(nx * nx, -1)
+    yy = (wy.T[:, :, np.newaxis] * wy.T[:, np.newaxis, :]).reshape(-1, ny * ny)
+    return (xx @ (weights @ yy)).reshape(nx, nx, ny, ny)
+
+
+def _swap_grams(wx: np.ndarray, weights: np.ndarray,
+                blocks: list[_Block]) -> list[np.ndarray]:
+    """The swap blocks of the dual Gram of one class pair with equal factors.
+
+    R[(a, b), (c, d)] depends only on the unordered probe pairs {a, c} and
+    {b, d}, so it is formed as pairs[{a, c}, {b, d}], of a quarter the
+    size and cost of the unsplit product. As R[(b, a), (d, c)] =
+    R[(a, b), (c, d)], a swap block entry is a scaled
+    R[(a, b), (c, d)] +/- R[(a, b), (d, c)]; the rows are gathered one
+    outer probe a at a time.
+    """
+    n = len(wx)
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    loads = wx[i] * wx[j]
+    pairs = loads @ (weights @ loads.T)
+    grams = []
+    for block in blocks:
+        a, b = np.divmod(block.index, n)
+        starts = np.searchsorted(a, np.arange(n + 1))
+        gram = np.empty((a.size, a.size))
+        for outer in range(n):
+            rows = slice(starts[outer], starts[outer + 1])
+            # part[k, (c, d)] = R[(outer, b_k), (c, d)]
+            part = pairs[pos[outer]][:, pos[b[rows]]]
+            part = part.transpose(1, 0, 2).reshape(-1, n * n)
+            gram[rows] = (np.take(part, block.index, axis=1)
+                          + block.sign * np.take(part, block.partner, axis=1))
+        scale = np.where(a == b, np.sqrt(0.5), 1.0)
+        grams.append(gram * scale[:, np.newaxis] * scale)
+    return grams
+
+
+def _grams(spec: ProblemSpec, blocks: list[_Block], xs, ys):
+    """Yield the diagonal blocks of the dual Gram R = L A^{-1} L^T, in order.
+
+    ``xs`` and ``ys`` are the classes of the x and y factors. Family A
+    blocks contract their x and y class; the swap blocks are both cut from
+    one product of their class pair, which is dropped once they are.
+    B and C blocks contract their y class with the edge weights.
+    """
+    swapped = None
+    for block in blocks:
+        fy = ys[block.y]
+        wy = _rows(fy, block.py)
+        if spec.family != "A":
+            yield (wy * _edge_weights(spec, xs, fy)) @ wy.T
+            continue
+        fx = xs[block.x]
+        wx = _rows(fx, block.px)
+        if block.partner is None:
+            t = _volume_gram(wx, wy, _weights(spec, fx, fy))
+            n = t.shape[0] * t.shape[2]
+            yield t.transpose(0, 2, 1, 3).reshape(n, n)
+            continue
+        if swapped is None:
+            swapped = _swap_grams(wx, _weights(spec, fx, fy), blocks)
+        yield swapped.pop(0)
+
+
+def _gram_trace(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
+    """Trace of the whole dual Gram, the sum of its block traces.
+
+    The diagonal of a block contracts the squared load rows, so the trace
+    costs one small product per class pair and no block is formed.
+    """
+    total = 0.0
+    for block in {(b.x, b.y): b for b in blocks}.values():
+        fy = ys[block.y]
+        sy = (_rows(fy, block.py) ** 2).sum(axis=0)
+        if spec.family != "A":
+            total += _edge_weights(spec, xs, fy) @ sy
+        else:
+            fx = xs[block.x]
+            sx = (_rows(fx, block.px) ** 2).sum(axis=0)
+            total += sx @ _weights(spec, fx, fy) @ sy
+    return float(total)
+
+
+def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
+    """The diagonal blocks of the spec's dual Grams (both degrees alike)."""
+    x_args, y_args = _factor_args(spec, spec.p)
+    return _blocks(spec, x_args[:2], y_args[:2])
+
+
+def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
+    """Orders of the diagonal blocks of the spec's dual Grams, as solved."""
+    return tuple(block.index.size for block in _spec_blocks(spec))
 
 
 def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarray:
     """Dual Gram matrix R = L A^{-1} L^T of the spec's loads on ``space``.
 
-    The 1D factors of the space's bases are computed afresh and contracted
-    as in ``saturation_coefficient``. The space's degree must be at least
+    The 1D factors of the space's bases are computed afresh, and the blocks
+    contracted as in ``saturation_coefficient`` are scattered into the full
+    matrix in the family's load order. The space's degree must be at least
     the load degree p.
     """
     if spec.family == "C":
@@ -262,8 +473,14 @@ def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarr
     if spec.p > degree:
         raise ValueError(
             f"load degree p = {spec.p} exceeds the space degree {degree}")
-    factors = [_factor(basis) for basis in bases]
-    return _contract(spec, factors[0], factors[-1])
+    classes = [_classes(basis) for basis in bases]
+    keys = [(basis.kind, basis.bc) for basis in bases]
+    blocks = _blocks(spec, keys[0], keys[-1])
+    size = sum(block.index.size for block in blocks)
+    gram = np.zeros((size, size))
+    for block, part in zip(blocks, _grams(spec, blocks, classes[0], classes[-1])):
+        gram += _embed(block, _embed(block, part.T, size).T, size)
+    return gram
 
 
 #: orders up to which the eigensolves form their operator densely: a dense
@@ -276,27 +493,31 @@ _PD_FLOOR = 1e-12
 
 
 def _top_eigenpairs(
-    apply, n: int, k: int, tol: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
     ``apply`` maps an n-vector or an n x m block to its image. Small orders
     apply it to the identity and use a dense eigh; larger ones run ARPACK's
     Lanczos (Lehoucq, Sorensen & Yang, 1998) to the relative accuracy
     ``tol`` (0 asks for machine precision) from a seeded start vector, so
-    repeated runs return bitwise equal vectors.
+    repeated runs return bitwise equal vectors. Without ``vectors`` only
+    the values are computed, and None stands for the vectors.
     """
     if n <= _DENSE_ORDER:
         # the full spectrum: LAPACK's index-subset drivers can return no
         # eigenvalue at all for a tight cluster, as at q = r. eigh reads
         # only the lower triangle, so roundoff skew needs no symmetrizing
         try:
-            values, vectors = scipy.linalg.eigh(
-                apply(np.eye(n)), driver="evd", check_finite=False
+            result = scipy.linalg.eigh(
+                apply(np.eye(n)), driver="evd", check_finite=False,
+                eigvals_only=not vectors,
             )
         except scipy.linalg.LinAlgError as exc:
             raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-        return values[n - k:], vectors[:, n - k:]
+        if not vectors:
+            return result[n - k:], None
+        return result[0][n - k:], result[1][:, n - k:]
     # imported here: scipy.sparse.linalg costs start-up time and memory
     # that only the large orders need
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -304,11 +525,112 @@ def _top_eigenpairs(
     op = LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
     start = np.random.default_rng(0).standard_normal(n)
     try:
-        values, vectors = eigsh(op, k=k, which="LA", tol=tol, v0=start)
+        result = eigsh(op, k=k, which="LA", tol=tol, v0=start,
+                       return_eigenvectors=vectors)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos eigensolve failed: {exc}") from exc
-    order = np.argsort(values)
-    return values[order], vectors[:, order]
+    if not vectors:
+        return np.sort(result), None
+    order = np.argsort(result[0])
+    return result[0][order], result[1][:, order]
+
+
+def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
+    """Cholesky factor L of r_bottom = L L^T, checked to be safely definite.
+
+    The smallest eigenvalue of r_bottom, estimated as
+    1 / lambda_max(r_bottom^{-1}) with the same factor, must be at least
+    1e-12 times ``trace``, the trace of the whole denominator of which
+    r_bottom is a diagonal block; otherwise the problem is rejected as ill
+    posed rather than silently regularized.
+    """
+    ill_posed = (
+        "denominator dual Gram is numerically singular; the coarse space "
+        "cannot represent all functionals (ill-posed quotient): "
+    )
+    try:
+        factor = scipy.linalg.cholesky(r_bottom, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            ill_posed + f"its Cholesky factorization failed ({exc}), so "
+            f"lambda_min/trace is at or below roundoff, under the floor "
+            f"{_PD_FLOOR:.0e}"
+        ) from exc
+    # a Ritz value never exceeds lambda_max, so a loose tolerance can only
+    # overstate lambda_min by a relative 1e-8
+    inverse_top, _ = _top_eigenpairs(
+        lambda y: scipy.linalg.cho_solve((factor, True), y, check_finite=False),
+        r_bottom.shape[0], 1, tol=1e-8, vectors=False,
+    )
+    margin = 1.0 / (float(inverse_top[-1]) * max(trace, np.finfo(float).tiny))
+    if margin < _PD_FLOOR:
+        raise NumericalError(
+            ill_posed + f"estimated lambda_min/trace {margin:.3e} is under the "
+            f"floor {_PD_FLOOR:.0e}"
+        )
+    return factor
+
+
+def _top_of_pencil(
+    r_top: np.ndarray, factor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top two eigenvalues, ascending, of r_top F = lambda L L^T F, and the
+    maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1."""
+    n = r_top.shape[0]
+
+    def standard_form(y: np.ndarray) -> np.ndarray:
+        z = scipy.linalg.solve_triangular(
+            factor, y, lower=True, trans="T", check_finite=False
+        )
+        return scipy.linalg.solve_triangular(
+            factor, r_top @ z, lower=True, check_finite=False
+        )
+
+    values, vectors = _top_eigenpairs(standard_form, n, min(2, n))
+    maximizer = scipy.linalg.solve_triangular(
+        factor, vectors[:, -1], lower=True, trans="T"
+    )
+    return values, maximizer
+
+
+def _max_over_blocks(pairs, trace: float, stages: dict | None = None):
+    """Top eigenpair of a block-diagonal pencil, one block pair at a time.
+
+    ``pairs`` yields the (r_top, r_bottom) diagonal blocks, and ``trace``
+    is the trace of the whole r_bottom: each block's smallest eigenvalue is
+    checked against 1e-12 times it, which is the whole pencil's check, as
+    the smallest eigenvalue of r_bottom is the smallest over its blocks.
+    The spectrum of the pencil is the union of the block spectra: the value
+    is the largest block top, the tie flag compares the top two over all
+    blocks, and the residual is the winning block's defect relative to
+    ||r_top||_F, summed over the blocks. ``stages`` adds up the seconds
+    spent forming the blocks (``grams``) and solving them (``eigensolve``).
+    Returns (value, tie, winning block index, its maximizer, residual).
+    """
+    if stages is None:
+        stages = {"grams": 0.0, "eigensolve": 0.0}
+    tops, frobenius, best = [], 0.0, None
+    clock = time.perf_counter()
+    for index, (r_top, r_bottom) in enumerate(pairs):
+        now = time.perf_counter()
+        stages["grams"] += now - clock
+        values, maximizer = _top_of_pencil(
+            r_top, _denominator_factor(r_bottom, trace))
+        tops.extend(values.tolist())
+        frobenius += float(np.linalg.norm(r_top)) ** 2
+        value = tops[-1]
+        if best is None or value > best[0]:
+            defect = r_top @ maximizer - value * (r_bottom @ maximizer)
+            best = value, index, maximizer, float(np.linalg.norm(defect))
+        clock = time.perf_counter()
+        stages["eigensolve"] += clock - now
+    stages["grams"] += time.perf_counter() - clock
+    value, index, maximizer, defect = best
+    tops.sort()
+    tie = len(tops) >= 2 and (value - tops[-2]) <= 1e-12 * max(1.0, abs(value))
+    scale = np.sqrt(frobenius) * np.linalg.norm(maximizer)
+    residual = defect / max(scale, np.finfo(float).tiny)
+    return value, tie, index, maximizer, residual
 
 
 def max_generalized_eigenvalue(
@@ -332,48 +654,9 @@ def max_generalized_eigenvalue(
             f"expected square matrices of equal shape, got {r_top.shape} "
             f"and {r_bottom.shape}"
         )
-    n = r_top.shape[0]
-    trace = max(float(np.trace(r_bottom)), np.finfo(float).tiny)
-    ill_posed = (
-        "denominator dual Gram is numerically singular; the coarse space "
-        "cannot represent all functionals (ill-posed quotient): "
-    )
-    try:
-        factor = scipy.linalg.cholesky(r_bottom, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            ill_posed + f"its Cholesky factorization failed ({exc}), so "
-            f"lambda_min/trace is at or below roundoff, under the floor "
-            f"{_PD_FLOOR:.0e}"
-        ) from exc
-    # a Ritz value never exceeds lambda_max, so a loose tolerance can only
-    # overstate lambda_min by a relative 1e-8
-    inverse_top, _ = _top_eigenpairs(
-        lambda y: scipy.linalg.cho_solve((factor, True), y, check_finite=False),
-        n, 1, tol=1e-8,
-    )
-    margin = 1.0 / (float(inverse_top[-1]) * trace)
-    if margin < _PD_FLOOR:
-        raise NumericalError(
-            ill_posed + f"estimated lambda_min/trace {margin:.3e} is under the "
-            f"floor {_PD_FLOOR:.0e}"
-        )
-
-    def standard_form(y: np.ndarray) -> np.ndarray:
-        z = scipy.linalg.solve_triangular(
-            factor, y, lower=True, trans="T", check_finite=False
-        )
-        return scipy.linalg.solve_triangular(
-            factor, r_top @ z, lower=True, check_finite=False
-        )
-
-    values, vectors = _top_eigenpairs(standard_form, n, min(2, n))
-    top = float(values[-1])
-    tie = values.size >= 2 and (top - float(values[-2])) <= 1e-12 * max(1.0, abs(top))
-    maximizer = scipy.linalg.solve_triangular(
-        factor, vectors[:, -1], lower=True, trans="T"
-    )
-    return top, maximizer, tie
+    value, tie, _, maximizer, _ = _max_over_blocks(
+        [(r_top, r_bottom)], float(np.trace(r_bottom)))
+    return value, maximizer, tie
 
 
 def saturation_coefficient(
@@ -382,8 +665,10 @@ def saturation_coefficient(
     """Compute the saturation coefficient for one problem spec.
 
     Forms the dual Grams of the fine (degree r) and intermediate (degree q)
-    spaces and extracts the largest generalized eigenvalue. The returned
-    residual is the relative defect of the eigenpair and should be tiny.
+    spaces block by block and extracts the largest generalized eigenvalue
+    over the blocks; the maximizer is returned in the family's full load
+    order. The returned residual is the relative defect of the eigenpair
+    and should be tiny.
 
     The 1D factors of both spaces are looked up in ``factors``, a table
     keyed by their construction arguments (kind, bc, degree) and filled on
@@ -394,31 +679,39 @@ def saturation_coefficient(
     start = time.perf_counter()
     if factors is None:
         factors = {}
-    grams, dims = [], []
+    spaces = []
     for degree in (spec.r, spec.q):
         pair = []
         for args in _factor_args(spec, degree):
             if args not in factors:
-                factors[args] = _factor(build_basis_1d(*args))
+                factors[args] = _classes(build_basis_1d(*args))
             pair.append(factors[args])
-        grams.append(_contract(spec, *pair))
-        # the quotient space leaves out the constant tensor member
-        dims.append(pair[0].lam.size * pair[1].lam.size - (spec.family == "C"))
-    r_fine, r_mid = grams
-    value, maximizer, tie = max_generalized_eigenvalue(r_fine, r_mid)
-    defect = r_fine @ maximizer - value * (r_mid @ maximizer)
-    scale = np.linalg.norm(r_fine, "fro") * np.linalg.norm(maximizer)
-    residual = float(np.linalg.norm(defect) / max(scale, np.finfo(float).tiny))
-    mu = float(np.sqrt(value))
+        spaces.append(pair)
+    (fine_x, fine_y), (mid_x, mid_y) = spaces
+    blocks = _spec_blocks(spec)
+    stages = {"factors": time.perf_counter() - start, "grams": 0.0,
+              "eigensolve": 0.0}
+    clock = time.perf_counter()
+    trace = _gram_trace(spec, blocks, mid_x, mid_y)
+    stages["grams"] += time.perf_counter() - clock
+    pairs = zip(_grams(spec, blocks, fine_x, fine_y),
+                _grams(spec, blocks, mid_x, mid_y))
+    value, tie, index, maximizer, residual = _max_over_blocks(
+        pairs, trace, stages)
+    size = sum(block.index.size for block in blocks)
+    dims = [sum(f.lam.size for f in xs) * sum(f.lam.size for f in ys)
+            # the quotient space leaves out the constant tensor member
+            - (spec.family == "C") for xs, ys in spaces]
     return SaturationResult(
         spec=spec,
-        mu=mu,
+        mu=float(np.sqrt(value)),
         mu_squared=float(value),
-        maximizer=maximizer,
+        maximizer=_embed(blocks[index], maximizer, size),
         dim_H=dims[0],
         dim_V=dims[1],
-        dim_F=r_fine.shape[0],
-        residual=residual,
+        dim_F=size,
+        residual=float(residual),
         tie=tie,
         wall_seconds=time.perf_counter() - start,
+        stages=stages,
     )

@@ -166,6 +166,18 @@ def test_cross_gram_sparsity_pattern():
     assert abs(mass[0, 0] - 1.0 / np.sqrt(3.0)) < 1e-14
 
 
+def test_self_gram_equals_the_gram_with_a_copy():
+    # a basis paired with itself is differentiated once; the result is the
+    # one of two separate differentiations, bitwise
+    for kind in ("legendre", "integrated_legendre", "mean_zero"):
+        for degree in (1, 2, 9, 64):
+            basis = build_basis_1d(kind, r=degree)
+            copy = Basis1D(kind, basis.coefficients.copy(), basis.bc)
+            for got, expect in zip(gram_matrices(basis, basis),
+                                   gram_matrices(basis, copy)):
+                assert np.array_equal(got, expect)
+
+
 def test_mean_zero_family():
     basis = build_basis_1d("mean_zero", r=3)
     assert basis.n_functions == 4

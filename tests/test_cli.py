@@ -337,22 +337,25 @@ def pencil_solves(monkeypatch):
 def test_reproduce_builds_each_1d_factor_once(capsys, pencil_solves):
     code, _, _ = run_cli(["reproduce", "--max-p", "16"], capsys)
     assert code == 0
-    # 96 cells with 384 factor lookups share 28 distinct (kind, bc, degree)
-    assert len(pencil_solves) == 28
+    # 96 cells with 384 factor lookups share 28 distinct (kind, bc, degree);
+    # 16 of them are symmetric and solved once per parity class
+    assert len(pencil_solves) == 28 + 16
 
 
 def test_each_compute_builds_its_own_factors(capsys, pencil_solves):
     argv = ["compute", "--family", "A", "--edges", "1",
             "--p", "4", "--q", "8", "--r", "16"]
     assert run_cli(argv, capsys)[0] == 0
-    # x and y factors at q and at r
-    assert len(pencil_solves) == 4
+    # x and y factors at q and at r; the free-free y factor is symmetric
+    # and solved once per parity class
+    assert len(pencil_solves) == 6
     assert run_cli(argv, capsys)[0] == 0
-    assert len(pencil_solves) == 8
-    # the quotient space has equal x and y factors: one solve per degree
+    assert len(pencil_solves) == 12
+    # the quotient space has equal x and y factors: one symmetric factor,
+    # two parity classes, per degree
     assert run_cli(["compute", "--family", "C", "--p", "4", "--q", "8",
                     "--r", "16"], capsys)[0] == 0
-    assert len(pencil_solves) == 10
+    assert len(pencil_solves) == 16
 
 
 def test_reproduce_matches_cold_cells(tmp_path, capsys):

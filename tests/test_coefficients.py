@@ -5,7 +5,8 @@ full table comparison lives in the acceptance suite. The eigenvalue and dual
 norm routes are cross-checked against independent dense linear algebra, the
 top-of-spectrum eigensolve against the full-spectrum oracle in
 ``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
-sparse-LU oracle in ``sparse_oracle``.
+sparse-LU oracle in ``sparse_oracle``, and the block route (parity classes
+and swap blocks) against the unsplit route in ``unsplit_oracle``.
 """
 
 import numpy as np
@@ -26,8 +27,14 @@ from refsat.coefficients import (
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
+    _classes,
     _factor,
+    _gram_trace,
+    _grams,
+    _max_over_blocks,
     _modes,
+    _spec_blocks,
+    block_orders,
     dual_gram,
     max_generalized_eigenvalue,
     q_strategy,
@@ -41,6 +48,7 @@ from sparse_oracle import (
     schur_dual_gram,
     stiffness_matrix,
 )
+from unsplit_oracle import contract, saturation as unsplit_saturation
 
 
 def spec_for(name, p, q, r):
@@ -268,6 +276,166 @@ def test_modes_diagonalize_the_1d_pencil():
     # the constant mode of the mean-zero family is exact, not a roundoff value
     assert lam[0] == 0.0
     assert np.count_nonzero(vec[0]) == 1 and np.count_nonzero(vec[:, 0]) == 1
+
+
+#: the five (kind, bc) pairs of the 1D factor bases
+FACTOR_KINDS = [("integrated_legendre", BoundaryCondition1D(left, right))
+                for left in (False, True) for right in (False, True)]
+FACTOR_KINDS.append(("mean_zero", BoundaryCondition1D()))
+
+
+def test_parity_classes_merge_to_the_unsplit_modes():
+    # every degree up to 64, then every 32nd up to 256 (all 256 degrees
+    # take about 15 s)
+    degrees = [*range(1, 65), *range(96, 257, 32)]
+    for kind, bc in FACTOR_KINDS:
+        symmetric = kind == "mean_zero" or bc.dirichlet_at_minus1 == bc.dirichlet_at_plus1
+        for degree in degrees:
+            if bc.dirichlet_at_minus1 and bc.dirichlet_at_plus1 and degree < 2:
+                continue
+            basis = build_basis_1d(kind, bc, degree)
+            lam, _ = _modes(basis)
+            classes = _classes(basis)
+            assert len(classes) == (2 if symmetric else 1)
+            merged = np.sort(np.concatenate([c.lam for c in classes]))
+            assert merged.shape == lam.shape
+            # the unsplit free-free pencil drifts beyond degree 112, up to
+            # 5e-12 of the top at 256; against the eigenvalues of the exact
+            # Grams in 40-digit arithmetic the classes are the closer ones
+            # (3e-14 against 1.4e-13 of the top at degree 40, 4.5e-13
+            # against 1.2e-12 at degree 128)
+            free = kind == "integrated_legendre" and not bc.dirichlet_at_minus1 \
+                and not bc.dirichlet_at_plus1
+            tol = 1e-11 if free and degree > 112 else 1e-12
+            assert np.max(np.abs(merged - lam)) <= tol * lam.max(), (kind, bc, degree)
+            for parity, part in enumerate(classes):
+                if symmetric:
+                    assert np.array_equal(part.probes % 2, np.full(part.probes.size, parity))
+                assert part.loads.shape == (part.probes.size, part.lam.size)
+
+
+def test_only_the_mean_zero_constant_mode_is_set_up_exactly():
+    # the odd class has no constant: its lowest mode is a sine-like one
+    even, odd = _classes(build_basis_1d("mean_zero", r=9))
+    assert even.lam[0] == 0.0 and np.count_nonzero(even.lam == 0.0) == 1
+    assert np.all(odd.lam > 1.0)
+
+
+def unsplit_cases(name):
+    """(p, q, r) at p = 0, 1, 8 plain and with q = r, and p = q at 2 and 8
+    (a Dirichlet-Dirichlet factor of degree q < 2 is empty)."""
+    family = CANONICAL_PROBLEMS[name][0]
+    low = (1, 2) if family == "C" else (0, 1)
+    cases = [(2, 2, 7), (8, 8, 13)]
+    for p in (*low, 8):
+        cases += [(p, p + 3, 2 * p + 6), (p, p + 4, p + 4)]
+    return cases
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_block_route_matches_the_unsplit_oracle(name):
+    for p, q, r in unsplit_cases(name):
+        spec = spec_for(name, p, q, r)
+        try:
+            expect, _, expect_tie, _, r_fine, r_mid = unsplit_saturation(spec)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="ill-posed"):
+                saturation_coefficient(spec)
+            continue
+        res = saturation_coefficient(spec)
+        assert abs(res.mu - np.sqrt(expect)) <= 1e-12, (name, p, q, r)
+        assert res.tie is expect_tie
+        assert res.dim_F == res.maximizer.size == r_fine.shape[0]
+        f = res.maximizer
+        quotient = (f @ r_fine @ f) / (f @ r_mid @ f)
+        assert abs(quotient - res.mu_squared) <= 1e-12 * res.mu_squared
+        assert res.residual < 1e-12
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_dual_gram_blocks_match_the_unsplit_oracle(name):
+    family = CANONICAL_PROBLEMS[name][0]
+    for p, degree in ((1, 2), (2, 5), (4, 8), (8, 8), (8, 16)):
+        spec = spec_for(name, p, degree, degree)
+        space = _space(spec, degree)
+        if family == "C":
+            fx = fy = _factor(space.basis)
+            xs = ys = _classes(space.basis)
+        else:
+            fx, fy = _factor(space.basis_x), _factor(space.basis_y)
+            xs, ys = _classes(space.basis_x), _classes(space.basis_y)
+        expect = contract(spec, fx, fy)
+        got = dual_gram(spec, space)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        blocks = _spec_blocks(spec)
+        parts = list(_grams(spec, blocks, xs, ys))
+        assert tuple(part.shape[0] for part in parts) == block_orders(spec)
+        assert sum(part.shape[0] for part in parts) == expect.shape[0]
+        for part in parts:
+            assert np.linalg.norm(part - part.T) <= 1e-14 * np.linalg.norm(part)
+        trace = sum(np.trace(part) for part in parts)
+        assert abs(_gram_trace(spec, blocks, xs, ys) - trace) <= 1e-14 * trace
+        assert abs(trace - np.trace(expect)) <= 1e-12 * trace
+
+
+def test_split_gram_is_closer_to_the_sparse_oracle_than_the_unsplit_one():
+    # the unsplit free-free factor drifts with the degree; the parity
+    # classes do not
+    spec = spec_for("E1", 8, 24, 24)
+    stiffness, load = _build_pair(spec, 24)
+    lu = schur_dual_gram(load, stiffness)
+    space = _space(spec, 24)
+    split = dual_gram(spec, space)
+    unsplit = contract(spec, _factor(space.basis_x), _factor(space.basis_y))
+    assert np.linalg.norm(split - lu) <= 1e-13 * np.linalg.norm(lu)
+    assert np.linalg.norm(split - lu) <= np.linalg.norm(unsplit - lu)
+
+
+def test_block_counts_follow_the_symmetries():
+    orders = {name: block_orders(spec_for(name, 4, 8, 16))
+              for name in CANONICAL_PROBLEMS}
+    assert orders["E1"] == orders["E4"] == (15, 10)  # one parity split
+    assert orders["E2"] == (15, 10)  # swap: n(n + 1)/2 and n(n - 1)/2
+    assert orders["E3"] == orders["E5"] == (9, 6, 6, 4)
+    assert orders["F1"] == orders["F3"] == (5,)
+    assert orders["F2"] == orders["F4"] == (3, 2)
+    assert orders["C"] == (2, 2)
+    # p = 0 has no odd probe: the blocks that need one are left out
+    assert block_orders(spec_for("E3", 0, 2, 4)) == (1,)
+    assert block_orders(spec_for("E2", 0, 2, 4)) == (1,)
+
+
+def test_pd_floor_compares_each_block_with_the_whole_trace():
+    top = np.diag([2.0, 1.0])
+    big = 100.0 * np.eye(2)
+    # lambda_min/trace is 1e-11 on its own trace, 5e-14 on the whole
+    small = np.diag([1.0, 1e-11])
+    value, tie, index, _, _ = _max_over_blocks([(top, small)], np.trace(small))
+    assert (value, tie, index) == (pytest.approx(1e11), False, 0)
+    whole = np.trace(big) + np.trace(small)
+    with pytest.raises(
+        NumericalError,
+        match=r"ill-posed.*lambda_min/trace 4\.975e-14 is under the floor 1e-12",
+    ):
+        _max_over_blocks([(top, big), (top, small)], whole)
+
+
+def test_top_values_and_tie_are_taken_over_all_blocks():
+    # the top two values sit in different blocks: a tie across blocks
+    pairs = [(np.diag([3.0, 1.0]), np.eye(2)), (np.diag([3.0, 2.0]), np.eye(2))]
+    value, tie, index, maximizer, residual = _max_over_blocks(pairs, 4.0)
+    assert value == pytest.approx(3.0) and tie and index == 0
+    assert residual < 1e-15
+    pairs[1] = (np.diag([2.5, 2.0]), np.eye(2))
+    value, tie, index, _, _ = _max_over_blocks(pairs, 4.0)
+    assert not tie and index == 0
+
+
+def test_stages_time_the_three_stages():
+    res = saturation_coefficient(spec_for("E3", 4, 8, 16))
+    assert set(res.stages) == {"factors", "grams", "eigensolve"}
+    assert all(seconds >= 0.0 for seconds in res.stages.values())
+    assert sum(res.stages.values()) <= res.wall_seconds
 
 
 def probe_load_gram(basis, p, vec):
