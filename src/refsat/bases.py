@@ -2,9 +2,11 @@
 
 Every basis function is stored as a row of Legendre coefficients, so a basis
 with n functions of degree at most r is an (n, r + 1) array. Working in
-Legendre coefficients keeps all inner products small and exact: products of
-basis functions are integrated with a Gauss-Legendre rule that is exact for
-their degree, and differentiation uses the exact coefficient recurrence.
+Legendre coefficients keeps all inner products small and exact: by default
+:func:`gram_matrices` integrates in coefficient space, as sums of coefficient
+products weighted by the Legendre norms 2 / (2k + 1), and differentiates by
+the exact coefficient recurrence; a Gauss-Legendre rule that is exact for
+the degree of the products can be passed instead to integrate pointwise.
 
 Three families are provided by :func:`build_basis_1d`:
 

@@ -20,11 +20,12 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .assembly import EDGE_CLASSES, normalize_edges
+from .assembly import EDGE_CLASSES, factor_conditions, normalize_edges
 from .coefficients import (
     CANONICAL_PROBLEMS,
     FAMILIES,
@@ -71,28 +72,33 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     """Deterministic cost estimate in seconds, used for budget skipping.
 
     The terms follow the stages of ``saturation_coefficient``: a fixed
-    per-cell overhead, the 1D eigensolves of the factor bases (~r^3; a lone
-    ``compute`` starts cold, so the estimate counts them for every cell
-    although a sweep shares them), and, summed over the diagonal blocks of
-    the dual Grams (``block_orders``), the contraction of the 1D load Grams
-    into a block of order n (~n * r * (r + n) multiply-adds) and its
-    top-of-spectrum eigensolve: the Cholesky factor of the coarse block
-    (~n^3 / 3) and a few dozen Lanczos operator applications of two
-    triangular solves and a GEMV each (~n^2 apiece). The constants are
-    fitted to single-threaded stage timings (``SaturationResult.stages``,
-    best of three cold runs) of the published family-A cells: the
-    eigensolve n^2 constant, with the n^3 one kept, on the 21 cells where
-    that stage takes at least 20 ms (0.71-1.19x of each), and the
-    contraction constant on the 15 cells of E1 and E3..E5 where the Gram
-    stage takes at least 5 ms: 0.22-1.63x of each, and 0.12-0.44x of the
-    5 such E2 cells, whose swap blocks are gathered from a product of
-    probe pairs. The whole estimate is 0.73-1.26x the measured time of each
-    of the 15 published cells that take at least 0.1 s (E2 (60, 64, 128):
-    0.55 s modelled, 0.76 s measured; E1 (64, 128, 256): 0.88 s both).
+    per-cell overhead, the 1D factors at q and at r (per factor of degree d,
+    tridiagonal eigensolves of ~d^2 and loads of ~d^2 in all, counted once
+    where the x and y factors coincide; a lone ``compute`` starts cold, so
+    the estimate counts them for every cell although a sweep shares them),
+    and, summed over the diagonal blocks of the dual Grams
+    (``block_orders``), the contraction of the 1D load Grams into a block
+    of order n (~n * r * (r + n) multiply-adds) and its top-of-spectrum
+    eigensolve: the Cholesky factor of the coarse block (~n^3 / 3) and a
+    few dozen Lanczos operator applications of two triangular solves and a
+    GEMV each (~n^2 apiece). The constants are fitted to single-threaded
+    stage timings (``SaturationResult.stages``, best of three cold runs) of
+    the published cells: the factor constants on the factor stage of all
+    145 distinct cells (0.60-1.56x of each), the eigensolve n^2 constant,
+    with the n^3 one kept, on the 21 family-A cells where that stage takes
+    at least 20 ms (0.71-1.19x of each), and the contraction constant on
+    the 15 cells of E1 and E3..E5 where the Gram stage takes at least 5 ms:
+    0.22-1.63x of each, and 0.12-0.44x of the 5 such E2 cells, whose swap
+    blocks are gathered from a product of probe pairs. The whole estimate
+    is 0.66-1.02x the measured time of each of the 15 published cells that
+    take at least 0.1 s (E2 (60, 64, 128): 0.54 s modelled, 0.82 s
+    measured; E1 (64, 128, 256): 0.82 s and 0.91 s), and 0.32-1.78x (median
+    1.03x) of each cell under 10 ms.
     """
-    r = spec.r
-    overhead = 2e-3
-    modes = 4e-9 * r ** 3
+    r, q = spec.r, spec.q
+    overhead = 1e-3
+    same = spec.family == "C" or len(set(factor_conditions(spec.edges))) == 1
+    modes = (1 if same else 2) * (6e-4 + 5e-8 * (r ** 2 + q ** 2))
     blocks = block_orders(spec)
     contraction = 6.4e-11 * sum(n * r * (r + n) for n in blocks)
     eig = sum(1.1e-11 * n ** 3 + 4.9e-8 * n ** 2 for n in blocks)
@@ -348,7 +354,13 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
     return compared, skipped, failures
 
 
+def _check_budget(budget: float) -> None:
+    if not 0.0 <= budget < math.inf:
+        raise ValueError("--budget must be a finite number of seconds >= 0")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_budget(args.budget)
     config = load_sweep_config(args.config)
     cells = (
         (_spec_for_problem(problem, p, q, r), None)
@@ -359,8 +371,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError("--tol must be positive and finite")
+    _check_budget(args.budget)
     cells = (
         (_spec_for_problem(entry.problem, entry.p, entry.q, entry.r), entry)
         for entry in load_published_table() if entry.p <= args.max_p

@@ -37,13 +37,7 @@ from refsat.assembly import (
     factor_conditions,
     normalize_edges,
 )
-from refsat.bases import (
-    Basis1D,
-    BoundaryCondition1D,
-    boundary_trace,
-    build_basis_1d,
-    gram_matrices,
-)
+from refsat.bases import BoundaryCondition1D, build_basis_1d
 
 __all__ = [
     "FAMILIES",
@@ -156,31 +150,6 @@ def q_strategy(name: str, p: int) -> int:
     raise ValueError(f"unknown strategy {name!r}, expected one of {Q_STRATEGIES}")
 
 
-def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the 1D pencil S v = lambda M v, normalized so V^T M V = I.
-
-    The constant of the mean-zero family has no gradient and is L2-orthogonal
-    to every other member, so both Grams are exactly block diagonal there.
-    Its mode, lambda = 0 with v = e_0 / sqrt(M_00), is set up explicitly
-    instead of being read off a roundoff eigenvalue. The odd parity class of
-    that family has no constant and is solved as it stands.
-    """
-    mass, stiff = gram_matrices(basis, basis)
-    constant = (basis.kind == "mean_zero" and basis.n_functions > 0
-                and not basis.coefficients[0, 1:].any())
-    start = 1 if constant else 0
-    try:
-        lam, vec = scipy.linalg.eigh(stiff[start:, start:], mass[start:, start:])
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"1D eigensolve failed: {exc}") from exc
-    if start == 0:
-        return lam, vec
-    modes = np.zeros_like(mass)
-    modes[0, 0] = 1.0 / np.sqrt(mass[0, 0])
-    modes[1:, 1:] = vec
-    return np.concatenate(([0.0], lam)), modes
-
-
 class _Factor(NamedTuple):
     """One 1D factor basis, or one parity class of it, in its eigenbasis."""
 
@@ -192,22 +161,6 @@ class _Factor(NamedTuple):
     trace: np.ndarray
     #: the probe degrees k of the rows of ``loads``, ascending
     probes: np.ndarray
-
-
-def _factor(basis: Basis1D) -> _Factor:
-    """Modes of ``basis`` with its load Gram and right-edge trace in them.
-
-    The probes phi_k = sqrt(k + 1/2) L_k are orthonormal Legendre
-    polynomials, so <phi_k, sum_m c_m L_m> = c_k sqrt(2 / (2k + 1)): the
-    load Gram is W = diag(sqrt(2 / (2k + 1))) C^T V with C the coefficient
-    rows of the basis, and the Gram of the probes up to degree p is a row
-    slice of it.
-    """
-    lam, vec = _modes(basis)
-    k = np.arange(basis.degree + 1)
-    norms = np.sqrt(2.0 / (2.0 * k + 1.0))
-    loads = (norms[:, np.newaxis] * basis.coefficients.T) @ vec
-    return _Factor(lam, loads, boundary_trace(basis, 1.0) @ vec, k)
 
 
 def _symmetric(kind: str, bc: BoundaryCondition1D) -> bool:
@@ -224,32 +177,79 @@ def _class_probes(kind: str, bc: BoundaryCondition1D, degree: int) -> list:
     return [k[0::2], k[1::2]] if _symmetric(kind, bc) else [k]
 
 
-def _classes(basis: Basis1D) -> tuple[_Factor, ...]:
-    """The factor of ``basis``, one ``_Factor`` per parity class.
+def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
+    """Modes of members with unit stiffness whose mass couples only neighbours.
 
-    The modes of a symmetric basis are even or odd, and the probe L_k of
-    parity k loads only the modes of its own parity. Each class is solved
-    from the basis rows of its parity and keeps only its own probe rows, so
-    the loads across parities are exactly zero rather than roundoff. In the
-    free-free case the supplements (1 -/+ x) sqrt(2)/2 are replaced by their
-    sum sqrt(2) L_0 and difference sqrt(2) L_1, which span the same space.
-    Any other basis is a single class.
+    Member j is the sum of coeff[j, s] L_index[j, s] over s = 0, 1, with no
+    index twice in a column. With S = I, S v = lambda M v is M v = v / lambda:
+    the eigenpairs theta, Q of the tridiagonal M give lambda = 1 / theta and
+    V = Q diag(theta)^(-1/2). The probe phi_k loads v_i with sqrt(2/(2k+1))
+    times its L_k coefficient, and v_i(+1) is the sum of its coefficients.
     """
-    if not _symmetric(basis.kind, basis.bc):
-        return (_factor(basis),)
-    coeff = basis.coefficients
-    if basis.kind == "integrated_legendre" and not basis.bc.dirichlet_at_minus1:
-        coeff = coeff.copy()
-        coeff[:2] = coeff[0] + coeff[1], coeff[1] - coeff[0]
-    odd = coeff[:, 1::2].any(axis=1)
-    if (odd & coeff[:, 0::2].any(axis=1)).any():
-        raise ValueError("a symmetric factor basis has rows of mixed parity")
-    classes = []
-    for parity in (0, 1):
-        part = _factor(Basis1D(basis.kind, coeff[odd == parity], basis.bc))
-        classes.append(part._replace(loads=part.loads[parity::2],
-                                     probes=part.probes[parity::2]))
-    return tuple(classes)
+    norms = 2.0 / (2.0 * np.arange(degree + 1) + 1.0)
+    weighted = coeff * norms[index]
+    theta, vec = np.ones(0), np.zeros((0, 0))
+    if len(index):
+        off = sum(weighted[:-1, s] * coeff[1:, t] * (index[:-1, s] == index[1:, t])
+                  for s in (0, 1) for t in (0, 1))
+        try:
+            theta, vec = scipy.linalg.eigh_tridiagonal(
+                (coeff * weighted).sum(axis=1), off)
+            if theta[0] <= 0.0:
+                raise scipy.linalg.LinAlgError("the mass is not definite")
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(f"1D eigensolve failed: {exc}") from exc
+    vec = vec / np.sqrt(theta)
+    loads = np.zeros((degree + 1, theta.size))
+    for s in (0, 1):
+        loads[index[:, s]] += coeff[:, s, np.newaxis] * vec
+    loads *= np.sqrt(norms)[:, np.newaxis]
+    return _Factor(1.0 / theta, loads, coeff.sum(axis=1) @ vec,
+                   np.arange(degree + 1))
+
+
+def _classes(kind: str, bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
+    """The factor ``build_basis_1d(kind, bc, degree)``, one ``_Factor`` per class.
+
+    The derivatives of xi_k = (L_{k-2} - L_k) / sqrt(4k - 2) and of the
+    supplements are orthonormal Legendre polynomials, so the stiffness is
+    the identity on every non-constant member, and the mass couples xi_k
+    only with xi_{k+-2} and a supplement only with xi_2 and xi_3 (Shen,
+    SIAM J. Sci. Comput. 1994). The chains are xi_2, xi_4, ... and xi_3,
+    xi_5, ... with two Dirichlet ends; xi_r, ..., xi_2, supplement, xi_3,
+    ... with one; with none, as for mean-zero (both span P_r), the constant
+    (lambda = 0, set up exactly) with -L_2/sqrt(6), xi_4, ... and
+    -L_1/sqrt(2), xi_3, ... Each parity class keeps only the probe rows of
+    its parity: its loads on the other parity's modes are exactly zero.
+    """
+    if kind not in ("integrated_legendre", "mean_zero"):
+        raise ValueError(f"no 1D factor of kind {kind!r}")
+    ends = 0 if kind == "mean_zero" else bc.dirichlet_at_minus1 + bc.dirichlet_at_plus1
+    if kind == "integrated_legendre" and degree < max(ends, 1):
+        raise ValueError(f"basis is empty: no function of degree <= {degree} "
+                         "satisfies the requested boundary conditions")
+    chains = []
+    for first in 2, (3 if ends else 1):
+        k = np.arange(first, degree + 1, 2)
+        scale = 1.0 / np.sqrt(4.0 * k - 2.0)
+        low = np.where((k > 2) | (ends > 0), scale, 0.0)
+        chains.append((np.stack([np.maximum(k - 2, 0), k], axis=1),
+                       np.stack([low, -scale], axis=1)))
+    if ends == 1:
+        (even, even_c), (odd, odd_c) = chains
+        # the supplement and the odd members list their terms the other way
+        # round, so that no Legendre index appears twice in a column
+        half = np.sqrt(0.5) * np.array([1.0 if bc.dirichlet_at_minus1 else -1.0, 1.0])
+        return (_chain(np.vstack([even[::-1], [1, 0], odd[:, ::-1]]),
+                       np.vstack([even_c[::-1], half, odd_c[:, ::-1]]), degree),)
+    classes = [_chain(index, coeff, degree) for index, coeff in chains]
+    if not ends:
+        constant = (np.zeros(1), np.eye(degree + 1, 1), np.full(1, np.sqrt(0.5)))
+        classes[0] = _Factor(*(np.concatenate(pair, axis=-1) for pair in
+                               zip(constant, classes[0][:3])), classes[0].probes)
+    return tuple(part._replace(loads=part.loads[parity::2],
+                               probes=part.probes[parity::2])
+                 for parity, part in enumerate(classes))
 
 
 def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
@@ -460,20 +460,23 @@ def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
 def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarray:
     """Dual Gram matrix R = L A^{-1} L^T of the spec's loads on ``space``.
 
-    The 1D factors of the space's bases are computed afresh, and the blocks
-    contracted as in ``saturation_coefficient`` are scattered into the full
-    matrix in the family's load order. The space's degree must be at least
-    the load degree p.
+    The 1D factors (kind, bc, degree) of the space's bases are computed
+    afresh, and the blocks contracted as in ``saturation_coefficient`` are
+    scattered into the full matrix in the family's load order. Each basis
+    must be the one ``build_basis_1d`` makes from its (kind, bc, degree),
+    and the space's degree must be at least the load degree p.
     """
-    if spec.family == "C":
-        bases = (space.basis,)
-    else:
-        bases = (space.basis_x, space.basis_y)
+    bases = (space.basis,) if spec.family == "C" else (space.basis_x, space.basis_y)
     degree = min(basis.degree for basis in bases)
     if spec.p > degree:
         raise ValueError(
             f"load degree p = {spec.p} exceeds the space degree {degree}")
-    classes = [_classes(basis) for basis in bases]
+    for basis in bases:
+        if not np.array_equal(basis.coefficients, build_basis_1d(
+                basis.kind, basis.bc, basis.degree).coefficients):
+            raise ValueError(f"the {basis.kind} basis of degree {basis.degree} "
+                             "is not the one build_basis_1d makes")
+    classes = [_classes(basis.kind, basis.bc, basis.degree) for basis in bases]
     keys = [(basis.kind, basis.bc) for basis in bases]
     blocks = _blocks(spec, keys[0], keys[-1])
     size = sum(block.index.size for block in blocks)
@@ -679,14 +682,11 @@ def saturation_coefficient(
     start = time.perf_counter()
     if factors is None:
         factors = {}
-    spaces = []
-    for degree in (spec.r, spec.q):
-        pair = []
-        for args in _factor_args(spec, degree):
-            if args not in factors:
-                factors[args] = _classes(build_basis_1d(*args))
-            pair.append(factors[args])
-        spaces.append(pair)
+    spaces = [_factor_args(spec, degree) for degree in (spec.r, spec.q)]
+    for args in spaces[0] + spaces[1]:
+        if args not in factors:
+            factors[args] = _classes(*args)
+    spaces = [[factors[args] for args in pair] for pair in spaces]
     (fine_x, fine_y), (mid_x, mid_y) = spaces
     blocks = _spec_blocks(spec)
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from refsat.cli import (
     CSV_COLUMNS,
@@ -320,17 +321,17 @@ def test_reproduce_small_slice_passes(tmp_path, capsys):
 
 @pytest.fixture
 def pencil_solves(monkeypatch):
-    """Count the 1D pencil eigensolves done through refsat.coefficients."""
+    """Count the 1D chain eigensolves done through refsat.coefficients."""
     import refsat.coefficients as coefficients
 
     solves = []
-    modes = coefficients._modes
+    chain = coefficients._chain
 
-    def counting(basis):
-        solves.append(basis.degree)
-        return modes(basis)
+    def counting(index, coeff, degree):
+        solves.append(degree)
+        return chain(index, coeff, degree)
 
-    monkeypatch.setattr(coefficients, "_modes", counting)
+    monkeypatch.setattr(coefficients, "_chain", counting)
     return solves
 
 
@@ -356,6 +357,50 @@ def test_each_compute_builds_its_own_factors(capsys, pencil_solves):
     assert run_cli(["compute", "--family", "C", "--p", "4", "--q", "8",
                     "--r", "16"], capsys)[0] == 0
     assert len(pencil_solves) == 16
+
+
+def test_saturation_forms_no_1d_pencil(capsys, monkeypatch):
+    import refsat.assembly as assembly
+    import refsat.bases as bases
+    import refsat.coefficients as coefficients
+
+    calls = []
+
+    def counting(name, func):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapped
+
+    for name in ("gram_matrices", "build_basis_1d"):
+        wrapped = counting(name, getattr(bases, name))
+        for module in (bases, assembly, coefficients):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(a, b=None, *args, **kwargs):
+        if b is not None:
+            calls.append("generalized eigh")
+        return eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    assert run_cli(["reproduce", "--max-p", "16"], capsys)[0] == 0
+    assert calls == []
+
+
+def test_failed_chain_eigensolve_is_a_numerical_failure(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    with pytest.raises(NumericalError, match="1D eigensolve failed"):
+        saturation_coefficient(_spec_for_problem("E1", 4, 8, 16))
+    code, out, err = run_cli(["compute", "--family", "A", "--edges", "1",
+                              "--p", "4", "--q", "8", "--r", "16"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: 1D eigensolve failed")
 
 
 def test_reproduce_matches_cold_cells(tmp_path, capsys):
@@ -488,7 +533,7 @@ def test_streamed_rows_match_the_collected_table(tmp_path, capsys, computed):
         assert code == 0
         assert out == expected
     code, out, err = run_cli(
-        ["reproduce", "--max-p", "4", "--budget", "0.0021"], capsys)
+        ["reproduce", "--max-p", "4", "--budget", "0.0023"], capsys)
     assert code == 1
     lines = out.splitlines()
     assert lines[:3] == [
@@ -508,6 +553,28 @@ def test_reproduce_rejects_bad_tolerance(capsys):
     code, _, err = run_cli(["reproduce", "--tol", "-1"], capsys)
     assert code == 2
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_reproduce_rejects_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    code, out, err = run_cli(["reproduce", "--max-p", "4", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: --tol must be positive and finite\n"
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["reproduce", "sweep"])
+def test_a_budget_that_is_not_finite_and_nonnegative_is_rejected(
+        tmp_path, capsys, command, budget):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problems": ["E1"], "p_values": [2]}))
+    argv = (["reproduce", "--max-p", "4"] if command == "reproduce"
+            else ["sweep", "--config", str(path)])
+    code, out, err = run_cli(argv + ["--budget", budget], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: --budget must be a finite number of seconds >= 0\n"
 
 
 def test_patches_verify_reports_all_patches(capsys):

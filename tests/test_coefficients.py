@@ -5,8 +5,10 @@ full table comparison lives in the acceptance suite. The eigenvalue and dual
 norm routes are cross-checked against independent dense linear algebra, the
 top-of-spectrum eigensolve against the full-spectrum oracle in
 ``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
-sparse-LU oracle in ``sparse_oracle``, and the block route (parity classes
-and swap blocks) against the unsplit route in ``unsplit_oracle``.
+sparse-LU oracle in ``sparse_oracle``, the block route (parity classes
+and swap blocks) against the unsplit route in ``unsplit_oracle``, and the
+tridiagonal 1D factors against the dense pencils and the 40-digit mpmath
+reference in ``pencil_oracle``.
 """
 
 import numpy as np
@@ -22,17 +24,17 @@ from refsat.bases import (
     gram_matrices,
 )
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
+from pencil_oracle import _classes, _factor, _modes, reference_classes
 from refsat.coefficients import (
     _DENSE_ORDER,
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
-    _classes,
-    _factor,
+    _classes as factor_classes,
+    _factor_args,
     _gram_trace,
     _grams,
     _max_over_blocks,
-    _modes,
     _spec_blocks,
     block_orders,
     dual_gram,
@@ -321,6 +323,57 @@ def test_only_the_mean_zero_constant_mode_is_set_up_exactly():
     assert np.all(odd.lam > 1.0)
 
 
+def test_1d_factors_match_a_40_digit_reference():
+    # the dense pencils are 8.9e-13 off on the resolvent Gram at degree 48.
+    # The least accurate eigenvalue here is the top one of the one-end
+    # chain (1.3e-12 at degree 16; the pencils: 2.3e-13); its weight
+    # 1 / (lambda + mu) is of order 1e-8
+    for kind, bc in FACTOR_KINDS:
+        for degree in (8, 16, 24, 48):
+            classes = factor_classes(kind, bc, degree)
+            reference = reference_classes(kind, bc, degree)
+            assert len(classes) == len(reference)
+            for part, (lam, gram) in zip(classes, reference):
+                loads = np.vstack([part.loads, part.trace])
+                got = (loads / (part.lam + 1.0)) @ loads.T
+                assert np.max(np.abs(got - gram)) <= 1e-14 * np.max(np.abs(gram)), (
+                    kind, bc, degree)
+                # the constant mode: exactly 0 here, 0 to 40 digits there
+                assert np.all(np.abs(np.sort(part.lam) - lam)
+                              <= 1e-11 * np.abs(lam) + 1e-30), (kind, bc, degree)
+
+
+def test_chain_classes_match_the_pencil_oracle():
+    for kind, bc in FACTOR_KINDS:
+        free = kind == "mean_zero" or not (
+            bc.dirichlet_at_minus1 or bc.dirichlet_at_plus1)
+        for degree in range(1, 65):
+            if bc.dirichlet_at_minus1 and bc.dirichlet_at_plus1 and degree < 2:
+                with pytest.raises(ValueError, match="empty"):
+                    factor_classes(kind, bc, degree)
+                continue
+            classes = factor_classes(kind, bc, degree)
+            expect = _classes(build_basis_1d(kind, bc, degree))
+            assert len(classes) == len(expect)
+            top = max(part.lam.max() for part in expect if part.lam.size)
+            for parity, (part, oracle) in enumerate(zip(classes, expect)):
+                assert np.array_equal(part.probes, oracle.probes)
+                assert part.loads.shape == oracle.loads.shape
+                assert part.trace.shape == part.lam.shape
+                lam = np.sort(part.lam)
+                error = np.abs(lam - np.sort(oracle.lam))
+                assert np.max(error, initial=0.0) <= 1e-11 * top
+                # only the constant of the free factors has lambda = 0, exactly
+                assert np.count_nonzero(lam == 0.0) == (free and parity == 0)
+                # the others are at least (pi / 4)^2, the lowest of -u'' = lambda u
+                assert np.all(lam[lam != 0.0] > 0.6)
+                got, want = (
+                    (w / (f.lam + 1.0)) @ w.T
+                    for f in (part, oracle)
+                    for w in [np.vstack([f.loads, f.trace])])
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
 def unsplit_cases(name):
     """(p, q, r) at p = 0, 1, 8 plain and with q = r, and p = q at 2 and 8
     (a Dirichlet-Dirichlet factor of degree q < 2 is empty)."""
@@ -360,10 +413,9 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
         space = _space(spec, degree)
         if family == "C":
             fx = fy = _factor(space.basis)
-            xs = ys = _classes(space.basis)
         else:
             fx, fy = _factor(space.basis_x), _factor(space.basis_y)
-            xs, ys = _classes(space.basis_x), _classes(space.basis_y)
+        xs, ys = (factor_classes(*args) for args in _factor_args(spec, degree))
         expect = contract(spec, fx, fy)
         got = dual_gram(spec, space)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -479,9 +531,27 @@ def test_failed_1d_eigensolve_is_a_numerical_error():
         kind="integrated_legendre",
         coefficients=np.vstack([good.coefficients, np.zeros(5)]),
     )
-    space = TensorSpace(edges=frozenset({1}), basis_x=good, basis_y=degenerate)
     with pytest.raises(NumericalError, match="eigensolve"):
-        dual_gram(spec_for("E1", 2, 4, 4), space)
+        _classes(degenerate)
+
+
+def test_dual_gram_rejects_a_basis_it_does_not_build():
+    good = build_basis_1d("integrated_legendre", r=4)
+    others = [
+        Basis1D(good.kind, np.vstack([good.coefficients, np.zeros(5)])),
+        Basis1D(good.kind, 2.0 * good.coefficients),
+        Basis1D("integrated_legendre", good.coefficients,
+                BoundaryCondition1D(True, False)),
+    ]
+    spec = spec_for("E1", 2, 4, 4)
+    for basis in others:
+        space = TensorSpace(edges=frozenset({1}), basis_x=good, basis_y=basis)
+        with pytest.raises(ValueError, match="not the one build_basis_1d makes"):
+            dual_gram(spec, space)
+    legendre = build_basis_1d("legendre", r=4)
+    space = TensorSpace(edges=frozenset({1}), basis_x=good, basis_y=legendre)
+    with pytest.raises(ValueError, match="no 1D factor of kind 'legendre'"):
+        dual_gram(spec, space)
 
 
 def test_published_spot_values():

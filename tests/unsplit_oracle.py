@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from pencil_oracle import _factor
 from refsat.bases import build_basis_1d
 from refsat.coefficients import (
     ProblemSpec,
-    _factor,
     _factor_args,
     max_generalized_eigenvalue,
 )
