@@ -1,22 +1,7 @@
 """Saturation coefficients for hierarchical error estimation on reference squares."""
 
-from refsat.assembly import (
-    EDGE_CLASSES,
-    QuotientSpace,
-    TensorSpace,
-    quotient_space,
-    tensor_space,
-)
-from refsat.bases import (
-    Basis1D,
-    BoundaryCondition1D,
-    QuadRule,
-    boundary_trace,
-    build_basis_1d,
-    gauss_legendre_rule,
-    gram_matrices,
-    legendre_eval_all,
-)
+from refsat.assembly import EDGE_CLASSES
+from refsat.bases import BoundaryCondition1D
 from refsat.coefficients import (
     CANONICAL_PROBLEMS,
     NumericalError,

@@ -1,4 +1,4 @@
-"""Tensor-product spaces and Dirichlet edge classes on the reference square.
+"""Dirichlet edge classes on the reference square and their 1D factors.
 
 The reference square is [-1, 1]^2. Its edges are numbered counterclockwise
 starting from the rightmost one: 1 is the right edge (x = +1), 2 the top
@@ -6,18 +6,18 @@ starting from the rightmost one: 1 is the right edge (x = +1), 2 the top
 frozenset of these numbers and marks where homogeneous Dirichlet conditions
 are imposed.
 
-Flattening of tensor indices is row-major with the x factor outermost: the
-basis member (ix, iy) sits at flat index ix * ny + iy. No 2D matrix is
-assembled: every operator on these spaces is a tensor product of the 1D
-Grams of the two factor bases, which ``refsat.coefficients`` works with
-directly.
+A Dirichlet space on the square is the tensor product of an x and a y
+factor basis, and an edge set fixes the boundary conditions of both
+(:func:`factor_conditions`). Tensor indices are flattened row-major with
+the x factor outermost: the member (ix, iy) sits at flat index
+ix * ny + iy. No 2D space or matrix is built: every operator on these
+spaces is a tensor product of 1D ones, which ``refsat.coefficients`` works
+with directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from refsat.bases import Basis1D, BoundaryCondition1D, build_basis_1d
+from refsat.bases import BoundaryCondition1D
 
 __all__ = [
     "RIGHT",
@@ -27,10 +27,6 @@ __all__ = [
     "EDGE_CLASSES",
     "normalize_edges",
     "factor_conditions",
-    "TensorSpace",
-    "QuotientSpace",
-    "tensor_space",
-    "quotient_space",
 ]
 
 RIGHT, TOP, LEFT, BOTTOM = 1, 2, 3, 4
@@ -59,36 +55,6 @@ def normalize_edges(edges) -> frozenset[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TensorSpace:
-    """Polynomial tensor space on the square with Dirichlet edges removed."""
-
-    edges: frozenset[int]
-    basis_x: Basis1D
-    basis_y: Basis1D
-
-    @property
-    def dim(self) -> int:
-        return self.basis_x.n_functions * self.basis_y.n_functions
-
-
-@dataclass(frozen=True)
-class QuotientSpace:
-    """Full polynomial space modulo constants.
-
-    Realized as the tensor square of the mean-zero family with the purely
-    constant member removed, giving (r + 1)^2 - 1 functions whose first
-    basis direction is flattened outermost exactly like TensorSpace.
-    """
-
-    degree: int
-    basis: Basis1D
-
-    @property
-    def dim(self) -> int:
-        return (self.degree + 1) ** 2 - 1
-
-
 def factor_conditions(
     edges: frozenset[int],
 ) -> tuple[BoundaryCondition1D, BoundaryCondition1D]:
@@ -100,18 +66,3 @@ def factor_conditions(
         dirichlet_at_minus1=BOTTOM in edges, dirichlet_at_plus1=TOP in edges
     )
     return bc_x, bc_y
-
-
-def tensor_space(edges, degree: int) -> TensorSpace:
-    """Build the Dirichlet tensor space of coordinate degree at most ``degree``."""
-    edges = normalize_edges(edges)
-    bc_x, bc_y = factor_conditions(edges)
-    basis_x = build_basis_1d("integrated_legendre", bc_x, degree)
-    basis_y = build_basis_1d("integrated_legendre", bc_y, degree)
-    return TensorSpace(edges=edges, basis_x=basis_x, basis_y=basis_y)
-
-
-def quotient_space(degree: int) -> QuotientSpace:
-    if degree < 1:
-        raise ValueError("the quotient space needs degree >= 1 to be nonempty")
-    return QuotientSpace(degree=degree, basis=build_basis_1d("mean_zero", r=degree))

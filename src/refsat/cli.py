@@ -374,9 +374,14 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if not 0.0 < args.tol < math.inf:
         raise ValueError("--tol must be positive and finite")
     _check_budget(args.budget)
+    table = load_published_table()
+    smallest = min(entry.p for entry in table)
+    if args.max_p < smallest:
+        raise ValueError(f"--max-p {args.max_p} selects no published cell; "
+                         f"the smallest published p is {smallest}")
     cells = (
         (_spec_for_problem(entry.problem, entry.p, entry.q, entry.r), entry)
-        for entry in load_published_table() if entry.p <= args.max_p
+        for entry in table if entry.p <= args.max_p
     )
     compared, skipped, failures = _write_cells(
         cells, args.output, "csv", args.budget, args.tol)
@@ -435,8 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--family", required=True, choices=list(FAMILIES))
     compute.add_argument(
         "--edges", default=None,
-        help="comma-separated Dirichlet (family A) or load (family B) edges, "
-             "numbered 1..4 counterclockwise from the right edge")
+        help="comma-separated Dirichlet edges, numbered 1..4 "
+             "counterclockwise from the right edge, for families A and B; "
+             "family B loads edge 1, which stays free, and takes 2, 3, '2,3' "
+             "or '2,3,4'")
     compute.add_argument("--p", type=int, required=True,
                          help="functional family degree")
     compute.add_argument("--q", type=int, required=True,

@@ -30,14 +30,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from refsat.assembly import (
-    EDGE_CLASSES,
-    QuotientSpace,
-    TensorSpace,
-    factor_conditions,
-    normalize_edges,
-)
-from refsat.bases import BoundaryCondition1D, build_basis_1d
+from refsat.assembly import EDGE_CLASSES, factor_conditions, normalize_edges
+from refsat.bases import BoundaryCondition1D
 
 __all__ = [
     "FAMILIES",
@@ -163,18 +157,15 @@ class _Factor(NamedTuple):
     probes: np.ndarray
 
 
-def _symmetric(kind: str, bc: BoundaryCondition1D) -> bool:
-    """Whether a factor basis spans a space invariant under x -> -x."""
-    return kind == "mean_zero" or (
-        kind == "integrated_legendre"
-        and bc.dirichlet_at_minus1 == bc.dirichlet_at_plus1
-    )
+def _symmetric(bc: BoundaryCondition1D) -> bool:
+    """Whether a factor spans a space invariant under x -> -x."""
+    return bc.dirichlet_at_minus1 == bc.dirichlet_at_plus1
 
 
-def _class_probes(kind: str, bc: BoundaryCondition1D, degree: int) -> list:
-    """Probe degrees up to ``degree`` of each class of a factor basis."""
+def _class_probes(bc: BoundaryCondition1D, degree: int) -> list:
+    """Probe degrees up to ``degree`` of each class of a factor."""
     k = np.arange(degree + 1)
-    return [k[0::2], k[1::2]] if _symmetric(kind, bc) else [k]
+    return [k[0::2], k[1::2]] if _symmetric(bc) else [k]
 
 
 def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
@@ -208,24 +199,27 @@ def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
                    np.arange(degree + 1))
 
 
-def _classes(kind: str, bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
-    """The factor ``build_basis_1d(kind, bc, degree)``, one ``_Factor`` per class.
+def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
+    """The 1D factor of degree ``degree`` with ends ``bc``, one ``_Factor``
+    per class.
 
-    The derivatives of xi_k = (L_{k-2} - L_k) / sqrt(4k - 2) and of the
-    supplements are orthonormal Legendre polynomials, so the stiffness is
-    the identity on every non-constant member, and the mass couples xi_k
-    only with xi_{k+-2} and a supplement only with xi_2 and xi_3 (Shen,
-    SIAM J. Sci. Comput. 1994). The chains are xi_2, xi_4, ... and xi_3,
-    xi_5, ... with two Dirichlet ends; xi_r, ..., xi_2, supplement, xi_3,
-    ... with one; with none, as for mean-zero (both span P_r), the constant
-    (lambda = 0, set up exactly) with -L_2/sqrt(6), xi_4, ... and
-    -L_1/sqrt(2), xi_3, ... Each parity class keeps only the probe rows of
-    its parity: its loads on the other parity's modes are exactly zero.
+    It spans the polynomials of degree at most ``degree`` that vanish at
+    the Dirichlet ends, in the ``integrated_legendre`` basis of
+    ``refsat.bases``; with no Dirichlet end it equally stands for the
+    ``mean_zero`` basis, which spans the same P_r. The derivatives of
+    xi_k = (L_{k-2} - L_k) / sqrt(4k - 2) and of the supplements are
+    orthonormal Legendre polynomials, so the stiffness is the identity on
+    every non-constant member, and the mass couples xi_k only with
+    xi_{k+-2} and a supplement only with xi_2 and xi_3 (Shen, SIAM J. Sci.
+    Comput. 1994). The chains are xi_2, xi_4, ... and xi_3, xi_5, ... with
+    two Dirichlet ends; xi_r, ..., xi_2, supplement, xi_3, ... with one;
+    with none, the constant (lambda = 0, set up exactly) with
+    -L_2/sqrt(6), xi_4, ... and -L_1/sqrt(2), xi_3, ... Each parity class
+    keeps only the probe rows of its parity: its loads on the other
+    parity's modes are exactly zero.
     """
-    if kind not in ("integrated_legendre", "mean_zero"):
-        raise ValueError(f"no 1D factor of kind {kind!r}")
-    ends = 0 if kind == "mean_zero" else bc.dirichlet_at_minus1 + bc.dirichlet_at_plus1
-    if kind == "integrated_legendre" and degree < max(ends, 1):
+    ends = bc.dirichlet_at_minus1 + bc.dirichlet_at_plus1
+    if degree < max(ends, 1):
         raise ValueError(f"basis is empty: no function of degree <= {degree} "
                          "satisfies the requested boundary conditions")
     chains = []
@@ -253,13 +247,13 @@ def _classes(kind: str, bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, 
 
 
 def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
-    """Construction arguments (kind, bc, degree) of the x and y factor bases."""
+    """Keys (bc, degree) of the x and y factors; family C uses the free-free
+    factor in both directions."""
     if spec.family == "C":
-        args = ("mean_zero", BoundaryCondition1D(), degree)
+        args = (BoundaryCondition1D(), degree)
         return args, args
     bc_x, bc_y = factor_conditions(spec.edges)
-    return (("integrated_legendre", bc_x, degree),
-            ("integrated_legendre", bc_y, degree))
+    return (bc_x, degree), (bc_y, degree)
 
 
 class _Block(NamedTuple):
@@ -285,24 +279,25 @@ class _Block(NamedTuple):
     sign: float = 1.0
 
 
-def _blocks(spec: ProblemSpec, x_key: tuple, y_key: tuple) -> list[_Block]:
+def _blocks(spec: ProblemSpec, bc_x: BoundaryCondition1D,
+            bc_y: BoundaryCondition1D) -> list[_Block]:
     """Diagonal blocks of the spec's dual Grams, skipping those without loads.
 
-    ``x_key`` and ``y_key`` are the (kind, bc) of the factor bases, which
-    are taken to be equal when the keys are. Family A has one block per
+    ``bc_x`` and ``bc_y`` are the end conditions of the two factors; equal
+    conditions mean equal factors. Family A has one block per
     pair of x and y classes, except with equal non-symmetric factors (E2):
     R is then invariant under (a, b) <-> (b, a) and splits into a
     symmetric and an antisymmetric block of orders n(n + 1)/2 and
     n(n - 1)/2. Families B and C have one block per y class.
     """
     first = 1 if spec.family == "C" else 0
-    ys = [k[k >= first] for k in _class_probes(*y_key, spec.p)]
+    ys = [k[k >= first] for k in _class_probes(bc_y, spec.p)]
     if spec.family != "A":
         return [_Block(None, y, None, py, py - first)
                 for y, py in enumerate(ys) if py.size]
     n = spec.p + 1
-    xs = _class_probes(*x_key, spec.p)
-    if x_key == y_key and len(xs) == 1:
+    xs = _class_probes(bc_x, spec.p)
+    if bc_x == bc_y and len(xs) == 1:
         blocks = []
         for offset, sign in ((0, 1.0), (1, -1.0)):
             a, b = np.triu_indices(n, offset)
@@ -448,8 +443,8 @@ def _gram_trace(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
 
 def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     """The diagonal blocks of the spec's dual Grams (both degrees alike)."""
-    x_args, y_args = _factor_args(spec, spec.p)
-    return _blocks(spec, x_args[:2], y_args[:2])
+    (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
+    return _blocks(spec, bc_x, bc_y)
 
 
 def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
@@ -457,31 +452,23 @@ def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
     return tuple(block.index.size for block in _spec_blocks(spec))
 
 
-def dual_gram(spec: ProblemSpec, space: TensorSpace | QuotientSpace) -> np.ndarray:
-    """Dual Gram matrix R = L A^{-1} L^T of the spec's loads on ``space``.
+def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
+    """Dual Gram matrix R = L A^{-1} L^T of the spec's loads at ``degree``.
 
-    The 1D factors (kind, bc, degree) of the space's bases are computed
-    afresh, and the blocks contracted as in ``saturation_coefficient`` are
-    scattered into the full matrix in the family's load order. Each basis
-    must be the one ``build_basis_1d`` makes from its (kind, bc, degree),
-    and the space's degree must be at least the load degree p.
+    The space is the spec's Dirichlet tensor space (family A and B) or
+    quotient space (family C) of coordinate degree at most ``degree``, which
+    must be at least the load degree p. Its 1D factors are computed afresh,
+    and the blocks contracted as in ``saturation_coefficient`` are scattered
+    into the full matrix in the family's load order.
     """
-    bases = (space.basis,) if spec.family == "C" else (space.basis_x, space.basis_y)
-    degree = min(basis.degree for basis in bases)
     if spec.p > degree:
         raise ValueError(
             f"load degree p = {spec.p} exceeds the space degree {degree}")
-    for basis in bases:
-        if not np.array_equal(basis.coefficients, build_basis_1d(
-                basis.kind, basis.bc, basis.degree).coefficients):
-            raise ValueError(f"the {basis.kind} basis of degree {basis.degree} "
-                             "is not the one build_basis_1d makes")
-    classes = [_classes(basis.kind, basis.bc, basis.degree) for basis in bases]
-    keys = [(basis.kind, basis.bc) for basis in bases]
-    blocks = _blocks(spec, keys[0], keys[-1])
+    xs, ys = (_classes(*args) for args in _factor_args(spec, degree))
+    blocks = _spec_blocks(spec)
     size = sum(block.index.size for block in blocks)
     gram = np.zeros((size, size))
-    for block, part in zip(blocks, _grams(spec, blocks, classes[0], classes[-1])):
+    for block, part in zip(blocks, _grams(spec, blocks, xs, ys)):
         gram += _embed(block, _embed(block, part.T, size).T, size)
     return gram
 
@@ -674,8 +661,8 @@ def saturation_coefficient(
     and should be tiny.
 
     The 1D factors of both spaces are looked up in ``factors``, a table
-    keyed by their construction arguments (kind, bc, degree) and filled on
-    a miss. A caller that passes one table to many calls, as a sweep does,
+    keyed by their end conditions and degree (bc, degree) and filled on a
+    miss. A caller that passes one table to many calls, as a sweep does,
     builds each factor once; without a table the call starts from an empty
     one of its own.
     """

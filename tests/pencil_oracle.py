@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from refsat.bases import Basis1D, boundary_trace, gram_matrices
+from basis_oracle import Basis1D, boundary_trace, gram_matrices
 from refsat.coefficients import NumericalError, _Factor, _symmetric
 
 
@@ -68,7 +68,7 @@ def _classes(basis: Basis1D) -> tuple[_Factor, ...]:
     sum sqrt(2) L_0 and difference sqrt(2) L_1, which span the same space.
     Any other basis is a single class.
     """
-    if not _symmetric(basis.kind, basis.bc):
+    if not _symmetric(basis.bc):
         return (_factor(basis),)
     coeff = basis.coefficients
     if basis.kind == "integrated_legendre" and not basis.bc.dirichlet_at_minus1:
@@ -141,7 +141,7 @@ def reference_classes(kind: str, bc, degree: int, dps: int = 40) -> list:
             rows.append({k: -scale} if kind == "mean_zero" and k == 2
                         else {k - 2: scale, k: -scale})
         norms = [mpmath.mpf(2) / (2 * m + 1) for m in range(degree + 1)]
-        if _symmetric(kind, bc):
+        if _symmetric(bc):
             groups = [(parity, [row for row in rows if min(row) % 2 == parity])
                       for parity in (0, 1)]
         else:

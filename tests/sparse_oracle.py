@@ -3,10 +3,12 @@
 This is an independent route to R = L A^{-1} L^T. It assembles the tensor
 stiffness Sx (x) My + Mx (x) Sy as a sparse matrix and the load matrices
 row by row, factors the stiffness with SuperLU once per Gram and solves one
-dense right-hand side per functional. It shares only the spaces and the 1D
-Grams with the production fast diagonalization in ``refsat.coefficients``;
-the 1D Grams are checked against brute-force quadrature in ``test_bases``,
-and the matrices assembled here in ``test_assembly``.
+dense right-hand side per functional. It shares nothing with the
+production fast diagonalization in ``refsat.coefficients`` but the edge
+conventions of ``refsat.assembly``: its spaces are tensor products of the
+coefficient-row bases of ``basis_oracle``, whose 1D Grams are checked
+against brute-force quadrature in ``test_bases``, and the matrices
+assembled here are checked in ``test_assembly``.
 
 Flattening of tensor indices is row-major with the x factor outermost: the
 basis member (ix, iy) sits at flat index ix * ny + iy. Stiffness matrices
@@ -16,19 +18,60 @@ functional.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from refsat.assembly import (
-    RIGHT,
-    QuotientSpace,
-    TensorSpace,
-    quotient_space,
-    tensor_space,
-)
-from refsat.bases import Basis1D, boundary_trace, build_basis_1d, gram_matrices
+from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
+from refsat.assembly import RIGHT, factor_conditions, normalize_edges
 from refsat.coefficients import NumericalError, ProblemSpec
+
+
+@dataclass(frozen=True)
+class TensorSpace:
+    """Polynomial tensor space on the square with Dirichlet edges removed."""
+
+    edges: frozenset[int]
+    basis_x: Basis1D
+    basis_y: Basis1D
+
+    @property
+    def dim(self) -> int:
+        return self.basis_x.n_functions * self.basis_y.n_functions
+
+
+@dataclass(frozen=True)
+class QuotientSpace:
+    """Full polynomial space modulo constants.
+
+    Realized as the tensor square of the mean-zero family with the purely
+    constant member removed, giving (r + 1)^2 - 1 functions whose first
+    basis direction is flattened outermost exactly like TensorSpace.
+    """
+
+    degree: int
+    basis: Basis1D
+
+    @property
+    def dim(self) -> int:
+        return (self.degree + 1) ** 2 - 1
+
+
+def tensor_space(edges, degree: int) -> TensorSpace:
+    """Build the Dirichlet tensor space of coordinate degree at most ``degree``."""
+    edges = normalize_edges(edges)
+    bc_x, bc_y = factor_conditions(edges)
+    basis_x = build_basis_1d("integrated_legendre", bc_x, degree)
+    basis_y = build_basis_1d("integrated_legendre", bc_y, degree)
+    return TensorSpace(edges=edges, basis_x=basis_x, basis_y=basis_y)
+
+
+def quotient_space(degree: int) -> QuotientSpace:
+    if degree < 1:
+        raise ValueError("the quotient space needs degree >= 1 to be nonempty")
+    return QuotientSpace(degree=degree, basis=build_basis_1d("mean_zero", r=degree))
 
 
 def _sym(a: np.ndarray) -> np.ndarray:

@@ -9,18 +9,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from refsat.assembly import (
-    EDGE_CLASSES,
-    normalize_edges,
-    quotient_space,
-    tensor_space,
-)
-from refsat.bases import gauss_legendre_rule
+from basis_oracle import gauss_legendre_rule
+from refsat.assembly import EDGE_CLASSES, normalize_edges
 from sparse_oracle import (
     load_matrix_edge,
     load_matrix_quotient_edge,
     load_matrix_volume,
+    quotient_space,
     stiffness_matrix,
+    tensor_space,
 )
 
 

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from basis_oracle import basis_rows
-from refsat.bases import (
+from basis_oracle import (
     Basis1D,
-    BoundaryCondition1D,
     QuadRule,
+    basis_rows,
     boundary_trace,
     build_basis_1d,
     gauss_legendre_rule,
     gram_matrices,
     legendre_eval_all,
 )
+from refsat.bases import BoundaryCondition1D
 
 
 def newton_gauss_oracle(n):

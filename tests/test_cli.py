@@ -5,11 +5,13 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import refsat
 from refsat.cli import (
     CSV_COLUMNS,
     DEFAULT_BUDGET_SECONDS,
@@ -338,9 +340,10 @@ def pencil_solves(monkeypatch):
 def test_reproduce_builds_each_1d_factor_once(capsys, pencil_solves):
     code, _, _ = run_cli(["reproduce", "--max-p", "16"], capsys)
     assert code == 0
-    # 96 cells with 384 factor lookups share 28 distinct (kind, bc, degree);
-    # 16 of them are symmetric and solved once per parity class
-    assert len(pencil_solves) == 28 + 16
+    # 96 cells with 384 factor lookups share 24 distinct (bc, degree), the
+    # quotient problem's factors among the free-free ones; 12 of them are
+    # symmetric and solved once per parity class
+    assert len(pencil_solves) == 24 + 12
 
 
 def test_each_compute_builds_its_own_factors(capsys, pencil_solves):
@@ -360,23 +363,7 @@ def test_each_compute_builds_its_own_factors(capsys, pencil_solves):
 
 
 def test_saturation_forms_no_1d_pencil(capsys, monkeypatch):
-    import refsat.assembly as assembly
-    import refsat.bases as bases
-    import refsat.coefficients as coefficients
-
     calls = []
-
-    def counting(name, func):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return func(*args, **kwargs)
-        return wrapped
-
-    for name in ("gram_matrices", "build_basis_1d"):
-        wrapped = counting(name, getattr(bases, name))
-        for module in (bases, assembly, coefficients):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
     eigh = scipy.linalg.eigh
 
     def counting_eigh(a, b=None, *args, **kwargs):
@@ -420,6 +407,19 @@ def test_reproduce_matches_cold_cells(tmp_path, capsys):
         assert abs(float(cell["mu"]) - cold.mu) <= 1e-12 * cold.mu, cell
         assert (int(cell["dim_H"]), int(cell["dim_V"]), int(cell["dim_F"])) == (
             cold.dim_H, cold.dim_V, cold.dim_F)
+
+
+@pytest.mark.parametrize("max_p", ["3", "0", "-3"])
+def test_reproduce_below_the_smallest_published_p_is_rejected(tmp_path, capsys,
+                                                             max_p):
+    target = tmp_path / "repro.csv"
+    code, out, err = run_cli(
+        ["reproduce", "--max-p", max_p, "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"invalid input: --max-p {max_p} selects no published "
+                   "cell; the smallest published p is 4\n")
+    assert not target.exists()
 
 
 def test_reproduce_unreachable_tolerance_fails(capsys):
@@ -630,10 +630,13 @@ def test_cost_estimate_is_deterministic_and_monotone():
 
 
 def test_console_entry_point_runs():
+    # run from the directory that holds the package under test, so that
+    # ``-m`` finds it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "refsat.cli", "compute", "--family", "C",
          "--p", "3", "--q", "6", "--r", "12"],
         capture_output=True, text=True,
+        cwd=Path(refsat.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(EXPECTED_HEADER)

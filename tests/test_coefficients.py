@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from refsat.assembly import EDGE_CLASSES, TensorSpace, quotient_space, tensor_space
-from refsat.bases import (
-    Basis1D,
-    BoundaryCondition1D,
-    boundary_trace,
-    build_basis_1d,
-    gram_matrices,
-)
+from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
+from refsat.assembly import EDGE_CLASSES
+from refsat.bases import BoundaryCondition1D
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
 from pencil_oracle import _classes, _factor, _modes, reference_classes
 from refsat.coefficients import (
@@ -47,8 +42,10 @@ from sparse_oracle import (
     dual_norm_oracle,
     load_matrix_edge,
     load_matrix_volume,
+    quotient_space,
     schur_dual_gram,
     stiffness_matrix,
+    tensor_space,
 )
 from unsplit_oracle import contract, saturation as unsplit_saturation
 
@@ -207,7 +204,7 @@ def test_dual_gram_matches_sparse_oracle(name):
         spec = spec_for(name, p, degree, degree)
         stiffness, load = _build_pair(spec, degree)
         expect = schur_dual_gram(load, stiffness)
-        got = dual_gram(spec, _space(spec, degree))
+        got = dual_gram(spec, degree)
         assert got.shape == expect.shape
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
@@ -245,8 +242,8 @@ def test_top_eigenpair_matches_dense_oracle(name):
     lanczos = []
     for p, q, r in EIGEN_CASES[family]:
         spec = spec_for(name, p, q, r)
-        r_fine = dual_gram(spec, _space(spec, r))
-        r_mid = dual_gram(spec, _space(spec, q))
+        r_fine = dual_gram(spec, r)
+        r_mid = dual_gram(spec, q)
         lanczos.append(r_fine.shape[0] > _DENSE_ORDER)
         try:
             expect, _, expect_tie = dense_oracle(r_fine, r_mid)
@@ -280,7 +277,8 @@ def test_modes_diagonalize_the_1d_pencil():
     assert np.count_nonzero(vec[0]) == 1 and np.count_nonzero(vec[:, 0]) == 1
 
 
-#: the five (kind, bc) pairs of the 1D factor bases
+#: the five (kind, bc) pairs of the 1D factor bases; the mean-zero basis
+#: and the free-free one share the factor ``factor_classes(bc, degree)``
 FACTOR_KINDS = [("integrated_legendre", BoundaryCondition1D(left, right))
                 for left in (False, True) for right in (False, True)]
 FACTOR_KINDS.append(("mean_zero", BoundaryCondition1D()))
@@ -330,7 +328,7 @@ def test_1d_factors_match_a_40_digit_reference():
     # 1 / (lambda + mu) is of order 1e-8
     for kind, bc in FACTOR_KINDS:
         for degree in (8, 16, 24, 48):
-            classes = factor_classes(kind, bc, degree)
+            classes = factor_classes(bc, degree)
             reference = reference_classes(kind, bc, degree)
             assert len(classes) == len(reference)
             for part, (lam, gram) in zip(classes, reference):
@@ -350,9 +348,9 @@ def test_chain_classes_match_the_pencil_oracle():
         for degree in range(1, 65):
             if bc.dirichlet_at_minus1 and bc.dirichlet_at_plus1 and degree < 2:
                 with pytest.raises(ValueError, match="empty"):
-                    factor_classes(kind, bc, degree)
+                    factor_classes(bc, degree)
                 continue
-            classes = factor_classes(kind, bc, degree)
+            classes = factor_classes(bc, degree)
             expect = _classes(build_basis_1d(kind, bc, degree))
             assert len(classes) == len(expect)
             top = max(part.lam.max() for part in expect if part.lam.size)
@@ -417,7 +415,7 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
             fx, fy = _factor(space.basis_x), _factor(space.basis_y)
         xs, ys = (factor_classes(*args) for args in _factor_args(spec, degree))
         expect = contract(spec, fx, fy)
-        got = dual_gram(spec, space)
+        got = dual_gram(spec, degree)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         blocks = _spec_blocks(spec)
         parts = list(_grams(spec, blocks, xs, ys))
@@ -437,7 +435,7 @@ def test_split_gram_is_closer_to_the_sparse_oracle_than_the_unsplit_one():
     stiffness, load = _build_pair(spec, 24)
     lu = schur_dual_gram(load, stiffness)
     space = _space(spec, 24)
-    split = dual_gram(spec, space)
+    split = dual_gram(spec, 24)
     unsplit = contract(spec, _factor(space.basis_x), _factor(space.basis_y))
     assert np.linalg.norm(split - lu) <= 1e-13 * np.linalg.norm(lu)
     assert np.linalg.norm(split - lu) <= np.linalg.norm(unsplit - lu)
@@ -521,7 +519,7 @@ def test_closed_form_load_gram_matches_probe_products():
 def test_dual_gram_rejects_loads_above_the_space_degree():
     spec = spec_for("F1", 5, 6, 8)
     with pytest.raises(ValueError, match="exceeds the space degree 4"):
-        dual_gram(spec, _space(spec, 4))
+        dual_gram(spec, 4)
 
 
 def test_failed_1d_eigensolve_is_a_numerical_error():
@@ -533,25 +531,6 @@ def test_failed_1d_eigensolve_is_a_numerical_error():
     )
     with pytest.raises(NumericalError, match="eigensolve"):
         _classes(degenerate)
-
-
-def test_dual_gram_rejects_a_basis_it_does_not_build():
-    good = build_basis_1d("integrated_legendre", r=4)
-    others = [
-        Basis1D(good.kind, np.vstack([good.coefficients, np.zeros(5)])),
-        Basis1D(good.kind, 2.0 * good.coefficients),
-        Basis1D("integrated_legendre", good.coefficients,
-                BoundaryCondition1D(True, False)),
-    ]
-    spec = spec_for("E1", 2, 4, 4)
-    for basis in others:
-        space = TensorSpace(edges=frozenset({1}), basis_x=good, basis_y=basis)
-        with pytest.raises(ValueError, match="not the one build_basis_1d makes"):
-            dual_gram(spec, space)
-    legendre = build_basis_1d("legendre", r=4)
-    space = TensorSpace(edges=frozenset({1}), basis_x=good, basis_y=legendre)
-    with pytest.raises(ValueError, match="no 1D factor of kind 'legendre'"):
-        dual_gram(spec, space)
 
 
 def test_published_spot_values():

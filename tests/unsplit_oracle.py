@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from basis_oracle import build_basis_1d
 from pencil_oracle import _factor
-from refsat.bases import build_basis_1d
 from refsat.coefficients import (
     ProblemSpec,
     _factor_args,
@@ -58,10 +58,11 @@ def contract(spec: ProblemSpec, fx, fy) -> np.ndarray:
 
 def unsplit_grams(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The fine (degree r) and intermediate (degree q) dual Grams, unsplit."""
+    kind = "mean_zero" if spec.family == "C" else "integrated_legendre"
     grams = []
     for degree in (spec.r, spec.q):
-        fx, fy = (_factor(build_basis_1d(*args))
-                  for args in _factor_args(spec, degree))
+        fx, fy = (_factor(build_basis_1d(kind, bc, degree))
+                  for bc, _ in _factor_args(spec, degree))
         grams.append(contract(spec, fx, fy))
     return grams[0], grams[1]
 
