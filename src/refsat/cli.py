@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -27,13 +28,14 @@ from importlib import resources
 
 from .assembly import EDGE_CLASSES, factor_conditions, normalize_edges
 from .coefficients import (
+    _DENSE_ORDER,
     CANONICAL_PROBLEMS,
     FAMILIES,
     NumericalError,
     ProblemSpec,
     Q_STRATEGIES,
     SaturationResult,
-    block_orders,
+    _spec_blocks,
     q_strategy,
     saturation_coefficient,
 )
@@ -76,33 +78,38 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     tridiagonal eigensolves of ~d^2 and loads of ~d^2 in all, counted once
     where the x and y factors coincide; a lone ``compute`` starts cold, so
     the estimate counts them for every cell although a sweep shares them),
-    and, summed over the diagonal blocks of the dual Grams
-    (``block_orders``), the contraction of the 1D load Grams into a block
-    of order n (~n * r * (r + n) multiply-adds) and its top-of-spectrum
-    eigensolve: the Cholesky factor of the coarse block (~n^3 / 3) and a
-    few dozen Lanczos operator applications of two triangular solves and a
-    GEMV each (~n^2 apiece). The constants are fitted to single-threaded
-    stage timings (``SaturationResult.stages``, best of three cold runs) of
-    the published cells: the factor constants on the factor stage of all
-    145 distinct cells (0.60-1.56x of each), the eigensolve n^2 constant,
-    with the n^3 one kept, on the 21 family-A cells where that stage takes
-    at least 20 ms (0.71-1.19x of each), and the contraction constant on
-    the 15 cells of E1 and E3..E5 where the Gram stage takes at least 5 ms:
-    0.22-1.63x of each, and 0.12-0.44x of the 5 such E2 cells, whose swap
-    blocks are gathered from a product of probe pairs. The whole estimate
-    is 0.66-1.02x the measured time of each of the 15 published cells that
-    take at least 0.1 s (E2 (60, 64, 128): 0.54 s modelled, 0.82 s
-    measured; E1 (64, 128, 256): 0.82 s and 0.91 s), and 0.32-1.78x (median
-    1.03x) of each cell under 10 ms.
+    and, summed over the diagonal blocks that are solved (E5's mirror block
+    is not), the contraction of the 1D load Grams at q into a coarse block
+    of order n (~n * q * (q + n) multiply-adds, and ~n^2 to move it) and
+    its top-of-spectrum eigensolve. Up to order 100 that is a dense eigh
+    (~n^3); above, the Cholesky factor of the coarse block (~n^3 / 3) and
+    two Lanczos runs, each of a fixed cost and a few dozen operator
+    applications of two triangular solves (~n^2) and a product of fine 1D
+    load Grams, which is cheap beside the solves at every published order
+    and has no term of its own. The constants are fitted to
+    single-threaded stage timings (``SaturationResult.stages``, best of
+    three cold runs) of the 145 distinct published cells: the factor
+    constants on the factor stage (0.60-1.86x of each), the eigensolve
+    constants on the 28 family-A cells where that stage takes at least
+    5 ms (0.67-1.24x of each, 0.76-1.05x of the 18 over 20 ms), and the
+    Gram constants on the 12 cells of E1 and E3..E5 where the Gram stage
+    takes at least 5 ms: 0.62-1.18x of each, and 0.21-0.24x of the 5 such
+    E2 cells, whose swap blocks are gathered from a product of probe
+    pairs. The whole estimate is 0.65-1.05x the measured time of each of
+    the 14 published cells that take at least 0.1 s (E2 (64, 128, 256):
+    0.54 s modelled, 0.84 s measured; E1 (64, 128, 256): 0.55 s and
+    0.57 s), 0.63-1.23x of each of the 21 that take 10 ms to 0.1 s, and
+    0.62-2.23x (median 1.03x) of each cell under 10 ms.
     """
     r, q = spec.r, spec.q
     overhead = 1e-3
     same = spec.family == "C" or len(set(factor_conditions(spec.edges))) == 1
     modes = (1 if same else 2) * (6e-4 + 5e-8 * (r ** 2 + q ** 2))
-    blocks = block_orders(spec)
-    contraction = 6.4e-11 * sum(n * r * (r + n) for n in blocks)
-    eig = sum(1.1e-11 * n ** 3 + 4.9e-8 * n ** 2 for n in blocks)
-    return overhead + modes + contraction + eig
+    blocks = [block.index.size for block in _spec_blocks(spec) if block.copies]
+    grams = sum(2.0e-11 * n * q * (q + n) + 3.7e-9 * n ** 2 for n in blocks)
+    eig = sum(4.0e-9 * n ** 3 if n <= _DENSE_ORDER else
+              1.9e-3 + 2.6e-8 * n ** 2 + 1.3e-11 * n ** 3 for n in blocks)
+    return overhead + modes + grams + eig
 
 
 # ------------------------------------------------------------- row output
@@ -427,7 +434,10 @@ def _cmd_patches_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``refsat`` argument parser, built once per process: parsing
+    leaves it unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="refsat",
         description="Saturation coefficients of polynomial trial spaces "

@@ -126,8 +126,9 @@ class SaturationResult:
     residual: float
     tie: bool
     wall_seconds: float
-    #: seconds spent building the 1D factors (``factors``), forming the dual
-    #: Gram blocks (``grams``) and solving them (``eigensolve``)
+    #: seconds spent building the 1D factors (``factors``), forming the
+    #: coarse dual Gram blocks with the trace and the fine norm (``grams``),
+    #: and solving them against the fine products (``eigensolve``)
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -277,6 +278,9 @@ class _Block(NamedTuple):
     index: np.ndarray
     partner: np.ndarray | None = None
     sign: float = 1.0
+    #: blocks of this spectrum that the eigensolve counts: 2 for a block
+    #: whose mirror under the probe swap is not solved, 0 for that mirror
+    copies: int = 1
 
 
 def _blocks(spec: ProblemSpec, bc_x: BoundaryCondition1D,
@@ -288,7 +292,10 @@ def _blocks(spec: ProblemSpec, bc_x: BoundaryCondition1D,
     pair of x and y classes, except with equal non-symmetric factors (E2):
     R is then invariant under (a, b) <-> (b, a) and splits into a
     symmetric and an antisymmetric block of orders n(n + 1)/2 and
-    n(n - 1)/2. Families B and C have one block per y class.
+    n(n - 1)/2. With equal symmetric factors (E5), the (odd, even) block is
+    the probe swap of the (even, odd) one, with the same spectrum: only the
+    latter is solved, and counted twice. Families B and C have one block
+    per y class.
     """
     first = 1 if spec.family == "C" else 0
     ys = [k[k >= first] for k in _class_probes(bc_y, spec.p)]
@@ -303,7 +310,9 @@ def _blocks(spec: ProblemSpec, bc_x: BoundaryCondition1D,
             a, b = np.triu_indices(n, offset)
             blocks.append(_Block(0, 0, xs[0], xs[0], a * n + b, b * n + a, sign))
         return [block for block in blocks if block.index.size]
-    return [_Block(x, y, px, py, (px[:, np.newaxis] * n + py).ravel())
+    mirrored = bc_x == bc_y
+    return [_Block(x, y, px, py, (px[:, np.newaxis] * n + py).ravel(),
+                   copies=2 * (x < y) if mirrored and x != y else 1)
             for x, px in enumerate(xs) for y, py in enumerate(ys)
             if px.size and py.size]
 
@@ -320,6 +329,16 @@ def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
     out[block.index] = rows
     out[block.partner[pair]] += block.sign * rows[pair]
     return out
+
+
+def _restrict(block: _Block, full: np.ndarray) -> np.ndarray:
+    """The transpose of ``_embed`` for a swap block: its rows of ``full``,
+    given in the family's load order."""
+    pair = block.index != block.partner
+    shape = (-1,) + (1,) * (full.ndim - 1)
+    keep = np.where(pair, np.sqrt(0.5), 1.0).reshape(shape)
+    swap = np.where(pair, block.sign * np.sqrt(0.5), 0.0).reshape(shape)
+    return keep * full[block.index] + swap * full[block.partner]
 
 
 def _weights(spec: ProblemSpec, fx: _Factor, fy: _Factor) -> np.ndarray:
@@ -422,6 +441,54 @@ def _grams(spec: ProblemSpec, blocks: list[_Block], xs, ys):
         yield swapped.pop(0)
 
 
+def _pair_product(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
+    """v -> R v for the dual Gram R of one class pair, without forming R.
+
+    With V the nx x ny reshape of v (x probe outermost), R v is
+    Wx (G o (Wx^T V Wy)) Wy^T for the weights G; the columns of an n x m
+    block are applied as a stack of such products.
+    """
+    nx, ny = len(wx), len(wy)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        stack = np.ascontiguousarray(v.reshape(nx, ny, -1).transpose(2, 0, 1))
+        out = wx @ ((weights * (wx.T @ stack @ wy)) @ wy.T)
+        return out.transpose(1, 2, 0).reshape(v.shape)
+
+    return apply
+
+
+def _swap_product(block: _Block, product):
+    """v -> R v for a swap block: embed v in the load order, apply the
+    product of its class pair, and take the block rows back."""
+    size = block.px.size ** 2
+    return lambda v: _restrict(block, product(_embed(block, v, size)))
+
+
+def _edge_product(wy: np.ndarray, weights: np.ndarray):
+    """v -> Wy (e o (Wy^T v)) for the edge weights e of a B or C block."""
+    scaled = wy * weights
+    return lambda v: scaled @ (wy.T @ v)
+
+
+def _products(spec: ProblemSpec, blocks: list[_Block], xs, ys):
+    """Yield the diagonal blocks of the dual Gram as operators, in order.
+
+    Each maps an n-vector or an n x m block to its image under the block
+    of ``_grams``, at the cost of a few products of 1D load Grams, so
+    R is never formed.
+    """
+    for block in blocks:
+        fy = ys[block.y]
+        wy = _rows(fy, block.py)
+        if spec.family != "A":
+            yield _edge_product(wy, _edge_weights(spec, xs, fy))
+            continue
+        fx = xs[block.x]
+        product = _pair_product(_rows(fx, block.px), wy, _weights(spec, fx, fy))
+        yield product if block.partner is None else _swap_product(block, product)
+
+
 def _gram_trace(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
     """Trace of the whole dual Gram, the sum of its block traces.
 
@@ -441,6 +508,30 @@ def _gram_trace(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
     return float(total)
 
 
+def _gram_norm(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
+    """Frobenius norm of the whole dual Gram, from its 1D factors.
+
+    A class pair contributes trace(G^T Px G Py), with G its weights and
+    Px = (Wx^T Wx) o (Wx^T Wx), Py the same for y; a B or C block
+    contributes e^T Py e for its edge weights e. Every term is
+    non-negative, and no block is formed.
+    """
+    total = 0.0
+    for block in {(b.x, b.y): b for b in blocks}.values():
+        fy = ys[block.y]
+        wy = _rows(fy, block.py)
+        py = (wy.T @ wy) ** 2
+        if spec.family != "A":
+            edge = _edge_weights(spec, xs, fy)
+            total += edge @ py @ edge
+        else:
+            fx = xs[block.x]
+            wx = _rows(fx, block.px)
+            weights = _weights(spec, fx, fy)
+            total += np.sum(((wx.T @ wx) ** 2 @ weights @ py) * weights)
+    return float(np.sqrt(total))
+
+
 def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     """The diagonal blocks of the spec's dual Grams (both degrees alike)."""
     (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
@@ -448,7 +539,8 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
 
 
 def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
-    """Orders of the diagonal blocks of the spec's dual Grams, as solved."""
+    """Orders of the diagonal blocks of the spec's dual Grams, in load order;
+    E5's mirror block is listed, though only its twin is solved."""
     return tuple(block.index.size for block in _spec_blocks(spec))
 
 
@@ -525,6 +617,18 @@ def _top_eigenpairs(
     return result[0][order], result[1][:, order]
 
 
+def _solve_lower(factor: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
+    """factor^{-1} y, or factor^{-T} y with ``trans`` 1, by one BLAS call.
+
+    ``factor`` is a Fortran-ordered lower triangular matrix, as
+    ``scipy.linalg.cholesky`` returns it; a vector takes ``dtrsv`` and an
+    n x m block ``dtrsm``.
+    """
+    if y.ndim == 1:
+        return scipy.linalg.blas.dtrsv(factor, y, lower=1, trans=trans)
+    return scipy.linalg.blas.dtrsm(1.0, factor, y, lower=1, trans_a=trans)
+
+
 def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
     """Cholesky factor L of r_bottom = L L^T, checked to be safely definite.
 
@@ -549,7 +653,7 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
     # a Ritz value never exceeds lambda_max, so a loose tolerance can only
     # overstate lambda_min by a relative 1e-8
     inverse_top, _ = _top_eigenpairs(
-        lambda y: scipy.linalg.cho_solve((factor, True), y, check_finite=False),
+        lambda y: _solve_lower(factor, _solve_lower(factor, y, 0), 1),
         r_bottom.shape[0], 1, tol=1e-8, vectors=False,
     )
     margin = 1.0 / (float(inverse_top[-1]) * max(trace, np.finfo(float).tiny))
@@ -561,56 +665,54 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
     return factor
 
 
-def _top_of_pencil(
-    r_top: np.ndarray, factor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _top_of_pencil(r_top, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top two eigenvalues, ascending, of r_top F = lambda L L^T F, and the
-    maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1."""
-    n = r_top.shape[0]
+    maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1.
 
-    def standard_form(y: np.ndarray) -> np.ndarray:
-        z = scipy.linalg.solve_triangular(
-            factor, y, lower=True, trans="T", check_finite=False
-        )
-        return scipy.linalg.solve_triangular(
-            factor, r_top @ z, lower=True, check_finite=False
-        )
-
-    values, vectors = _top_eigenpairs(standard_form, n, min(2, n))
-    maximizer = scipy.linalg.solve_triangular(
-        factor, vectors[:, -1], lower=True, trans="T"
+    ``r_top`` is an operator that maps an n-vector or an n x m block to its
+    image; the standard form L^{-1} r_top L^{-T} is applied through it.
+    """
+    n = factor.shape[0]
+    values, vectors = _top_eigenpairs(
+        lambda y: _solve_lower(factor, r_top(_solve_lower(factor, y, 1)), 0),
+        n, min(2, n),
     )
-    return values, maximizer
+    return values, _solve_lower(factor, vectors[:, -1], 1)
 
 
-def _max_over_blocks(pairs, trace: float, stages: dict | None = None):
+def _max_over_blocks(pairs, trace: float, frobenius: float,
+                     stages: dict | None = None):
     """Top eigenpair of a block-diagonal pencil, one block pair at a time.
 
-    ``pairs`` yields the (r_top, r_bottom) diagonal blocks, and ``trace``
-    is the trace of the whole r_bottom: each block's smallest eigenvalue is
-    checked against 1e-12 times it, which is the whole pencil's check, as
-    the smallest eigenvalue of r_bottom is the smallest over its blocks.
-    The spectrum of the pencil is the union of the block spectra: the value
-    is the largest block top, the tie flag compares the top two over all
-    blocks, and the residual is the winning block's defect relative to
-    ||r_top||_F, summed over the blocks. ``stages`` adds up the seconds
-    spent forming the blocks (``grams``) and solving them (``eigensolve``).
-    Returns (value, tie, winning block index, its maximizer, residual).
+    ``pairs`` yields (r_top, r_bottom, copies) per solved diagonal block:
+    r_top is an operator that maps an n-vector or an n x m block to its
+    image, r_bottom the block as a matrix, and copies the number of
+    diagonal blocks with this spectrum (2 where a mirror block is not
+    solved). ``trace`` is the trace of the whole r_bottom: each block's
+    smallest eigenvalue is checked against 1e-12 times it, which is the
+    whole pencil's check, as the smallest eigenvalue of r_bottom is the
+    smallest over its blocks. The spectrum of the pencil is the union of
+    the block spectra: the value is the largest block top, the tie flag
+    compares the top two over all blocks, each counted ``copies`` times,
+    and the residual is the winning block's defect relative to
+    ``frobenius``, the norm ||r_top||_F of the whole r_top. ``stages`` adds
+    up the seconds spent forming the blocks (``grams``) and solving them
+    (``eigensolve``). Returns (value, tie, winning position in ``pairs``,
+    its maximizer, residual).
     """
     if stages is None:
         stages = {"grams": 0.0, "eigensolve": 0.0}
-    tops, frobenius, best = [], 0.0, None
+    tops, best = [], None
     clock = time.perf_counter()
-    for index, (r_top, r_bottom) in enumerate(pairs):
+    for index, (r_top, r_bottom, copies) in enumerate(pairs):
         now = time.perf_counter()
         stages["grams"] += now - clock
         values, maximizer = _top_of_pencil(
             r_top, _denominator_factor(r_bottom, trace))
-        tops.extend(values.tolist())
-        frobenius += float(np.linalg.norm(r_top)) ** 2
+        tops.extend(values.tolist() * copies)
         value = tops[-1]
         if best is None or value > best[0]:
-            defect = r_top @ maximizer - value * (r_bottom @ maximizer)
+            defect = r_top(maximizer) - value * (r_bottom @ maximizer)
             best = value, index, maximizer, float(np.linalg.norm(defect))
         clock = time.perf_counter()
         stages["eigensolve"] += clock - now
@@ -618,7 +720,7 @@ def _max_over_blocks(pairs, trace: float, stages: dict | None = None):
     value, index, maximizer, defect = best
     tops.sort()
     tie = len(tops) >= 2 and (value - tops[-2]) <= 1e-12 * max(1.0, abs(value))
-    scale = np.sqrt(frobenius) * np.linalg.norm(maximizer)
+    scale = frobenius * np.linalg.norm(maximizer)
     residual = defect / max(scale, np.finfo(float).tiny)
     return value, tie, index, maximizer, residual
 
@@ -645,7 +747,8 @@ def max_generalized_eigenvalue(
             f"and {r_bottom.shape}"
         )
     value, tie, _, maximizer, _ = _max_over_blocks(
-        [(r_top, r_bottom)], float(np.trace(r_bottom)))
+        [(r_top.__matmul__, r_bottom, 1)], float(np.trace(r_bottom)),
+        float(np.linalg.norm(r_top)))
     return value, maximizer, tie
 
 
@@ -654,11 +757,12 @@ def saturation_coefficient(
 ) -> SaturationResult:
     """Compute the saturation coefficient for one problem spec.
 
-    Forms the dual Grams of the fine (degree r) and intermediate (degree q)
-    spaces block by block and extracts the largest generalized eigenvalue
-    over the blocks; the maximizer is returned in the family's full load
-    order. The returned residual is the relative defect of the eigenpair
-    and should be tiny.
+    Forms the dual Gram of the intermediate (degree q) space block by
+    block, applies that of the fine (degree r) space by products of its 1D
+    factors without forming it, and extracts the largest generalized
+    eigenvalue over the blocks; the maximizer is returned in the family's
+    full load order. The returned residual is the relative defect of the
+    eigenpair and should be tiny.
 
     The 1D factors of both spaces are looked up in ``factors``, a table
     keyed by their end conditions and degree (bc, degree) and filled on a
@@ -680,11 +784,14 @@ def saturation_coefficient(
               "eigensolve": 0.0}
     clock = time.perf_counter()
     trace = _gram_trace(spec, blocks, mid_x, mid_y)
+    frobenius = _gram_norm(spec, blocks, fine_x, fine_y)
     stages["grams"] += time.perf_counter() - clock
-    pairs = zip(_grams(spec, blocks, fine_x, fine_y),
-                _grams(spec, blocks, mid_x, mid_y))
+    solved = [block for block in blocks if block.copies]
+    pairs = zip(_products(spec, solved, fine_x, fine_y),
+                _grams(spec, solved, mid_x, mid_y),
+                (block.copies for block in solved))
     value, tie, index, maximizer, residual = _max_over_blocks(
-        pairs, trace, stages)
+        pairs, trace, frobenius, stages)
     size = sum(block.index.size for block in blocks)
     dims = [sum(f.lam.size for f in xs) * sum(f.lam.size for f in ys)
             # the quotient space leaves out the constant tensor member
@@ -693,7 +800,7 @@ def saturation_coefficient(
         spec=spec,
         mu=float(np.sqrt(value)),
         mu_squared=float(value),
-        maximizer=_embed(blocks[index], maximizer, size),
+        maximizer=_embed(solved[index], maximizer, size),
         dim_H=dims[0],
         dim_V=dims[1],
         dim_F=size,

@@ -16,6 +16,7 @@ from refsat.cli import (
     CSV_COLUMNS,
     DEFAULT_BUDGET_SECONDS,
     _spec_for_problem,
+    build_parser,
     estimated_seconds,
     load_published_table,
     load_sweep_config,
@@ -646,6 +647,32 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_the_reused_parser_parses_each_call_afresh(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    compute = ["compute", "--family", "C", "--p", "3", "--q", "6", "--r", "12"]
+    target = tmp_path / "out.csv"
+    assert run_cli(compute + ["--output", str(target)], capsys)[:2] == (0, "")
+    # the --output of the previous call does not carry over
+    code, out, _ = run_cli(compute, capsys)
+    assert code == 0
+    assert mask_wall(out) == mask_wall(target.read_text())
+    code, out, err = run_cli(["reproduce", "--max-p", "4", "--budget", "0"],
+                             capsys)
+    assert code == 0
+    assert err == "reproduce: 0 compared, 0 failed, 32 skipped (tol 0.0002)\n"
+    code, out, _ = run_cli(["patches", "verify"], capsys)
+    assert code == 0 and out.endswith("catalog verified\n")
+    bad = ["compute", "--family", "D", "--p", "3", "--q", "6", "--r", "12"]
+    with pytest.raises(SystemExit) as reused:
+        main(bad)
+    reused_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh:
+        build_parser.__wrapped__().parse_args(bad)
+    assert reused.value.code == fresh.value.code == 2
+    assert reused_err == capsys.readouterr().err
+    assert "invalid choice: 'D'" in reused_err
 
 
 def test_no_published_cell_exceeds_the_default_budget():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import refsat.coefficients
 from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
 from refsat.assembly import EDGE_CLASSES
 from refsat.bases import BoundaryCondition1D
@@ -27,9 +28,12 @@ from refsat.coefficients import (
     ProblemSpec,
     _classes as factor_classes,
     _factor_args,
+    _gram_norm,
     _gram_trace,
     _grams,
     _max_over_blocks,
+    _products,
+    _solve_lower,
     _spec_blocks,
     block_orders,
     dual_gram,
@@ -455,29 +459,44 @@ def test_block_counts_follow_the_symmetries():
     assert block_orders(spec_for("E2", 0, 2, 4)) == (1,)
 
 
+def operator_pairs(pairs):
+    """(r_top, r_bottom) matrix pairs as the blocks ``_max_over_blocks``
+    takes: r_top as an operator, each block counted once."""
+    return [(top.__matmul__, bottom, 1) for top, bottom in pairs]
+
+
+def frobenius(pairs):
+    return np.sqrt(sum(np.linalg.norm(top) ** 2 for top, _ in pairs))
+
+
 def test_pd_floor_compares_each_block_with_the_whole_trace():
     top = np.diag([2.0, 1.0])
     big = 100.0 * np.eye(2)
     # lambda_min/trace is 1e-11 on its own trace, 5e-14 on the whole
     small = np.diag([1.0, 1e-11])
-    value, tie, index, _, _ = _max_over_blocks([(top, small)], np.trace(small))
+    pairs = [(top, small)]
+    value, tie, index, _, _ = _max_over_blocks(
+        operator_pairs(pairs), np.trace(small), frobenius(pairs))
     assert (value, tie, index) == (pytest.approx(1e11), False, 0)
     whole = np.trace(big) + np.trace(small)
+    pairs = [(top, big), (top, small)]
     with pytest.raises(
         NumericalError,
         match=r"ill-posed.*lambda_min/trace 4\.975e-14 is under the floor 1e-12",
     ):
-        _max_over_blocks([(top, big), (top, small)], whole)
+        _max_over_blocks(operator_pairs(pairs), whole, frobenius(pairs))
 
 
 def test_top_values_and_tie_are_taken_over_all_blocks():
     # the top two values sit in different blocks: a tie across blocks
     pairs = [(np.diag([3.0, 1.0]), np.eye(2)), (np.diag([3.0, 2.0]), np.eye(2))]
-    value, tie, index, maximizer, residual = _max_over_blocks(pairs, 4.0)
+    value, tie, index, maximizer, residual = _max_over_blocks(
+        operator_pairs(pairs), 4.0, frobenius(pairs))
     assert value == pytest.approx(3.0) and tie and index == 0
     assert residual < 1e-15
     pairs[1] = (np.diag([2.5, 2.0]), np.eye(2))
-    value, tie, index, _, _ = _max_over_blocks(pairs, 4.0)
+    value, tie, index, _, _ = _max_over_blocks(
+        operator_pairs(pairs), 4.0, frobenius(pairs))
     assert not tie and index == 0
 
 
@@ -486,6 +505,110 @@ def test_stages_time_the_three_stages():
     assert set(res.stages) == {"factors", "grams", "eigensolve"}
     assert all(seconds >= 0.0 for seconds in res.stages.values())
     assert sum(res.stages.values()) <= res.wall_seconds
+
+
+#: (p, degree) of the fine operators: p = 0 (no odd probe), p = degree,
+#: a dense order and Lanczos orders
+PRODUCT_CASES = ((0, 3), (1, 2), (5, 5), (4, 8), (8, 24), (14, 16))
+
+
+def fine_blocks(name):
+    """(spec, blocks, classes at degree) over the ``PRODUCT_CASES``."""
+    for p, degree in PRODUCT_CASES:
+        if CANONICAL_PROBLEMS[name][0] == "C" and p == 0:
+            continue
+        spec = spec_for(name, p, degree, degree)
+        xs, ys = (factor_classes(*args) for args in _factor_args(spec, degree))
+        yield spec, _spec_blocks(spec), xs, ys
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_fine_products_match_the_formed_blocks(name):
+    rng = np.random.default_rng(7)
+    for spec, blocks, xs, ys in fine_blocks(name):
+        products = _products(spec, blocks, xs, ys)
+        for block, apply, gram in zip(blocks, products, _grams(spec, blocks, xs, ys)):
+            n = gram.shape[0]
+            vector = rng.standard_normal(n)
+            columns = rng.standard_normal((n, 3))
+            for v in (vector, columns, np.eye(n)):
+                got = apply(v)
+                assert got.shape == v.shape
+                expect = gram @ v
+                assert (np.linalg.norm(got - expect)
+                        <= 1e-13 * np.linalg.norm(expect)), (spec, block.x, block.y)
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_factored_norm_matches_the_formed_grams(name):
+    for spec, blocks, xs, ys in fine_blocks(name):
+        expect = np.linalg.norm(dual_gram(spec, spec.r))
+        parts = np.sqrt(sum(np.linalg.norm(part) ** 2
+                            for part in _grams(spec, blocks, xs, ys)))
+        got = _gram_norm(spec, blocks, xs, ys)
+        assert abs(got - expect) <= 1e-13 * expect
+        assert abs(got - parts) <= 1e-13 * parts
+
+
+def test_blas_solves_match_solve_triangular():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40))
+    factor = scipy.linalg.cholesky(a @ a.T + 40.0 * np.eye(40), lower=True)
+    for y in (rng.standard_normal(40), rng.standard_normal((40, 5))):
+        for trans in (0, 1):
+            expect = scipy.linalg.solve_triangular(factor, y, lower=True,
+                                                   trans=trans)
+            got = _solve_lower(factor, y, trans)
+            assert got.shape == y.shape
+            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+def test_saturation_forms_only_the_coarse_blocks(monkeypatch):
+    shapes = []
+    volume, swap = refsat.coefficients._volume_gram, refsat.coefficients._swap_grams
+
+    def counting_volume(wx, wy, weights):
+        shapes.append(weights.shape)
+        return volume(wx, wy, weights)
+
+    def counting_swap(wx, weights, blocks):
+        shapes.append(weights.shape)
+        return swap(wx, weights, blocks)
+
+    monkeypatch.setattr(refsat.coefficients, "_volume_gram", counting_volume)
+    monkeypatch.setattr(refsat.coefficients, "_swap_grams", counting_swap)
+    # one product per solved parity block, one per pair of swap blocks; E5
+    # does not form its mirror block
+    for name, calls in (("E1", 2), ("E2", 1), ("E3", 4), ("E4", 2), ("E5", 3)):
+        spec = spec_for(name, 4, 8, 16)
+        xs, ys = (factor_classes(*args) for args in _factor_args(spec, spec.q))
+        coarse = {(fx.lam.size, fy.lam.size) for fx in xs for fy in ys}
+        shapes.clear()
+        saturation_coefficient(spec)
+        assert len(shapes) == calls, name
+        assert set(shapes) <= coarse, name
+
+
+def test_e5_counts_its_mirror_block_twice():
+    spec = spec_for("E5", 6, 8, 16)
+    blocks = _spec_blocks(spec)
+    assert [block.copies for block in blocks] == [1, 2, 0, 1]
+    assert block_orders(spec) == (16, 12, 12, 9)
+    # the mirror pencil has the spectrum of the solved one
+    spectra = []
+    for index in (1, 2):
+        fine, mid = (list(_grams(spec, [blocks[index]], *(
+            factor_classes(*args) for args in _factor_args(spec, degree))))[0]
+            for degree in (spec.r, spec.q))
+        spectra.append(scipy.linalg.eigvalsh(fine, mid))
+    assert np.allclose(spectra[0], spectra[1], rtol=1e-12, atol=0.0)
+    res = saturation_coefficient(spec)
+    assert res.dim_F == res.maximizer.size == sum(block_orders(spec))
+    # a block counted twice ties with itself
+    top = np.diag([2.0, 1.0])
+    value, tie, _, _, _ = _max_over_blocks(
+        [(top.__matmul__, np.eye(2), 2)], 2.0, np.sqrt(2.0) * np.linalg.norm(top))
+    assert value == pytest.approx(2.0) and tie
 
 
 def probe_load_gram(basis, p, vec):
