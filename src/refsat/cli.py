@@ -75,8 +75,10 @@ def estimated_seconds(spec: ProblemSpec) -> float:
 
     The terms follow the stages of ``saturation_coefficient``: a fixed
     per-cell overhead, the 1D factors at q and at r (per factor of degree d,
-    tridiagonal eigensolves of ~d^2 and loads of ~d^2 in all, counted once
-    where the x and y factors coincide; a lone ``compute`` starts cold, so
+    tridiagonal eigensolves of ~d^2 and loads of ~d^2 in all; family A
+    counts its x and y factors, once where they coincide, and families B
+    and C their y factor and the edge weights from the x resolvent, ~d
+    eliminations over d + 1 values each; a lone ``compute`` starts cold, so
     the estimate counts them for every cell although a sweep shares them),
     and, summed over the diagonal blocks that are solved (E5's mirror block
     is not), the contraction of the 1D load Grams at q into a coarse block
@@ -88,23 +90,27 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     load Grams, which is cheap beside the solves at every published order
     and has no term of its own. The constants are fitted to
     single-threaded stage timings (``SaturationResult.stages``, best of
-    three cold runs) of the 145 distinct published cells: the factor
-    constants on the factor stage (0.60-1.86x of each), the eigensolve
-    constants on the 28 family-A cells where that stage takes at least
-    5 ms (0.67-1.24x of each, 0.76-1.05x of the 18 over 20 ms), and the
-    Gram constants on the 12 cells of E1 and E3..E5 where the Gram stage
-    takes at least 5 ms: 0.62-1.18x of each, and 0.21-0.24x of the 5 such
+    three cold runs) of the 145 distinct published cells. The factor
+    constants give 0.64-1.49x of the factor stage of each family-A cell,
+    0.76-1.39x of each B cell and 0.70-1.05x of each C cell. The
+    eigensolve constants give 0.68-1.37x of that stage on the 28 family-A
+    cells where it takes at least 5 ms (0.83-1.37x of the 16 over 20 ms).
+    The Gram constants give 0.56-1.28x of that stage on the 12 cells of E1
+    and E3..E5 where it takes at least 5 ms, and 0.21-0.26x on the 5 such
     E2 cells, whose swap blocks are gathered from a product of probe
-    pairs. The whole estimate is 0.65-1.05x the measured time of each of
-    the 14 published cells that take at least 0.1 s (E2 (64, 128, 256):
-    0.54 s modelled, 0.84 s measured; E1 (64, 128, 256): 0.55 s and
-    0.57 s), 0.63-1.23x of each of the 21 that take 10 ms to 0.1 s, and
-    0.62-2.23x (median 1.03x) of each cell under 10 ms.
+    pairs. The whole estimate is 0.80-1.28x the measured time of each of
+    the 13 published cells that take at least 0.1 s (E2 (64, 128, 256):
+    0.54 s modelled, 0.68 s measured; E1 (64, 128, 256): 0.55 s and
+    0.50 s), 0.66-1.30x of each of the 12 that take 10 ms to 0.1 s, and
+    0.63-1.86x (median 1.13x) of each cell under 10 ms.
     """
     r, q = spec.r, spec.q
     overhead = 1e-3
-    same = spec.family == "C" or len(set(factor_conditions(spec.edges))) == 1
-    modes = (1 if same else 2) * (6e-4 + 5e-8 * (r ** 2 + q ** 2))
+    modes = 6e-4 + 5e-8 * (r ** 2 + q ** 2)
+    if spec.family != "A":
+        modes += 4e-4 + 1.3e-8 * (r * (r + 1) + q * (q + 1))
+    elif len(set(factor_conditions(spec.edges))) == 2:
+        modes *= 2
     blocks = [block.index.size for block in _spec_blocks(spec) if block.copies]
     grams = sum(2.0e-11 * n * q * (q + n) + 3.7e-9 * n ** 2 for n in blocks)
     eig = sum(4.0e-9 * n ** 3 if n <= _DENSE_ORDER else

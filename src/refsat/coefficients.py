@@ -126,9 +126,10 @@ class SaturationResult:
     residual: float
     tie: bool
     wall_seconds: float
-    #: seconds spent building the 1D factors (``factors``), forming the
-    #: coarse dual Gram blocks with the trace and the fine norm (``grams``),
-    #: and solving them against the fine products (``eigensolve``)
+    #: seconds spent building the 1D factors and edge weights
+    #: (``factors``), forming the coarse dual Gram blocks with the trace and
+    #: the fine norm (``grams``), and solving them against the fine products
+    #: (``eigensolve``)
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -152,8 +153,6 @@ class _Factor(NamedTuple):
     lam: np.ndarray
     #: W[k, i] = <phi_probes[k], v_i> for the probes phi_k that load the modes
     loads: np.ndarray
-    #: t[i] = v_i(+1), the values of the modes on the right edge
-    trace: np.ndarray
     #: the probe degrees k of the rows of ``loads``, ascending
     probes: np.ndarray
 
@@ -169,43 +168,12 @@ def _class_probes(bc: BoundaryCondition1D, degree: int) -> list:
     return [k[0::2], k[1::2]] if _symmetric(bc) else [k]
 
 
-def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
-    """Modes of members with unit stiffness whose mass couples only neighbours.
+def _chains(bc: BoundaryCondition1D, degree: int) -> list:
+    """(index, coeff) of each chain of the 1D factor of degree ``degree``
+    with ends ``bc``.
 
-    Member j is the sum of coeff[j, s] L_index[j, s] over s = 0, 1, with no
-    index twice in a column. With S = I, S v = lambda M v is M v = v / lambda:
-    the eigenpairs theta, Q of the tridiagonal M give lambda = 1 / theta and
-    V = Q diag(theta)^(-1/2). The probe phi_k loads v_i with sqrt(2/(2k+1))
-    times its L_k coefficient, and v_i(+1) is the sum of its coefficients.
-    """
-    norms = 2.0 / (2.0 * np.arange(degree + 1) + 1.0)
-    weighted = coeff * norms[index]
-    theta, vec = np.ones(0), np.zeros((0, 0))
-    if len(index):
-        off = sum(weighted[:-1, s] * coeff[1:, t] * (index[:-1, s] == index[1:, t])
-                  for s in (0, 1) for t in (0, 1))
-        try:
-            theta, vec = scipy.linalg.eigh_tridiagonal(
-                (coeff * weighted).sum(axis=1), off)
-            if theta[0] <= 0.0:
-                raise scipy.linalg.LinAlgError("the mass is not definite")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"1D eigensolve failed: {exc}") from exc
-    vec = vec / np.sqrt(theta)
-    loads = np.zeros((degree + 1, theta.size))
-    for s in (0, 1):
-        loads[index[:, s]] += coeff[:, s, np.newaxis] * vec
-    loads *= np.sqrt(norms)[:, np.newaxis]
-    return _Factor(1.0 / theta, loads, coeff.sum(axis=1) @ vec,
-                   np.arange(degree + 1))
-
-
-def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
-    """The 1D factor of degree ``degree`` with ends ``bc``, one ``_Factor``
-    per class.
-
-    It spans the polynomials of degree at most ``degree`` that vanish at
-    the Dirichlet ends, in the ``integrated_legendre`` basis of
+    The factor spans the polynomials of degree at most ``degree`` that
+    vanish at the Dirichlet ends, in the ``integrated_legendre`` basis of
     ``refsat.bases``; with no Dirichlet end it equally stands for the
     ``mean_zero`` basis, which spans the same P_r. The derivatives of
     xi_k = (L_{k-2} - L_k) / sqrt(4k - 2) and of the supplements are
@@ -214,10 +182,10 @@ def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
     xi_{k+-2} and a supplement only with xi_2 and xi_3 (Shen, SIAM J. Sci.
     Comput. 1994). The chains are xi_2, xi_4, ... and xi_3, xi_5, ... with
     two Dirichlet ends; xi_r, ..., xi_2, supplement, xi_3, ... with one;
-    with none, the constant (lambda = 0, set up exactly) with
-    -L_2/sqrt(6), xi_4, ... and -L_1/sqrt(2), xi_3, ... Each parity class
-    keeps only the probe rows of its parity: its loads on the other
-    parity's modes are exactly zero.
+    with none, -L_2/sqrt(6), xi_4, ... and -L_1/sqrt(2), xi_3, ..., the
+    constant being left to the caller. Member j of a chain is the sum of
+    coeff[j, s] L_index[j, s] over s = 0, 1, with no index twice in a
+    column.
     """
     ends = bc.dirichlet_at_minus1 + bc.dirichlet_at_plus1
     if degree < max(ends, 1):
@@ -230,21 +198,112 @@ def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
         low = np.where((k > 2) | (ends > 0), scale, 0.0)
         chains.append((np.stack([np.maximum(k - 2, 0), k], axis=1),
                        np.stack([low, -scale], axis=1)))
-    if ends == 1:
-        (even, even_c), (odd, odd_c) = chains
-        # the supplement and the odd members list their terms the other way
-        # round, so that no Legendre index appears twice in a column
-        half = np.sqrt(0.5) * np.array([1.0 if bc.dirichlet_at_minus1 else -1.0, 1.0])
-        return (_chain(np.vstack([even[::-1], [1, 0], odd[:, ::-1]]),
-                       np.vstack([even_c[::-1], half, odd_c[:, ::-1]]), degree),)
-    classes = [_chain(index, coeff, degree) for index, coeff in chains]
-    if not ends:
-        constant = (np.zeros(1), np.eye(degree + 1, 1), np.full(1, np.sqrt(0.5)))
+    if ends != 1:
+        return chains
+    (even, even_c), (odd, odd_c) = chains
+    # the supplement and the odd members list their terms the other way
+    # round, so that no Legendre index appears twice in a column
+    half = np.sqrt(0.5) * np.array([1.0 if bc.dirichlet_at_minus1 else -1.0, 1.0])
+    return [(np.vstack([even[::-1], [1, 0], odd[:, ::-1]]),
+             np.vstack([even_c[::-1], half, odd_c[:, ::-1]]))]
+
+
+def _mass(index: np.ndarray, coeff: np.ndarray, degree: int):
+    """Diagonal and off-diagonal of the tridiagonal mass of a chain."""
+    norms = 2.0 / (2.0 * np.arange(degree + 1) + 1.0)
+    weighted = coeff * norms[index]
+    off = sum(weighted[:-1, s] * coeff[1:, t] * (index[:-1, s] == index[1:, t])
+              for s in (0, 1) for t in (0, 1))
+    return (coeff * weighted).sum(axis=1), off
+
+
+def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
+    """Modes of the members of a chain (see ``_chains``).
+
+    With S = I, S v = lambda M v is M v = v / lambda: the eigenpairs
+    theta, Q of the tridiagonal M give lambda = 1 / theta and
+    V = Q diag(theta)^(-1/2). The probe phi_k loads v_i with sqrt(2/(2k+1))
+    times its L_k coefficient.
+    """
+    theta, vec = np.ones(0), np.zeros((0, 0))
+    if len(index):
+        try:
+            theta, vec = scipy.linalg.eigh_tridiagonal(*_mass(index, coeff, degree))
+            if theta[0] <= 0.0:
+                raise scipy.linalg.LinAlgError("the mass is not definite")
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(f"1D eigensolve failed: {exc}") from exc
+    vec = vec / np.sqrt(theta)
+    loads = np.zeros((degree + 1, theta.size))
+    for s in (0, 1):
+        loads[index[:, s]] += coeff[:, s, np.newaxis] * vec
+    loads *= np.sqrt(2.0 / (2.0 * np.arange(degree + 1) + 1.0))[:, np.newaxis]
+    return _Factor(1.0 / theta, loads, np.arange(degree + 1))
+
+
+def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
+    """The 1D factor of degree ``degree`` with ends ``bc``, one ``_Factor``
+    per class: one per chain of ``_chains``, and with no Dirichlet end the
+    constant (lambda = 0, set up exactly) joins the even chain. Each parity
+    class of a symmetric factor keeps only the probe rows of its parity:
+    its loads on the other parity's modes are exactly zero.
+    """
+    classes = [_chain(index, coeff, degree) for index, coeff in _chains(bc, degree)]
+    if not _symmetric(bc):
+        return tuple(classes)
+    if not bc.dirichlet_at_minus1:
+        constant = (np.zeros(1), np.eye(degree + 1, 1))
         classes[0] = _Factor(*(np.concatenate(pair, axis=-1) for pair in
-                               zip(constant, classes[0][:3])), classes[0].probes)
+                               zip(constant, classes[0][:2])), classes[0].probes)
     return tuple(part._replace(loads=part.loads[parity::2],
                                probes=part.probes[parity::2])
                  for parity, part in enumerate(classes))
+
+
+def _last_pivot(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """The last pivot of the elimination of the tridiagonal matrix with
+    diagonal rows ``a`` and squared off-diagonal rows ``b2``, from its first
+    row on; each row holds one entry per column of the stack."""
+    pivot = a[0]
+    for j in range(1, len(a)):
+        pivot = a[j] - b2[j - 1] / pivot
+    return pivot
+
+
+def _edge_weights(bc: BoundaryCondition1D, degree: int, mu: np.ndarray) -> np.ndarray:
+    """sum_i t_i^2 / (lambda_i + mu) over the modes v_i of the 1D factor,
+    with t_i = v_i(+1), for each entry of ``mu``.
+
+    Edge loads see an x mode only through its trace on the right edge. On
+    a chain, with stiffness I, mass T and c the values of the members at
+    +1, the sum is c^T (I + mu T)^{-1} c: the discrete Green's function of
+    -u'' + mu u at x = +1, and no mode is needed. Only the head h of a
+    chain is nonzero at +1 (the interior members vanish at both ends, and
+    so does the supplement of a Dirichlet end at +1), so the sum is
+    c_h^2 / s_h, with s_h the Schur complement of A = I + mu T onto h: the
+    last pivot of the elimination from the first member down to h, less
+    b_h^2 over the last pivot of the elimination from the last member up
+    to h + 1 (b the off-diagonal of A). The eliminations run for all mu at
+    once. The constant of a free factor (lambda = 0, t = sqrt(1/2)) adds
+    0.5 / mu; mu = 0 arises only with the free y factor of family C, whose
+    quotient space leaves that pair out.
+    """
+    total = np.zeros_like(mu)
+    for index, coeff in _chains(bc, degree):
+        (heads,) = np.nonzero(coeff.sum(axis=1))
+        if not heads.size:
+            continue
+        (head,) = heads
+        diag, off = _mass(index, coeff, degree)
+        a = 1.0 + np.multiply.outer(diag, mu)
+        b2 = np.multiply.outer(off ** 2, mu ** 2)
+        schur = _last_pivot(a[:head + 1], b2[:head])
+        if head + 1 < len(a):
+            schur = schur - b2[head] / _last_pivot(a[:head:-1], b2[:head:-1])
+        total += coeff[head].sum() ** 2 / schur
+    if not (bc.dirichlet_at_minus1 or bc.dirichlet_at_plus1):
+        total += np.divide(0.5, mu, out=np.zeros_like(mu), where=mu > 0.0)
+    return total
 
 
 def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
@@ -255,6 +314,31 @@ def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
         return args, args
     bc_x, bc_y = factor_conditions(spec.edges)
     return (bc_x, degree), (bc_y, degree)
+
+
+def _sides(spec: ProblemSpec, degree: int, factors: dict) -> tuple[tuple, tuple]:
+    """The x side and the y classes of the spec's space at ``degree``.
+
+    The x side is the tuple of x classes for family A. Families B and C
+    see x only through the right-edge trace, and their x side is the edge
+    weights of each y class instead (``_edge_weights``); no x factor is
+    built. Both are looked up in ``factors`` and filled in on a miss: the
+    classes under their (bc, degree), the edge weights under
+    ("edge", bc_x, bc_y, degree).
+    """
+    x_args, y_args = _factor_args(spec, degree)
+    if y_args not in factors:
+        factors[y_args] = _classes(*y_args)
+    ys = factors[y_args]
+    if spec.family == "A":
+        if x_args not in factors:
+            factors[x_args] = _classes(*x_args)
+        return factors[x_args], ys
+    key = ("edge", x_args[0], *y_args)
+    if key not in factors:
+        weights = _edge_weights(x_args[0], degree, np.concatenate([f.lam for f in ys]))
+        factors[key] = tuple(np.split(weights, np.cumsum([f.lam.size for f in ys])[:-1]))
+    return factors[key], ys
 
 
 class _Block(NamedTuple):
@@ -341,26 +425,17 @@ def _restrict(block: _Block, full: np.ndarray) -> np.ndarray:
     return keep * full[block.index] + swap * full[block.partner]
 
 
-def _weights(spec: ProblemSpec, fx: _Factor, fy: _Factor) -> np.ndarray:
+def _weights(fx: _Factor, fy: _Factor) -> np.ndarray:
     """1 / (lambda_i + mu_j): the inverse stiffness in the tensor eigenbasis.
 
     Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): with
     the 1D modes V^T S V = diag(lambda), V^T M V = I of each factor basis,
     the stiffness Sx (x) My + Mx (x) Sy is diagonal in the basis Vx (x) Vy
     with entries lambda_i + mu_j, so a dual Gram contracts the 1D load
-    Grams W with these weights and no 2D matrix is formed.
+    Grams W with these weights and no 2D matrix is formed. Only family A
+    uses them: no two of its factors have lambda = 0.
     """
-    denom = fx.lam[:, np.newaxis] + fy.lam
-    if spec.family == "C":
-        # the constant tensor member is not part of the quotient space
-        denom[(fx.lam == 0.0)[:, np.newaxis] & (fy.lam == 0.0)] = np.inf
-    return 1.0 / denom
-
-
-def _edge_weights(spec: ProblemSpec, xs, fy: _Factor) -> np.ndarray:
-    """sum_i t_i^2 / (lambda_i + mu_j) over the x classes: edge loads see a
-    mode only through its trace on the right edge."""
-    return sum(fx.trace**2 @ _weights(spec, fx, fy) for fx in xs)
+    return 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
 
 
 def _rows(factor: _Factor, probes: np.ndarray) -> np.ndarray:
@@ -417,27 +492,26 @@ def _swap_grams(wx: np.ndarray, weights: np.ndarray,
 def _grams(spec: ProblemSpec, blocks: list[_Block], xs, ys):
     """Yield the diagonal blocks of the dual Gram R = L A^{-1} L^T, in order.
 
-    ``xs`` and ``ys`` are the classes of the x and y factors. Family A
-    blocks contract their x and y class; the swap blocks are both cut from
-    one product of their class pair, which is dropped once they are.
-    B and C blocks contract their y class with the edge weights.
+    ``xs`` and ``ys`` are the x side and the y classes of ``_sides``.
+    Family A blocks contract their x and y class; the swap blocks are both
+    cut from one product of their class pair, which is dropped once they
+    are. B and C blocks contract their y class with its edge weights.
     """
     swapped = None
     for block in blocks:
-        fy = ys[block.y]
-        wy = _rows(fy, block.py)
+        wy = _rows(ys[block.y], block.py)
         if spec.family != "A":
-            yield (wy * _edge_weights(spec, xs, fy)) @ wy.T
+            yield (wy * xs[block.y]) @ wy.T
             continue
         fx = xs[block.x]
         wx = _rows(fx, block.px)
         if block.partner is None:
-            t = _volume_gram(wx, wy, _weights(spec, fx, fy))
+            t = _volume_gram(wx, wy, _weights(fx, ys[block.y]))
             n = t.shape[0] * t.shape[2]
             yield t.transpose(0, 2, 1, 3).reshape(n, n)
             continue
         if swapped is None:
-            swapped = _swap_grams(wx, _weights(spec, fx, fy), blocks)
+            swapped = _swap_grams(wx, _weights(fx, ys[block.y]), blocks)
         yield swapped.pop(0)
 
 
@@ -482,10 +556,10 @@ def _products(spec: ProblemSpec, blocks: list[_Block], xs, ys):
         fy = ys[block.y]
         wy = _rows(fy, block.py)
         if spec.family != "A":
-            yield _edge_product(wy, _edge_weights(spec, xs, fy))
+            yield _edge_product(wy, xs[block.y])
             continue
         fx = xs[block.x]
-        product = _pair_product(_rows(fx, block.px), wy, _weights(spec, fx, fy))
+        product = _pair_product(_rows(fx, block.px), wy, _weights(fx, fy))
         yield product if block.partner is None else _swap_product(block, product)
 
 
@@ -500,11 +574,11 @@ def _gram_trace(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
         fy = ys[block.y]
         sy = (_rows(fy, block.py) ** 2).sum(axis=0)
         if spec.family != "A":
-            total += _edge_weights(spec, xs, fy) @ sy
+            total += xs[block.y] @ sy
         else:
             fx = xs[block.x]
             sx = (_rows(fx, block.px) ** 2).sum(axis=0)
-            total += sx @ _weights(spec, fx, fy) @ sy
+            total += sx @ _weights(fx, fy) @ sy
     return float(total)
 
 
@@ -522,14 +596,22 @@ def _gram_norm(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
         wy = _rows(fy, block.py)
         py = (wy.T @ wy) ** 2
         if spec.family != "A":
-            edge = _edge_weights(spec, xs, fy)
-            total += edge @ py @ edge
+            total += xs[block.y] @ py @ xs[block.y]
         else:
             fx = xs[block.x]
             wx = _rows(fx, block.px)
-            weights = _weights(spec, fx, fy)
+            weights = _weights(fx, fy)
             total += np.sum(((wx.T @ wx) ** 2 @ weights @ py) * weights)
     return float(np.sqrt(total))
+
+
+def _dimension(spec: ProblemSpec, degree: int) -> int:
+    """Dimension of the spec's space at ``degree``: a 1D factor of degree d
+    has d + 1 members less one per Dirichlet end, and the quotient space
+    leaves out the constant tensor member."""
+    nx, ny = (d + 1 - bc.dirichlet_at_minus1 - bc.dirichlet_at_plus1
+              for bc, d in _factor_args(spec, degree))
+    return nx * ny - (spec.family == "C")
 
 
 def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
@@ -549,14 +631,15 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
 
     The space is the spec's Dirichlet tensor space (family A and B) or
     quotient space (family C) of coordinate degree at most ``degree``, which
-    must be at least the load degree p. Its 1D factors are computed afresh,
-    and the blocks contracted as in ``saturation_coefficient`` are scattered
-    into the full matrix in the family's load order.
+    must be at least the load degree p. Its 1D factors (and edge weights)
+    are computed afresh, and the blocks contracted as in
+    ``saturation_coefficient`` are scattered into the full matrix in the
+    family's load order.
     """
     if spec.p > degree:
         raise ValueError(
             f"load degree p = {spec.p} exceeds the space degree {degree}")
-    xs, ys = (_classes(*args) for args in _factor_args(spec, degree))
+    xs, ys = _sides(spec, degree, {})
     blocks = _spec_blocks(spec)
     size = sum(block.index.size for block in blocks)
     gram = np.zeros((size, size))
@@ -620,9 +703,9 @@ def _top_eigenpairs(
 def _solve_lower(factor: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
     """factor^{-1} y, or factor^{-T} y with ``trans`` 1, by one BLAS call.
 
-    ``factor`` is a Fortran-ordered lower triangular matrix, as
-    ``scipy.linalg.cholesky`` returns it; a vector takes ``dtrsv`` and an
-    n x m block ``dtrsm``.
+    ``factor`` is a Fortran-ordered lower triangular matrix, as LAPACK's
+    ``dpotrf`` returns it, and only its lower triangle is read; a vector
+    takes ``dtrsv`` and an n x m block ``dtrsm``.
     """
     if y.ndim == 1:
         return scipy.linalg.blas.dtrsv(factor, y, lower=1, trans=trans)
@@ -642,14 +725,17 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
         "denominator dual Gram is numerically singular; the coarse space "
         "cannot represent all functionals (ill-posed quotient): "
     )
-    try:
-        factor = scipy.linalg.cholesky(r_bottom, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    # r_bottom is symmetric, so its transpose is the Fortran-ordered matrix
+    # that LAPACK takes without a transposing copy; the factor's upper
+    # triangle keeps stale entries, which the triangular solves never read
+    factor, info = scipy.linalg.lapack.dpotrf(r_bottom.T, lower=1, clean=0)
+    if info > 0:
         raise NumericalError(
-            ill_posed + f"its Cholesky factorization failed ({exc}), so "
+            ill_posed + f"its Cholesky factorization failed ({info}-th "
+            f"leading minor of the array is not positive definite), so "
             f"lambda_min/trace is at or below roundoff, under the floor "
             f"{_PD_FLOOR:.0e}"
-        ) from exc
+        )
     # a Ritz value never exceeds lambda_max, so a loose tolerance can only
     # overstate lambda_min by a relative 1e-8
     inverse_top, _ = _top_eigenpairs(
@@ -740,7 +826,7 @@ def max_generalized_eigenvalue(
     regularized.
     """
     r_top = np.asarray(r_top, dtype=float)
-    r_bottom = np.asarray(r_bottom, dtype=float)
+    r_bottom = np.asarray_chkfinite(r_bottom, dtype=float)
     if r_top.shape != r_bottom.shape or r_top.shape[0] != r_top.shape[1]:
         raise ValueError(
             f"expected square matrices of equal shape, got {r_top.shape} "
@@ -764,21 +850,17 @@ def saturation_coefficient(
     full load order. The returned residual is the relative defect of the
     eigenpair and should be tiny.
 
-    The 1D factors of both spaces are looked up in ``factors``, a table
-    keyed by their end conditions and degree (bc, degree) and filled on a
-    miss. A caller that passes one table to many calls, as a sweep does,
-    builds each factor once; without a table the call starts from an empty
-    one of its own.
+    The 1D factors of both spaces, and the edge weights of families B and
+    C, are looked up in ``factors``, a table filled on a miss (see
+    ``_sides``). A caller that passes one table to many calls, as a sweep
+    does, builds each of them once; without a table the call starts from
+    an empty one of its own.
     """
     start = time.perf_counter()
     if factors is None:
         factors = {}
-    spaces = [_factor_args(spec, degree) for degree in (spec.r, spec.q)]
-    for args in spaces[0] + spaces[1]:
-        if args not in factors:
-            factors[args] = _classes(*args)
-    spaces = [[factors[args] for args in pair] for pair in spaces]
-    (fine_x, fine_y), (mid_x, mid_y) = spaces
+    (fine_x, fine_y), (mid_x, mid_y) = (
+        _sides(spec, degree, factors) for degree in (spec.r, spec.q))
     blocks = _spec_blocks(spec)
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,
               "eigensolve": 0.0}
@@ -793,16 +875,13 @@ def saturation_coefficient(
     value, tie, index, maximizer, residual = _max_over_blocks(
         pairs, trace, frobenius, stages)
     size = sum(block.index.size for block in blocks)
-    dims = [sum(f.lam.size for f in xs) * sum(f.lam.size for f in ys)
-            # the quotient space leaves out the constant tensor member
-            - (spec.family == "C") for xs, ys in spaces]
     return SaturationResult(
         spec=spec,
         mu=float(np.sqrt(value)),
         mu_squared=float(value),
         maximizer=_embed(solved[index], maximizer, size),
-        dim_H=dims[0],
-        dim_V=dims[1],
+        dim_H=_dimension(spec, spec.r),
+        dim_V=_dimension(spec, spec.q),
         dim_F=size,
         residual=float(residual),
         tie=tie,

@@ -4,16 +4,35 @@
 eigenproblems built from closed-form mass entries. This is the route it
 replaced: the mass and stiffness Grams of the factor basis formed by
 ``gram_matrices`` and the pencil S v = lambda M v solved densely, once per
-parity class of a symmetric basis.
+parity class of a symmetric basis. It also keeps the right-edge traces of
+the modes, from which the edge weights of families B and C were summed
+before ``refsat.coefficients`` took them from the 1D resolvent
+(``edge_weights``), and a 40-digit mpmath reference of both.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 
-from basis_oracle import Basis1D, boundary_trace, gram_matrices
-from refsat.coefficients import NumericalError, _Factor, _symmetric
+from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
+from refsat.coefficients import NumericalError, _symmetric
+
+
+class Factor(NamedTuple):
+    """One 1D factor basis, or one parity class of it, in its eigenbasis:
+    the fields of ``refsat.coefficients._Factor`` and the modes' traces."""
+
+    #: eigenvalues of the pencil S v = lambda M v
+    lam: np.ndarray
+    #: W[k, i] = <phi_probes[k], v_i> for the probes phi_k that load the modes
+    loads: np.ndarray
+    #: t[i] = v_i(+1), the values of the modes on the right edge
+    trace: np.ndarray
+    #: the probe degrees k of the rows of ``loads``, ascending
+    probes: np.ndarray
 
 
 def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +60,7 @@ def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0.0], lam)), modes
 
 
-def _factor(basis: Basis1D) -> _Factor:
+def _factor(basis: Basis1D) -> Factor:
     """Modes of ``basis`` with its load Gram and right-edge trace in them.
 
     The probes phi_k = sqrt(k + 1/2) L_k are orthonormal Legendre
@@ -54,11 +73,11 @@ def _factor(basis: Basis1D) -> _Factor:
     k = np.arange(basis.degree + 1)
     norms = np.sqrt(2.0 / (2.0 * k + 1.0))
     loads = (norms[:, np.newaxis] * basis.coefficients.T) @ vec
-    return _Factor(lam, loads, boundary_trace(basis, 1.0) @ vec, k)
+    return Factor(lam, loads, boundary_trace(basis, 1.0) @ vec, k)
 
 
-def _classes(basis: Basis1D) -> tuple[_Factor, ...]:
-    """The factor of ``basis``, one ``_Factor`` per parity class.
+def _classes(basis: Basis1D) -> tuple[Factor, ...]:
+    """The factor of ``basis``, one ``Factor`` per parity class.
 
     The modes of a symmetric basis are even or odd, and the probe L_k of
     parity k loads only the modes of its own parity. Each class is solved
@@ -83,6 +102,22 @@ def _classes(basis: Basis1D) -> tuple[_Factor, ...]:
         classes.append(part._replace(loads=part.loads[parity::2],
                                      probes=part.probes[parity::2]))
     return tuple(classes)
+
+
+def edge_weights(xs, mu: np.ndarray, quotient: bool = False) -> np.ndarray:
+    """sum_i t_i^2 / (lambda_i + mu_j) over the modes of the x classes ``xs``.
+
+    Edge loads see an x mode only through its trace t on the right edge.
+    With ``quotient`` the pair of a lambda = 0 mode and mu_j = 0, the
+    constant tensor member, is left out, as the quotient space leaves it.
+    """
+    total = np.zeros(len(mu))
+    for fx in xs:
+        denom = fx.lam[:, np.newaxis] + mu
+        if quotient:
+            denom[(fx.lam == 0.0)[:, np.newaxis] & (mu == 0.0)] = np.inf
+        total += fx.trace ** 2 @ (1.0 / denom)
+    return total
 
 
 def _lower_solve(lower: list, columns: list) -> list:
@@ -164,3 +199,59 @@ def reference_classes(kind: str, bc, degree: int, dps: int = 40) -> list:
             out.append((np.sort(np.array(lam.tolist(), dtype=float).ravel()),
                         np.array(gram, dtype=float)))
         return out
+
+
+def _sparse_solve(matrix: list, rhs: list) -> list:
+    """x with matrix @ x = rhs, by Gaussian elimination without pivoting
+    that skips zero entries, so that a banded matrix costs its band."""
+    n = len(rhs)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        pivot = a[k]
+        support = [j for j in range(k + 1, n + 1) if pivot[j]]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                factor = a[i][k] / pivot[k]
+                for j in support:
+                    a[i][j] -= factor * pivot[j]
+    x = [None] * n
+    for k in reversed(range(n)):
+        x[k] = (a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))) / a[k][k]
+    return x
+
+
+def reference_edge_weights(kind: str, bc, degree: int, mu, quotient: bool = False,
+                           dps: int = 40) -> np.ndarray:
+    """c^T (S + mu M)^{-1} c for each entry of ``mu``, solved in mpmath.
+
+    S and M are the stiffness and mass Grams of the rows of
+    ``build_basis_1d(kind, bc, degree)``, read exactly and integrated in
+    ``dps``-digit Legendre coefficients, and c their values at x = +1.
+    The constant of the mean-zero basis has no stiffness and no mass
+    coupling to the other members; its term c_0^2 / (mu M_00) is added
+    apart, and left out at mu = 0 with ``quotient``. Returns floats.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(float(v)) for v in row]
+                for row in build_basis_1d(kind, bc, degree).coefficients]
+        constant = None
+        if kind == "mean_zero":
+            constant, rows = rows[0], rows[1:]
+        norms = [mpmath.mpf(2) / (2 * m + 1) for m in range(degree + 1)]
+        slopes = [[(2 * m + 1) * mpmath.fsum(c[m + 1::2])
+                   for m in range(degree + 1)] for c in rows]
+        mass, stiff = _gram(rows, norms), _gram(slopes, norms)
+        values = [mpmath.fsum(row) for row in rows]
+        out = []
+        for m in mu:
+            m = mpmath.mpf(float(m))
+            matrix = [[s + m * t for s, t in zip(srow, trow)]
+                      for srow, trow in zip(stiff, mass)]
+            total = mpmath.fdot(values, _sparse_solve(matrix, values))
+            if constant is not None and (m > 0 or not quotient):
+                total += mpmath.fsum(constant) ** 2 / (
+                    m * mpmath.fdot(constant, [c * w for c, w in zip(constant, norms)]))
+            out.append(float(total))
+        return np.array(out)

@@ -341,10 +341,56 @@ def pencil_solves(monkeypatch):
 def test_reproduce_builds_each_1d_factor_once(capsys, pencil_solves):
     code, _, _ = run_cli(["reproduce", "--max-p", "16"], capsys)
     assert code == 0
-    # 96 cells with 384 factor lookups share 24 distinct (bc, degree), the
-    # quotient problem's factors among the free-free ones; 12 of them are
-    # symmetric and solved once per parity class
-    assert len(pencil_solves) == 24 + 12
+    # the 96 cells build the x and y factors of family A and only the y
+    # factors of families B and C, whose x side is the edge weights. Of the
+    # 24 distinct (bc, degree) that x and y factors would span, that drops
+    # the 6 left-Dirichlet x factors of F2..F4 and the 2 free-free ones that
+    # only F1's x used (degrees 128 and 256), which leaves 16: 6 each with
+    # two and with one Dirichlet end, and 4 free-free. The 10 symmetric ones
+    # are solved once per parity class
+    assert len(pencil_solves) == 16 + 10
+
+
+def test_reproduce_computes_each_edge_weight_vector_once(capsys, monkeypatch):
+    import refsat.coefficients as coefficients
+
+    calls = []
+    edge_weights = coefficients._edge_weights
+
+    def counting(bc, degree, mu):
+        calls.append((bc, degree, mu.size))
+        return edge_weights(bc, degree, mu)
+
+    monkeypatch.setattr(coefficients, "_edge_weights", counting)
+    assert run_cli(["reproduce", "--max-p", "16"], capsys)[0] == 0
+    # one vector per (x conditions, y conditions, degree) of the B and C
+    # cells: 6 degrees each for F1, F3 and F4 (their extra r factors reach
+    # 256), 4 each for F2 and C; the y factors differ in size, so no two
+    # calls share (bc_x, degree, number of mu)
+    assert len(calls) == 3 * 6 + 2 * 4
+    assert len(set(calls)) == len(calls)
+
+
+def test_edge_load_compute_builds_only_the_y_factor(capsys, monkeypatch,
+                                                    pencil_solves):
+    import refsat.coefficients as coefficients
+    from refsat.bases import BoundaryCondition1D
+
+    built = []
+    classes = coefficients._classes
+
+    def recording(bc, degree):
+        built.append((bc, degree))
+        return classes(bc, degree)
+
+    monkeypatch.setattr(coefficients, "_classes", recording)
+    assert run_cli(["compute", "--family", "B", "--edges", "3", "--p", "4",
+                    "--q", "8", "--r", "16"], capsys)[0] == 0
+    # F2's y factor is the free-free one, two parity chains at r and at q;
+    # its left-Dirichlet x factor is never solved
+    free = BoundaryCondition1D()
+    assert built == [(free, 16), (free, 8)]
+    assert len(pencil_solves) == 2 * 2
 
 
 def test_each_compute_builds_its_own_factors(capsys, pencil_solves):
@@ -534,19 +580,21 @@ def test_streamed_rows_match_the_collected_table(tmp_path, capsys, computed):
         assert code == 0
         assert out == expected
     code, out, err = run_cli(
-        ["reproduce", "--max-p", "4", "--budget", "0.0023"], capsys)
+        ["reproduce", "--max-p", "4", "--budget", "0.0022"], capsys)
     assert code == 1
     lines = out.splitlines()
-    assert lines[:3] == [
+    assert lines[:5] == [
         EXPECTED_HEADER,
-        "A,E1,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
-        "A,E1,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
+        "A,E1,4,8,16,---,---,---,---,---,---,skipped",
+        "A,E1,4,8,16,---,---,---,---,---,---,skipped",
+        "A,E2,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
+        "A,E2,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
     ]
     statuses = [line.rsplit(",", 1)[1] for line in lines[1:]]
     assert statuses.count("fail") == 20 and statuses.count("skipped") == 12
     assert err.splitlines()[:2] == [
         "reproduce: 20 compared, 20 failed, 12 skipped (tol 0.0002)",
-        "  E1 p+4 p=4 q=8 r=16: expected 1.0017, got 1.571429 (diff 5.70e-01)",
+        "  E2 p+4 p=4 q=8 r=16: expected 1.0120, got 1.571429 (diff 5.59e-01)",
     ]
 
 

@@ -7,8 +7,8 @@ top-of-spectrum eigensolve against the full-spectrum oracle in
 ``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
 sparse-LU oracle in ``sparse_oracle``, the block route (parity classes
 and swap blocks) against the unsplit route in ``unsplit_oracle``, and the
-tridiagonal 1D factors against the dense pencils and the 40-digit mpmath
-reference in ``pencil_oracle``.
+tridiagonal 1D factors and the resolvent edge weights against the dense
+pencils and the 40-digit mpmath references in ``pencil_oracle``.
 """
 
 import numpy as np
@@ -20,19 +20,28 @@ from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
 from refsat.assembly import EDGE_CLASSES
 from refsat.bases import BoundaryCondition1D
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
-from pencil_oracle import _classes, _factor, _modes, reference_classes
+from pencil_oracle import (
+    _classes,
+    _factor,
+    _modes,
+    edge_weights as oracle_edge_weights,
+    reference_classes,
+    reference_edge_weights,
+)
 from refsat.coefficients import (
     _DENSE_ORDER,
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
     _classes as factor_classes,
+    _edge_weights,
     _factor_args,
     _gram_norm,
     _gram_trace,
     _grams,
     _max_over_blocks,
     _products,
+    _sides,
     _solve_lower,
     _spec_blocks,
     block_orders,
@@ -136,6 +145,14 @@ def test_max_generalized_eigenvalue_rejects_singular_denominator():
         max_generalized_eigenvalue(np.eye(2), np.diag([1.0, 1e-14]))
     value, _, _ = max_generalized_eigenvalue(np.eye(2), np.diag([1.0, 1e-10]))
     assert abs(value - 1e10) <= 1e-4
+
+
+def test_max_generalized_eigenvalue_rejects_a_nonfinite_denominator():
+    for bad in (np.nan, np.inf):
+        bottom = np.eye(3)
+        bottom[2, 0] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            max_generalized_eigenvalue(np.eye(3), bottom)
 
 
 def test_nearly_singular_denominator_is_rejected_at_the_lanczos_order():
@@ -335,14 +352,18 @@ def test_1d_factors_match_a_40_digit_reference():
             classes = factor_classes(bc, degree)
             reference = reference_classes(kind, bc, degree)
             assert len(classes) == len(reference)
+            scale = max(np.max(np.abs(gram)) for _, gram in reference)
             for part, (lam, gram) in zip(classes, reference):
-                loads = np.vstack([part.loads, part.trace])
-                got = (loads / (part.lam + 1.0)) @ loads.T
-                assert np.max(np.abs(got - gram)) <= 1e-14 * np.max(np.abs(gram)), (
-                    kind, bc, degree)
+                got = (part.loads / (part.lam + 1.0)) @ part.loads.T
+                assert np.max(np.abs(got - gram[:-1, :-1])) <= 1e-14 * np.max(
+                    np.abs(gram)), (kind, bc, degree)
                 # the constant mode: exactly 0 here, 0 to 40 digits there
                 assert np.all(np.abs(np.sort(part.lam) - lam)
                               <= 1e-11 * np.abs(lam) + 1e-30), (kind, bc, degree)
+            # the trace rows of the classes sum to the edge weight at mu = 1
+            edge = _edge_weights(bc, degree, np.ones(1))[0]
+            expect = sum(gram[-1, -1] for _, gram in reference)
+            assert abs(edge - expect) <= 1e-14 * scale, (kind, bc, degree)
 
 
 def test_chain_classes_match_the_pencil_oracle():
@@ -361,7 +382,6 @@ def test_chain_classes_match_the_pencil_oracle():
             for parity, (part, oracle) in enumerate(zip(classes, expect)):
                 assert np.array_equal(part.probes, oracle.probes)
                 assert part.loads.shape == oracle.loads.shape
-                assert part.trace.shape == part.lam.shape
                 lam = np.sort(part.lam)
                 error = np.abs(lam - np.sort(oracle.lam))
                 assert np.max(error, initial=0.0) <= 1e-11 * top
@@ -369,11 +389,53 @@ def test_chain_classes_match_the_pencil_oracle():
                 assert np.count_nonzero(lam == 0.0) == (free and parity == 0)
                 # the others are at least (pi / 4)^2, the lowest of -u'' = lambda u
                 assert np.all(lam[lam != 0.0] > 0.6)
-                got, want = (
-                    (w / (f.lam + 1.0)) @ w.T
-                    for f in (part, oracle)
-                    for w in [np.vstack([f.loads, f.trace])])
+                got, want = ((f.loads / (f.lam + 1.0)) @ f.loads.T
+                             for f in (part, oracle))
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+            # the traces, which the factor no longer carries, as edge weights
+            edge = _edge_weights(bc, degree, np.ones(1))
+            want = oracle_edge_weights(expect, np.ones(1))
+            assert np.all(np.abs(edge - want) <= 1e-11 * want), (kind, bc, degree)
+
+
+#: the x basis of each edge-load problem's factor oracle: the quotient
+#: problem's free x factor stands for the mean-zero basis
+EDGE_KINDS = {name: "mean_zero" if name == "C" else "integrated_legendre"
+              for name in ("F1", "F2", "F3", "F4", "C")}
+
+
+def edge_cases(name, degrees):
+    """(spec at degree, x conditions, the edge weights and mu of each y class)."""
+    for degree in degrees:
+        spec = spec_for(name, 1, degree, degree)
+        (bc_x, _), (bc_y, _) = _factor_args(spec, degree)
+        if bc_y.dirichlet_at_minus1 and bc_y.dirichlet_at_plus1 and degree < 2:
+            with pytest.raises(ValueError, match="empty"):
+                _sides(spec, degree, {})
+            continue
+        xs, ys = _sides(spec, degree, {})
+        assert len(xs) == len(ys)
+        yield spec, bc_x, [(edge, fy.lam) for edge, fy in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("name", list(EDGE_KINDS))
+def test_resolvent_edge_weights_match_the_eigen_route(name):
+    for spec, bc_x, pairs in edge_cases(name, range(1, 65)):
+        oracle = _classes(build_basis_1d(EDGE_KINDS[name], bc_x, spec.r))
+        for edge, mu in pairs:
+            expect = oracle_edge_weights(oracle, mu, quotient=name == "C")
+            assert np.all(np.abs(edge - expect) <= 1e-11 * expect), (name, spec.r)
+
+
+@pytest.mark.parametrize("name", list(EDGE_KINDS))
+def test_resolvent_edge_weights_match_a_40_digit_solve(name):
+    # at degree 48 the eigen route is up to 7.6e-13 off (F3), the resolvent
+    # up to 9.7e-14
+    for spec, bc_x, pairs in edge_cases(name, (16, 48)):
+        for edge, mu in pairs:
+            expect = reference_edge_weights(EDGE_KINDS[name], bc_x, spec.r, mu,
+                                            quotient=name == "C")
+            assert np.all(np.abs(edge - expect) <= 1e-11 * expect), (name, spec.r)
 
 
 def unsplit_cases(name):
@@ -417,7 +479,7 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
             fx = fy = _factor(space.basis)
         else:
             fx, fy = _factor(space.basis_x), _factor(space.basis_y)
-        xs, ys = (factor_classes(*args) for args in _factor_args(spec, degree))
+        xs, ys = _sides(spec, degree, {})
         expect = contract(spec, fx, fy)
         got = dual_gram(spec, degree)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -518,8 +580,7 @@ def fine_blocks(name):
         if CANONICAL_PROBLEMS[name][0] == "C" and p == 0:
             continue
         spec = spec_for(name, p, degree, degree)
-        xs, ys = (factor_classes(*args) for args in _factor_args(spec, degree))
-        yield spec, _spec_blocks(spec), xs, ys
+        yield spec, _spec_blocks(spec), *_sides(spec, degree, {})
 
 
 @pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
