@@ -8,18 +8,24 @@ the seams and clamped sides derived from ``_LAYOUTS``, and use them to
 check the built pieces. ``measured_extension_ratio`` samples random
 admissible polynomials, so it gives a lower bound on ``extension_norm``.
 ``decay_by_columns`` is the column-by-column ``legmul`` product that the
-one-matrix decay in ``refsat.patches._decay`` replaced.
+one-matrix decay in ``refsat.patches._decay`` replaced. ``extension_norm_2d``
+is the dense generalized eigenproblem on the 2D tensor basis that the
+1D-separated ``refsat.patches.extension_norm`` replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
 from refsat.patches import (
     PRE_ZERO_SIDES,
+    SITUATIONS,
     Extension,
+    _LAYOUTS,
     _endpoint_nullspace,
+    _seminorm_gram,
     extension_operator,
     h1_seminorm_squared,
     side_trace,
@@ -125,3 +131,29 @@ def decay_by_columns(c: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray
         prod = npleg.legmul(weight, moved[:, j])
         out[: prod.size, j] = prod
     return out if axis == 0 else out.T
+
+
+def extension_norm_2d(situation: str, degree: int) -> float:
+    """Exact norm of the situation's extension in the H1 seminorm.
+
+    The admissible polynomials of coordinate degree ``degree`` (zero trace on
+    the situation's clamped sides) are spanned by tensor products of 1D
+    endpoint-nullspace bases. The norm is the square root of the largest
+    generalized eigenvalue of the extended against the original seminorm
+    Gram on that span.
+    """
+    if situation not in SITUATIONS:
+        raise ValueError(f"situation must be one of {SITUATIONS}, got {situation!r}")
+    if degree < 2:
+        raise ValueError(f"degree must be at least 2, got {degree}")
+    zero = PRE_ZERO_SIDES[situation]
+    bx = _endpoint_nullspace(degree, "e3" in zero, "e1" in zero)
+    by = _endpoint_nullspace(degree, "e4" in zero, "e2" in zero)
+    basis = np.einsum("ai,bj->ijab", bx, by).reshape(-1, degree + 1, degree + 1)
+    extensions = [extension_operator(situation, c) for c in basis]
+    extended = sum(
+        _seminorm_gram([ext.pieces[offset] for ext in extensions])
+        for offset in _LAYOUTS[situation]
+    )
+    top = scipy.linalg.eigh(extended, _seminorm_gram(basis), eigvals_only=True)
+    return float(np.sqrt(top[-1]))

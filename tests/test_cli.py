@@ -33,6 +33,54 @@ from refsat.coefficients import (
 EXPECTED_HEADER = ("family,edge_class,p,q,r,mu,mu_display,"
                    "dim_H,dim_V,dim_F,wall_seconds,status")
 
+#: ``refsat patches verify`` on the packaged catalog, byte for byte
+PATCHES_VERIFY_OUTPUT = """\
+patch  1 interior steps=22 ok  situations over 8 orientations: b=64 c=56 d=24 e=24
+patch  2 interior steps=20 ok  situations over 8 orientations: b=56 c=48 d=24 e=24
+patch  3 interior steps=17 ok  situations over 8 orientations: b=48 c=40 d=24 e=16
+patch  4 interior steps=12 ok  situations over 8 orientations: b=32 c=24 d=16 e=16
+patch  5 interior steps= 4 ok  situations over 8 orientations: b=8 d=8 e=8
+patch  6 boundary steps=14 ok  situations over 8 orientations: b=40 c=40 d=16 e=16
+patch  7 boundary steps=13 ok  situations over 8 orientations: b=32 c=40 d=16 e=16
+patch  8 boundary steps= 8 ok  situations over 8 orientations: b=16 c=24 d=16 e=8
+patch  9 boundary steps=10 ok  situations over 8 orientations: b=24 c=24 d=16 e=16
+patch 10 boundary steps= 7 ok  situations over 8 orientations: b=16 c=24 e=16
+patch 11 boundary steps= 2 ok  situations over 8 orientations: d=8 e=8
+patch 12 boundary steps= 1 ok  situations over 8 orientations: e=8
+patch 13 boundary steps= 0 ok
+extension operator norms in the H1 seminorm (degree 8, exact):
+    situation a: norm 1.414214
+    situation b: norm 1.414214
+    situation c: norm 2.000000
+    situation d: norm 2.154601
+    situation e: norm 2.154601
+catalog verified
+"""
+
+#: a plausible record whose free edge breaks the classification
+CORRUPTED_CATALOG = "patch 11 boundary\ncells 1,1 2,1 2,2\ndirichlet V 2 2\n"
+
+#: ``refsat patches verify`` on CORRUPTED_CATALOG: the step violation
+#: recurs once per orientation, each tagged with its orientation
+CORRUPTED_REPORT = """\
+patch 11 boundary steps= 2 FAIL  situations over 8 orientations: e=8
+    orientation 0 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 1 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 2 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 3 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 4 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 5 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 6 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+    orientation 7 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+extension operator norms in the H1 seminorm (degree 8, exact):
+    situation a: norm 1.414214
+    situation b: norm 1.414214
+    situation c: norm 2.000000
+    situation d: norm 2.154601
+    situation e: norm 2.154601
+catalog FAILED
+"""
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -579,8 +627,17 @@ def test_streamed_rows_match_the_collected_table(tmp_path, capsys, computed):
             ["sweep", "--config", str(path), "--budget", "0.05"], capsys)
         assert code == 0
         assert out == expected
+    # the budget is read off the cost model, halfway between the costliest
+    # r = 16 cell and the cheapest r > 16 cell, instead of a constant that
+    # sits a fraction of a millisecond from one of its estimates
+    costs = {}
+    for entry in load_published_table():
+        if entry.p == 4:
+            spec = _spec_for_problem(entry.problem, entry.p, entry.q, entry.r)
+            costs.setdefault(entry.r == 16, []).append(estimated_seconds(spec))
+    budget = (max(costs[True]) + min(costs[False])) / 2
     code, out, err = run_cli(
-        ["reproduce", "--max-p", "4", "--budget", "0.0022"], capsys)
+        ["reproduce", "--max-p", "4", "--budget", repr(budget)], capsys)
     assert code == 1
     lines = out.splitlines()
     assert lines[:5] == [
@@ -640,15 +697,26 @@ def test_patches_verify_reports_all_patches(capsys):
         assert f"    situation {situation}: norm {norm}" in lines
 
 
+def test_patches_verify_output_is_pinned(capsys):
+    assert run_cli(["patches", "verify"], capsys) == (
+        0, PATCHES_VERIFY_OUTPUT, "")
+
+
 def test_patches_verify_flags_corrupted_catalog(tmp_path, capsys):
-    # a plausible record whose free edge breaks the classification
     bad = tmp_path / "catalog.txt"
-    bad.write_text("patch 11 boundary\ncells 1,1 2,1 2,2\ndirichlet V 2 2\n")
+    bad.write_text(CORRUPTED_CATALOG)
     code, out, _ = run_cli(
         ["patches", "verify", "--catalog", str(bad)], capsys)
     assert code == 1
     assert "FAIL" in out
     assert "orientation" in out and "step" in out
+
+
+def test_patches_verify_corrupted_report_is_pinned(tmp_path, capsys):
+    bad = tmp_path / "catalog.txt"
+    bad.write_text(CORRUPTED_CATALOG)
+    assert run_cli(["patches", "verify", "--catalog", str(bad)], capsys) == (
+        1, CORRUPTED_REPORT, "")
 
 
 def test_patches_verify_rejects_malformed_catalog(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 The extensions built from ``_LAYOUTS`` are checked against the hand-written
 seam and clamped-side tables of ``extension_oracle``, and their exact norms
-against its Monte-Carlo ratios.
+against its Monte-Carlo ratios and its dense 2D eigenproblem.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from extension_oracle import (
     _SEAMS,
     decay_by_columns,
     extension_interface_checks,
+    extension_norm_2d,
     measured_extension_ratio,
     random_admissible,
 )
@@ -465,6 +466,23 @@ def test_decay_extension_norms_are_pinned_and_bounded():
         for degree in range(3, 13):
             assert norms[degree] <= 1.05 * running
             running = max(running, norms[degree])
+
+
+def test_extension_norm_matches_the_2d_oracle():
+    """The 1D-separated norms, closed forms included, equal the dense route."""
+    for degree in range(2, 17):
+        for situ in SITUATIONS:
+            expected = extension_norm_2d(situ, degree)
+            got = extension_norm(situ, degree)
+            assert abs(got - expected) <= 1e-12 * expected, (situ, degree)
+
+
+def test_decay_extension_norms_settle_at_high_degree():
+    for situ in ("d", "e"):
+        n32, n64 = extension_norm(situ, 32), extension_norm(situ, 64)
+        assert abs(n32 - n64) < 1e-9, situ
+        assert abs(n32 - 2.154603) < 1e-6, situ
+        assert abs(n64 - 2.154603) < 1e-6, situ
 
 
 def test_extension_rejects_bad_inputs():
