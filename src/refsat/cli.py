@@ -83,26 +83,20 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     and, summed over the diagonal blocks that are solved (E5's mirror block
     is not), the contraction of the 1D load Grams at q into a coarse block
     of order n (~n * q * (q + n) multiply-adds, and ~n^2 to move it) and
-    its top-of-spectrum eigensolve. Up to order 100 that is a dense eigh
+    its top-of-spectrum eigensolve. Up to order 100 that is one dense eigh
     (~n^3); above, the Cholesky factor of the coarse block (~n^3 / 3) and
-    two Lanczos runs, each of a fixed cost and a few dozen operator
-    applications of two triangular solves (~n^2) and a product of fine 1D
-    load Grams, which is cheap beside the solves at every published order
-    and has no term of its own. The constants are fitted to
+    one Lanczos run, of a fixed cost and a few dozen operator applications
+    of two triangular solves (~n^2) and a product of fine 1D load Grams,
+    which is cheap beside the solves at every published order and has no
+    term of its own; nor has the block's definiteness certificate, one
+    small symmetric eigensolve per class. The constants are fitted to
     single-threaded stage timings (``SaturationResult.stages``, best of
-    three cold runs) of the 145 distinct published cells. The factor
-    constants give 0.64-1.49x of the factor stage of each family-A cell,
-    0.76-1.39x of each B cell and 0.70-1.05x of each C cell. The
-    eigensolve constants give 0.68-1.37x of that stage on the 28 family-A
-    cells where it takes at least 5 ms (0.83-1.37x of the 16 over 20 ms).
-    The Gram constants give 0.56-1.28x of that stage on the 12 cells of E1
-    and E3..E5 where it takes at least 5 ms, and 0.21-0.26x on the 5 such
-    E2 cells, whose swap blocks are gathered from a product of probe
-    pairs. The whole estimate is 0.80-1.28x the measured time of each of
-    the 13 published cells that take at least 0.1 s (E2 (64, 128, 256):
-    0.54 s modelled, 0.68 s measured; E1 (64, 128, 256): 0.55 s and
-    0.50 s), 0.66-1.30x of each of the 12 that take 10 ms to 0.1 s, and
-    0.63-1.86x (median 1.13x) of each cell under 10 ms.
+    three cold runs) of the 145 distinct published cells. The eigensolve
+    ones were fitted on a host where the other terms read 2x their stages,
+    and doubled to match.
+    There, at twice its times, the eigensolve term reads 0.78-1.18x of the
+    stage where it is >= 5 ms; the estimate 0.70-1.09x of each cell over
+    0.1 s, 0.65-1.19x down to 10 ms and 0.72-2.07x (median 1.21x) below.
     """
     r, q = spec.r, spec.q
     overhead = 1e-3
@@ -113,8 +107,8 @@ def estimated_seconds(spec: ProblemSpec) -> float:
         modes *= 2
     blocks = [block.index.size for block in _spec_blocks(spec) if block.copies]
     grams = sum(2.0e-11 * n * q * (q + n) + 3.7e-9 * n ** 2 for n in blocks)
-    eig = sum(4.0e-9 * n ** 3 if n <= _DENSE_ORDER else
-              1.9e-3 + 2.6e-8 * n ** 2 + 1.3e-11 * n ** 3 for n in blocks)
+    eig = sum(2.5e-9 * n ** 3 if n <= _DENSE_ORDER else
+              1.2e-3 + 1.5e-8 * n ** 2 + 1.2e-11 * n ** 3 for n in blocks)
     return overhead + modes + grams + eig
 
 

@@ -127,9 +127,9 @@ class SaturationResult:
     tie: bool
     wall_seconds: float
     #: seconds spent building the 1D factors and edge weights
-    #: (``factors``), forming the coarse dual Gram blocks with the trace and
-    #: the fine norm (``grams``), and solving them against the fine products
-    #: (``eigensolve``)
+    #: (``factors``), forming the coarse dual Gram blocks with the trace,
+    #: the fine norm and the definiteness bounds (``grams``), and solving
+    #: them against the fine products (``eigensolve``)
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -605,6 +605,51 @@ def _gram_norm(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
     return float(np.sqrt(total))
 
 
+def _gram_floors(spec: ProblemSpec, blocks: list[_Block],
+                 xs, ys) -> list[float]:
+    """A lower bound on the smallest eigenvalue of each block, from its 1D
+    factors.
+
+    A family-A class pair's Gram is B D B^T with B = Wx (x) Wy and D the
+    weights, so it is at least min(D) B B^T, and B B^T = Wx Wx^T (x) Wy Wy^T
+    has the smallest eigenvalue lambda_min(Wx Wx^T) lambda_min(Wy Wy^T); a
+    swap block is an orthonormal compression of its pair's Gram, so its
+    smallest eigenvalue is no smaller. A B or C block Wy diag(e) Wy^T is at
+    least min(e) lambda_min(Wy Wy^T). This costs one small symmetric
+    eigensolve per class, and no block is formed. The bound is clamped at
+    0, and is exactly 0 for a class with more probes than modes, whose load
+    Gram is singular.
+    """
+    memo = {}
+
+    def load_floor(key, factor: _Factor, probes: np.ndarray) -> float:
+        if key not in memo:
+            w = _rows(factor, probes)
+            memo[key] = 0.0
+            if len(w) <= w.shape[1]:
+                # LAPACK directly, as for the Cholesky factor: the wrappers
+                # cost more than the solve at these orders. A failed solve
+                # leaves no bound, and the estimate runs instead
+                values, _, info = scipy.linalg.lapack.dsyevd(w @ w.T,
+                                                             compute_v=0)
+                memo[key] = max(float(values[0]), 0.0) if info == 0 else 0.0
+        return memo[key]
+
+    # a zero load floor may belong to a class without modes, whose weights
+    # have no extremes
+    floors = []
+    for block in blocks:
+        fy = ys[block.y]
+        floor = load_floor(("y", block.y), fy, block.py)
+        if spec.family != "A":
+            floors.append(floor and floor * float(xs[block.y].min()))
+            continue
+        fx = xs[block.x]
+        floor *= load_floor(("x", block.x), fx, block.px)
+        floors.append(floor and floor / float(fx.lam.max() + fy.lam.max()))
+    return floors
+
+
 def _dimension(spec: ProblemSpec, degree: int) -> int:
     """Dimension of the spec's space at ``degree``: a 1D factor of degree d
     has d + 1 members less one per Dirichlet end, and the quotient space
@@ -712,14 +757,19 @@ def _solve_lower(factor: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
     return scipy.linalg.blas.dtrsm(1.0, factor, y, lower=1, trans_a=trans)
 
 
-def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
+def _denominator_factor(r_bottom: np.ndarray, trace: float,
+                        floor: float) -> np.ndarray:
     """Cholesky factor L of r_bottom = L L^T, checked to be safely definite.
 
-    The smallest eigenvalue of r_bottom, estimated as
-    1 / lambda_max(r_bottom^{-1}) with the same factor, must be at least
-    1e-12 times ``trace``, the trace of the whole denominator of which
-    r_bottom is a diagonal block; otherwise the problem is rejected as ill
-    posed rather than silently regularized.
+    The smallest eigenvalue of r_bottom must be at least 1e-12 times
+    ``trace``, the trace of the whole denominator of which r_bottom is a
+    diagonal block; otherwise the problem is rejected as ill posed rather
+    than silently regularized. ``floor`` is a lower bound on that
+    eigenvalue (0 when none is known): when it clears the floor, the
+    factor is returned at once. Otherwise the eigenvalue is estimated as
+    1 / lambda_max(r_bottom^{-1}) with the same factor, which is at least
+    lambda_min; as floor <= lambda_min, the certificate accepts only
+    blocks that the estimate accepts, and the errors are the estimate's.
     """
     ill_posed = (
         "denominator dual Gram is numerically singular; the coarse space "
@@ -736,6 +786,8 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float) -> np.ndarray:
             f"lambda_min/trace is at or below roundoff, under the floor "
             f"{_PD_FLOOR:.0e}"
         )
+    if floor >= _PD_FLOOR * trace:
+        return factor
     # a Ritz value never exceeds lambda_max, so a loose tolerance can only
     # overstate lambda_min by a relative 1e-8
     inverse_top, _ = _top_eigenpairs(
@@ -770,31 +822,33 @@ def _max_over_blocks(pairs, trace: float, frobenius: float,
                      stages: dict | None = None):
     """Top eigenpair of a block-diagonal pencil, one block pair at a time.
 
-    ``pairs`` yields (r_top, r_bottom, copies) per solved diagonal block:
-    r_top is an operator that maps an n-vector or an n x m block to its
-    image, r_bottom the block as a matrix, and copies the number of
+    ``pairs`` yields (r_top, r_bottom, copies, floor) per solved diagonal
+    block: r_top is an operator that maps an n-vector or an n x m block to
+    its image, r_bottom the block as a matrix, copies the number of
     diagonal blocks with this spectrum (2 where a mirror block is not
-    solved). ``trace`` is the trace of the whole r_bottom: each block's
-    smallest eigenvalue is checked against 1e-12 times it, which is the
-    whole pencil's check, as the smallest eigenvalue of r_bottom is the
-    smallest over its blocks. The spectrum of the pencil is the union of
-    the block spectra: the value is the largest block top, the tie flag
-    compares the top two over all blocks, each counted ``copies`` times,
-    and the residual is the winning block's defect relative to
-    ``frobenius``, the norm ||r_top||_F of the whole r_top. ``stages`` adds
-    up the seconds spent forming the blocks (``grams``) and solving them
-    (``eigensolve``). Returns (value, tie, winning position in ``pairs``,
-    its maximizer, residual).
+    solved), and floor a lower bound on the smallest eigenvalue of r_bottom
+    as formed, or 0. ``trace`` is the trace of the whole r_bottom: each
+    block's smallest eigenvalue is checked against 1e-12 times it, which is
+    the whole pencil's check, as the smallest eigenvalue of r_bottom is the
+    smallest over its blocks; a block whose floor clears it skips the
+    inverse eigensolve that estimates it (``_denominator_factor``). The
+    spectrum of the pencil is the union of the block spectra: the value is
+    the largest block top, the tie flag compares the top two over all
+    blocks, each counted ``copies`` times, and the residual is the winning
+    block's defect relative to ``frobenius``, the norm ||r_top||_F of the
+    whole r_top. ``stages`` adds up the seconds spent forming the blocks
+    (``grams``) and solving them (``eigensolve``). Returns (value, tie,
+    winning position in ``pairs``, its maximizer, residual).
     """
     if stages is None:
         stages = {"grams": 0.0, "eigensolve": 0.0}
     tops, best = [], None
     clock = time.perf_counter()
-    for index, (r_top, r_bottom, copies) in enumerate(pairs):
+    for index, (r_top, r_bottom, copies, floor) in enumerate(pairs):
         now = time.perf_counter()
         stages["grams"] += now - clock
         values, maximizer = _top_of_pencil(
-            r_top, _denominator_factor(r_bottom, trace))
+            r_top, _denominator_factor(r_bottom, trace, floor))
         tops.extend(values.tolist() * copies)
         value = tops[-1]
         if best is None or value > best[0]:
@@ -823,7 +877,8 @@ def max_generalized_eigenvalue(
     definite: its smallest eigenvalue, estimated as 1 / lambda_max(r_bottom^{-1})
     with the same factor, is checked against 1e-12 times its trace, and the
     problem is rejected as ill posed otherwise, rather than silently
-    regularized.
+    regularized. A matrix pair has no 1D factors to bound that eigenvalue
+    from below, so the estimate always runs.
     """
     r_top = np.asarray(r_top, dtype=float)
     r_bottom = np.asarray_chkfinite(r_bottom, dtype=float)
@@ -833,7 +888,7 @@ def max_generalized_eigenvalue(
             f"and {r_bottom.shape}"
         )
     value, tie, _, maximizer, _ = _max_over_blocks(
-        [(r_top.__matmul__, r_bottom, 1)], float(np.trace(r_bottom)),
+        [(r_top.__matmul__, r_bottom, 1, 0.0)], float(np.trace(r_bottom)),
         float(np.linalg.norm(r_top)))
     return value, maximizer, tie
 
@@ -867,11 +922,17 @@ def saturation_coefficient(
     clock = time.perf_counter()
     trace = _gram_trace(spec, blocks, mid_x, mid_y)
     frobenius = _gram_norm(spec, blocks, fine_x, fine_y)
-    stages["grams"] += time.perf_counter() - clock
     solved = [block for block in blocks if block.copies]
+    # each entry of a coarse block sums at most (q + 1)^2 mode terms, so the
+    # rounding in forming it has a norm of about this at most, and moves its
+    # eigenvalues by no more (Weyl)
+    rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
+    floors = [floor - rounding
+              for floor in _gram_floors(spec, solved, mid_x, mid_y)]
+    stages["grams"] += time.perf_counter() - clock
     pairs = zip(_products(spec, solved, fine_x, fine_y),
                 _grams(spec, solved, mid_x, mid_y),
-                (block.copies for block in solved))
+                (block.copies for block in solved), floors)
     value, tie, index, maximizer, residual = _max_over_blocks(
         pairs, trace, frobenius, stages)
     size = sum(block.index.size for block in blocks)

@@ -19,6 +19,7 @@ import refsat.coefficients
 from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
 from refsat.assembly import EDGE_CLASSES
 from refsat.bases import BoundaryCondition1D
+from refsat.cli import load_published_table
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
 from pencil_oracle import (
     _classes,
@@ -36,6 +37,8 @@ from refsat.coefficients import (
     _classes as factor_classes,
     _edge_weights,
     _factor_args,
+    _PD_FLOOR,
+    _gram_floors,
     _gram_norm,
     _gram_trace,
     _grams,
@@ -523,8 +526,9 @@ def test_block_counts_follow_the_symmetries():
 
 def operator_pairs(pairs):
     """(r_top, r_bottom) matrix pairs as the blocks ``_max_over_blocks``
-    takes: r_top as an operator, each block counted once."""
-    return [(top.__matmul__, bottom, 1) for top, bottom in pairs]
+    takes: r_top as an operator, each block counted once, with no lower
+    bound on its smallest eigenvalue, so that the estimate checks it."""
+    return [(top.__matmul__, bottom, 1, 0.0) for top, bottom in pairs]
 
 
 def frobenius(pairs):
@@ -560,6 +564,88 @@ def test_top_values_and_tie_are_taken_over_all_blocks():
     value, tie, index, _, _ = _max_over_blocks(
         operator_pairs(pairs), 4.0, frobenius(pairs))
     assert not tie and index == 0
+
+
+def published_cells(max_p=None):
+    """The distinct published (problem, p, q, r) cells, up to ``max_p``."""
+    return sorted({(entry.problem, entry.p, entry.q, entry.r)
+                   for entry in load_published_table()
+                   if max_p is None or entry.p <= max_p})
+
+
+def coarse_floors(name, p, q, r, factors):
+    """(spec, solved blocks, x side and y classes at q, their floors)."""
+    spec = spec_for(name, p, q, r)
+    blocks = [block for block in _spec_blocks(spec) if block.copies]
+    xs, ys = _sides(spec, q, factors)
+    return spec, blocks, xs, ys, _gram_floors(spec, blocks, xs, ys)
+
+
+def test_block_floors_bound_the_smallest_eigenvalue():
+    cases = [(name, *degrees) for name in CANONICAL_PROBLEMS
+             for degrees in EIGEN_CASES[CANONICAL_PROBLEMS[name][0]]]
+    factors, singular = {}, 0
+    for name, p, q, r in cases + published_cells(max_p=16):
+        spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
+        for floor, gram in zip(floors, _grams(spec, blocks, xs, ys)):
+            lowest = scipy.linalg.eigvalsh(gram)[0]
+            # eigvalsh is backward stable: an exactly singular block reads
+            # an eigenvalue of either sign at the rounding level
+            slack = gram.shape[0] * np.finfo(float).eps * np.trace(gram)
+            assert 0.0 <= floor <= lowest + slack, (name, p, q, r)
+            if p == q and np.linalg.matrix_rank(gram) < gram.shape[0]:
+                singular += 1
+                assert floor == 0.0, (name, p, q, r)
+    # the p = q cases of E1..E5, F1, F3 and F4 have singular blocks
+    assert singular == 17
+
+
+def test_every_published_block_is_certified_definite(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a coarse block was formed")
+
+    monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_block)
+    monkeypatch.setattr(refsat.coefficients, "_swap_grams", no_block)
+    factors = {}
+    cells = published_cells()
+    assert len(cells) == 145
+    for name, p, q, r in cells:
+        spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
+        trace = _gram_trace(spec, _spec_blocks(spec), xs, ys)
+        rounding = (q + 1) ** 2 * np.finfo(float).eps
+        assert min(floors) >= (_PD_FLOOR + rounding) * trace, (name, p, q, r)
+
+
+def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
+    calls = []
+    top = refsat.coefficients._top_eigenpairs
+
+    def counting(apply, n, k, tol=0.0, vectors=True):
+        calls.append(vectors)
+        return top(apply, n, k, tol=tol, vectors=vectors)
+
+    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting)
+    for name, p, q, r in (("E1", 28, 32, 64), ("E2", 28, 32, 64),
+                          ("F1", 64, 128, 256)):
+        calls.clear()
+        saturation_coefficient(spec_for(name, p, q, r))
+        assert calls and all(calls), name
+    # the whole messages; only the numbers that rounding decides are free
+    ill_posed = (
+        r"^denominator dual Gram is numerically singular; the coarse space "
+        r"cannot represent all functionals \(ill-posed quotient\): ")
+    with pytest.raises(NumericalError, match=ill_posed + (
+            r"its Cholesky factorization failed \(\d+-th leading minor of "
+            r"the array is not positive definite\), so lambda_min/trace is "
+            r"at or below roundoff, under the floor 1e-12$")):
+        saturation_coefficient(spec_for("E5", 4, 4, 8))
+    # a singular block that factors has floor 0: the estimate rejects it
+    calls.clear()
+    with pytest.raises(NumericalError, match=ill_posed + (
+            r"estimated lambda_min/trace \S+e-\d+ is under the floor "
+            r"1e-12$")):
+        saturation_coefficient(spec_for("F1", 4, 4, 8))
+    assert calls == [False]
 
 
 def test_stages_time_the_three_stages():
@@ -668,7 +754,8 @@ def test_e5_counts_its_mirror_block_twice():
     # a block counted twice ties with itself
     top = np.diag([2.0, 1.0])
     value, tie, _, _, _ = _max_over_blocks(
-        [(top.__matmul__, np.eye(2), 2)], 2.0, np.sqrt(2.0) * np.linalg.norm(top))
+        [(top.__matmul__, np.eye(2), 2, 0.0)], 2.0,
+        np.sqrt(2.0) * np.linalg.norm(top))
     assert value == pytest.approx(2.0) and tie
 
 
