@@ -28,10 +28,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from refsat.assembly import EDGE_CLASSES, factor_conditions, normalize_edges
 from refsat.bases import BoundaryCondition1D
+
+# scipy.linalg is imported inside the kernels that call LAPACK or BLAS: it
+# costs about a quarter second of start-up, which the patch checks and the
+# help text never need
 
 __all__ = [
     "FAMILIES",
@@ -227,6 +230,8 @@ def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
     """
     theta, vec = np.ones(0), np.zeros((0, 0))
     if len(index):
+        import scipy.linalg
+
         try:
             theta, vec = scipy.linalg.eigh_tridiagonal(*_mass(index, coeff, degree))
             if theta[0] <= 0.0:
@@ -627,6 +632,8 @@ def _gram_floors(spec: ProblemSpec, blocks: list[_Block],
             w = _rows(factor, probes)
             memo[key] = 0.0
             if len(w) <= w.shape[1]:
+                import scipy.linalg
+
                 # LAPACK directly, as for the Cholesky factor: the wrappers
                 # cost more than the solve at these orders. A failed solve
                 # leaves no bound, and the estimate runs instead
@@ -715,6 +722,8 @@ def _top_eigenpairs(
     the values are computed, and None stands for the vectors.
     """
     if n <= _DENSE_ORDER:
+        import scipy.linalg
+
         # the full spectrum: LAPACK's index-subset drivers can return no
         # eigenvalue at all for a tight cluster, as at q = r. eigh reads
         # only the lower triangle, so roundoff skew needs no symmetrizing
@@ -745,16 +754,25 @@ def _top_eigenpairs(
     return result[0][order], result[1][:, order]
 
 
-def _solve_lower(factor: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
-    """factor^{-1} y, or factor^{-T} y with ``trans`` 1, by one BLAS call.
+def _lower_solver(factor: np.ndarray):
+    """The map (y, trans) -> factor^{-1} y, or factor^{-T} y with ``trans``
+    1, by one BLAS call.
 
     ``factor`` is a Fortran-ordered lower triangular matrix, as LAPACK's
     ``dpotrf`` returns it, and only its lower triangle is read; a vector
-    takes ``dtrsv`` and an n x m block ``dtrsm``.
+    takes ``dtrsv`` and an n x m block ``dtrsm``. The BLAS routines are
+    looked up once here, not on each of the solver's many calls.
     """
-    if y.ndim == 1:
-        return scipy.linalg.blas.dtrsv(factor, y, lower=1, trans=trans)
-    return scipy.linalg.blas.dtrsm(1.0, factor, y, lower=1, trans_a=trans)
+    import scipy.linalg
+
+    dtrsv, dtrsm = scipy.linalg.blas.dtrsv, scipy.linalg.blas.dtrsm
+
+    def solve(y: np.ndarray, trans: int) -> np.ndarray:
+        if y.ndim == 1:
+            return dtrsv(factor, y, lower=1, trans=trans)
+        return dtrsm(1.0, factor, y, lower=1, trans_a=trans)
+
+    return solve
 
 
 def _denominator_factor(r_bottom: np.ndarray, trace: float,
@@ -771,6 +789,8 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
     lambda_min; as floor <= lambda_min, the certificate accepts only
     blocks that the estimate accepts, and the errors are the estimate's.
     """
+    import scipy.linalg
+
     ill_posed = (
         "denominator dual Gram is numerically singular; the coarse space "
         "cannot represent all functionals (ill-posed quotient): "
@@ -790,8 +810,9 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
         return factor
     # a Ritz value never exceeds lambda_max, so a loose tolerance can only
     # overstate lambda_min by a relative 1e-8
+    solve = _lower_solver(factor)
     inverse_top, _ = _top_eigenpairs(
-        lambda y: _solve_lower(factor, _solve_lower(factor, y, 0), 1),
+        lambda y: solve(solve(y, 0), 1),
         r_bottom.shape[0], 1, tol=1e-8, vectors=False,
     )
     margin = 1.0 / (float(inverse_top[-1]) * max(trace, np.finfo(float).tiny))
@@ -811,11 +832,10 @@ def _top_of_pencil(r_top, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     image; the standard form L^{-1} r_top L^{-T} is applied through it.
     """
     n = factor.shape[0]
+    solve = _lower_solver(factor)
     values, vectors = _top_eigenpairs(
-        lambda y: _solve_lower(factor, r_top(_solve_lower(factor, y, 1)), 0),
-        n, min(2, n),
-    )
-    return values, _solve_lower(factor, vectors[:, -1], 1)
+        lambda y: solve(r_top(solve(y, 1)), 0), n, min(2, n))
+    return values, solve(vectors[:, -1], 1)
 
 
 def _max_over_blocks(pairs, trace: float, frobenius: float,

@@ -25,7 +25,6 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
 __all__ = [
@@ -256,6 +255,13 @@ def _transform_cell(t: int, cell: tuple[int, int]) -> tuple[int, int]:
     )
 
 
+def _orient(t: int, cells: frozenset,
+            edges: frozenset) -> tuple[frozenset, frozenset]:
+    """Images of a set of cells and a set of edges under the transform t."""
+    return (frozenset(_transform_cell(t, c) for c in cells),
+            frozenset(_transform_edge(t, e) for e in edges))
+
+
 def orient_patch(patch: RefinedPatch, orientation: int) -> RefinedPatch:
     """Apply one of the 8 dihedral transforms about the vertex (2, 2).
 
@@ -264,14 +270,9 @@ def orient_patch(patch: RefinedPatch, orientation: int) -> RefinedPatch:
     """
     if not 0 <= orientation <= 7:
         raise ValueError(f"orientation must be 0..7, got {orientation}")
-    return RefinedPatch(
-        id=patch.id,
-        vertex_kind=patch.vertex_kind,
-        cells=frozenset(_transform_cell(orientation, c) for c in patch.cells),
-        ext_dirichlet=frozenset(
-            _transform_edge(orientation, e) for e in patch.ext_dirichlet
-        ),
-    )
+    cells, ext_dirichlet = _orient(orientation, patch.cells, patch.ext_dirichlet)
+    return RefinedPatch(id=patch.id, vertex_kind=patch.vertex_kind,
+                        cells=cells, ext_dirichlet=ext_dirichlet)
 
 
 @lru_cache(maxsize=1)
@@ -647,21 +648,24 @@ def verify_traversal_lemma(
 
     Each oriented copy must map back to the canonical frame, where the
     traversal is computed; this round trip is checked at run time for every
-    orientation, on the memoized dihedral action. Every valid step in the
-    canonical frame must classify into a situation with an admissible
-    zero-extension witness. The step checks run once and count for every
-    orientation whose round trip holds. The report carries one violation
-    record per failed check, tagged with patch, orientation and step.
+    orientation, on the memoized dihedral action applied to the patch's
+    cells and clamped edges, so no oriented patch is built. Every valid
+    step in the canonical frame must classify into a situation with an
+    admissible zero-extension witness. The step checks run once and count
+    for every orientation whose round trip holds. The report carries one
+    violation record per failed check, tagged with patch, orientation and
+    step.
     """
     if numbering is None:
         numbering = canonical_numbering()
     step_violations, step_counts = _check_steps(patch, numbering)
     violations: list[TraversalViolation] = []
     counts: dict[str, int] = {}
+    canonical = patch.cells, patch.ext_dirichlet
     for orientation in range(8):
-        oriented = orient_patch(patch, orientation)
-        restored = orient_patch(oriented, inverse_orientation(orientation))
-        if restored != patch:
+        restored = _orient(inverse_orientation(orientation),
+                           *_orient(orientation, *canonical))
+        if restored != canonical:
             violations.append(
                 TraversalViolation(
                     patch_id=patch.id, orientation=orientation, step=0,
@@ -834,6 +838,10 @@ def extension_operator(
 
 
 def _endpoint_nullspace(degree: int, zero_at_minus1: bool, zero_at_plus1: bool):
+    """Orthonormal basis of the Legendre coefficient columns of degree
+    ``degree`` that vanish at the chosen endpoints: the right singular
+    vectors of the endpoint rows past their rank, which counts the singular
+    values above max(M, N) eps s_max (the rule of scipy's ``null_space``)."""
     rows = []
     k = np.arange(degree + 1)
     if zero_at_plus1:
@@ -842,7 +850,10 @@ def _endpoint_nullspace(degree: int, zero_at_minus1: bool, zero_at_plus1: bool):
         rows.append((-1.0) ** k)
     if not rows:
         return np.eye(degree + 1)
-    return scipy.linalg.null_space(np.array(rows))
+    _, values, vh = np.linalg.svd(np.array(rows))
+    rank = np.sum(values > max(len(rows), degree + 1) * np.finfo(float).eps
+                  * values[0])
+    return vh[rank:].T
 
 
 def _mass_1d(cols: np.ndarray) -> np.ndarray:
@@ -854,6 +865,14 @@ def _mass_1d(cols: np.ndarray) -> np.ndarray:
 def _stiffness_1d(cols: np.ndarray) -> np.ndarray:
     """Derivative L2 Gram of 1D plain Legendre coefficient columns."""
     return _mass_1d(npleg.legder(cols, axis=0))
+
+
+def _pencil_eigenvalues(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a x = lambda m x for symmetric a and
+    definite m: with m = L L^T, those of L^{-1} a L^{-T}."""
+    factor = np.linalg.cholesky(m)
+    half = np.linalg.solve(factor, a)
+    return np.linalg.eigvalsh(np.linalg.solve(factor, half.T))
 
 
 def extension_norm(situation: str, degree: int) -> float:
@@ -896,12 +915,7 @@ def extension_norm(situation: str, degree: int) -> float:
         pieces.append(_decay(piece, 0, _DECAY_WEIGHTS[side][1]))
     b = sum(_stiffness_1d(piece) for piece in pieces)
     c = sum(_mass_1d(piece) for piece in pieces)
-    thetas = scipy.linalg.eigh(
-        _stiffness_1d(cross), _mass_1d(cross), eigvals_only=True
-    )
-    top = max(
-        scipy.linalg.eigh(b + theta * c, stiff + theta * mass,
-                          eigvals_only=True)[-1]
-        for theta in thetas
-    )
+    thetas = _pencil_eigenvalues(_stiffness_1d(cross), _mass_1d(cross))
+    top = max(_pencil_eigenvalues(b + theta * c, stiff + theta * mass)[-1]
+              for theta in thetas)
     return float(np.sqrt(n_plain + top))

@@ -10,7 +10,9 @@ admissible polynomials, so it gives a lower bound on ``extension_norm``.
 ``decay_by_columns`` is the column-by-column ``legmul`` product that the
 one-matrix decay in ``refsat.patches._decay`` replaced. ``extension_norm_2d``
 is the dense generalized eigenproblem on the 2D tensor basis that the
-1D-separated ``refsat.patches.extension_norm`` replaced.
+1D-separated ``refsat.patches.extension_norm`` replaced, and
+``extension_norm_scipy`` is that 1D route on scipy's ``null_space`` and
+generalized ``eigh``, which its numpy SVD and Cholesky reductions replaced.
 """
 
 from __future__ import annotations
@@ -23,9 +25,14 @@ from refsat.patches import (
     PRE_ZERO_SIDES,
     SITUATIONS,
     Extension,
+    _DECAY_WEIGHTS,
     _LAYOUTS,
+    _decay,
     _endpoint_nullspace,
+    _mass_1d,
+    _mirror_x,
     _seminorm_gram,
+    _stiffness_1d,
     extension_operator,
     h1_seminorm_squared,
     side_trace,
@@ -157,3 +164,40 @@ def extension_norm_2d(situation: str, degree: int) -> float:
     )
     top = scipy.linalg.eigh(extended, _seminorm_gram(basis), eigvals_only=True)
     return float(np.sqrt(top[-1]))
+
+
+def extension_norm_scipy(situation: str, degree: int) -> float:
+    """Exact norm of a decay situation's extension in the H1 seminorm.
+
+    The 1D-separated route of ``refsat.patches.extension_norm`` on scipy's
+    endpoint null spaces and generalized eigensolves: the squared norm is
+    n_plain + max over theta of lambda_max(B + theta C, S + theta M), for
+    theta in the eigenvalues of S_c z = theta M_c z.
+    """
+    layout = _LAYOUTS[situation].values()
+    decayed = [(sources, side) for sources, sides in layout for side in sides]
+    if not decayed:
+        raise ValueError(f"situation {situation} has no decay")
+    zero = PRE_ZERO_SIDES[situation]
+    k = np.arange(degree + 1)
+    ends = [[np.ones(degree + 1)] * plus + [(-1.0) ** k] * minus
+            for minus, plus in (("e3" in zero, "e1" in zero),
+                                ("e4" in zero, "e2" in zero))]
+    bases = [scipy.linalg.null_space(np.array(end)) if end
+             else np.eye(degree + 1) for end in ends]
+    axis = _DECAY_WEIGHTS[decayed[0][1]][0]
+    along, cross = bases[axis], bases[1 - axis]
+    pieces = [
+        _decay(_mirror_x(along) if (sources["e1"] == "e3",
+                                    sources["e2"] == "e4")[axis] else along,
+               0, _DECAY_WEIGHTS[side][1])
+        for sources, side in decayed
+    ]
+    b = sum(_stiffness_1d(piece) for piece in pieces)
+    c = sum(_mass_1d(piece) for piece in pieces)
+    stiff, mass = _stiffness_1d(along), _mass_1d(along)
+    thetas = scipy.linalg.eigh(_stiffness_1d(cross), _mass_1d(cross),
+                               eigvals_only=True)
+    top = max(scipy.linalg.eigh(b + theta * c, stiff + theta * mass,
+                                eigvals_only=True)[-1] for theta in thetas)
+    return float(np.sqrt(len(layout) - len(decayed) + top))

@@ -618,18 +618,26 @@ SWEEP_MARKDOWN = """\
 
 def test_streamed_rows_match_the_collected_table(tmp_path, capsys, computed):
     """Rows written one by one read as the whole table written at the end."""
+    # the budgets are read off the cost model, instead of constants that
+    # sit a fraction of a millisecond from one of their estimates. The
+    # sweep's is halfway between its costliest cell that runs and the one
+    # that it skips, E1 (40, 80, 160)
+    cells = {(name, p): _spec_for_problem(name, p, 2 * p, 4 * p)
+             for name in ("E1", "C") for p in (2, 3, 40)}
+    skipped = estimated_seconds(cells.pop(("E1", 40)))
+    kept = max(estimated_seconds(spec) for spec in cells.values())
+    assert kept < skipped
     for fmt, expected in (("csv", SWEEP_CSV), ("markdown", SWEEP_MARKDOWN)):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"problems": ["E1", "C"],
                                     "strategies": ["2p"],
                                     "p_values": [2, 3, 40], "format": fmt}))
-        code, out, _ = run_cli(
-            ["sweep", "--config", str(path), "--budget", "0.05"], capsys)
+        code, out, _ = run_cli(["sweep", "--config", str(path), "--budget",
+                                repr((kept + skipped) / 2)], capsys)
         assert code == 0
         assert out == expected
-    # the budget is read off the cost model, halfway between the costliest
-    # r = 16 cell and the cheapest r > 16 cell, instead of a constant that
-    # sits a fraction of a millisecond from one of its estimates
+    # the reproduce budget is halfway between the costliest r = 16 cell and
+    # the cheapest r > 16 cell
     costs = {}
     for entry in load_published_table():
         if entry.p == 4:
@@ -757,6 +765,43 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(EXPECTED_HEADER)
+
+
+#: lists the heavy scipy modules loaded after each step; runs in a fresh
+#: interpreter, as this one has them loaded already
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+
+def step(name, action):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            action()
+        except SystemExit:
+            pass
+    print(json.dumps([name] + [module for module in ("scipy.linalg",
+          "scipy.sparse") if module in sys.modules]))
+
+step("import refsat", lambda: __import__("refsat"))
+step("import refsat.cli", lambda: __import__("refsat.cli"))
+from refsat.cli import main
+step("--help", lambda: main(["--help"]))
+step("patches verify", lambda: main(["patches", "verify"]))
+step("compute", lambda: main(["compute", "--family", "C", "--p", "3",
+                              "--q", "6", "--r", "12"]))
+"""
+
+
+def test_help_and_patch_checks_load_no_scipy_linalg():
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+        cwd=Path(refsat.__file__).resolve().parents[1], timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert steps[:4] == [["import refsat"], ["import refsat.cli"], ["--help"],
+                         ["patches verify"]]
+    # the probe sees the module once a coefficient needs it
+    assert steps[4][:2] == ["compute", "scipy.linalg"]
 
 
 def test_missing_subcommand_is_a_usage_error():

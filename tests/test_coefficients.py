@@ -42,10 +42,10 @@ from refsat.coefficients import (
     _gram_norm,
     _gram_trace,
     _grams,
+    _lower_solver,
     _max_over_blocks,
     _products,
     _sides,
-    _solve_lower,
     _spec_blocks,
     block_orders,
     dual_gram,
@@ -705,7 +705,7 @@ def test_blas_solves_match_solve_triangular():
         for trans in (0, 1):
             expect = scipy.linalg.solve_triangular(factor, y, lower=True,
                                                    trans=trans)
-            got = _solve_lower(factor, y, trans)
+            got = _lower_solver(factor)(y, trans)
             assert got.shape == y.shape
             assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 

@@ -2,7 +2,8 @@
 
 The extensions built from ``_LAYOUTS`` are checked against the hand-written
 seam and clamped-side tables of ``extension_oracle``, and their exact norms
-against its Monte-Carlo ratios and its dense 2D eigenproblem.
+against its Monte-Carlo ratios, its dense 2D eigenproblem and the scipy
+pencils of the 1D route.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from extension_oracle import (
     decay_by_columns,
     extension_interface_checks,
     extension_norm_2d,
+    extension_norm_scipy,
     measured_extension_ratio,
     random_admissible,
 )
@@ -254,6 +256,25 @@ def test_orientation_round_trips():
         orient_patch(cat[1], 8)
 
 
+def test_broken_dihedral_action_fails_every_orientation(monkeypatch):
+    """The round trip is checked at run time: a wrong inverse shows in each
+    orientation of a patch that no transform but the identity fixes."""
+    asymmetric = [patch for patch in patch_catalog().values()
+                  if all(orient_patch(patch, t) != patch for t in range(1, 8))]
+    assert asymmetric
+    monkeypatch.setattr(patches, "inverse_orientation",
+                        lambda t: inverse_orientation(t) ^ 1)
+    for patch in asymmetric:
+        report = verify_traversal_lemma(patch)
+        assert not report.passed
+        assert report.violations == tuple(
+            TraversalViolation(patch_id=patch.id, orientation=t, step=0,
+                               edge=None, reason="orientation round trip failed")
+            for t in range(8)
+        )
+        assert report.counts_dict() == {}
+
+
 def test_oriented_copies_crop_to_valid_patches():
     """Each dihedral image stays on the grid with the same edge split."""
     cat = patch_catalog()
@@ -475,6 +496,21 @@ def test_extension_norm_matches_the_2d_oracle():
             expected = extension_norm_2d(situ, degree)
             got = extension_norm(situ, degree)
             assert abs(got - expected) <= 1e-12 * expected, (situ, degree)
+
+
+def test_extension_norm_matches_the_scipy_pencils():
+    """The numpy Cholesky reductions equal scipy's generalized eigh.
+
+    They agree to 1e-12 up to degree 51. Past it the plain-Legendre Grams
+    leave each route up to 2e-12 off a 50-digit reference (at degree 61
+    numpy +1.9e-12 and scipy -1.3e-12), so the two are held to 4e-12.
+    """
+    for degree in range(2, 65):
+        tol = 1e-12 if degree <= 51 else 4e-12
+        for situ in ("d", "e"):
+            expected = extension_norm_scipy(situ, degree)
+            got = extension_norm(situ, degree)
+            assert abs(got - expected) <= tol * expected, (situ, degree)
 
 
 def test_decay_extension_norms_settle_at_high_degree():
