@@ -74,29 +74,15 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     """Deterministic cost estimate in seconds, used for budget skipping.
 
     The terms follow the stages of ``saturation_coefficient``: a fixed
-    per-cell overhead, the 1D factors at q and at r (per factor of degree d,
-    tridiagonal eigensolves of ~d^2 and loads of ~d^2 in all; family A
-    counts its x and y factors, once where they coincide, and families B
-    and C their y factor and the edge weights from the x resolvent, ~d
-    eliminations over d + 1 values each; a lone ``compute`` starts cold, so
-    the estimate counts them for every cell although a sweep shares them),
-    and, summed over the diagonal blocks that are solved (E5's mirror block
-    is not), the contraction of the 1D load Grams at q into a coarse block
-    of order n (~n * q * (q + n) multiply-adds, and ~n^2 to move it) and
-    its top-of-spectrum eigensolve. Up to order 100 that is one dense eigh
-    (~n^3); above, the Cholesky factor of the coarse block (~n^3 / 3) and
-    one Lanczos run, of a fixed cost and a few dozen operator applications
-    of two triangular solves (~n^2) and a product of fine 1D load Grams,
-    which is cheap beside the solves at every published order and has no
-    term of its own; nor has the block's definiteness certificate, one
-    small symmetric eigensolve per class. The constants are fitted to
-    single-threaded stage timings (``SaturationResult.stages``, best of
-    three cold runs) of the 145 distinct published cells. The eigensolve
-    ones were fitted on a host where the other terms read 2x their stages,
-    and doubled to match.
-    There, at twice its times, the eigensolve term reads 0.78-1.18x of the
-    stage where it is >= 5 ms; the estimate 0.70-1.09x of each cell over
-    0.1 s, 0.65-1.19x down to 10 ms and 0.72-2.07x (median 1.21x) below.
+    per-cell overhead; the 1D factors at q and at r, ~d^2 per factor of
+    degree d (family A counts its x and y factors, once where they
+    coincide; families B and C their y factor and the edge weights), for
+    every cell, as a lone ``compute`` starts cold; and per solved block of
+    order n, its coarse Gram (~n q (q + n) + n^2) and its eigensolve: a
+    dense eigh (~n^3) up to order 100, above it a Cholesky factor (~n^3)
+    and one Lanczos run of a fixed cost and ~n^2 per operator application.
+    The constants are fitted to single-threaded stage timings
+    (``SaturationResult.stages``) of the published cells.
     """
     r, q = spec.r, spec.q
     overhead = 1e-3
@@ -204,6 +190,14 @@ _SWEEP_KEYS = {"strategies", "p_values", "r_factors", "problems", "output",
                "format"}
 
 
+def _array(raw: dict, key: str, default: tuple) -> tuple:
+    """The config's list under ``key``, or ``default`` where it is absent."""
+    value = raw.get(key, list(default))
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{key} must be a non-empty JSON array")
+    return tuple(value)
+
+
 def load_sweep_config(path: str) -> SweepConfig:
     with open(path, encoding="utf-8") as handle:
         try:
@@ -215,21 +209,19 @@ def load_sweep_config(path: str) -> SweepConfig:
     unknown = set(raw) - _SWEEP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    strategies = tuple(raw.get("strategies", list(Q_STRATEGIES)))
+    strategies = _array(raw, "strategies", Q_STRATEGIES)
     for name in strategies:
         if name not in Q_STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
-    p_values = tuple(raw.get("p_values", (4, 8, 16)))
-    if not p_values or any(
-        not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in p_values
-    ):
+    p_values = _array(raw, "p_values", (4, 8, 16))
+    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in p_values):
         raise ValueError("p_values must be positive integers")
-    r_factors = tuple(raw.get("r_factors", (2,)))
-    if not r_factors or any(f not in R_FACTORS for f in r_factors):
+    r_factors = _array(raw, "r_factors", (2,))
+    if any(type(f) is not int or f not in R_FACTORS for f in r_factors):
         raise ValueError(f"r_factors must be drawn from {R_FACTORS}")
-    problems = tuple(raw.get("problems", list(CANONICAL_PROBLEMS)))
+    problems = _array(raw, "problems", tuple(CANONICAL_PROBLEMS))
     for name in problems:
-        if name not in CANONICAL_PROBLEMS:
+        if not isinstance(name, str) or name not in CANONICAL_PROBLEMS:
             raise ValueError(f"unknown problem {name!r}")
     fmt = raw.get("format", "csv")
     if fmt not in ("csv", "markdown"):

@@ -44,9 +44,6 @@ __all__ = [
     "ProblemSpec",
     "SaturationResult",
     "q_strategy",
-    "block_orders",
-    "dual_gram",
-    "max_generalized_eigenvalue",
     "saturation_coefficient",
 ]
 
@@ -129,10 +126,11 @@ class SaturationResult:
     residual: float
     tie: bool
     wall_seconds: float
-    #: seconds spent building the 1D factors and edge weights
-    #: (``factors``), forming the coarse dual Gram blocks with the trace,
-    #: the fine norm and the definiteness bounds (``grams``), and solving
-    #: them against the fine products (``eigensolve``)
+    #: seconds spent building the 1D factors, the edge weights and each
+    #: block's load rows and weights (``factors``), forming the coarse dual
+    #: Gram blocks with the trace, the fine norm and the definiteness bounds
+    #: (``grams``), and solving them against the fine products
+    #: (``eigensolve``)
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -350,13 +348,14 @@ class _Block(NamedTuple):
     """One diagonal block of a dual Gram and its rows in the family's load order.
 
     Loads are probe pairs (a, b) at a * (p + 1) + b for family A, with the x
-    probe outermost, and probe degrees for families B and C (from 1 for C).
-    A parity block has row k at ``index[k]``. A swap block has row k at
+    probe outermost, and probe degrees for families B and C (from 1 for C),
+    whose x side is one row that the edge weights load (see ``_pair``). A
+    parity block has row k at ``index[k]``. A swap block has row k at
     (e_index[k] + sign * e_partner[k]) / sqrt(2), or at e_index[k] where
     ``index[k] == partner[k]``.
     """
 
-    #: the x class contracted, None for families B and C (summed over)
+    #: the x class contracted, None for families B and C
     x: int | None
     #: the y class contracted
     y: int
@@ -430,34 +429,44 @@ def _restrict(block: _Block, full: np.ndarray) -> np.ndarray:
     return keep * full[block.index] + swap * full[block.partner]
 
 
-def _weights(fx: _Factor, fy: _Factor) -> np.ndarray:
-    """1 / (lambda_i + mu_j): the inverse stiffness in the tensor eigenbasis.
+def _pair(block: _Block, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Wx, Wy, G) of a block, whose dual Gram is (Wx (x) Wy) diag(G) (Wx (x) Wy)^T.
 
-    Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): with
-    the 1D modes V^T S V = diag(lambda), V^T M V = I of each factor basis,
-    the stiffness Sx (x) My + Mx (x) Sy is diagonal in the basis Vx (x) Vy
-    with entries lambda_i + mu_j, so a dual Gram contracts the 1D load
-    Grams W with these weights and no 2D matrix is formed. Only family A
-    uses them: no two of its factors have lambda = 0.
+    ``xs`` and ``ys`` are the x side and the y classes of ``_sides``, and W
+    holds the load rows of a class for the block's probes. Fast
+    diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): with the 1D
+    modes V^T S V = diag(lambda), V^T M V = I of each factor basis, the
+    stiffness Sx (x) My + Mx (x) Sy is diagonal in the basis Vx (x) Vy with
+    entries lambda_i + mu_j, so a family-A block has the weights
+    G = 1 / (lambda_i + mu_j), no two of its factors having lambda = 0, and
+    no 2D matrix is formed. Edge loads see x only through the right-edge
+    trace, so a B or C block has the 1 x 1 identity for Wx and the edge
+    weights of its y class as the one row of G.
     """
-    return 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
-
-
-def _rows(factor: _Factor, probes: np.ndarray) -> np.ndarray:
-    """The load rows of ``factor`` for the given probe degrees."""
-    return factor.loads[np.searchsorted(factor.probes, probes)]
+    fy = ys[block.y]
+    wy = fy.loads[np.searchsorted(fy.probes, block.py)]
+    if block.x is None:
+        return np.ones((1, 1)), wy, xs[block.y][np.newaxis]
+    fx = xs[block.x]
+    wx = fx.loads[np.searchsorted(fx.probes, block.px)]
+    return wx, wy, 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
 
 
 def _volume_gram(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """t[a, c, b, d] = R[(a, b), (c, d)] for the probe pairs of wx x wy.
+    """The dual Gram of the probe pairs of wx x wy, x probe outermost.
 
-    xx[(a, c), i] = wx[a, i] wx[c, i] and yy[j, (b, d)] = wy[b, j] wy[d, j]
-    are bitwise symmetric in their index pairs, and so is the product.
+    The y side is contracted first, in one product, into
+    z[(i, b), d] = sum_j weights[i, j] wy[b, j] wy[d, j], and then
+    xx[(a, c), i] = wx[a, i] wx[c, i] into R[(a, b), (c, d)]; both are
+    bitwise symmetric in their index pairs, and so is the product. With
+    the 1 x 1 identity for wx, z is exactly the block. A class may have no
+    modes at low degrees, hence the explicit sizes.
     """
-    nx, ny = len(wx), len(wy)
-    xx = (wx[:, np.newaxis, :] * wx).reshape(nx * nx, -1)
-    yy = (wy.T[:, :, np.newaxis] * wy.T[:, np.newaxis, :]).reshape(-1, ny * ny)
-    return (xx @ (weights @ yy)).reshape(nx, nx, ny, ny)
+    (nx, mx), (ny, my) = wx.shape, wy.shape
+    z = (weights[:, np.newaxis, :] * wy).reshape(mx * ny, my) @ wy.T
+    xx = (wx[:, np.newaxis, :] * wx).reshape(nx * nx, mx)
+    t = (xx @ z.reshape(mx, ny * ny)).reshape(nx, nx, ny, ny)
+    return t.transpose(0, 2, 1, 3).reshape(nx * ny, nx * ny)
 
 
 def _swap_grams(wx: np.ndarray, weights: np.ndarray,
@@ -494,29 +503,20 @@ def _swap_grams(wx: np.ndarray, weights: np.ndarray,
     return grams
 
 
-def _grams(spec: ProblemSpec, blocks: list[_Block], xs, ys):
+def _grams(blocks: list[_Block], triples: list):
     """Yield the diagonal blocks of the dual Gram R = L A^{-1} L^T, in order.
 
-    ``xs`` and ``ys`` are the x side and the y classes of ``_sides``.
-    Family A blocks contract their x and y class; the swap blocks are both
+    ``triples`` holds the ``_pair`` of each block. The swap blocks are both
     cut from one product of their class pair, which is dropped once they
-    are. B and C blocks contract their y class with its edge weights.
+    are.
     """
     swapped = None
-    for block in blocks:
-        wy = _rows(ys[block.y], block.py)
-        if spec.family != "A":
-            yield (wy * xs[block.y]) @ wy.T
-            continue
-        fx = xs[block.x]
-        wx = _rows(fx, block.px)
+    for block, (wx, wy, weights) in zip(blocks, triples):
         if block.partner is None:
-            t = _volume_gram(wx, wy, _weights(fx, ys[block.y]))
-            n = t.shape[0] * t.shape[2]
-            yield t.transpose(0, 2, 1, 3).reshape(n, n)
+            yield _volume_gram(wx, wy, weights)
             continue
         if swapped is None:
-            swapped = _swap_grams(wx, _weights(fx, ys[block.y]), blocks)
+            swapped = _swap_grams(wx, weights, blocks)
         yield swapped.pop(0)
 
 
@@ -544,92 +544,63 @@ def _swap_product(block: _Block, product):
     return lambda v: _restrict(block, product(_embed(block, v, size)))
 
 
-def _edge_product(wy: np.ndarray, weights: np.ndarray):
-    """v -> Wy (e o (Wy^T v)) for the edge weights e of a B or C block."""
-    scaled = wy * weights
-    return lambda v: scaled @ (wy.T @ v)
-
-
-def _products(spec: ProblemSpec, blocks: list[_Block], xs, ys):
+def _products(blocks: list[_Block], triples: list):
     """Yield the diagonal blocks of the dual Gram as operators, in order.
 
     Each maps an n-vector or an n x m block to its image under the block
     of ``_grams``, at the cost of a few products of 1D load Grams, so
     R is never formed.
     """
-    for block in blocks:
-        fy = ys[block.y]
-        wy = _rows(fy, block.py)
-        if spec.family != "A":
-            yield _edge_product(wy, xs[block.y])
-            continue
-        fx = xs[block.x]
-        product = _pair_product(_rows(fx, block.px), wy, _weights(fx, fy))
+    for block, triple in zip(blocks, triples):
+        product = _pair_product(*triple)
         yield product if block.partner is None else _swap_product(block, product)
 
 
-def _gram_trace(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
+def _class_pairs(blocks: list[_Block], triples: list):
+    """The triple of each class pair once: swap blocks share theirs."""
+    return {(block.x, block.y): triple
+            for block, triple in zip(blocks, triples)}.values()
+
+
+def _gram_trace(blocks: list[_Block], triples: list) -> float:
     """Trace of the whole dual Gram, the sum of its block traces.
 
     The diagonal of a block contracts the squared load rows, so the trace
-    costs one small product per class pair and no block is formed.
+    is sx G sy per class pair and no block is formed.
     """
-    total = 0.0
-    for block in {(b.x, b.y): b for b in blocks}.values():
-        fy = ys[block.y]
-        sy = (_rows(fy, block.py) ** 2).sum(axis=0)
-        if spec.family != "A":
-            total += xs[block.y] @ sy
-        else:
-            fx = xs[block.x]
-            sx = (_rows(fx, block.px) ** 2).sum(axis=0)
-            total += sx @ _weights(fx, fy) @ sy
-    return float(total)
+    return float(sum((wx ** 2).sum(axis=0) @ weights @ (wy ** 2).sum(axis=0)
+                     for wx, wy, weights in _class_pairs(blocks, triples)))
 
 
-def _gram_norm(spec: ProblemSpec, blocks: list[_Block], xs, ys) -> float:
+def _gram_norm(blocks: list[_Block], triples: list) -> float:
     """Frobenius norm of the whole dual Gram, from its 1D factors.
 
     A class pair contributes trace(G^T Px G Py), with G its weights and
-    Px = (Wx^T Wx) o (Wx^T Wx), Py the same for y; a B or C block
-    contributes e^T Py e for its edge weights e. Every term is
+    Px = (Wx^T Wx) o (Wx^T Wx), Py the same for y. Every term is
     non-negative, and no block is formed.
     """
-    total = 0.0
-    for block in {(b.x, b.y): b for b in blocks}.values():
-        fy = ys[block.y]
-        wy = _rows(fy, block.py)
-        py = (wy.T @ wy) ** 2
-        if spec.family != "A":
-            total += xs[block.y] @ py @ xs[block.y]
-        else:
-            fx = xs[block.x]
-            wx = _rows(fx, block.px)
-            weights = _weights(fx, fy)
-            total += np.sum(((wx.T @ wx) ** 2 @ weights @ py) * weights)
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(
+        np.sum(((wx.T @ wx) ** 2 @ weights @ (wy.T @ wy) ** 2) * weights)
+        for wx, wy, weights in _class_pairs(blocks, triples))))
 
 
-def _gram_floors(spec: ProblemSpec, blocks: list[_Block],
-                 xs, ys) -> list[float]:
+def _gram_floors(blocks: list[_Block], triples: list) -> list[float]:
     """A lower bound on the smallest eigenvalue of each block, from its 1D
     factors.
 
-    A family-A class pair's Gram is B D B^T with B = Wx (x) Wy and D the
-    weights, so it is at least min(D) B B^T, and B B^T = Wx Wx^T (x) Wy Wy^T
-    has the smallest eigenvalue lambda_min(Wx Wx^T) lambda_min(Wy Wy^T); a
-    swap block is an orthonormal compression of its pair's Gram, so its
-    smallest eigenvalue is no smaller. A B or C block Wy diag(e) Wy^T is at
-    least min(e) lambda_min(Wy Wy^T). This costs one small symmetric
+    A class pair's Gram is B D B^T with B = Wx (x) Wy and D its weights, so
+    it is at least min(D) B B^T, and B B^T = Wx Wx^T (x) Wy Wy^T has the
+    smallest eigenvalue lambda_min(Wx Wx^T) lambda_min(Wy Wy^T); a swap
+    block is an orthonormal compression of its pair's Gram, so its
+    smallest eigenvalue is no smaller. This costs one small symmetric
     eigensolve per class, and no block is formed. The bound is clamped at
     0, and is exactly 0 for a class with more probes than modes, whose load
     Gram is singular.
     """
     memo = {}
 
-    def load_floor(key, factor: _Factor, probes: np.ndarray) -> float:
+    def load_floor(key, w: np.ndarray) -> float:
         if key not in memo:
-            w = _rows(factor, probes)
             memo[key] = 0.0
             if len(w) <= w.shape[1]:
                 import scipy.linalg
@@ -645,15 +616,9 @@ def _gram_floors(spec: ProblemSpec, blocks: list[_Block],
     # a zero load floor may belong to a class without modes, whose weights
     # have no extremes
     floors = []
-    for block in blocks:
-        fy = ys[block.y]
-        floor = load_floor(("y", block.y), fy, block.py)
-        if spec.family != "A":
-            floors.append(floor and floor * float(xs[block.y].min()))
-            continue
-        fx = xs[block.x]
-        floor *= load_floor(("x", block.x), fx, block.px)
-        floors.append(floor and floor / float(fx.lam.max() + fy.lam.max()))
+    for block, (wx, wy, weights) in zip(blocks, triples):
+        floor = load_floor(("x", block.x), wx) * load_floor(("y", block.y), wy)
+        floors.append(floor and floor * float(weights.min()))
     return floors
 
 
@@ -670,34 +635,6 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     """The diagonal blocks of the spec's dual Grams (both degrees alike)."""
     (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
     return _blocks(spec, bc_x, bc_y)
-
-
-def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
-    """Orders of the diagonal blocks of the spec's dual Grams, in load order;
-    E5's mirror block is listed, though only its twin is solved."""
-    return tuple(block.index.size for block in _spec_blocks(spec))
-
-
-def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
-    """Dual Gram matrix R = L A^{-1} L^T of the spec's loads at ``degree``.
-
-    The space is the spec's Dirichlet tensor space (family A and B) or
-    quotient space (family C) of coordinate degree at most ``degree``, which
-    must be at least the load degree p. Its 1D factors (and edge weights)
-    are computed afresh, and the blocks contracted as in
-    ``saturation_coefficient`` are scattered into the full matrix in the
-    family's load order.
-    """
-    if spec.p > degree:
-        raise ValueError(
-            f"load degree p = {spec.p} exceeds the space degree {degree}")
-    xs, ys = _sides(spec, degree, {})
-    blocks = _spec_blocks(spec)
-    size = sum(block.index.size for block in blocks)
-    gram = np.zeros((size, size))
-    for block, part in zip(blocks, _grams(spec, blocks, xs, ys)):
-        gram += _embed(block, _embed(block, part.T, size).T, size)
-    return gram
 
 
 #: orders up to which the eigensolves form their operator densely: a dense
@@ -885,34 +822,6 @@ def _max_over_blocks(pairs, trace: float, frobenius: float,
     return value, tie, index, maximizer, residual
 
 
-def max_generalized_eigenvalue(
-    r_top: np.ndarray, r_bottom: np.ndarray
-) -> tuple[float, np.ndarray, bool]:
-    """Largest lambda with r_top F = lambda r_bottom F, plus maximizer and tie flag.
-
-    With the Cholesky factor r_bottom = L L^T the pencil becomes the
-    standard problem for L^{-1} r_top L^{-T}, whose top two eigenpairs give
-    the value, the tie flag and, through F = L^{-T} y, the maximizer. Only
-    the top of the spectrum is computed. r_bottom must be safely positive
-    definite: its smallest eigenvalue, estimated as 1 / lambda_max(r_bottom^{-1})
-    with the same factor, is checked against 1e-12 times its trace, and the
-    problem is rejected as ill posed otherwise, rather than silently
-    regularized. A matrix pair has no 1D factors to bound that eigenvalue
-    from below, so the estimate always runs.
-    """
-    r_top = np.asarray(r_top, dtype=float)
-    r_bottom = np.asarray_chkfinite(r_bottom, dtype=float)
-    if r_top.shape != r_bottom.shape or r_top.shape[0] != r_top.shape[1]:
-        raise ValueError(
-            f"expected square matrices of equal shape, got {r_top.shape} "
-            f"and {r_bottom.shape}"
-        )
-    value, tie, _, maximizer, _ = _max_over_blocks(
-        [(r_top.__matmul__, r_bottom, 1, 0.0)], float(np.trace(r_bottom)),
-        float(np.linalg.norm(r_top)))
-    return value, maximizer, tie
-
-
 def saturation_coefficient(
     spec: ProblemSpec, factors: dict | None = None
 ) -> SaturationResult:
@@ -934,24 +843,23 @@ def saturation_coefficient(
     start = time.perf_counter()
     if factors is None:
         factors = {}
-    (fine_x, fine_y), (mid_x, mid_y) = (
-        _sides(spec, degree, factors) for degree in (spec.r, spec.q))
     blocks = _spec_blocks(spec)
+    sides = (_sides(spec, degree, factors) for degree in (spec.r, spec.q))
+    fine, mid = ([_pair(block, xs, ys) for block in blocks] for xs, ys in sides)
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,
               "eigensolve": 0.0}
     clock = time.perf_counter()
-    trace = _gram_trace(spec, blocks, mid_x, mid_y)
-    frobenius = _gram_norm(spec, blocks, fine_x, fine_y)
-    solved = [block for block in blocks if block.copies]
+    trace = _gram_trace(blocks, mid)
+    frobenius = _gram_norm(blocks, fine)
+    solved, fine, mid = ([item for block, item in zip(blocks, items) if block.copies]
+                         for items in (blocks, fine, mid))
     # each entry of a coarse block sums at most (q + 1)^2 mode terms, so the
     # rounding in forming it has a norm of about this at most, and moves its
     # eigenvalues by no more (Weyl)
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
-    floors = [floor - rounding
-              for floor in _gram_floors(spec, solved, mid_x, mid_y)]
+    floors = [floor - rounding for floor in _gram_floors(solved, mid)]
     stages["grams"] += time.perf_counter() - clock
-    pairs = zip(_products(spec, solved, fine_x, fine_y),
-                _grams(spec, solved, mid_x, mid_y),
+    pairs = zip(_products(solved, fine), _grams(solved, mid),
                 (block.copies for block in solved), floors)
     value, tie, index, maximizer, residual = _max_over_blocks(
         pairs, trace, frobenius, stages)

@@ -319,6 +319,9 @@ def _parse_catalog(text: str) -> dict[int, RefinedPatch]:
             continue
         fields = line.split()
         if fields[0] == "patch":
+            if len(fields) != 3:
+                raise ValueError(f"malformed patch line, expected 'patch <id> "
+                                 f"<kind>': {line!r}")
             flush()
             current = {"id": int(fields[1]), "kind": fields[2], "cells": [],
                        "dirichlet": []}
@@ -341,6 +344,8 @@ def _parse_catalog(text: str) -> dict[int, RefinedPatch]:
         else:
             raise ValueError(f"unrecognized catalog line: {line!r}")
     flush()
+    if not patches:
+        raise ValueError("catalog has no patch line")
     return patches
 
 

@@ -1,12 +1,13 @@
 """Full-spectrum generalized eigensolve: the test oracle.
 
-``refsat.coefficients.max_generalized_eigenvalue`` computes only the top of
-the spectrum, from a Cholesky factor of the denominator and a Lanczos or
-small dense solve of the standard-form problem, and checks positive
-definiteness through an estimate of the smallest eigenvalue. This is the
-independent route it replaced: a full ``eigvalsh`` of the denominator for
-the positive-definiteness check and a full generalized ``eigh`` with every
-eigenvector.
+The production eigensolve (``refsat.coefficients._max_over_blocks``, on
+a matrix pair through ``unsplit_oracle.max_generalized_eigenvalue``)
+computes only the top of the spectrum, from a Cholesky factor of the
+denominator and a Lanczos or small dense solve of the standard-form
+problem, and checks positive definiteness through an estimate of the
+smallest eigenvalue. This is the independent route it replaced: a full
+``eigvalsh`` of the denominator for the positive-definiteness check and a
+full generalized ``eigh`` with every eigenvector.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ from refsat.cli import main as cli_main
 from refsat.coefficients import (
     CANONICAL_PROBLEMS,
     ProblemSpec,
-    dual_gram,
-    max_generalized_eigenvalue,
     saturation_coefficient,
 )
 from sparse_oracle import (
@@ -27,6 +25,7 @@ from sparse_oracle import (
     stiffness_matrix,
     tensor_space,
 )
+from unsplit_oracle import dual_gram, max_generalized_eigenvalue
 
 TOL = 2e-4
 

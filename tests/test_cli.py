@@ -311,6 +311,30 @@ def test_sweep_config_validation(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["strategies", "p_values", "r_factors", "problems"])
+def test_sweep_config_lists_must_be_nonempty_arrays(tmp_path, capsys, key):
+    # a string would be read as a list of its characters, and an empty
+    # list would write a header and nothing else
+    for value in ("E1", [], {"E1": 1}, 4):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert (code, out) == (2, ""), value
+        assert err == f"invalid input: {key} must be a non-empty JSON array\n"
+
+
+def test_sweep_config_rejects_entries_of_the_wrong_type(tmp_path, capsys):
+    # an unhashable problem and a float factor used to end in a traceback
+    for raw, message in (
+            ({"problems": [["E1"]]}, "unknown problem ['E1']"),
+            ({"r_factors": [2.0]}, "r_factors must be drawn from (2, 4, 8)")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert code == 2
+        assert err == f"invalid input: {message}\n"
+
+
 def test_sweep_missing_config_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, out, err = run_cli(["sweep", "--config", str(missing)], capsys)
@@ -734,6 +758,25 @@ def test_patches_verify_rejects_malformed_catalog(tmp_path, capsys):
         ["patches", "verify", "--catalog", str(bad)], capsys)
     assert code == 2
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize("line", ["patch", "patch 1", "patch 1 boundary extra"])
+def test_patches_verify_rejects_a_short_patch_line(tmp_path, capsys, line):
+    bad = tmp_path / "catalog.txt"
+    bad.write_text(f"{line}\ncells 2,1\n")
+    code, out, err = run_cli(
+        ["patches", "verify", "--catalog", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: malformed patch line")
+
+
+def test_patches_verify_rejects_a_catalog_without_patches(tmp_path, capsys):
+    empty = tmp_path / "catalog.txt"
+    empty.write_text("# only a comment\n\n")
+    code, out, err = run_cli(
+        ["patches", "verify", "--catalog", str(empty)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "invalid input: catalog has no patch line\n"
 
 
 def test_patches_verify_missing_catalog_exits_2(tmp_path, capsys):

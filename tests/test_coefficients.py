@@ -11,6 +11,8 @@ tridiagonal 1D factors and the resolvent edge weights against the dense
 pencils and the 40-digit mpmath references in ``pencil_oracle``.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -44,12 +46,11 @@ from refsat.coefficients import (
     _grams,
     _lower_solver,
     _max_over_blocks,
+    _pair,
     _products,
     _sides,
     _spec_blocks,
-    block_orders,
-    dual_gram,
-    max_generalized_eigenvalue,
+    _volume_gram,
     q_strategy,
     saturation_coefficient,
 )
@@ -63,12 +64,23 @@ from sparse_oracle import (
     stiffness_matrix,
     tensor_space,
 )
-from unsplit_oracle import contract, saturation as unsplit_saturation
+from unsplit_oracle import (
+    block_orders,
+    contract,
+    dual_gram,
+    max_generalized_eigenvalue,
+    saturation as unsplit_saturation,
+)
 
 
 def spec_for(name, p, q, r):
     family, edges = CANONICAL_PROBLEMS[name]
     return ProblemSpec(family=family, edges=edges, p=p, q=q, r=r)
+
+
+def triples(blocks, xs, ys):
+    """The ``_pair`` of each block, as the Gram kernels take them."""
+    return [_pair(block, xs, ys) for block in blocks]
 
 
 def _space(spec, degree):
@@ -487,13 +499,14 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
         got = dual_gram(spec, degree)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         blocks = _spec_blocks(spec)
-        parts = list(_grams(spec, blocks, xs, ys))
+        pairs = triples(blocks, xs, ys)
+        parts = list(_grams(blocks, pairs))
         assert tuple(part.shape[0] for part in parts) == block_orders(spec)
         assert sum(part.shape[0] for part in parts) == expect.shape[0]
         for part in parts:
             assert np.linalg.norm(part - part.T) <= 1e-14 * np.linalg.norm(part)
         trace = sum(np.trace(part) for part in parts)
-        assert abs(_gram_trace(spec, blocks, xs, ys) - trace) <= 1e-14 * trace
+        assert abs(_gram_trace(blocks, pairs) - trace) <= 1e-14 * trace
         assert abs(trace - np.trace(expect)) <= 1e-12 * trace
 
 
@@ -578,7 +591,7 @@ def coarse_floors(name, p, q, r, factors):
     spec = spec_for(name, p, q, r)
     blocks = [block for block in _spec_blocks(spec) if block.copies]
     xs, ys = _sides(spec, q, factors)
-    return spec, blocks, xs, ys, _gram_floors(spec, blocks, xs, ys)
+    return spec, blocks, xs, ys, _gram_floors(blocks, triples(blocks, xs, ys))
 
 
 def test_block_floors_bound_the_smallest_eigenvalue():
@@ -587,7 +600,7 @@ def test_block_floors_bound_the_smallest_eigenvalue():
     factors, singular = {}, 0
     for name, p, q, r in cases + published_cells(max_p=16):
         spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
-        for floor, gram in zip(floors, _grams(spec, blocks, xs, ys)):
+        for floor, gram in zip(floors, _grams(blocks, triples(blocks, xs, ys))):
             lowest = scipy.linalg.eigvalsh(gram)[0]
             # eigvalsh is backward stable: an exactly singular block reads
             # an eigenvalue of either sign at the rounding level
@@ -598,6 +611,32 @@ def test_block_floors_bound_the_smallest_eigenvalue():
                 assert floor == 0.0, (name, p, q, r)
     # the p = q cases of E1..E5, F1, F3 and F4 have singular blocks
     assert singular == 17
+
+
+#: the mu of each published cell in full precision, in table order
+PINNED_MU = Path(__file__).parent / "data" / "table_mu.txt"
+
+
+def pinned_cells():
+    """(problem, strategy, p, q, r, mu) of each line of ``PINNED_MU``."""
+    for raw in PINNED_MU.read_text().splitlines():
+        line = raw.split("#", 1)[0].split()
+        if line:
+            yield line[0], line[1], *map(int, line[2:5]), float(line[5])
+
+
+def test_published_mu_match_the_pinned_values_to_1e10():
+    cells = list(pinned_cells())
+    assert [cell[:5] for cell in cells] == [
+        (entry.problem, entry.strategy, entry.p, entry.q, entry.r)
+        for entry in load_published_table()]
+    factors, checked = {}, 0
+    for name, _, p, q, r, mu in cells:
+        if p <= 16:
+            got = saturation_coefficient(spec_for(name, p, q, r), factors).mu
+            assert abs(got - mu) <= 1e-10 * mu, (name, p, q, r)
+            checked += 1
+    assert checked == 96
 
 
 def test_every_published_block_is_certified_definite(monkeypatch):
@@ -611,7 +650,8 @@ def test_every_published_block_is_certified_definite(monkeypatch):
     assert len(cells) == 145
     for name, p, q, r in cells:
         spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
-        trace = _gram_trace(spec, _spec_blocks(spec), xs, ys)
+        every = _spec_blocks(spec)
+        trace = _gram_trace(every, triples(every, xs, ys))
         rounding = (q + 1) ** 2 * np.finfo(float).eps
         assert min(floors) >= (_PD_FLOOR + rounding) * trace, (name, p, q, r)
 
@@ -673,8 +713,9 @@ def fine_blocks(name):
 def test_fine_products_match_the_formed_blocks(name):
     rng = np.random.default_rng(7)
     for spec, blocks, xs, ys in fine_blocks(name):
-        products = _products(spec, blocks, xs, ys)
-        for block, apply, gram in zip(blocks, products, _grams(spec, blocks, xs, ys)):
+        pairs = triples(blocks, xs, ys)
+        for block, apply, gram in zip(blocks, _products(blocks, pairs),
+                                      _grams(blocks, pairs)):
             n = gram.shape[0]
             vector = rng.standard_normal(n)
             columns = rng.standard_normal((n, 3))
@@ -690,9 +731,10 @@ def test_fine_products_match_the_formed_blocks(name):
 def test_factored_norm_matches_the_formed_grams(name):
     for spec, blocks, xs, ys in fine_blocks(name):
         expect = np.linalg.norm(dual_gram(spec, spec.r))
+        pairs = triples(blocks, xs, ys)
         parts = np.sqrt(sum(np.linalg.norm(part) ** 2
-                            for part in _grams(spec, blocks, xs, ys)))
-        got = _gram_norm(spec, blocks, xs, ys)
+                            for part in _grams(blocks, pairs)))
+        got = _gram_norm(blocks, pairs)
         assert abs(got - expect) <= 1e-13 * expect
         assert abs(got - parts) <= 1e-13 * parts
 
@@ -708,6 +750,49 @@ def test_blas_solves_match_solve_triangular():
             got = _lower_solver(factor)(y, trans)
             assert got.shape == y.shape
             assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+def summed_gram(wx, wy, weights):
+    """A class pair's dual Gram with the x side contracted last, as
+    xx @ (weights @ yy) over the squared load rows of both sides."""
+    (nx, mx), (ny, my) = wx.shape, wy.shape
+    xx = (wx[:, np.newaxis, :] * wx).reshape(nx * nx, mx)
+    yy = (wy.T[:, :, np.newaxis] * wy.T[:, np.newaxis, :]).reshape(my, ny * ny)
+    t = (xx @ (weights @ yy)).reshape(nx, nx, ny, ny)
+    return t.transpose(0, 2, 1, 3).reshape(nx * ny, nx * ny)
+
+
+def test_edge_blocks_are_the_weighted_y_products_bitwise():
+    # with the 1 x 1 identity for Wx the coarse block is Wy diag(e) Wy^T
+    # exactly, so an exactly singular block (F1 at p = q) rounds as before
+    empty = 0
+    for name in ("F1", "F2", "F3", "F4", "C"):
+        for degree in (2, 8, 64, 256):
+            spec = spec_for(name, degree, degree, degree)
+            xs, ys = _sides(spec, degree, {})
+            blocks = _spec_blocks(spec)
+            assert len(blocks) == len(ys)
+            for block, (wx, wy, weights) in zip(blocks, triples(blocks, xs, ys)):
+                assert np.array_equal(wx, np.eye(1))
+                empty += wy.shape[1] == 0
+                expect = (wy * xs[block.y]) @ wy.T
+                assert np.array_equal(_volume_gram(wx, wy, weights), expect), (
+                    name, degree, block.y)
+    # the odd class of F4's Dirichlet-Dirichlet y factor at degree 2
+    assert empty == 1
+
+
+def test_volume_blocks_match_the_x_first_contraction():
+    for name in ("E1", "E2", "E3", "E4", "E5"):
+        for p, degree in ((2, 2), (8, 8), (16, 64)):
+            spec = spec_for(name, p, degree, degree)
+            xs, ys = _sides(spec, degree, {})
+            blocks = _spec_blocks(spec)
+            for block, triple in zip(blocks, triples(blocks, xs, ys)):
+                expect = summed_gram(*triple)
+                got = _volume_gram(*triple)
+                assert (np.linalg.norm(got - expect)
+                        <= 1e-14 * np.linalg.norm(expect)), (name, degree)
 
 
 def test_saturation_forms_only_the_coarse_blocks(monkeypatch):
@@ -744,8 +829,9 @@ def test_e5_counts_its_mirror_block_twice():
     # the mirror pencil has the spectrum of the solved one
     spectra = []
     for index in (1, 2):
-        fine, mid = (list(_grams(spec, [blocks[index]], *(
-            factor_classes(*args) for args in _factor_args(spec, degree))))[0]
+        block = [blocks[index]]
+        fine, mid = (list(_grams(block, triples(block, *(
+            factor_classes(*args) for args in _factor_args(spec, degree)))))[0]
             for degree in (spec.r, spec.q))
         spectra.append(scipy.linalg.eigvalsh(fine, mid))
     assert np.allclose(spectra[0], spectra[1], rtol=1e-12, atol=0.0)
