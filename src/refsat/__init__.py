@@ -13,7 +13,6 @@ from refsat.coefficients import (
 from refsat.patches import (
     GridEdge,
     RefinedPatch,
-    extension_operator,
     interior_edge_traversal,
     local_dirichlet_edges,
     patch_catalog,

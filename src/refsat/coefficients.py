@@ -87,6 +87,9 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        for degree in (self.p, self.q, self.r):
+            if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+                raise ValueError(f"degrees must be integers, got {degree!r}")
         min_p = 1 if self.family == "C" else 0
         if self.p < min_p:
             raise ValueError(f"family {self.family} needs p >= {min_p}, got {self.p}")

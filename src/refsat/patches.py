@@ -35,7 +35,6 @@ __all__ = [
     "LocalDirichletInfo",
     "TraversalViolation",
     "TraversalReport",
-    "Extension",
     "SITUATIONS",
     "cell_sides",
     "owner_square",
@@ -48,14 +47,10 @@ __all__ = [
     "interior_edge_traversal",
     "local_dirichlet_edges",
     "verify_traversal_lemma",
-    "extension_operator",
-    "side_trace",
-    "h1_seminorm_squared",
     "extension_norm",
 ]
 
 SITUATIONS = ("a", "b", "c", "d", "e")
-SIDE_NAMES = ("e1", "e2", "e3", "e4")
 
 GRID_CELLS = frozenset((x, y) for x in range(4) for y in range(4))
 
@@ -76,6 +71,10 @@ def cell_sides(cell: tuple[int, int]) -> dict[str, GridEdge]:
     }
 
 
+#: the sides of every grid cell, shared by the traversal checks
+_SIDES = {cell: cell_sides(cell) for cell in GRID_CELLS}
+
+
 def edge_neighbors(edge: GridEdge) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two cells an edge would separate: (above, below) or (right, left)."""
     if edge.orientation == "H":
@@ -90,24 +89,22 @@ def owner_square(edge: GridEdge) -> tuple[int, int]:
     return (edge.x - 1, edge.y)
 
 
-def interior_edges_of(cells: frozenset) -> frozenset[GridEdge]:
-    out = set()
+def _edges_of(cells: frozenset) -> tuple[frozenset[GridEdge], frozenset[GridEdge]]:
+    """(interior, boundary) edges of a set of cells, from one scan."""
+    interior, boundary = set(), set()
     for cell in cells:
         for edge in cell_sides(cell).values():
             a, b = edge_neighbors(edge)
-            if a in cells and b in cells:
-                out.add(edge)
-    return frozenset(out)
+            (interior if a in cells and b in cells else boundary).add(edge)
+    return frozenset(interior), frozenset(boundary)
+
+
+def interior_edges_of(cells: frozenset) -> frozenset[GridEdge]:
+    return _edges_of(cells)[0]
 
 
 def boundary_edges_of(cells: frozenset) -> frozenset[GridEdge]:
-    out = set()
-    for cell in cells:
-        for edge in cell_sides(cell).values():
-            a, b = edge_neighbors(edge)
-            if (a in cells) != (b in cells):
-                out.add(edge)
-    return frozenset(out)
+    return _edges_of(cells)[1]
 
 
 def _band(edge: GridEdge) -> float:
@@ -219,40 +216,33 @@ class LocalDirichletInfo:
 # ----------------------------------------------------------- orientations
 
 
-def _transform_point(t: int, point: tuple[float, float]) -> tuple[float, float]:
-    x, y = point[0] - 2.0, point[1] - 2.0
+def _turn(t: int, x: int, y: int) -> tuple[int, int]:
+    """The transform t on integer offsets from the vertex (2, 2)."""
     if t & 4:
         x = -x
     for _ in range(t & 3):
         x, y = -y, x
-    return (x + 2.0, y + 2.0)
+    return x, y
 
 
-# the dihedral action is memoized: orientations, grid cells and grid edges
-# form a finite domain, and every oriented copy reuses the same images
+# cells and edges move with their midpoints, which sit on the half-integer
+# lattice: in doubled offsets from (2, 2) a cell's midpoint has both
+# coordinates odd, and an edge's has odd exactly its coordinate along the
+# edge. The action is memoized on this finite domain, so every oriented copy
+# reuses the same images
 @lru_cache(maxsize=None)
 def _transform_edge(t: int, edge: GridEdge) -> GridEdge:
-    if edge.orientation == "H":
-        p0, p1 = (edge.x, edge.y), (edge.x + 1, edge.y)
-    else:
-        p0, p1 = (edge.x, edge.y), (edge.x, edge.y + 1)
-    (x0, y0), (x1, y1) = sorted((_transform_point(t, p0), _transform_point(t, p1)))
-    if y0 == y1:
-        return GridEdge("H", int(round(x0)), int(round(y0)))
-    return GridEdge("V", int(round(x0)), int(round(y0)))
+    dx, dy = (1, 0) if edge.orientation == "H" else (0, 1)
+    x, y = _turn(t, 2 * edge.x + dx - 4, 2 * edge.y + dy - 4)
+    if x % 2:
+        return GridEdge("H", (x + 3) // 2, (y + 4) // 2)
+    return GridEdge("V", (x + 4) // 2, (y + 3) // 2)
 
 
 @lru_cache(maxsize=None)
 def _transform_cell(t: int, cell: tuple[int, int]) -> tuple[int, int]:
-    corners = [
-        _transform_point(t, (cell[0] + dx, cell[1] + dy))
-        for dx in (0, 1)
-        for dy in (0, 1)
-    ]
-    return (
-        int(round(min(p[0] for p in corners))),
-        int(round(min(p[1] for p in corners))),
-    )
+    x, y = _turn(t, 2 * cell[0] - 3, 2 * cell[1] - 3)
+    return (x + 3) // 2, (y + 3) // 2
 
 
 def _orient(t: int, cells: frozenset,
@@ -275,22 +265,10 @@ def orient_patch(patch: RefinedPatch, orientation: int) -> RefinedPatch:
                         cells=cells, ext_dirichlet=ext_dirichlet)
 
 
-@lru_cache(maxsize=1)
-def _inverse_table() -> dict[int, int]:
-    probes = [(0.0, 0.0), (1.0, 3.0), (4.0, 1.0)]
-    table = {}
-    for t in range(8):
-        for u in range(8):
-            if all(
-                _transform_point(u, _transform_point(t, p)) == p for p in probes
-            ):
-                table[t] = u
-                break
-    return table
-
-
 def inverse_orientation(orientation: int) -> int:
-    return _inverse_table()[orientation]
+    """The transform undoing ``orientation``: a mirrored one is its own
+    inverse, and a quarter turn t is undone by 4 - t."""
+    return orientation if orientation & 4 else -orientation % 4
 
 
 # ---------------------------------------------------------------- catalog
@@ -419,7 +397,7 @@ def _step_info(
     numbering: dict[GridEdge, int],
 ) -> LocalDirichletInfo:
     interior = patch.interior_edges
-    sides = cell_sides(step.owner)
+    sides = _SIDES[step.owner]
     dirichlet = set()
     neumann = set()
     self_side = None
@@ -535,7 +513,7 @@ def _layout_valid(
         return False
     interior = patch.interior_edges
     for square, (sources, decayed) in squares.items():
-        for side, edge in cell_sides(square).items():
+        for side, edge in _SIDES[square].items():
             if edge == current:
                 continue
             zero = side in decayed or sources[side] in dirichlet_sides
@@ -549,19 +527,6 @@ def _layout_valid(
                 if not zero:
                     return False
     return True
-
-
-def _extension_witness(
-    owner: tuple[int, int],
-    dirichlet_sides: frozenset[str],
-    patch: RefinedPatch,
-    later: frozenset[GridEdge],
-    current: GridEdge,
-) -> str | None:
-    for name in _LAYOUTS:
-        if _layout_valid(name, owner, dirichlet_sides, patch, later, current):
-            return name
-    return None
 
 
 # ------------------------------------------------------------ verification
@@ -628,7 +593,7 @@ def _check_steps(
                     "decay situation away from its row start or column top")
         # separation: the owner's top and left sides must still be
         # untraversed whenever they are interior edges
-        sides = cell_sides(step.owner)
+        sides = _SIDES[step.owner]
         for side in ("e2", "e3"):
             edge = sides[side]
             if edge in patch.interior_edges and numbering[edge] < step.number:
@@ -638,10 +603,8 @@ def _check_steps(
         later = frozenset(
             e for e in patch.interior_edges if numbering[e] > step.number
         )
-        witness = _extension_witness(
-            step.owner, info.dirichlet_sides, patch, later, step.edge
-        )
-        if witness is None:
+        if not any(_layout_valid(name, step.owner, info.dirichlet_sides, patch,
+                                 later, step.edge) for name in _LAYOUTS):
             bad(step.index, step.edge, "no admissible zero-extension layout")
     return violations, counts
 
@@ -695,7 +658,7 @@ def verify_traversal_lemma(
     )
 
 
-# ------------------------------------------------------ extension operators
+# ---------------------------------------------------------- extension norms
 
 #: sides of v that must carry zero trace before extending
 PRE_ZERO_SIDES = {
@@ -714,34 +677,9 @@ _DECAY_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class Extension:
-    """Piecewise polynomial extension on unit squares around the original.
-
-    ``pieces`` maps square offsets (in whole squares; (0, 0) is the original)
-    to plain Legendre coefficient matrices in that square's own [-1, 1]^2
-    coordinates. The gradient seminorm is invariant under the affine map to
-    any congruent square, so the squared seminorm of the extension is simply
-    the sum over pieces.
-    """
-
-    situation: str
-    degree: int
-    pieces: dict[tuple[int, int], np.ndarray]
-
-    def seminorm_squared(self) -> float:
-        return sum(h1_seminorm_squared(c) for c in self.pieces.values())
-
-
 def _mirror_x(c: np.ndarray) -> np.ndarray:
     out = c.copy()
     out[1::2, :] *= -1.0
-    return out
-
-
-def _mirror_y(c: np.ndarray) -> np.ndarray:
-    out = c.copy()
-    out[:, 1::2] *= -1.0
     return out
 
 
@@ -759,87 +697,6 @@ def _decay(c: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
     times[k[1:] - 1, k[1:]] = weight[1] * k[1:] / (2 * k[1:] + 1)
     out = times @ moved
     return out if axis == 0 else out.T
-
-
-def side_trace(coeffs: np.ndarray, side: str) -> np.ndarray:
-    """Trace on one side of the square as 1d Legendre coefficients.
-
-    Endpoint evaluation of a Legendre series is a signed coefficient sum, so
-    this is exact.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if side == "e1":
-        return c.sum(axis=0)
-    if side == "e3":
-        signs = (-1.0) ** np.arange(c.shape[0])
-        return signs @ c
-    if side == "e2":
-        return c.sum(axis=1)
-    if side == "e4":
-        signs = (-1.0) ** np.arange(c.shape[1])
-        return c @ signs
-    raise ValueError(f"unknown side {side!r}")
-
-
-def _seminorm_gram(stack: np.ndarray) -> np.ndarray:
-    """Gradient inner products of a stack of plain Legendre coefficient matrices."""
-    s = np.asarray(stack, dtype=float)
-    norms = lambda n: 2.0 / (2.0 * np.arange(n) + 1.0)  # noqa: E731
-    gram = np.zeros((s.shape[0], s.shape[0]))
-    for axis in (1, 2):
-        if s.shape[axis] > 1:
-            d = npleg.legder(s, axis=axis)
-            weighted = d * np.outer(norms(d.shape[1]), norms(d.shape[2]))
-            gram += weighted.reshape(len(s), -1) @ d.reshape(len(s), -1).T
-    return gram
-
-
-def h1_seminorm_squared(coeffs: np.ndarray) -> float:
-    """Squared gradient seminorm of a plain Legendre coefficient matrix."""
-    return float(_seminorm_gram(np.atleast_2d(coeffs)[None])[0, 0])
-
-
-def extension_operator(
-    situation: str, coeffs: np.ndarray, degree: int | None = None
-) -> Extension:
-    """Extend v beyond its square by the situation's reflection construction.
-
-    ``coeffs`` is the plain Legendre coefficient matrix of v on [-1, 1]^2.
-    The input must satisfy the situation's zero-trace preconditions. Each
-    piece is built from the situation's layout in ``_LAYOUTS``. The result
-    restricts to v on the original square, vanishes on the clamped outer
-    sides of the configuration, and raises the coordinate degree by at most
-    one (only the decay situations raise it at all).
-    """
-    if situation not in SITUATIONS:
-        raise ValueError(f"situation must be one of {SITUATIONS}, got {situation!r}")
-    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if degree is not None:
-        if c.shape[0] > degree + 1 or c.shape[1] > degree + 1:
-            raise ValueError(
-                f"coefficients of shape {c.shape} exceed degree {degree}"
-            )
-        padded = np.zeros((degree + 1, degree + 1))
-        padded[: c.shape[0], : c.shape[1]] = c
-        c = padded
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    for side in PRE_ZERO_SIDES[situation]:
-        if np.max(np.abs(side_trace(c, side)), initial=0.0) > 1e-12 * scale:
-            raise ValueError(
-                f"situation {situation} needs zero trace on side {side}"
-            )
-    pieces = {}
-    for offset, (sources, decayed) in _LAYOUTS[situation].items():
-        piece = c
-        if sources["e1"] == "e3":
-            piece = _mirror_x(piece)
-        if sources["e2"] == "e4":
-            piece = _mirror_y(piece)
-        for side in decayed:
-            piece = _decay(piece, *_DECAY_WEIGHTS[side])
-        pieces[offset] = piece
-    return Extension(situation=situation, degree=max(c.shape) - 1,
-                     pieces=pieces)
 
 
 def _endpoint_nullspace(degree: int, zero_at_minus1: bool, zero_at_plus1: bool):

@@ -1,42 +1,149 @@
-"""Hand-written extension tables and Monte-Carlo ratios: the test oracle.
+"""The 2D extension builder, hand-written tables and Monte-Carlo ratios.
 
-``refsat.patches`` builds each situation's zero-extension from its witness
-layout in ``_LAYOUTS`` and reports the exact operator norm. The tables here
-are written out by hand instead: the seams inside each configuration and
-the outer sides that must come out clamped. The tests check them against
-the seams and clamped sides derived from ``_LAYOUTS``, and use them to
-check the built pieces. ``measured_extension_ratio`` samples random
-admissible polynomials, so it gives a lower bound on ``extension_norm``.
-``decay_by_columns`` is the column-by-column ``legmul`` product that the
-one-matrix decay in ``refsat.patches._decay`` replaced. ``extension_norm_2d``
-is the dense generalized eigenproblem on the 2D tensor basis that the
-1D-separated ``refsat.patches.extension_norm`` replaced, and
-``extension_norm_scipy`` is that 1D route on scipy's ``null_space`` and
-generalized ``eigh``, which its numpy SVD and Cholesky reductions replaced.
+``refsat.patches`` reports each situation's exact extension norm by 1D
+separation and never builds an extension. ``extension_operator`` here
+builds one piece by piece from the situation's witness layout in
+``refsat.patches._LAYOUTS``, as plain Legendre coefficient matrices. It
+looks the decay up as ``refsat.patches._decay`` at call time, so a test
+that patches the decay reaches it. The tables here are written out by
+hand: the seams inside each configuration and the outer sides that must
+come out clamped. The tests check them against the seams and clamped sides
+derived from ``_LAYOUTS``, and use them to check the built pieces.
+``measured_extension_ratio`` samples random admissible polynomials, so it
+gives a lower bound on ``extension_norm``. ``decay_by_columns`` is the
+column-by-column ``legmul`` product that the one-matrix decay in
+``refsat.patches._decay`` replaced. ``extension_norm_2d`` is the dense
+generalized eigenproblem on the 2D tensor basis that the 1D-separated
+``refsat.patches.extension_norm`` replaced, and ``extension_norm_scipy`` is
+that 1D route on scipy's ``null_space`` and generalized ``eigh``, which its
+numpy SVD and Cholesky reductions replaced.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
+from refsat import patches
 from refsat.patches import (
     PRE_ZERO_SIDES,
     SITUATIONS,
-    Extension,
     _DECAY_WEIGHTS,
     _LAYOUTS,
-    _decay,
     _endpoint_nullspace,
     _mass_1d,
     _mirror_x,
-    _seminorm_gram,
     _stiffness_1d,
-    extension_operator,
-    h1_seminorm_squared,
-    side_trace,
 )
+
+@dataclass(frozen=True)
+class Extension:
+    """Piecewise polynomial extension on unit squares around the original.
+
+    ``pieces`` maps square offsets (in whole squares; (0, 0) is the original)
+    to plain Legendre coefficient matrices in that square's own [-1, 1]^2
+    coordinates. The gradient seminorm is invariant under the affine map to
+    any congruent square, so the squared seminorm of the extension is simply
+    the sum over pieces.
+    """
+
+    situation: str
+    degree: int
+    pieces: dict[tuple[int, int], np.ndarray]
+
+    def seminorm_squared(self) -> float:
+        return sum(h1_seminorm_squared(c) for c in self.pieces.values())
+
+
+def _mirror_y(c: np.ndarray) -> np.ndarray:
+    out = c.copy()
+    out[:, 1::2] *= -1.0
+    return out
+
+
+def side_trace(coeffs: np.ndarray, side: str) -> np.ndarray:
+    """Trace on one side of the square as 1d Legendre coefficients.
+
+    Endpoint evaluation of a Legendre series is a signed coefficient sum, so
+    this is exact.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if side == "e1":
+        return c.sum(axis=0)
+    if side == "e3":
+        signs = (-1.0) ** np.arange(c.shape[0])
+        return signs @ c
+    if side == "e2":
+        return c.sum(axis=1)
+    if side == "e4":
+        signs = (-1.0) ** np.arange(c.shape[1])
+        return c @ signs
+    raise ValueError(f"unknown side {side!r}")
+
+
+def _seminorm_gram(stack: np.ndarray) -> np.ndarray:
+    """Gradient inner products of a stack of plain Legendre coefficient matrices."""
+    s = np.asarray(stack, dtype=float)
+    norms = lambda n: 2.0 / (2.0 * np.arange(n) + 1.0)  # noqa: E731
+    gram = np.zeros((s.shape[0], s.shape[0]))
+    for axis in (1, 2):
+        if s.shape[axis] > 1:
+            d = npleg.legder(s, axis=axis)
+            weighted = d * np.outer(norms(d.shape[1]), norms(d.shape[2]))
+            gram += weighted.reshape(len(s), -1) @ d.reshape(len(s), -1).T
+    return gram
+
+
+def h1_seminorm_squared(coeffs: np.ndarray) -> float:
+    """Squared gradient seminorm of a plain Legendre coefficient matrix."""
+    return float(_seminorm_gram(np.atleast_2d(coeffs)[None])[0, 0])
+
+
+def extension_operator(
+    situation: str, coeffs: np.ndarray, degree: int | None = None
+) -> Extension:
+    """Extend v beyond its square by the situation's reflection construction.
+
+    ``coeffs`` is the plain Legendre coefficient matrix of v on [-1, 1]^2.
+    The input must satisfy the situation's zero-trace preconditions. Each
+    piece is built from the situation's layout in ``_LAYOUTS``. The result
+    restricts to v on the original square, vanishes on the clamped outer
+    sides of the configuration, and raises the coordinate degree by at most
+    one (only the decay situations raise it at all).
+    """
+    if situation not in SITUATIONS:
+        raise ValueError(f"situation must be one of {SITUATIONS}, got {situation!r}")
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if degree is not None:
+        if c.shape[0] > degree + 1 or c.shape[1] > degree + 1:
+            raise ValueError(
+                f"coefficients of shape {c.shape} exceed degree {degree}"
+            )
+        padded = np.zeros((degree + 1, degree + 1))
+        padded[: c.shape[0], : c.shape[1]] = c
+        c = padded
+    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+    for side in PRE_ZERO_SIDES[situation]:
+        if np.max(np.abs(side_trace(c, side)), initial=0.0) > 1e-12 * scale:
+            raise ValueError(
+                f"situation {situation} needs zero trace on side {side}"
+            )
+    pieces = {}
+    for offset, (sources, decayed) in _LAYOUTS[situation].items():
+        piece = c
+        if sources["e1"] == "e3":
+            piece = _mirror_x(piece)
+        if sources["e2"] == "e4":
+            piece = _mirror_y(piece)
+        for side in decayed:
+            piece = patches._decay(piece, *_DECAY_WEIGHTS[side])
+        pieces[offset] = piece
+    return Extension(situation=situation, degree=max(c.shape) - 1,
+                     pieces=pieces)
+
 
 #: outer sides of the extended configuration that must come out clamped;
 #: keys are (offset, side-of-that-piece)
@@ -188,9 +295,9 @@ def extension_norm_scipy(situation: str, degree: int) -> float:
     axis = _DECAY_WEIGHTS[decayed[0][1]][0]
     along, cross = bases[axis], bases[1 - axis]
     pieces = [
-        _decay(_mirror_x(along) if (sources["e1"] == "e3",
-                                    sources["e2"] == "e4")[axis] else along,
-               0, _DECAY_WEIGHTS[side][1])
+        patches._decay(_mirror_x(along) if (sources["e1"] == "e3",
+                                            sources["e2"] == "e4")[axis]
+                       else along, 0, _DECAY_WEIGHTS[side][1])
         for sources, side in decayed
     ]
     b = sum(_stiffness_1d(piece) for piece in pieces)

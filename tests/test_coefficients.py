@@ -968,6 +968,19 @@ def test_problem_spec_validation():
         ProblemSpec(family="C", edges=None, p=0, q=3, r=4)
 
 
+def test_problem_spec_takes_only_integer_degrees():
+    """A float or bool degree is invalid input, not a traceback from the
+    1D factors; numpy integers are degrees."""
+    for degrees in ((4.0, 8, 16), (4, 8.0, 16), (4, 8, 16.0), (True, 8, 16),
+                    (4, 8, np.float64(16)), (4, 8, np.bool_(True))):
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            ProblemSpec("A", {1}, *degrees)
+    spec = ProblemSpec("A", {1}, np.int64(4), np.int32(8), np.int64(16))
+    assert (spec.p, spec.q, spec.r) == (4, 8, 16)
+    assert saturation_coefficient(spec).mu == pytest.approx(
+        saturation_coefficient(ProblemSpec("A", {1}, 4, 8, 16)).mu, rel=1e-12)
+
+
 def test_canonical_problem_list():
     assert len(CANONICAL_PROBLEMS) == 10
     assert list(CANONICAL_PROBLEMS) == [

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from dihedral_oracle import inverse_table, transform_cell, transform_edge
 from extension_oracle import (
     _POST_ZERO,
     _SEAMS,
@@ -17,8 +18,11 @@ from extension_oracle import (
     extension_interface_checks,
     extension_norm_2d,
     extension_norm_scipy,
+    extension_operator,
+    h1_seminorm_squared,
     measured_extension_ratio,
     random_admissible,
+    side_trace,
 )
 from refsat import patches
 from refsat.patches import (
@@ -29,9 +33,8 @@ from refsat.patches import (
     TraversalViolation,
     boundary_edges_of,
     canonical_numbering,
+    cell_sides,
     extension_norm,
-    extension_operator,
-    h1_seminorm_squared,
     interior_edge_traversal,
     interior_edges_of,
     inverse_orientation,
@@ -39,7 +42,6 @@ from refsat.patches import (
     orient_patch,
     owner_square,
     patch_catalog,
-    side_trace,
     verify_traversal_lemma,
     _LAYOUTS,
 )
@@ -273,6 +275,24 @@ def test_broken_dihedral_action_fails_every_orientation(monkeypatch):
             for t in range(8)
         )
         assert report.counts_dict() == {}
+
+
+def test_integer_action_matches_the_float_oracle():
+    """Midpoint arithmetic and the closed-form inverse equal the rounded
+    corner images and the probe search on every grid cell and edge."""
+    cells = sorted((x, y) for x in range(4) for y in range(4))
+    edges = sorted({edge for cell in cells for edge in cell_sides(cell).values()})
+    assert (len(cells), len(edges)) == (16, 40)
+    interior = frozenset(canonical_numbering())
+    assert len(interior) == 24
+    inverses = inverse_table()
+    for t in range(8):
+        assert inverse_orientation(t) == inverses[t]
+        for cell in cells:
+            assert patches._transform_cell(t, cell) == transform_cell(t, cell)
+        for edge in edges:
+            assert patches._transform_edge(t, edge) == transform_edge(t, edge)
+        assert frozenset(patches._transform_edge(t, e) for e in interior) == interior
 
 
 def test_oriented_copies_crop_to_valid_patches():
