@@ -25,7 +25,9 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
+
+from refsat.bases import BoundaryCondition1D
+from refsat.coefficients import _chains
 
 __all__ = [
     "GridEdge",
@@ -677,12 +679,6 @@ _DECAY_WEIGHTS = {
 }
 
 
-def _mirror_x(c: np.ndarray) -> np.ndarray:
-    out = c.copy()
-    out[1::2, :] *= -1.0
-    return out
-
-
 def _decay(c: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
     """Multiply by a linear weight along one axis (degree grows by one).
 
@@ -699,34 +695,30 @@ def _decay(c: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
     return out if axis == 0 else out.T
 
 
-def _endpoint_nullspace(degree: int, zero_at_minus1: bool, zero_at_plus1: bool):
-    """Orthonormal basis of the Legendre coefficient columns of degree
-    ``degree`` that vanish at the chosen endpoints: the right singular
-    vectors of the endpoint rows past their rank, which counts the singular
-    values above max(M, N) eps s_max (the rule of scipy's ``null_space``)."""
-    rows = []
-    k = np.arange(degree + 1)
-    if zero_at_plus1:
-        rows.append(np.ones(degree + 1))
-    if zero_at_minus1:
-        rows.append((-1.0) ** k)
-    if not rows:
-        return np.eye(degree + 1)
-    _, values, vh = np.linalg.svd(np.array(rows))
-    rank = np.sum(values > max(len(rows), degree + 1) * np.finfo(float).eps
-                  * values[0])
-    return vh[rank:].T
+def _members(bc: BoundaryCondition1D, degree: int):
+    """Legendre coefficient columns of the 1D factor of degree ``degree``
+    with ends ``bc`` (the chain members of ``refsat.coefficients._chains``,
+    after the constant sqrt(1/2) when no end is Dirichlet) and of their
+    derivatives: a member with top term c L_m has the orthonormal
+    derivative c (2m - 1) L_{m-1}, as L_m' - L_{m-2}' = (2m - 1) L_{m-1}."""
+    free = int(not (bc.dirichlet_at_minus1 or bc.dirichlet_at_plus1))
+    index, coeff = (np.vstack(part) for part in zip(*_chains(bc, degree)))
+    rows = np.arange(len(index))
+    cols = np.zeros((degree + 1, free + len(index)))
+    ders = np.zeros_like(cols)
+    cols[0, :free] = np.sqrt(0.5)
+    for s in (0, 1):
+        cols[index[:, s], free + rows] = coeff[:, s]
+    top = index.argmax(axis=1)
+    m = index[rows, top]
+    ders[m - 1, free + rows] = coeff[rows, top] * (2 * m - 1)
+    return cols, ders
 
 
 def _mass_1d(cols: np.ndarray) -> np.ndarray:
     """L2 Gram of 1D plain Legendre coefficient columns."""
     norms = 2.0 / (2.0 * np.arange(cols.shape[0]) + 1.0)
     return cols.T @ (norms[:, None] * cols)
-
-
-def _stiffness_1d(cols: np.ndarray) -> np.ndarray:
-    """Derivative L2 Gram of 1D plain Legendre coefficient columns."""
-    return _mass_1d(npleg.legder(cols, axis=0))
 
 
 def _pencil_eigenvalues(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -741,19 +733,21 @@ def extension_norm(situation: str, degree: int) -> float:
     """Exact norm of the situation's extension in the H1 seminorm.
 
     Admissible v (coordinate degree ``degree``, zero trace on the clamped
-    sides) span tensor products of 1D endpoint-nullspace bases. Each piece
-    of the layout is v mirrored, an isometry of the seminorm, at most times
-    a linear decay along one axis, so a layout without decay has norm
-    sqrt(number of pieces). Otherwise, with S, M the 1D stiffness and mass
-    Grams along the decay axis, S_c, M_c across it and B, C those of the
-    decayed pieces summed, the tensor pencil splits by fast diagonalization:
-    the squared norm is n_plain + max over theta of
-    lambda_max(B + theta C, S + theta M), for theta in the eigenvalues of
-    S_c z = theta M_c z. The dense 2D route is the oracle
-    ``extension_norm_2d`` in the tests.
+    sides) span tensor products of the 1D factors of ``_members``. Each
+    piece of the layout is v mirrored, an isometry of the seminorm, at most
+    times a linear decay w along one axis, so a layout without decay has
+    norm sqrt(number of pieces). Otherwise, with S, M the 1D stiffness and
+    mass Grams along the decay axis and B, C those of the decayed pieces
+    summed, the tensor pencil splits by fast diagonalization: the squared
+    norm is n_plain + max over theta of lambda_max(B + theta C, S + theta M),
+    for theta in the eigenvalues of the cross factor, 1 / eigvalsh(M_c), as
+    its one Dirichlet end makes its stiffness I. The dense 2D route is the
+    oracle ``extension_norm_2d`` in the tests.
     """
     if situation not in SITUATIONS:
         raise ValueError(f"situation must be one of {SITUATIONS}, got {situation!r}")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     layout = _LAYOUTS[situation].values()
@@ -762,22 +756,24 @@ def extension_norm(situation: str, degree: int) -> float:
     if not decayed:
         return float(np.sqrt(n_plain))
     zero = PRE_ZERO_SIDES[situation]
-    bases = (
-        _endpoint_nullspace(degree, "e3" in zero, "e1" in zero),
-        _endpoint_nullspace(degree, "e4" in zero, "e2" in zero),
-    )
+    ends = (BoundaryCondition1D("e3" in zero, "e1" in zero),
+            BoundaryCondition1D("e4" in zero, "e2" in zero))
     axis = _DECAY_WEIGHTS[decayed[0][1]][0]
-    along, cross = bases[axis], bases[1 - axis]
-    stiff, mass = _stiffness_1d(along), _mass_1d(along)
-    pieces = []
+    along, along_der = _members(ends[axis], degree)
+    cross = _members(ends[1 - axis], degree)[0]
+    stiff, mass = _mass_1d(along_der), _mass_1d(along)
+    b = c = 0.0
     for sources, side in decayed:
-        # coefficient axis 0 of the columns is the decay coordinate
-        mirrored = (sources["e1"] == "e3", sources["e2"] == "e4")[axis]
-        piece = _mirror_x(along) if mirrored else along
-        pieces.append(_decay(piece, 0, _DECAY_WEIGHTS[side][1]))
-    b = sum(_stiffness_1d(piece) for piece in pieces)
-    c = sum(_mass_1d(piece) for piece in pieces)
-    thetas = _pencil_eigenvalues(_stiffness_1d(cross), _mass_1d(cross))
+        w0, w1 = _DECAY_WEIGHTS[side][1]
+        # a mirror is an isometry: w(x) v(-x) has the Grams of w(-x) v(x)
+        if (sources["e1"] == "e3", sources["e2"] == "e4")[axis]:
+            w1 = -w1
+        # (w v)' = w' v + w v', with w' the constant w1
+        der = _decay(along_der, 0, (w0, w1))
+        der[:-1] += w1 * along
+        b += _mass_1d(der)
+        c += _mass_1d(_decay(along, 0, (w0, w1)))
+    thetas = 1.0 / np.linalg.eigvalsh(_mass_1d(cross))
     top = max(_pencil_eigenvalues(b + theta * c, stiff + theta * mass)[-1]
               for theta in thetas)
     return float(np.sqrt(n_plain + top))

@@ -15,8 +15,13 @@ column-by-column ``legmul`` product that the one-matrix decay in
 ``refsat.patches._decay`` replaced. ``extension_norm_2d`` is the dense
 generalized eigenproblem on the 2D tensor basis that the 1D-separated
 ``refsat.patches.extension_norm`` replaced, and ``extension_norm_scipy`` is
-that 1D route on scipy's ``null_space`` and generalized ``eigh``, which its
-numpy SVD and Cholesky reductions replaced.
+the 1D route that the coefficients' chains replaced there: endpoint null
+spaces of the Legendre coefficients from scipy's ``null_space``, derivative
+Grams through ``legder`` and scipy's generalized ``eigh``. The 1D spaces of
+the oracles and of ``random_admissible`` are ``_endpoint_nullspace``, the
+numpy SVD form of that null space, and ``_stiffness_1d`` differentiates
+their columns; both moved here from ``refsat.patches``, as did the mirror
+``_mirror_x``, which the production norm no longer needs.
 """
 
 from __future__ import annotations
@@ -33,11 +38,33 @@ from refsat.patches import (
     SITUATIONS,
     _DECAY_WEIGHTS,
     _LAYOUTS,
-    _endpoint_nullspace,
     _mass_1d,
-    _mirror_x,
-    _stiffness_1d,
 )
+
+
+def _endpoint_nullspace(degree: int, zero_at_minus1: bool, zero_at_plus1: bool):
+    """Orthonormal basis of the Legendre coefficient columns of degree
+    ``degree`` that vanish at the chosen endpoints: the right singular
+    vectors of the endpoint rows past their rank, which counts the singular
+    values above max(M, N) eps s_max (the rule of scipy's ``null_space``)."""
+    rows = []
+    k = np.arange(degree + 1)
+    if zero_at_plus1:
+        rows.append(np.ones(degree + 1))
+    if zero_at_minus1:
+        rows.append((-1.0) ** k)
+    if not rows:
+        return np.eye(degree + 1)
+    _, values, vh = np.linalg.svd(np.array(rows))
+    rank = np.sum(values > max(len(rows), degree + 1) * np.finfo(float).eps
+                  * values[0])
+    return vh[rank:].T
+
+
+def _stiffness_1d(cols: np.ndarray) -> np.ndarray:
+    """Derivative L2 Gram of 1D plain Legendre coefficient columns."""
+    return _mass_1d(npleg.legder(cols, axis=0))
+
 
 @dataclass(frozen=True)
 class Extension:
@@ -56,6 +83,12 @@ class Extension:
 
     def seminorm_squared(self) -> float:
         return sum(h1_seminorm_squared(c) for c in self.pieces.values())
+
+
+def _mirror_x(c: np.ndarray) -> np.ndarray:
+    out = c.copy()
+    out[1::2, :] *= -1.0
+    return out
 
 
 def _mirror_y(c: np.ndarray) -> np.ndarray:

@@ -810,8 +810,8 @@ def test_console_entry_point_runs():
     assert proc.stdout.startswith(EXPECTED_HEADER)
 
 
-#: lists the heavy scipy modules loaded after each step; runs in a fresh
-#: interpreter, as this one has them loaded already
+#: lists the heavy scipy and numpy modules loaded after each step; runs in a
+#: fresh interpreter, as this one has them loaded already
 IMPORT_PROBE = """\
 import contextlib, io, json, sys
 
@@ -822,7 +822,7 @@ def step(name, action):
         except SystemExit:
             pass
     print(json.dumps([name] + [module for module in ("scipy.linalg",
-          "scipy.sparse") if module in sys.modules]))
+          "scipy.sparse", "numpy.polynomial") if module in sys.modules]))
 
 step("import refsat", lambda: __import__("refsat"))
 step("import refsat.cli", lambda: __import__("refsat.cli"))
@@ -841,6 +841,8 @@ def test_help_and_patch_checks_load_no_scipy_linalg():
     )
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    # the patch checks take their 1D spaces from the coefficients' chains,
+    # so they load neither scipy.linalg nor numpy.polynomial
     assert steps[:4] == [["import refsat"], ["import refsat.cli"], ["--help"],
                          ["patches verify"]]
     # the probe sees the module once a coefficient needs it
