@@ -78,11 +78,19 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     degree d (family A counts its x and y factors, once where they
     coincide; families B and C their y factor and the edge weights), for
     every cell, as a lone ``compute`` starts cold; and per solved block of
-    order n, its coarse Gram (~n q (q + n) + n^2) and its eigensolve: a
-    dense eigh (~n^3) up to order 100, above it a Cholesky factor (~n^3)
-    and one Lanczos run of a fixed cost and ~n^2 per operator application.
-    The constants are fitted to single-threaded stage timings
-    (``SaturationResult.stages``) of the published cells.
+    order n, its coarse Gram (~n q (q + n) + n^2 at degree q) and its
+    eigensolve. Up to order 100 that is the fine block, formed as the
+    coarse one is at degree r, and a dense reduction and full eigensolve
+    of the formed pair (a fixed cost and ~n^3); above it a Cholesky factor
+    (~n^3) and one Lanczos run of a fixed cost and ~n^2 per operator
+    application. The constants are fitted to single-threaded stage
+    timings (``SaturationResult.stages``) of the published cells. The
+    dense term is in seconds at the speed where
+    ``perfbench.harness.reference_seconds()`` takes 0.1 s: it was fitted
+    on a host where that took 0.153 s (median of 10 around the fit), and
+    there the factor, coarse Gram and Lanczos terms read 0.80, 0.73 and
+    1.10 times their stages (medians over the cells), so they stand for
+    a speed of roughly 0.12 s.
     """
     r, q = spec.r, spec.q
     overhead = 1e-3
@@ -92,8 +100,12 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     elif len(set(factor_conditions(spec.edges))) == 2:
         modes *= 2
     blocks = [block.index.size for block in _spec_blocks(spec) if block.copies]
-    grams = sum(2.0e-11 * n * q * (q + n) + 3.7e-9 * n ** 2 for n in blocks)
-    eig = sum(2.5e-9 * n ** 3 if n <= _DENSE_ORDER else
+
+    def gram(n: int, degree: int) -> float:
+        return 2.0e-11 * n * degree * (degree + n) + 3.7e-9 * n ** 2
+
+    grams = sum(gram(n, q) for n in blocks)
+    eig = sum(gram(n, r) + 5e-5 + 1.4e-9 * n ** 3 if n <= _DENSE_ORDER else
               1.2e-3 + 1.5e-8 * n ** 2 + 1.2e-11 * n ** 3 for n in blocks)
     return overhead + modes + grams + eig
 

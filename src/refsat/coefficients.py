@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -131,9 +132,10 @@ class SaturationResult:
     wall_seconds: float
     #: seconds spent building the 1D factors, the edge weights and each
     #: block's load rows and weights (``factors``), forming the coarse dual
-    #: Gram blocks with the trace, the fine norm and the definiteness bounds
-    #: (``grams``), and solving them against the fine products
-    #: (``eigensolve``)
+    #: Gram blocks and the fine ones of order up to 100, with the trace, the
+    #: fine norm and the definiteness bounds (``grams``), and solving each
+    #: coarse block against its fine block or, above order 100, the fine
+    #: products (``eigensolve``)
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -527,12 +529,16 @@ def _pair_product(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
     """v -> R v for the dual Gram R of one class pair, without forming R.
 
     With V the nx x ny reshape of v (x probe outermost), R v is
-    Wx (G o (Wx^T V Wy)) Wy^T for the weights G; the columns of an n x m
-    block are applied as a stack of such products.
+    Wx (G o (Wx^T V Wy)) Wy^T for the weights G; a vector takes these 2D
+    products directly, and the columns of an n x m block are applied as a
+    stack of them.
     """
     nx, ny = len(wx), len(wy)
 
     def apply(v: np.ndarray) -> np.ndarray:
+        if v.ndim == 1:
+            modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
+            return (wx @ modes @ wy.T).ravel()
         stack = np.ascontiguousarray(v.reshape(nx, ny, -1).transpose(2, 0, 1))
         out = wx @ ((weights * (wx.T @ stack @ wy)) @ wy.T)
         return out.transpose(1, 2, 0).reshape(v.shape)
@@ -557,6 +563,18 @@ def _products(blocks: list[_Block], triples: list):
     for block, triple in zip(blocks, triples):
         product = _pair_product(*triple)
         yield product if block.partner is None else _swap_product(block, product)
+
+
+def _tops(blocks: list[_Block], triples: list):
+    """Yield the fine side of each block's pencil, in order: up to order
+    ``_DENSE_ORDER`` the block itself, formed by ``_grams`` as the coarse
+    blocks are, and above it the operator of ``_products``. No block above
+    that order is formed.
+    """
+    small = [block.index.size <= _DENSE_ORDER for block in blocks]
+    formed = _grams(list(compress(blocks, small)), list(compress(triples, small)))
+    for keep, product in zip(small, _products(blocks, triples)):
+        yield next(formed) if keep else product
 
 
 def _class_pairs(blocks: list[_Block], triples: list):
@@ -640,8 +658,8 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     return _blocks(spec, bc_x, bc_y)
 
 
-#: orders up to which the eigensolves form their operator densely: a dense
-#: eigh of the explicit matrix beats the fixed cost of a Lanczos run (at
+#: orders up to which the eigensolves form their blocks: a full dense
+#: eigensolve of the formed pair beats the fixed cost of a Lanczos run (at
 #: least 20 operator applications) up to about this order
 _DENSE_ORDER = 100
 
@@ -649,34 +667,31 @@ _DENSE_ORDER = 100
 _PD_FLOOR = 1e-12
 
 
+def _lapack(routine: str, *args, **kwargs) -> list:
+    """The outputs of a LAPACK routine of the dense eigensolve, less its
+    trailing info; a nonzero info raises a NumericalError."""
+    import scipy.linalg
+
+    *outputs, info = getattr(scipy.linalg.lapack, routine)(*args, **kwargs)
+    if info:
+        raise NumericalError(f"dense eigensolve failed: {routine} returned "
+                             f"info {info}")
+    return outputs
+
+
 def _top_eigenpairs(
     apply, n: int, k: int, tol: float = 0.0, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
-    ``apply`` maps an n-vector or an n x m block to its image. Small orders
-    apply it to the identity and use a dense eigh; larger ones run ARPACK's
-    Lanczos (Lehoucq, Sorensen & Yang, 1998) to the relative accuracy
-    ``tol`` (0 asks for machine precision) from a seeded start vector, so
-    repeated runs return bitwise equal vectors. Without ``vectors`` only
-    the values are computed, and None stands for the vectors.
+    ``apply`` maps an n-vector or an n x m block to its image, with n above
+    ``_DENSE_ORDER``: ARPACK's Lanczos (Lehoucq, Sorensen & Yang, 1998)
+    runs to the relative accuracy ``tol`` (0 asks for machine precision)
+    from a seeded start vector, so repeated runs return bitwise equal
+    vectors. Without ``vectors`` only the values are computed, and None
+    stands for the vectors. Smaller orders solve the formed blocks instead
+    (``_top_of_pencil``, ``_lowest_eigenvalue``).
     """
-    if n <= _DENSE_ORDER:
-        import scipy.linalg
-
-        # the full spectrum: LAPACK's index-subset drivers can return no
-        # eigenvalue at all for a tight cluster, as at q = r. eigh reads
-        # only the lower triangle, so roundoff skew needs no symmetrizing
-        try:
-            result = scipy.linalg.eigh(
-                apply(np.eye(n)), driver="evd", check_finite=False,
-                eigvals_only=not vectors,
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-        if not vectors:
-            return result[n - k:], None
-        return result[0][n - k:], result[1][:, n - k:]
     # imported here: scipy.sparse.linalg costs start-up time and memory
     # that only the large orders need
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -715,6 +730,26 @@ def _lower_solver(factor: np.ndarray):
     return solve
 
 
+def _lowest_eigenvalue(r_bottom: np.ndarray, factor: np.ndarray) -> float:
+    """The smallest eigenvalue of r_bottom = L L^T, or an estimate of it
+    that is at least as large.
+
+    Up to order ``_DENSE_ORDER`` a values-only ``dsyevd`` reads it off the
+    formed block. Above it, it is estimated as 1 / lambda_max(r_bottom^{-1})
+    by Lanczos on the factor: a Ritz value never exceeds lambda_max, so
+    the loose tolerance can only overstate lambda_min by a relative 1e-8.
+    """
+    n = r_bottom.shape[0]
+    if n <= _DENSE_ORDER:
+        # r_bottom is symmetric: its transpose is the Fortran-ordered matrix
+        values, _ = _lapack("dsyevd", r_bottom.T, compute_v=0, lower=1)
+        return float(values[0])
+    solve = _lower_solver(factor)
+    inverse_top, _ = _top_eigenpairs(lambda y: solve(solve(y, 0), 1), n, 1,
+                                     tol=1e-8, vectors=False)
+    return 1.0 / float(inverse_top[-1])
+
+
 def _denominator_factor(r_bottom: np.ndarray, trace: float,
                         floor: float) -> np.ndarray:
     """Cholesky factor L of r_bottom = L L^T, checked to be safely definite.
@@ -724,10 +759,10 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
     diagonal block; otherwise the problem is rejected as ill posed rather
     than silently regularized. ``floor`` is a lower bound on that
     eigenvalue (0 when none is known): when it clears the floor, the
-    factor is returned at once. Otherwise the eigenvalue is estimated as
-    1 / lambda_max(r_bottom^{-1}) with the same factor, which is at least
-    lambda_min; as floor <= lambda_min, the certificate accepts only
-    blocks that the estimate accepts, and the errors are the estimate's.
+    factor is returned at once. Otherwise the eigenvalue is computed or
+    estimated from above (``_lowest_eigenvalue``); as floor <= lambda_min,
+    the certificate accepts only blocks that the estimate accepts, and the
+    errors are the estimate's.
     """
     import scipy.linalg
 
@@ -748,14 +783,8 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
         )
     if floor >= _PD_FLOOR * trace:
         return factor
-    # a Ritz value never exceeds lambda_max, so a loose tolerance can only
-    # overstate lambda_min by a relative 1e-8
-    solve = _lower_solver(factor)
-    inverse_top, _ = _top_eigenpairs(
-        lambda y: solve(solve(y, 0), 1),
-        r_bottom.shape[0], 1, tol=1e-8, vectors=False,
-    )
-    margin = 1.0 / (float(inverse_top[-1]) * max(trace, np.finfo(float).tiny))
+    margin = (_lowest_eigenvalue(r_bottom, factor)
+              / max(trace, np.finfo(float).tiny))
     if margin < _PD_FLOOR:
         raise NumericalError(
             ill_posed + f"estimated lambda_min/trace {margin:.3e} is under the "
@@ -768,14 +797,33 @@ def _top_of_pencil(r_top, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top two eigenvalues, ascending, of r_top F = lambda L L^T F, and the
     maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1.
 
-    ``r_top`` is an operator that maps an n-vector or an n x m block to its
-    image; the standard form L^{-1} r_top L^{-T} is applied through it.
+    Up to order ``_DENSE_ORDER``, ``r_top`` is the block as a matrix:
+    LAPACK's ``dsygst`` reduces the pair on the factor to the standard form
+    L^{-1} r_top L^{-T}, and ``dsyevd`` computes its full spectrum (the
+    index-subset drivers can return no eigenvalue at all for a tight
+    cluster, as at q = r). Both read only lower triangles, so the
+    factor's stale upper triangle and roundoff skew in r_top are never
+    seen. Above that order, ``r_top`` is a matrix or an operator that maps
+    an n-vector or an n x m block to its image, and Lanczos runs on the
+    standard form applied through it.
     """
     n = factor.shape[0]
     solve = _lower_solver(factor)
-    values, vectors = _top_eigenpairs(
-        lambda y: solve(r_top(solve(y, 1)), 0), n, min(2, n))
+    if n <= _DENSE_ORDER:
+        # r_top is symmetric: its transpose is the Fortran-ordered matrix
+        (reduced,) = _lapack("dsygst", r_top.T, factor, lower=1)
+        values, vectors = _lapack("dsyevd", reduced, lower=1, overwrite_a=1)
+        values = values[-2:]
+    else:
+        apply = _operator(r_top)
+        values, vectors = _top_eigenpairs(
+            lambda y: solve(apply(solve(y, 1)), 0), n, 2)
     return values, solve(vectors[:, -1], 1)
+
+
+def _operator(r_top):
+    """The map v -> r_top v of a block given as a matrix or an operator."""
+    return r_top.__matmul__ if isinstance(r_top, np.ndarray) else r_top
 
 
 def _max_over_blocks(pairs, trace: float, frobenius: float,
@@ -783,11 +831,13 @@ def _max_over_blocks(pairs, trace: float, frobenius: float,
     """Top eigenpair of a block-diagonal pencil, one block pair at a time.
 
     ``pairs`` yields (r_top, r_bottom, copies, floor) per solved diagonal
-    block: r_top is an operator that maps an n-vector or an n x m block to
-    its image, r_bottom the block as a matrix, copies the number of
-    diagonal blocks with this spectrum (2 where a mirror block is not
-    solved), and floor a lower bound on the smallest eigenvalue of r_bottom
-    as formed, or 0. ``trace`` is the trace of the whole r_bottom: each
+    block: r_top is the block as a matrix up to order ``_DENSE_ORDER``,
+    and above it a matrix or an operator that maps an n-vector or an n x m
+    block to its image (``_top_of_pencil``), r_bottom the block as a
+    matrix, copies the number of diagonal blocks with this spectrum (2
+    where a mirror block is not solved), and floor a lower bound on the
+    smallest eigenvalue of r_bottom as formed, or 0. ``trace`` is the
+    trace of the whole r_bottom: each
     block's smallest eigenvalue is checked against 1e-12 times it, which is
     the whole pencil's check, as the smallest eigenvalue of r_bottom is the
     smallest over its blocks; a block whose floor clears it skips the
@@ -812,7 +862,8 @@ def _max_over_blocks(pairs, trace: float, frobenius: float,
         tops.extend(values.tolist() * copies)
         value = tops[-1]
         if best is None or value > best[0]:
-            defect = r_top(maximizer) - value * (r_bottom @ maximizer)
+            defect = (_operator(r_top)(maximizer)
+                      - value * (r_bottom @ maximizer))
             best = value, index, maximizer, float(np.linalg.norm(defect))
         clock = time.perf_counter()
         stages["eigensolve"] += clock - now
@@ -831,8 +882,9 @@ def saturation_coefficient(
     """Compute the saturation coefficient for one problem spec.
 
     Forms the dual Gram of the intermediate (degree q) space block by
-    block, applies that of the fine (degree r) space by products of its 1D
-    factors without forming it, and extracts the largest generalized
+    block, and that of the fine (degree r) space only in its blocks of
+    order up to ``_DENSE_ORDER``: larger ones are applied by products of
+    their 1D factors without being formed. Extracts the largest generalized
     eigenvalue over the blocks; the maximizer is returned in the family's
     full load order. The returned residual is the relative defect of the
     eigenpair and should be tiny.
@@ -862,7 +914,7 @@ def saturation_coefficient(
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = [floor - rounding for floor in _gram_floors(solved, mid)]
     stages["grams"] += time.perf_counter() - clock
-    pairs = zip(_products(solved, fine), _grams(solved, mid),
+    pairs = zip(_tops(solved, fine), _grams(solved, mid),
                 (block.copies for block in solved), floors)
     value, tie, index, maximizer, residual = _max_over_blocks(
         pairs, trace, frobenius, stages)

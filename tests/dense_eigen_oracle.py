@@ -2,12 +2,15 @@
 
 The production eigensolve (``refsat.coefficients._max_over_blocks``, on
 a matrix pair through ``unsplit_oracle.max_generalized_eigenvalue``)
-computes only the top of the spectrum, from a Cholesky factor of the
-denominator and a Lanczos or small dense solve of the standard-form
-problem, and checks positive definiteness through an estimate of the
-smallest eigenvalue. This is the independent route it replaced: a full
-``eigvalsh`` of the denominator for the positive-definiteness check and a
-full generalized ``eigh`` with every eigenvector.
+factors the denominator (Cholesky). Up to order ``_DENSE_ORDER`` it
+reduces the formed pair on that factor (LAPACK ``dsygst``) and solves the
+full standard-form spectrum (``dsyevd``); above it, Lanczos computes only
+the top of the spectrum. It checks positive definiteness through a lower
+bound from the 1D factors, or else the smallest eigenvalue, exact up to
+``_DENSE_ORDER`` and estimated from above beyond. This is the independent
+route it replaced: a full ``eigvalsh`` of the denominator for the
+positive-definiteness check and a full generalized ``eigh`` with every
+eigenvector, on the whole pencil rather than one block at a time.
 """
 
 from __future__ import annotations

@@ -509,6 +509,25 @@ def test_failed_chain_eigensolve_is_a_numerical_failure(capsys, monkeypatch):
     assert err.startswith("numerical failure: 1D eigensolve failed")
 
 
+def test_failed_dense_eigensolve_is_a_numerical_failure(capsys, monkeypatch):
+    dsyevd = scipy.linalg.lapack.dsyevd
+
+    def fail_with_vectors(a, compute_v=1, **kwargs):
+        # the values-only calls bound the coarse blocks from below
+        values, vectors, info = dsyevd(a, compute_v=compute_v, **kwargs)
+        return values, vectors, 3 if compute_v else info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", fail_with_vectors)
+    with pytest.raises(NumericalError,
+                       match="^dense eigensolve failed: dsyevd returned info 3$"):
+        saturation_coefficient(_spec_for_problem("E1", 4, 8, 16))
+    code, out, err = run_cli(["compute", "--family", "A", "--edges", "1",
+                              "--p", "4", "--q", "8", "--r", "16"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: dense eigensolve failed")
+
+
 def test_reproduce_matches_cold_cells(tmp_path, capsys):
     target = tmp_path / "repro.csv"
     code, _, _ = run_cli(

@@ -40,6 +40,7 @@ from refsat.coefficients import (
     _edge_weights,
     _factor_args,
     _PD_FLOOR,
+    _denominator_factor,
     _gram_floors,
     _gram_norm,
     _gram_trace,
@@ -50,6 +51,8 @@ from refsat.coefficients import (
     _products,
     _sides,
     _spec_blocks,
+    _top_eigenpairs,
+    _top_of_pencil,
     _volume_gram,
     q_strategy,
     saturation_coefficient,
@@ -297,6 +300,70 @@ def test_top_eigenpair_matches_dense_oracle(name):
     assert lanczos == [False, True, True, True]
 
 
+def tied(tops):
+    """The tie flag of ``_max_over_blocks`` over the block tops ``tops``."""
+    tops = sorted(tops)
+    return len(tops) >= 2 and tops[-1] - tops[-2] <= 1e-12 * max(1.0, tops[-1])
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_formed_pencils_match_lanczos_on_the_same_pair(name):
+    family = CANONICAL_PROBLEMS[name][0]
+    checked = 0
+    for p, q, r in EIGEN_CASES[family]:
+        spec = spec_for(name, p, q, r)
+        blocks = [block for block in _spec_blocks(spec) if block.copies]
+        fine, mid = (triples(blocks, *_sides(spec, degree, {}))
+                     for degree in (r, q))
+        trace = _gram_trace(blocks, mid)
+        dense_tops, lanczos_tops, whole = [], [], True
+        for block, formed, product, bottom in zip(
+                blocks, _grams(blocks, fine), _products(blocks, fine),
+                _grams(blocks, mid)):
+            n = block.index.size
+            whole &= n <= _DENSE_ORDER
+            if n > _DENSE_ORDER:
+                continue
+            try:
+                factor = _denominator_factor(bottom, trace, 0.0)
+            except NumericalError:
+                whole = False
+                continue
+            values, maximizer = _top_of_pencil(formed, factor)
+            solve = _lower_solver(factor)
+            if n > 2:
+                expect, _ = _top_eigenpairs(
+                    lambda y: solve(product(solve(y, 1)), 0), n, 2)
+            else:
+                expect = scipy.linalg.eigvalsh(formed, bottom)[-2:]
+            assert values.size == expect.size == min(2, n)
+            assert np.all(np.abs(values - expect) <= 1e-12 * expect[-1]), (
+                spec, block.x, block.y)
+            quotient = ((maximizer @ formed @ maximizer)
+                        / (maximizer @ bottom @ maximizer))
+            assert abs(quotient - expect[-1]) <= 1e-12 * expect[-1]
+            dense_tops.extend(values.tolist() * block.copies)
+            lanczos_tops.extend(expect.tolist() * block.copies)
+            checked += 1
+        assert tied(dense_tops) == tied(lanczos_tops), spec
+        if whole:
+            assert tied(dense_tops) == (q == r), spec
+    assert checked
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
+def test_q_equals_r_ties_at_one_on_the_dense_route(monkeypatch, name):
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("a Lanczos run")
+
+    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", no_lanczos)
+    spec = spec_for(name, 6, 12, 12)
+    assert max(block_orders(spec)) <= _DENSE_ORDER
+    res = saturation_coefficient(spec)
+    assert abs(res.mu - 1.0) <= 1e-12
+    assert res.tie
+
+
 def test_modes_diagonalize_the_1d_pencil():
     bases = [
         build_basis_1d("integrated_legendre", BoundaryCondition1D(True, False), 9),
@@ -539,9 +606,9 @@ def test_block_counts_follow_the_symmetries():
 
 def operator_pairs(pairs):
     """(r_top, r_bottom) matrix pairs as the blocks ``_max_over_blocks``
-    takes: r_top as an operator, each block counted once, with no lower
-    bound on its smallest eigenvalue, so that the estimate checks it."""
-    return [(top.__matmul__, bottom, 1, 0.0) for top, bottom in pairs]
+    takes: both as matrices, each block counted once, with no lower bound
+    on its smallest eigenvalue, so that the estimate checks it."""
+    return [(top, bottom, 1, 0.0) for top, bottom in pairs]
 
 
 def frobenius(pairs):
@@ -658,18 +725,18 @@ def test_every_published_block_is_certified_definite(monkeypatch):
 
 def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
     calls = []
-    top = refsat.coefficients._top_eigenpairs
+    lowest = refsat.coefficients._lowest_eigenvalue
 
-    def counting(apply, n, k, tol=0.0, vectors=True):
-        calls.append(vectors)
-        return top(apply, n, k, tol=tol, vectors=vectors)
+    def counting(r_bottom, factor):
+        calls.append(r_bottom.shape[0])
+        return lowest(r_bottom, factor)
 
-    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting)
+    monkeypatch.setattr(refsat.coefficients, "_lowest_eigenvalue", counting)
+    # Lanczos blocks (E1, E2) and a dense one (F1, of order 65)
     for name, p, q, r in (("E1", 28, 32, 64), ("E2", 28, 32, 64),
                           ("F1", 64, 128, 256)):
-        calls.clear()
-        saturation_coefficient(spec_for(name, p, q, r))
-        assert calls and all(calls), name
+        res = saturation_coefficient(spec_for(name, p, q, r))
+        assert res.mu > 1.0 and calls == [], name
     # the whole messages; only the numbers that rounding decides are free
     ill_posed = (
         r"^denominator dual Gram is numerically singular; the coarse space "
@@ -680,12 +747,11 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
             r"at or below roundoff, under the floor 1e-12$")):
         saturation_coefficient(spec_for("E5", 4, 4, 8))
     # a singular block that factors has floor 0: the estimate rejects it
-    calls.clear()
     with pytest.raises(NumericalError, match=ill_posed + (
             r"estimated lambda_min/trace \S+e-\d+ is under the floor "
             r"1e-12$")):
         saturation_coefficient(spec_for("F1", 4, 4, 8))
-    assert calls == [False]
+    assert calls == [5]
 
 
 def test_stages_time_the_three_stages():
@@ -795,30 +861,43 @@ def test_volume_blocks_match_the_x_first_contraction():
                         <= 1e-14 * np.linalg.norm(expect)), (name, degree)
 
 
-def test_saturation_forms_only_the_coarse_blocks(monkeypatch):
-    shapes = []
+def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
+    formed = []
     volume, swap = refsat.coefficients._volume_gram, refsat.coefficients._swap_grams
 
     def counting_volume(wx, wy, weights):
-        shapes.append(weights.shape)
-        return volume(wx, wy, weights)
+        gram = volume(wx, wy, weights)
+        formed.append((weights.shape, gram.shape[0]))
+        return gram
 
     def counting_swap(wx, weights, blocks):
-        shapes.append(weights.shape)
-        return swap(wx, weights, blocks)
+        grams = swap(wx, weights, blocks)
+        formed.extend((weights.shape, gram.shape[0]) for gram in grams)
+        return grams
 
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", counting_volume)
     monkeypatch.setattr(refsat.coefficients, "_swap_grams", counting_swap)
-    # one product per solved parity block, one per pair of swap blocks; E5
-    # does not form its mirror block
-    for name, calls in (("E1", 2), ("E2", 1), ("E3", 4), ("E4", 2), ("E5", 3)):
-        spec = spec_for(name, 4, 8, 16)
+    # every block is above the dense order here: one coarse product per
+    # parity block, one per pair of swap blocks, and no fine one
+    for name, orders in (("E1", [435, 406]), ("E2", [435, 406])):
+        spec = spec_for(name, 28, 32, 64)
         xs, ys = (factor_classes(*args) for args in _factor_args(spec, spec.q))
         coarse = {(fx.lam.size, fy.lam.size) for fx in xs for fy in ys}
-        shapes.clear()
+        formed.clear()
         saturation_coefficient(spec)
-        assert len(shapes) == calls, name
-        assert set(shapes) <= coarse, name
+        assert [order for _, order in formed] == orders, name
+        assert {shape for shape, _ in formed} <= coarse, name
+    # small blocks are formed on both sides, each solved block once; E5
+    # does not form its mirror block
+    for name, solved in (("E1", 2), ("E2", 2), ("E3", 4), ("E4", 2), ("E5", 3)):
+        spec = spec_for(name, 4, 8, 16)
+        xs, ys = (factor_classes(*args) for args in _factor_args(spec, spec.r))
+        fine = {(fx.lam.size, fy.lam.size) for fx in xs for fy in ys}
+        formed.clear()
+        saturation_coefficient(spec)
+        assert len(formed) == 2 * solved, name
+        assert sum(shape in fine for shape, _ in formed) == solved, name
+        assert all(order <= _DENSE_ORDER for _, order in formed), name
 
 
 def test_e5_counts_its_mirror_block_twice():
@@ -840,7 +919,7 @@ def test_e5_counts_its_mirror_block_twice():
     # a block counted twice ties with itself
     top = np.diag([2.0, 1.0])
     value, tie, _, _, _ = _max_over_blocks(
-        [(top.__matmul__, np.eye(2), 2, 0.0)], 2.0,
+        [(top, np.eye(2), 2, 0.0)], 2.0,
         np.sqrt(2.0) * np.linalg.norm(top))
     assert value == pytest.approx(2.0) and tie
 

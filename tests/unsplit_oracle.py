@@ -83,7 +83,7 @@ def max_generalized_eigenvalue(
             f"and {r_bottom.shape}"
         )
     value, tie, _, maximizer, _ = _max_over_blocks(
-        [(r_top.__matmul__, r_bottom, 1, 0.0)], float(np.trace(r_bottom)),
+        [(r_top, r_bottom, 1, 0.0)], float(np.trace(r_bottom)),
         float(np.linalg.norm(r_top)))
     return value, maximizer, tie
 
