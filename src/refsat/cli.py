@@ -76,37 +76,41 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     The terms follow the stages of ``saturation_coefficient``: a fixed
     per-cell overhead; the 1D factors at q and at r, ~d^2 per factor of
     degree d (family A counts its x and y factors, once where they
-    coincide; families B and C their y factor and the edge weights), for
-    every cell, as a lone ``compute`` starts cold; and per solved block of
-    order n, its coarse Gram (~n q (q + n) + n^2 at degree q) and its
-    eigensolve. Up to order 100 that is the fine block, formed as the
-    coarse one is at degree r, and a dense reduction and full eigensolve
-    of the formed pair (a fixed cost and ~n^3); above it a Cholesky factor
-    (~n^3) and one Lanczos run of a fixed cost and ~n^2 per operator
-    application. The constants are fitted to single-threaded stage
-    timings (``SaturationResult.stages``) of the published cells. The
-    dense term is in seconds at the speed where
-    ``perfbench.harness.reference_seconds()`` takes 0.1 s: it was fitted
-    on a host where that took 0.153 s (median of 10 around the fit), and
-    there the factor, coarse Gram and Lanczos terms read 0.80, 0.73 and
-    1.10 times their stages (medians over the cells), so they stand for
-    a speed of roughly 0.12 s.
+    coincide; families B and C their y factor and a fixed cost for the
+    edge weights), for every cell, as a lone ``compute`` starts cold; and
+    per solved block of order n, its coarse Gram at degree q and its
+    eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
+    and ~n^2 d for its products at degree d, each priced apart for a swap
+    block, whose slabs hold twice its entries and contract over twice as
+    many modes. Up to order 100 the eigensolve is the fine block, formed
+    as the coarse one is at degree r, and a dense reduction and full
+    eigensolve of the formed pair (a fixed cost and ~n^3); above it a
+    Cholesky factor (~n^3) and one Lanczos run of a fixed cost and ~n^2.
+    Every constant is in seconds at the speed where
+    ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
+    one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
+    Gram and Cholesky terms to the kernels alone, the others to the wall
+    time of the published cells.
     """
     r, q = spec.r, spec.q
-    overhead = 1e-3
-    modes = 6e-4 + 5e-8 * (r ** 2 + q ** 2)
+    overhead = 4e-4
+    modes = 2.4e-4 + 4.6e-8 * (r ** 2 + q ** 2)
     if spec.family != "A":
-        modes += 4e-4 + 1.3e-8 * (r * (r + 1) + q * (q + 1))
+        modes += 2.1e-4
     elif len(set(factor_conditions(spec.edges))) == 2:
         modes *= 2
-    blocks = [block.index.size for block in _spec_blocks(spec) if block.copies]
+    blocks = [(block.order, block.partner is not None)
+              for block in _spec_blocks(spec) if block.copies]
 
-    def gram(n: int, degree: int) -> float:
-        return 2.0e-11 * n * degree * (degree + n) + 3.7e-9 * n ** 2
+    def gram(n: int, degree: int, swap: bool) -> float:
+        if swap:
+            return 3.9e-5 + 3.7e-9 * n ** 2 + 1.1e-10 * n ** 2 * degree
+        return 6e-6 + 6.4e-10 * n ** 2 + 2.4e-11 * n ** 2 * degree
 
-    grams = sum(gram(n, q) for n in blocks)
-    eig = sum(gram(n, r) + 5e-5 + 1.4e-9 * n ** 3 if n <= _DENSE_ORDER else
-              1.2e-3 + 1.5e-8 * n ** 2 + 1.2e-11 * n ** 3 for n in blocks)
+    grams = sum(gram(n, q, swap) for n, swap in blocks)
+    eig = sum(gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
+              else 9.3e-4 + 7.4e-9 * n ** 2 + 8e-12 * n ** 3
+              for n, swap in blocks)
     return overhead + modes + grams + eig
 
 

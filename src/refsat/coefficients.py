@@ -375,6 +375,11 @@ class _Block(NamedTuple):
     #: whose mirror under the probe swap is not solved, 0 for that mirror
     copies: int = 1
 
+    @property
+    def order(self) -> int:
+        """The number of rows."""
+        return self.index.size
+
 
 def _blocks(spec: ProblemSpec, bc_x: BoundaryCondition1D,
             bc_y: BoundaryCondition1D) -> list[_Block]:
@@ -425,12 +430,11 @@ def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
 
 
 def _restrict(block: _Block, full: np.ndarray) -> np.ndarray:
-    """The transpose of ``_embed`` for a swap block: its rows of ``full``,
-    given in the family's load order."""
+    """The transpose of ``_embed`` for a swap block: its rows of the vector
+    ``full``, given in the family's load order."""
     pair = block.index != block.partner
-    shape = (-1,) + (1,) * (full.ndim - 1)
-    keep = np.where(pair, np.sqrt(0.5), 1.0).reshape(shape)
-    swap = np.where(pair, block.sign * np.sqrt(0.5), 0.0).reshape(shape)
+    keep = np.where(pair, np.sqrt(0.5), 1.0)
+    swap = np.where(pair, block.sign * np.sqrt(0.5), 0.0)
     return keep * full[block.index] + swap * full[block.partner]
 
 
@@ -457,91 +461,86 @@ def _pair(block: _Block, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return wx, wy, 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
 
 
+def _load_products(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
+    """xx[a, c, i] = wx[a, i] wx[c, i] and the weighted y side
+    z[b, i, d] = sum_j weights[i, j] wy[b, j] wy[d, j] of a class pair,
+    whose dual Gram is R[(a, b), (c, d)] = sum_i xx[a, c, i] z[b, i, d].
+
+    The y side is contracted in one product. A class may have no modes at
+    low degrees, hence the explicit sizes.
+    """
+    mx, (ny, my) = wx.shape[1], wy.shape
+    z = (wy[:, np.newaxis, :] * weights).reshape(ny * mx, my) @ wy.T
+    return wx[:, np.newaxis, :] * wx, z.reshape(ny, mx, ny)
+
+
 def _volume_gram(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The dual Gram of the probe pairs of wx x wy, x probe outermost.
 
-    The y side is contracted first, in one product, into
-    z[(i, b), d] = sum_j weights[i, j] wy[b, j] wy[d, j], and then
-    xx[(a, c), i] = wx[a, i] wx[c, i] into R[(a, b), (c, d)]; both are
-    bitwise symmetric in their index pairs, and so is the product. With
-    the 1 x 1 identity for wx, z is exactly the block. A class may have no
-    modes at low degrees, hence the explicit sizes.
+    The y side is contracted first (``_load_products``); then one batched
+    product of xx[a] against z[b] writes each R[(a, b), :, :] in place,
+    so the block is formed in its final order, with no transposing copy
+    and no other array of its size. With the 1 x 1 identity for wx, the
+    block is exactly (wy * e) @ wy.T for the edge weights e.
     """
-    (nx, mx), (ny, my) = wx.shape, wy.shape
-    z = (weights[:, np.newaxis, :] * wy).reshape(mx * ny, my) @ wy.T
-    xx = (wx[:, np.newaxis, :] * wx).reshape(nx * nx, mx)
-    t = (xx @ z.reshape(mx, ny * ny)).reshape(nx, nx, ny, ny)
-    return t.transpose(0, 2, 1, 3).reshape(nx * ny, nx * ny)
+    xx, z = _load_products(wx, wy, weights)
+    n = len(wx) * len(wy)
+    return np.matmul(xx[:, np.newaxis], z).reshape(n, n)
 
 
-def _swap_grams(wx: np.ndarray, weights: np.ndarray,
-                blocks: list[_Block]) -> list[np.ndarray]:
-    """The swap blocks of the dual Gram of one class pair with equal factors.
+def _swap_gram(block: _Block, wx: np.ndarray, wy: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """A swap block of the dual Gram of one class pair with equal factors.
 
-    R[(a, b), (c, d)] depends only on the unordered probe pairs {a, c} and
-    {b, d}, so it is formed as pairs[{a, c}, {b, d}], of a quarter the
-    size and cost of the unsplit product. As R[(b, a), (d, c)] =
-    R[(a, b), (c, d)], a swap block entry is a scaled
-    R[(a, b), (c, d)] +/- R[(a, b), (d, c)]; the rows are gathered one
-    outer probe a at a time.
+    As R[(b, a), (d, c)] = R[(a, b), (c, d)], a swap block entry is a
+    scaled R[(a, b), (c, d)] + sign R[(a, b), (d, c)]. The rows are formed
+    one outer probe a at a time: the slab s[b, c, d] = R[(a, b), (c, d)]
+    over the block's b >= a (b > a in the antisymmetric block) is one
+    batched product as in ``_volume_gram``, folded as s + sign s^T over
+    (c, d) and cut to the block's pairs c <= d. The rows and then the
+    columns of the pairs (a, a) are scaled by sqrt(1/2) in place. No array
+    of the block's size is formed but the block.
     """
-    n = len(wx)
-    i, j = np.triu_indices(n)
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    loads = wx[i] * wx[j]
-    pairs = loads @ (weights @ loads.T)
-    grams = []
-    for block in blocks:
-        a, b = np.divmod(block.index, n)
-        starts = np.searchsorted(a, np.arange(n + 1))
-        gram = np.empty((a.size, a.size))
-        for outer in range(n):
-            rows = slice(starts[outer], starts[outer + 1])
-            # part[k, (c, d)] = R[(outer, b_k), (c, d)]
-            part = pairs[pos[outer]][:, pos[b[rows]]]
-            part = part.transpose(1, 0, 2).reshape(-1, n * n)
-            gram[rows] = (np.take(part, block.index, axis=1)
-                          + block.sign * np.take(part, block.partner, axis=1))
-        scale = np.where(a == b, np.sqrt(0.5), 1.0)
-        grams.append(gram * scale[:, np.newaxis] * scale)
-    return grams
+    xx, z = _load_products(wx, wy, weights)
+    gram = np.empty((block.order, block.order))
+    offset, start = int(block.sign < 0), 0
+    for outer in range(len(wx) - offset):
+        slab = np.matmul(xx[outer], z[outer + offset:])
+        slab += block.sign * slab.transpose(0, 2, 1)
+        rows = gram[start:start + len(slab)]
+        np.take(slab.reshape(len(slab), -1), block.index, axis=1, out=rows)
+        start += len(slab)
+    if offset == 0:
+        pairs = np.flatnonzero(block.index == block.partner)
+        gram[pairs] *= np.sqrt(0.5)
+        gram[:, pairs] *= np.sqrt(0.5)
+    return gram
 
 
 def _grams(blocks: list[_Block], triples: list):
     """Yield the diagonal blocks of the dual Gram R = L A^{-1} L^T, in order.
 
-    ``triples`` holds the ``_pair`` of each block. The swap blocks are both
-    cut from one product of their class pair, which is dropped once they
-    are.
+    ``triples`` holds the ``_pair`` of each block. Each block is formed
+    only when it is asked for, and the generator keeps no reference to it,
+    so a caller that drops a block before asking for the next holds one at
+    a time.
     """
-    swapped = None
-    for block, (wx, wy, weights) in zip(blocks, triples):
-        if block.partner is None:
-            yield _volume_gram(wx, wy, weights)
-            continue
-        if swapped is None:
-            swapped = _swap_grams(wx, weights, blocks)
-        yield swapped.pop(0)
+    for block, triple in zip(blocks, triples):
+        yield (_volume_gram(*triple) if block.partner is None
+               else _swap_gram(block, *triple))
 
 
 def _pair_product(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
     """v -> R v for the dual Gram R of one class pair, without forming R.
 
-    With V the nx x ny reshape of v (x probe outermost), R v is
-    Wx (G o (Wx^T V Wy)) Wy^T for the weights G; a vector takes these 2D
-    products directly, and the columns of an n x m block are applied as a
-    stack of them.
+    With V the nx x ny reshape of the vector v (x probe outermost), R v is
+    Wx (G o (Wx^T V Wy)) Wy^T for the weights G.
     """
     nx, ny = len(wx), len(wy)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        if v.ndim == 1:
-            modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
-            return (wx @ modes @ wy.T).ravel()
-        stack = np.ascontiguousarray(v.reshape(nx, ny, -1).transpose(2, 0, 1))
-        out = wx @ ((weights * (wx.T @ stack @ wy)) @ wy.T)
-        return out.transpose(1, 2, 0).reshape(v.shape)
+        modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
+        return (wx @ modes @ wy.T).ravel()
 
     return apply
 
@@ -556,9 +555,8 @@ def _swap_product(block: _Block, product):
 def _products(blocks: list[_Block], triples: list):
     """Yield the diagonal blocks of the dual Gram as operators, in order.
 
-    Each maps an n-vector or an n x m block to its image under the block
-    of ``_grams``, at the cost of a few products of 1D load Grams, so
-    R is never formed.
+    Each maps an n-vector to its image under the block of ``_grams``, at
+    the cost of a few products of 1D load Grams, so R is never formed.
     """
     for block, triple in zip(blocks, triples):
         product = _pair_product(*triple)
@@ -571,7 +569,7 @@ def _tops(blocks: list[_Block], triples: list):
     blocks are, and above it the operator of ``_products``. No block above
     that order is formed.
     """
-    small = [block.index.size <= _DENSE_ORDER for block in blocks]
+    small = [block.order <= _DENSE_ORDER for block in blocks]
     formed = _grams(list(compress(blocks, small)), list(compress(triples, small)))
     for keep, product in zip(small, _products(blocks, triples)):
         yield next(formed) if keep else product
@@ -684,7 +682,7 @@ def _top_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
-    ``apply`` maps an n-vector or an n x m block to its image, with n above
+    ``apply`` maps an n-vector to its image, with n above
     ``_DENSE_ORDER``: ARPACK's Lanczos (Lehoucq, Sorensen & Yang, 1998)
     runs to the relative accuracy ``tol`` (0 asks for machine precision)
     from a seeded start vector, so repeated runs return bitwise equal
@@ -696,7 +694,7 @@ def _top_eigenpairs(
     # that only the large orders need
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    op = LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
+    op = LinearOperator((n, n), matvec=apply, dtype=float)
     start = np.random.default_rng(0).standard_normal(n)
     try:
         result = eigsh(op, k=k, which="LA", tol=tol, v0=start,
@@ -711,21 +709,18 @@ def _top_eigenpairs(
 
 def _lower_solver(factor: np.ndarray):
     """The map (y, trans) -> factor^{-1} y, or factor^{-T} y with ``trans``
-    1, by one BLAS call.
+    1, for a vector y, by one BLAS ``dtrsv``.
 
     ``factor`` is a Fortran-ordered lower triangular matrix, as LAPACK's
-    ``dpotrf`` returns it, and only its lower triangle is read; a vector
-    takes ``dtrsv`` and an n x m block ``dtrsm``. The BLAS routines are
-    looked up once here, not on each of the solver's many calls.
+    ``dpotrf`` returns it, and only its lower triangle is read. The BLAS
+    routine is looked up once here, not on each of the solver's many calls.
     """
     import scipy.linalg
 
-    dtrsv, dtrsm = scipy.linalg.blas.dtrsv, scipy.linalg.blas.dtrsm
+    dtrsv = scipy.linalg.blas.dtrsv
 
     def solve(y: np.ndarray, trans: int) -> np.ndarray:
-        if y.ndim == 1:
-            return dtrsv(factor, y, lower=1, trans=trans)
-        return dtrsm(1.0, factor, y, lower=1, trans_a=trans)
+        return dtrsv(factor, y, lower=1, trans=trans)
 
     return solve
 
@@ -738,6 +733,7 @@ def _lowest_eigenvalue(r_bottom: np.ndarray, factor: np.ndarray) -> float:
     formed block. Above it, it is estimated as 1 / lambda_max(r_bottom^{-1})
     by Lanczos on the factor: a Ritz value never exceeds lambda_max, so
     the loose tolerance can only overstate lambda_min by a relative 1e-8.
+    There r_bottom is not read, and may hold the factor.
     """
     n = r_bottom.shape[0]
     if n <= _DENSE_ORDER:
@@ -752,7 +748,8 @@ def _lowest_eigenvalue(r_bottom: np.ndarray, factor: np.ndarray) -> float:
 
 def _denominator_factor(r_bottom: np.ndarray, trace: float,
                         floor: float) -> np.ndarray:
-    """Cholesky factor L of r_bottom = L L^T, checked to be safely definite.
+    """Cholesky factor L of r_bottom = L L^T, checked to be safely definite,
+    in the memory of r_bottom.
 
     The smallest eigenvalue of r_bottom must be at least 1e-12 times
     ``trace``, the trace of the whole denominator of which r_bottom is a
@@ -763,6 +760,12 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
     estimated from above (``_lowest_eigenvalue``); as floor <= lambda_min,
     the certificate accepts only blocks that the estimate accepts, and the
     errors are the estimate's.
+
+    The block is consumed: ``dpotrf`` overwrites it with the factor, so the
+    caller holds one block, not a block and its factor. The one exception
+    is a block of order up to ``_DENSE_ORDER`` that the bound leaves to the
+    estimate: that estimate reads the block as formed, so it is factored
+    in a copy.
     """
     import scipy.linalg
 
@@ -770,10 +773,13 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
         "denominator dual Gram is numerically singular; the coarse space "
         "cannot represent all functionals (ill-posed quotient): "
     )
+    certified = floor >= _PD_FLOOR * trace
     # r_bottom is symmetric, so its transpose is the Fortran-ordered matrix
-    # that LAPACK takes without a transposing copy; the factor's upper
-    # triangle keeps stale entries, which the triangular solves never read
-    factor, info = scipy.linalg.lapack.dpotrf(r_bottom.T, lower=1, clean=0)
+    # that LAPACK factors in place; the factor's upper triangle keeps stale
+    # entries, which the triangular products and solves never read
+    factor, info = scipy.linalg.lapack.dpotrf(
+        r_bottom.T, lower=1, clean=0,
+        overwrite_a=int(certified or r_bottom.shape[0] > _DENSE_ORDER))
     if info > 0:
         raise NumericalError(
             ill_posed + f"its Cholesky factorization failed ({info}-th "
@@ -781,7 +787,7 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
             f"lambda_min/trace is at or below roundoff, under the floor "
             f"{_PD_FLOOR:.0e}"
         )
-    if floor >= _PD_FLOOR * trace:
+    if certified:
         return factor
     margin = (_lowest_eigenvalue(r_bottom, factor)
               / max(trace, np.finfo(float).tiny))
@@ -804,8 +810,8 @@ def _top_of_pencil(r_top, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cluster, as at q = r). Both read only lower triangles, so the
     factor's stale upper triangle and roundoff skew in r_top are never
     seen. Above that order, ``r_top`` is a matrix or an operator that maps
-    an n-vector or an n x m block to its image, and Lanczos runs on the
-    standard form applied through it.
+    an n-vector to its image, and Lanczos runs on the standard form
+    applied through it.
     """
     n = factor.shape[0]
     solve = _lower_solver(factor)
@@ -826,51 +832,62 @@ def _operator(r_top):
     return r_top.__matmul__ if isinstance(r_top, np.ndarray) else r_top
 
 
-def _max_over_blocks(pairs, trace: float, frobenius: float,
-                     stages: dict | None = None):
+def _max_over_blocks(tops, bottoms, copies, floors, trace: float,
+                     frobenius: float, stages: dict | None = None):
     """Top eigenpair of a block-diagonal pencil, one block pair at a time.
 
-    ``pairs`` yields (r_top, r_bottom, copies, floor) per solved diagonal
-    block: r_top is the block as a matrix up to order ``_DENSE_ORDER``,
-    and above it a matrix or an operator that maps an n-vector or an n x m
-    block to its image (``_top_of_pencil``), r_bottom the block as a
-    matrix, copies the number of diagonal blocks with this spectrum (2
-    where a mirror block is not solved), and floor a lower bound on the
-    smallest eigenvalue of r_bottom as formed, or 0. ``trace`` is the
-    trace of the whole r_bottom: each
-    block's smallest eigenvalue is checked against 1e-12 times it, which is
-    the whole pencil's check, as the smallest eigenvalue of r_bottom is the
-    smallest over its blocks; a block whose floor clears it skips the
-    inverse eigensolve that estimates it (``_denominator_factor``). The
-    spectrum of the pencil is the union of the block spectra: the value is
-    the largest block top, the tie flag compares the top two over all
-    blocks, each counted ``copies`` times, and the residual is the winning
-    block's defect relative to ``frobenius``, the norm ||r_top||_F of the
-    whole r_top. ``stages`` adds up the seconds spent forming the blocks
-    (``grams``) and solving them (``eigensolve``). Returns (value, tie,
-    winning position in ``pairs``, its maximizer, residual).
+    Per solved diagonal block, ``tops`` yields r_top, the block as a matrix
+    up to order ``_DENSE_ORDER`` and above it a matrix or an operator that
+    maps an n-vector to its image (``_top_of_pencil``); ``bottoms`` yields
+    r_bottom, the block as a matrix, which the factor overwrites
+    (``_denominator_factor``); ``copies`` gives the number of diagonal
+    blocks with this spectrum (2 where a mirror block is not solved); and
+    ``floors`` a lower bound on the smallest eigenvalue of r_bottom as
+    formed, or 0. ``trace`` is the trace of the whole r_bottom: each
+    block's smallest eigenvalue is checked against 1e-12 times it, which
+    is the whole pencil's check, as the smallest eigenvalue of r_bottom is
+    the smallest over its blocks; a block whose floor clears it skips the
+    inverse eigensolve that estimates it. The spectrum of the pencil is
+    the union of the block spectra: the value is the largest block top,
+    the tie flag compares the top two over all blocks, each counted
+    ``copies`` times, and the residual is the winning block's defect
+    r_top F - value L (L^T F), with r_bottom = L L^T, relative to
+    ``frobenius``, the norm ||r_top||_F of the whole r_top. A block is
+    asked for only once the one before it is let go, so block generators
+    that form each block on demand have one in memory at a time.
+    ``stages`` adds up the seconds spent forming the blocks (``grams``)
+    and solving them (``eigensolve``). Returns (value, tie, winning block
+    position, its maximizer, residual).
     """
+    import scipy.linalg
+
+    dtrmv = scipy.linalg.blas.dtrmv
     if stages is None:
         stages = {"grams": 0.0, "eigensolve": 0.0}
-    tops, best = [], None
+    tops, bottoms = iter(tops), iter(bottoms)
+    spectrum, best = [], None
     clock = time.perf_counter()
-    for index, (r_top, r_bottom, copies, floor) in enumerate(pairs):
+    for index, (count, floor) in enumerate(zip(copies, floors)):
+        r_top, r_bottom = next(tops), next(bottoms)
         now = time.perf_counter()
         stages["grams"] += now - clock
-        values, maximizer = _top_of_pencil(
-            r_top, _denominator_factor(r_bottom, trace, floor))
-        tops.extend(values.tolist() * copies)
-        value = tops[-1]
+        factor = _denominator_factor(r_bottom, trace, floor)
+        values, maximizer = _top_of_pencil(r_top, factor)
+        spectrum.extend(values.tolist() * count)
+        value = spectrum[-1]
         if best is None or value > best[0]:
-            defect = (_operator(r_top)(maximizer)
-                      - value * (r_bottom @ maximizer))
+            bottom = dtrmv(factor, dtrmv(factor, maximizer, lower=1, trans=1),
+                           lower=1)
+            defect = _operator(r_top)(maximizer) - value * bottom
             best = value, index, maximizer, float(np.linalg.norm(defect))
+        # the solved block is let go before the next one is formed
+        del r_top, r_bottom, factor
         clock = time.perf_counter()
         stages["eigensolve"] += clock - now
     stages["grams"] += time.perf_counter() - clock
     value, index, maximizer, defect = best
-    tops.sort()
-    tie = len(tops) >= 2 and (value - tops[-2]) <= 1e-12 * max(1.0, abs(value))
+    spectrum.sort()
+    tie = len(spectrum) >= 2 and (value - spectrum[-2]) <= 1e-12 * max(1.0, abs(value))
     scale = frobenius * np.linalg.norm(maximizer)
     residual = defect / max(scale, np.finfo(float).tiny)
     return value, tie, index, maximizer, residual
@@ -914,11 +931,10 @@ def saturation_coefficient(
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = [floor - rounding for floor in _gram_floors(solved, mid)]
     stages["grams"] += time.perf_counter() - clock
-    pairs = zip(_tops(solved, fine), _grams(solved, mid),
-                (block.copies for block in solved), floors)
     value, tie, index, maximizer, residual = _max_over_blocks(
-        pairs, trace, frobenius, stages)
-    size = sum(block.index.size for block in blocks)
+        _tops(solved, fine), _grams(solved, mid),
+        [block.copies for block in solved], floors, trace, frobenius, stages)
+    size = sum(block.order for block in blocks)
     return SaturationResult(
         spec=spec,
         mu=float(np.sqrt(value)),

@@ -691,18 +691,20 @@ def test_streamed_rows_match_the_collected_table(tmp_path, capsys, computed):
         ["reproduce", "--max-p", "4", "--budget", repr(budget)], capsys)
     assert code == 1
     lines = out.splitlines()
-    assert lines[:5] == [
+    assert lines[:7] == [
         EXPECTED_HEADER,
-        "A,E1,4,8,16,---,---,---,---,---,---,skipped",
-        "A,E1,4,8,16,---,---,---,---,---,---,skipped",
+        "A,E1,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
+        "A,E1,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
         "A,E2,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
         "A,E2,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,fail",
+        "A,E3,4,8,16,---,---,---,---,---,---,skipped",
+        "A,E3,4,8,16,---,---,---,---,---,---,skipped",
     ]
     statuses = [line.rsplit(",", 1)[1] for line in lines[1:]]
-    assert statuses.count("fail") == 20 and statuses.count("skipped") == 12
+    assert statuses.count("fail") == 24 and statuses.count("skipped") == 8
     assert err.splitlines()[:2] == [
-        "reproduce: 20 compared, 20 failed, 12 skipped (tol 0.0002)",
-        "  E2 p+4 p=4 q=8 r=16: expected 1.0120, got 1.571429 (diff 5.59e-01)",
+        "reproduce: 24 compared, 24 failed, 8 skipped (tol 0.0002)",
+        "  E1 p+4 p=4 q=8 r=16: expected 1.0017, got 1.571429 (diff 5.70e-01)",
     ]
 
 

@@ -11,6 +11,7 @@ tridiagonal 1D factors and the resolvent edge weights against the dense
 pencils and the 40-digit mpmath references in ``pencil_oracle``.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from refsat.assembly import EDGE_CLASSES
 from refsat.bases import BoundaryCondition1D
 from refsat.cli import load_published_table
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
+from gram_oracle import swap_grams, volume_gram
 from pencil_oracle import (
     _classes,
     _factor,
@@ -47,12 +49,14 @@ from refsat.coefficients import (
     _grams,
     _lower_solver,
     _max_over_blocks,
+    _operator,
     _pair,
     _products,
     _sides,
     _spec_blocks,
     _top_eigenpairs,
     _top_of_pencil,
+    _tops,
     _volume_gram,
     q_strategy,
     saturation_coefficient,
@@ -325,7 +329,8 @@ def test_formed_pencils_match_lanczos_on_the_same_pair(name):
             if n > _DENSE_ORDER:
                 continue
             try:
-                factor = _denominator_factor(bottom, trace, 0.0)
+                # the factor takes the place of the block it is given
+                factor = _denominator_factor(bottom.copy(), trace, 0.0)
             except NumericalError:
                 whole = False
                 continue
@@ -608,7 +613,8 @@ def operator_pairs(pairs):
     """(r_top, r_bottom) matrix pairs as the blocks ``_max_over_blocks``
     takes: both as matrices, each block counted once, with no lower bound
     on its smallest eigenvalue, so that the estimate checks it."""
-    return [(top, bottom, 1, 0.0) for top, bottom in pairs]
+    tops, bottoms = zip(*pairs)
+    return tops, bottoms, [1] * len(pairs), [0.0] * len(pairs)
 
 
 def frobenius(pairs):
@@ -622,7 +628,7 @@ def test_pd_floor_compares_each_block_with_the_whole_trace():
     small = np.diag([1.0, 1e-11])
     pairs = [(top, small)]
     value, tie, index, _, _ = _max_over_blocks(
-        operator_pairs(pairs), np.trace(small), frobenius(pairs))
+        *operator_pairs(pairs), np.trace(small), frobenius(pairs))
     assert (value, tie, index) == (pytest.approx(1e11), False, 0)
     whole = np.trace(big) + np.trace(small)
     pairs = [(top, big), (top, small)]
@@ -630,19 +636,19 @@ def test_pd_floor_compares_each_block_with_the_whole_trace():
         NumericalError,
         match=r"ill-posed.*lambda_min/trace 4\.975e-14 is under the floor 1e-12",
     ):
-        _max_over_blocks(operator_pairs(pairs), whole, frobenius(pairs))
+        _max_over_blocks(*operator_pairs(pairs), whole, frobenius(pairs))
 
 
 def test_top_values_and_tie_are_taken_over_all_blocks():
     # the top two values sit in different blocks: a tie across blocks
     pairs = [(np.diag([3.0, 1.0]), np.eye(2)), (np.diag([3.0, 2.0]), np.eye(2))]
     value, tie, index, maximizer, residual = _max_over_blocks(
-        operator_pairs(pairs), 4.0, frobenius(pairs))
+        *operator_pairs(pairs), 4.0, frobenius(pairs))
     assert value == pytest.approx(3.0) and tie and index == 0
     assert residual < 1e-15
     pairs[1] = (np.diag([2.5, 2.0]), np.eye(2))
     value, tie, index, _, _ = _max_over_blocks(
-        operator_pairs(pairs), 4.0, frobenius(pairs))
+        *operator_pairs(pairs), 4.0, frobenius(pairs))
     assert not tie and index == 0
 
 
@@ -711,7 +717,7 @@ def test_every_published_block_is_certified_definite(monkeypatch):
         raise AssertionError("a coarse block was formed")
 
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_block)
-    monkeypatch.setattr(refsat.coefficients, "_swap_grams", no_block)
+    monkeypatch.setattr(refsat.coefficients, "_swap_gram", no_block)
     factors = {}
     cells = published_cells()
     assert len(cells) == 145
@@ -784,13 +790,15 @@ def test_fine_products_match_the_formed_blocks(name):
                                       _grams(blocks, pairs)):
             n = gram.shape[0]
             vector = rng.standard_normal(n)
-            columns = rng.standard_normal((n, 3))
-            for v in (vector, columns, np.eye(n)):
-                got = apply(v)
-                assert got.shape == v.shape
-                expect = gram @ v
-                assert (np.linalg.norm(got - expect)
-                        <= 1e-13 * np.linalg.norm(expect)), (spec, block.x, block.y)
+            got = apply(vector)
+            assert got.shape == vector.shape
+            expect = gram @ vector
+            assert (np.linalg.norm(got - expect)
+                    <= 1e-13 * np.linalg.norm(expect)), (spec, block.x, block.y)
+            # the operator applied to each unit vector is the whole block
+            whole = np.column_stack([apply(unit) for unit in np.eye(n)])
+            assert (np.linalg.norm(whole - gram)
+                    <= 1e-13 * np.linalg.norm(gram)), (spec, block.x, block.y)
 
 
 @pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
@@ -809,13 +817,13 @@ def test_blas_solves_match_solve_triangular():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((40, 40))
     factor = scipy.linalg.cholesky(a @ a.T + 40.0 * np.eye(40), lower=True)
-    for y in (rng.standard_normal(40), rng.standard_normal((40, 5))):
-        for trans in (0, 1):
-            expect = scipy.linalg.solve_triangular(factor, y, lower=True,
-                                                   trans=trans)
-            got = _lower_solver(factor)(y, trans)
-            assert got.shape == y.shape
-            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+    y = rng.standard_normal(40)
+    for trans in (0, 1):
+        expect = scipy.linalg.solve_triangular(factor, y, lower=True,
+                                               trans=trans)
+        got = _lower_solver(factor)(y, trans)
+        assert got.shape == y.shape
+        assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
 def summed_gram(wx, wy, weights):
@@ -861,24 +869,121 @@ def test_volume_blocks_match_the_x_first_contraction():
                         <= 1e-14 * np.linalg.norm(expect)), (name, degree)
 
 
+#: (p, degree) of the coarse kernel checks: p = 0 (E2 has no antisymmetric
+#: block), p = 1 (its antisymmetric block has order 1), p = degree, a
+#: Lanczos order with a finer space, and the coarse side at (28, 32, 64)
+KERNEL_CASES = ((0, 2), (1, 4), (8, 8), (16, 64), (28, 32))
+
+
+def test_coarse_kernels_match_the_replaced_contractions():
+    checked = set()
+    for name in ("E1", "E2", "E3", "E4", "E5"):
+        for p, degree in KERNEL_CASES:
+            spec = spec_for(name, p, degree, degree)
+            blocks = _spec_blocks(spec)
+            pairs = triples(blocks, *_sides(spec, degree, {}))
+            swaps = [block for block in blocks if block.partner is not None]
+            expect = swap_grams(pairs[0][0], pairs[0][2], swaps) if swaps else []
+            for block, triple, got in zip(blocks, pairs, _grams(blocks, pairs)):
+                want = (volume_gram(*triple) if block.partner is None
+                        else expect.pop(0))
+                assert got.shape == want.shape == (block.order,) * 2
+                assert (np.linalg.norm(got - want)
+                        <= 1e-14 * np.linalg.norm(want)), (name, p, block.order)
+                checked.add(None if block.partner is None else block.sign)
+            if name == "E2" and p < 2:
+                assert [block.order for block in blocks] == [[1], [3, 1]][p]
+    assert checked == {None, 1.0, -1.0}
+    # with the 1 x 1 identity for Wx the two contractions are one product
+    for name in ("F1", "F2", "F3", "F4", "C"):
+        for degree in (2, 8, 64):
+            spec = spec_for(name, degree, degree, degree)
+            blocks = _spec_blocks(spec)
+            for triple in triples(blocks, *_sides(spec, degree, {})):
+                assert np.array_equal(_volume_gram(*triple), volume_gram(*triple))
+
+
+def residual_gap(spec, factors) -> tuple[float, int]:
+    """|residual - formed| and the order n of the winning block, where the
+    eigensolve's residual takes r_bottom F as L (L^T F) from the factor
+    that overwrote the block, and ``formed`` takes it from a kept copy of
+    the formed block."""
+    every = _spec_blocks(spec)
+    blocks = [block for block in every if block.copies]
+    fine, mid = (triples(blocks, *_sides(spec, degree, factors))
+                 for degree in (spec.r, spec.q))
+    trace = _gram_trace(every, triples(every, *_sides(spec, spec.q, factors)))
+    frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
+    kept = list(_grams(blocks, mid))
+    tops, bottoms = list(_tops(blocks, fine)), [gram.copy() for gram in kept]
+    value, _, index, maximizer, residual = _max_over_blocks(
+        tops, bottoms, [block.copies for block in blocks],
+        _gram_floors(blocks, mid), trace, frobenius)
+    top, factored = tops[index], bottoms[index]
+    # every published block is certified, so each is factored in place
+    assert not np.array_equal(factored, kept[index]), spec
+    defect = _operator(top)(maximizer) - value * (kept[index] @ maximizer)
+    formed = np.linalg.norm(defect) / (frobenius * np.linalg.norm(maximizer))
+    return abs(residual - formed), len(kept[index])
+
+
+def test_factor_residual_matches_the_formed_block():
+    # CI checks every published cell
+    factors, eps = {}, np.finfo(float).eps
+    for cell in published_cells(max_p=16):
+        gap, n = residual_gap(spec_for(*cell), factors)
+        assert gap <= n * eps, cell
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates through Python and numpy above
+    what is live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def peak_blocks(spec) -> float:
+    """The traced peak of ``saturation_coefficient(spec)``, in blocks of its
+    largest solved order."""
+    largest = max(block.order for block in _spec_blocks(spec) if block.copies)
+    # a first call loads the modules that the eigensolves import
+    saturation_coefficient(spec_for("E1", 16, 20, 40))
+    return traced_peak(lambda: saturation_coefficient(spec)) / (8 * largest ** 2)
+
+
+def test_saturation_holds_one_coarse_block_at_a_time():
+    # CI holds E1..E5 at (64, 128, 256) to 1.6 blocks
+    for name in ("E1", "E2", "E3", "E4", "E5"):
+        assert peak_blocks(spec_for(name, 28, 32, 64)) <= 2.0, name
+
+
 def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
     formed = []
-    volume, swap = refsat.coefficients._volume_gram, refsat.coefficients._swap_grams
+    volume, swap = refsat.coefficients._volume_gram, refsat.coefficients._swap_gram
 
     def counting_volume(wx, wy, weights):
         gram = volume(wx, wy, weights)
         formed.append((weights.shape, gram.shape[0]))
         return gram
 
-    def counting_swap(wx, weights, blocks):
-        grams = swap(wx, weights, blocks)
-        formed.extend((weights.shape, gram.shape[0]) for gram in grams)
-        return grams
+    def counting_swap(block, wx, wy, weights):
+        gram = swap(block, wx, wy, weights)
+        formed.append((weights.shape, gram.shape[0]))
+        return gram
 
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", counting_volume)
-    monkeypatch.setattr(refsat.coefficients, "_swap_grams", counting_swap)
+    monkeypatch.setattr(refsat.coefficients, "_swap_gram", counting_swap)
     # every block is above the dense order here: one coarse product per
-    # parity block, one per pair of swap blocks, and no fine one
+    # block, parity or swap, and no fine one
     for name, orders in (("E1", [435, 406]), ("E2", [435, 406])):
         spec = spec_for(name, 28, 32, 64)
         xs, ys = (factor_classes(*args) for args in _factor_args(spec, spec.q))
@@ -919,7 +1024,7 @@ def test_e5_counts_its_mirror_block_twice():
     # a block counted twice ties with itself
     top = np.diag([2.0, 1.0])
     value, tie, _, _, _ = _max_over_blocks(
-        [(top, np.eye(2), 2, 0.0)], 2.0,
+        [top], [np.eye(2)], [2], [0.0], 2.0,
         np.sqrt(2.0) * np.linalg.norm(top))
     assert value == pytest.approx(2.0) and tie
 

@@ -34,7 +34,7 @@ from refsat.coefficients import (
 def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
     """Orders of the diagonal blocks of the spec's dual Grams, in load order;
     E5's mirror block is listed, though only its twin is solved."""
-    return tuple(block.index.size for block in _spec_blocks(spec))
+    return tuple(block.order for block in _spec_blocks(spec))
 
 
 def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
@@ -52,7 +52,7 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
             f"load degree p = {spec.p} exceeds the space degree {degree}")
     xs, ys = _sides(spec, degree, {})
     blocks = _spec_blocks(spec)
-    size = sum(block.index.size for block in blocks)
+    size = sum(block.order for block in blocks)
     gram = np.zeros((size, size))
     parts = _grams(blocks, [_pair(block, xs, ys) for block in blocks])
     for block, part in zip(blocks, parts):
@@ -82,8 +82,10 @@ def max_generalized_eigenvalue(
             f"expected square matrices of equal shape, got {r_top.shape} "
             f"and {r_bottom.shape}"
         )
+    # the eigensolve factors the denominator in its place: it gets a copy,
+    # so that the caller's matrix is left as it was
     value, tie, _, maximizer, _ = _max_over_blocks(
-        [(r_top, r_bottom, 1, 0.0)], float(np.trace(r_bottom)),
+        [r_top], [r_bottom.copy()], [1], [0.0], float(np.trace(r_bottom)),
         float(np.linalg.norm(r_top)))
     return value, maximizer, tie
 
