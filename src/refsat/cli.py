@@ -470,12 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fine space degree")
     compute.add_argument("--output", default=None,
                          help="CSV destination ('-' or omitted for stdout)")
+    compute.set_defaults(run=_cmd_compute)
 
     sweep = sub.add_parser("sweep", help="grid of problems from a JSON config")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--budget", type=float, default=DEFAULT_BUDGET_SECONDS,
                        help="skip cells whose cost estimate exceeds this "
                             "many seconds")
+    sweep.set_defaults(run=_cmd_sweep)
 
     reproduce = sub.add_parser(
         "reproduce", help="recompute the packaged reference table")
@@ -486,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--budget", type=float,
                            default=DEFAULT_BUDGET_SECONDS)
     reproduce.add_argument("--output", default=None)
+    reproduce.set_defaults(run=_cmd_reproduce)
 
     patches = sub.add_parser("patches", help="refined patch machinery")
     actions = patches.add_subparsers(dest="action", required=True)
@@ -493,23 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check traversal and extensions for the whole catalog")
     verify.add_argument("--catalog", default=None,
                         help="alternative catalog data file")
+    verify.set_defaults(run=_cmd_patches_verify)
 
     return parser
-
-
-_DISPATCH = {
-    "compute": _cmd_compute,
-    "sweep": _cmd_sweep,
-    "reproduce": _cmd_reproduce,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "patches":
-            return _cmd_patches_verify(args)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

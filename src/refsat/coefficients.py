@@ -9,8 +9,9 @@ degree q:
 
 computed as the square root of the largest generalized eigenvalue of the
 pair of dual Gram matrices R = L A^{-1} L^T (L the load matrix, A the
-stiffness matrix). mu >= 1 always, mu = 1 exactly when q = r, and small
-mu - 1 certifies that the intermediate space already captures the loads.
+stiffness matrix). mu >= 1 always, mu = 1 up to rounding when q = r, and
+small mu - 1 certifies that the intermediate space already captures the
+loads.
 
 Families:
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -131,11 +131,12 @@ class SaturationResult:
     tie: bool
     wall_seconds: float
     #: seconds spent building the 1D factors, the edge weights and each
-    #: block's load rows and weights (``factors``), forming the coarse dual
-    #: Gram blocks and the fine ones of order up to 100, with the trace, the
-    #: fine norm and the definiteness bounds (``grams``), and solving each
-    #: coarse block against its fine block or, above order 100, the fine
-    #: products (``eigensolve``)
+    #: block's load rows and weights (``factors``); the trace, the fine norm
+    #: and the definiteness bounds, and forming each coarse block and each
+    #: fine one of order up to 100 (``grams``); and factoring each coarse
+    #: block, checking it is definite, solving its pencil against the fine
+    #: block, or above order 100 the fine products, and taking the defect of
+    #: the maximizer (``eigensolve``)
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -157,10 +158,9 @@ class _Factor(NamedTuple):
 
     #: eigenvalues of the pencil S v = lambda M v
     lam: np.ndarray
-    #: W[k, i] = <phi_probes[k], v_i> for the probes phi_k that load the modes
+    #: W[k, i] = <phi_k, v_i> for the probes phi_k of degree k that load the
+    #: modes, one row per degree from 0 up to the factor's
     loads: np.ndarray
-    #: the probe degrees k of the rows of ``loads``, ascending
-    probes: np.ndarray
 
 
 def _symmetric(bc: BoundaryCondition1D) -> bool:
@@ -246,26 +246,22 @@ def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
     for s in (0, 1):
         loads[index[:, s]] += coeff[:, s, np.newaxis] * vec
     loads *= np.sqrt(2.0 / (2.0 * np.arange(degree + 1) + 1.0))[:, np.newaxis]
-    return _Factor(1.0 / theta, loads, np.arange(degree + 1))
+    return _Factor(1.0 / theta, loads)
 
 
 def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
     """The 1D factor of degree ``degree`` with ends ``bc``, one ``_Factor``
     per class: one per chain of ``_chains``, and with no Dirichlet end the
-    constant (lambda = 0, set up exactly) joins the even chain. Each parity
-    class of a symmetric factor keeps only the probe rows of its parity:
-    its loads on the other parity's modes are exactly zero.
+    constant (lambda = 0, set up exactly) joins the even chain. The probe
+    rows of the other parity of a parity class are exactly zero, and
+    ``_class_probes`` never asks for them.
     """
     classes = [_chain(index, coeff, degree) for index, coeff in _chains(bc, degree)]
-    if not _symmetric(bc):
-        return tuple(classes)
-    if not bc.dirichlet_at_minus1:
+    if _symmetric(bc) and not bc.dirichlet_at_minus1:
         constant = (np.zeros(1), np.eye(degree + 1, 1))
-        classes[0] = _Factor(*(np.concatenate(pair, axis=-1) for pair in
-                               zip(constant, classes[0][:2])), classes[0].probes)
-    return tuple(part._replace(loads=part.loads[parity::2],
-                               probes=part.probes[parity::2])
-                 for parity, part in enumerate(classes))
+        classes[0] = _Factor(*(np.concatenate(pair, axis=-1)
+                               for pair in zip(constant, classes[0])))
+    return tuple(classes)
 
 
 def _last_pivot(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -453,12 +449,11 @@ def _pair(block: _Block, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     weights of its y class as the one row of G.
     """
     fy = ys[block.y]
-    wy = fy.loads[np.searchsorted(fy.probes, block.py)]
+    wy = fy.loads[block.py]
     if block.x is None:
         return np.ones((1, 1)), wy, xs[block.y][np.newaxis]
     fx = xs[block.x]
-    wx = fx.loads[np.searchsorted(fx.probes, block.px)]
-    return wx, wy, 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
+    return fx.loads[block.px], wy, 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
 
 
 def _load_products(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
@@ -517,62 +512,34 @@ def _swap_gram(block: _Block, wx: np.ndarray, wy: np.ndarray,
     return gram
 
 
-def _grams(blocks: list[_Block], triples: list):
-    """Yield the diagonal blocks of the dual Gram R = L A^{-1} L^T, in order.
+def _gram(block: _Block, triple) -> np.ndarray:
+    """The block of the dual Gram R = L A^{-1} L^T, formed from its
+    ``_pair`` triple."""
+    if block.partner is None:
+        return _volume_gram(*triple)
+    return _swap_gram(block, *triple)
 
-    ``triples`` holds the ``_pair`` of each block. Each block is formed
-    only when it is asked for, and the generator keeps no reference to it,
-    so a caller that drops a block before asking for the next holds one at
-    a time.
+
+def _product(block: _Block, triple):
+    """v -> R v for the block of the dual Gram R, without forming it.
+
+    With V the nx x ny reshape of a vector v of its class pair (x probe
+    outermost), the pair's Gram applies as Wx (G o (Wx^T V Wy)) Wy^T for
+    the weights G of the ``_pair`` triple. A swap block embeds v in the
+    load order first and takes its rows of the image back (``_embed``,
+    ``_restrict``).
     """
-    for block, triple in zip(blocks, triples):
-        yield (_volume_gram(*triple) if block.partner is None
-               else _swap_gram(block, *triple))
-
-
-def _pair_product(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
-    """v -> R v for the dual Gram R of one class pair, without forming R.
-
-    With V the nx x ny reshape of the vector v (x probe outermost), R v is
-    Wx (G o (Wx^T V Wy)) Wy^T for the weights G.
-    """
+    wx, wy, weights = triple
     nx, ny = len(wx), len(wy)
 
     def apply(v: np.ndarray) -> np.ndarray:
+        if block.partner is not None:
+            v = _embed(block, v, nx * ny)
         modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
-        return (wx @ modes @ wy.T).ravel()
+        image = (wx @ modes @ wy.T).ravel()
+        return image if block.partner is None else _restrict(block, image)
 
     return apply
-
-
-def _swap_product(block: _Block, product):
-    """v -> R v for a swap block: embed v in the load order, apply the
-    product of its class pair, and take the block rows back."""
-    size = block.px.size ** 2
-    return lambda v: _restrict(block, product(_embed(block, v, size)))
-
-
-def _products(blocks: list[_Block], triples: list):
-    """Yield the diagonal blocks of the dual Gram as operators, in order.
-
-    Each maps an n-vector to its image under the block of ``_grams``, at
-    the cost of a few products of 1D load Grams, so R is never formed.
-    """
-    for block, triple in zip(blocks, triples):
-        product = _pair_product(*triple)
-        yield product if block.partner is None else _swap_product(block, product)
-
-
-def _tops(blocks: list[_Block], triples: list):
-    """Yield the fine side of each block's pencil, in order: up to order
-    ``_DENSE_ORDER`` the block itself, formed by ``_grams`` as the coarse
-    blocks are, and above it the operator of ``_products``. No block above
-    that order is formed.
-    """
-    small = [block.order <= _DENSE_ORDER for block in blocks]
-    formed = _grams(list(compress(blocks, small)), list(compress(triples, small)))
-    for keep, product in zip(small, _products(blocks, triples)):
-        yield next(formed) if keep else product
 
 
 def _class_pairs(blocks: list[_Block], triples: list):
@@ -682,13 +649,11 @@ def _top_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
-    ``apply`` maps an n-vector to its image, with n above
-    ``_DENSE_ORDER``: ARPACK's Lanczos (Lehoucq, Sorensen & Yang, 1998)
-    runs to the relative accuracy ``tol`` (0 asks for machine precision)
-    from a seeded start vector, so repeated runs return bitwise equal
-    vectors. Without ``vectors`` only the values are computed, and None
-    stands for the vectors. Smaller orders solve the formed blocks instead
-    (``_top_of_pencil``, ``_lowest_eigenvalue``).
+    ``apply`` maps an n-vector to its image: ARPACK's Lanczos (Lehoucq,
+    Sorensen & Yang, 1998) runs to the relative accuracy ``tol`` (0 asks
+    for machine precision) from a seeded start vector, so repeated runs
+    return bitwise equal vectors. Without ``vectors`` only the values are
+    computed, and None stands for the vectors.
     """
     # imported here: scipy.sparse.linalg costs start-up time and memory
     # that only the large orders need
@@ -725,61 +690,60 @@ def _lower_solver(factor: np.ndarray):
     return solve
 
 
-def _lowest_eigenvalue(r_bottom: np.ndarray, factor: np.ndarray) -> float:
-    """The smallest eigenvalue of r_bottom = L L^T, or an estimate of it
-    that is at least as large.
+def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
+    """Top of the pencil r_top F = lambda r_bottom F of one diagonal block.
 
-    Up to order ``_DENSE_ORDER`` a values-only ``dsyevd`` reads it off the
-    formed block. Above it, it is estimated as 1 / lambda_max(r_bottom^{-1})
-    by Lanczos on the factor: a Ritz value never exceeds lambda_max, so
-    the loose tolerance can only overstate lambda_min by a relative 1e-8.
-    There r_bottom is not read, and may hold the factor.
-    """
-    n = r_bottom.shape[0]
-    if n <= _DENSE_ORDER:
-        # r_bottom is symmetric: its transpose is the Fortran-ordered matrix
-        values, _ = _lapack("dsyevd", r_bottom.T, compute_v=0, lower=1)
-        return float(values[0])
-    solve = _lower_solver(factor)
-    inverse_top, _ = _top_eigenpairs(lambda y: solve(solve(y, 0), 1), n, 1,
-                                     tol=1e-8, vectors=False)
-    return 1.0 / float(inverse_top[-1])
+    ``r_bottom`` is the coarse block as a matrix. Its Cholesky factor
+    r_bottom = L L^T (LAPACK ``dpotrf``) overwrites it, so the caller holds
+    one block, not a block and its factor. Its smallest eigenvalue must be
+    at least 1e-12 times ``trace``, the trace of the whole denominator of
+    which it is a diagonal block (the whole pencil's check, as the smallest
+    eigenvalue of the denominator is the smallest over its blocks);
+    otherwise the problem is rejected as ill posed rather than silently
+    regularized. ``floor`` is a lower bound on that eigenvalue (0 when none
+    is known): a block whose floor clears the check is accepted at once.
+    Otherwise the eigenvalue is computed or estimated from above; as
+    floor <= lambda_min, the certificate accepts only blocks that the
+    estimate accepts, and the errors are the estimate's. A failed
+    factorization is reported before the estimate.
 
+    ``r_top`` is the fine block as a matrix, or an operator that maps an
+    n-vector to its image. With a matrix, a values-only ``dsyevd`` reads
+    the smallest eigenvalue of r_bottom before the factor overwrites it;
+    ``dsygst`` reduces the pair on the factor to the standard form
+    L^{-1} r_top L^{-T}, and ``dsyevd`` computes its full spectrum (the
+    index-subset drivers can return no eigenvalue at all for a tight
+    cluster, as at q = r). These read only lower triangles, so the
+    factor's stale upper triangle and roundoff skew in the blocks are never
+    seen. With an operator, the smallest eigenvalue is estimated as
+    1 / lambda_max(r_bottom^{-1}) by Lanczos on the factor (a Ritz value
+    never exceeds lambda_max, so the loose tolerance can only overstate
+    lambda_min by a relative 1e-8), and Lanczos computes the top of the
+    standard form applied through the operator.
 
-def _denominator_factor(r_bottom: np.ndarray, trace: float,
-                        floor: float) -> np.ndarray:
-    """Cholesky factor L of r_bottom = L L^T, checked to be safely definite,
-    in the memory of r_bottom.
-
-    The smallest eigenvalue of r_bottom must be at least 1e-12 times
-    ``trace``, the trace of the whole denominator of which r_bottom is a
-    diagonal block; otherwise the problem is rejected as ill posed rather
-    than silently regularized. ``floor`` is a lower bound on that
-    eigenvalue (0 when none is known): when it clears the floor, the
-    factor is returned at once. Otherwise the eigenvalue is computed or
-    estimated from above (``_lowest_eigenvalue``); as floor <= lambda_min,
-    the certificate accepts only blocks that the estimate accepts, and the
-    errors are the estimate's.
-
-    The block is consumed: ``dpotrf`` overwrites it with the factor, so the
-    caller holds one block, not a block and its factor. The one exception
-    is a block of order up to ``_DENSE_ORDER`` that the bound leaves to the
-    estimate: that estimate reads the block as formed, so it is factored
-    in a copy.
+    Returns the top two eigenvalues, ascending (one at order 1), the
+    maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1,
+    and the norm of its defect r_top F - value L (L^T F).
     """
     import scipy.linalg
 
+    dtrmv = scipy.linalg.blas.dtrmv
+    dense = isinstance(r_top, np.ndarray)
+    n = r_bottom.shape[0]
+    certified = floor >= _PD_FLOOR * trace
+    if dense and not certified:
+        # r_bottom is symmetric: its transpose is the Fortran-ordered matrix
+        values, _ = _lapack("dsyevd", r_bottom.T, compute_v=0, lower=1)
+        lowest = float(values[0])
     ill_posed = (
         "denominator dual Gram is numerically singular; the coarse space "
         "cannot represent all functionals (ill-posed quotient): "
     )
-    certified = floor >= _PD_FLOOR * trace
-    # r_bottom is symmetric, so its transpose is the Fortran-ordered matrix
-    # that LAPACK factors in place; the factor's upper triangle keeps stale
-    # entries, which the triangular products and solves never read
-    factor, info = scipy.linalg.lapack.dpotrf(
-        r_bottom.T, lower=1, clean=0,
-        overwrite_a=int(certified or r_bottom.shape[0] > _DENSE_ORDER))
+    # LAPACK factors that transpose in place; the factor's upper triangle
+    # keeps stale entries, which the triangular products and solves never
+    # read
+    factor, info = scipy.linalg.lapack.dpotrf(r_bottom.T, lower=1, clean=0,
+                                              overwrite_a=1)
     if info > 0:
         raise NumericalError(
             ill_posed + f"its Cholesky factorization failed ({info}-th "
@@ -787,106 +751,77 @@ def _denominator_factor(r_bottom: np.ndarray, trace: float,
             f"lambda_min/trace is at or below roundoff, under the floor "
             f"{_PD_FLOOR:.0e}"
         )
-    if certified:
-        return factor
-    margin = (_lowest_eigenvalue(r_bottom, factor)
-              / max(trace, np.finfo(float).tiny))
-    if margin < _PD_FLOOR:
-        raise NumericalError(
-            ill_posed + f"estimated lambda_min/trace {margin:.3e} is under the "
-            f"floor {_PD_FLOOR:.0e}"
-        )
-    return factor
-
-
-def _top_of_pencil(r_top, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top two eigenvalues, ascending, of r_top F = lambda L L^T F, and the
-    maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1.
-
-    Up to order ``_DENSE_ORDER``, ``r_top`` is the block as a matrix:
-    LAPACK's ``dsygst`` reduces the pair on the factor to the standard form
-    L^{-1} r_top L^{-T}, and ``dsyevd`` computes its full spectrum (the
-    index-subset drivers can return no eigenvalue at all for a tight
-    cluster, as at q = r). Both read only lower triangles, so the
-    factor's stale upper triangle and roundoff skew in r_top are never
-    seen. Above that order, ``r_top`` is a matrix or an operator that maps
-    an n-vector to its image, and Lanczos runs on the standard form
-    applied through it.
-    """
-    n = factor.shape[0]
     solve = _lower_solver(factor)
-    if n <= _DENSE_ORDER:
+    if not certified:
+        if not dense:
+            inverse_top, _ = _top_eigenpairs(lambda y: solve(solve(y, 0), 1),
+                                             n, 1, tol=1e-8, vectors=False)
+            lowest = 1.0 / float(inverse_top[-1])
+        margin = lowest / max(trace, np.finfo(float).tiny)
+        if margin < _PD_FLOOR:
+            raise NumericalError(
+                ill_posed + f"estimated lambda_min/trace {margin:.3e} is "
+                f"under the floor {_PD_FLOOR:.0e}"
+            )
+    if dense:
         # r_top is symmetric: its transpose is the Fortran-ordered matrix
         (reduced,) = _lapack("dsygst", r_top.T, factor, lower=1)
         values, vectors = _lapack("dsyevd", reduced, lower=1, overwrite_a=1)
-        values = values[-2:]
+        values, apply = values[-2:], r_top.__matmul__
     else:
-        apply = _operator(r_top)
         values, vectors = _top_eigenpairs(
-            lambda y: solve(apply(solve(y, 1)), 0), n, 2)
-    return values, solve(vectors[:, -1], 1)
+            lambda y: solve(r_top(solve(y, 1)), 0), n, 2)
+        apply = r_top
+    maximizer = solve(vectors[:, -1], 1)
+    bottom = dtrmv(factor, dtrmv(factor, maximizer, lower=1, trans=1), lower=1)
+    defect = apply(maximizer) - values[-1] * bottom
+    return values, maximizer, float(np.linalg.norm(defect))
 
 
-def _operator(r_top):
-    """The map v -> r_top v of a block given as a matrix or an operator."""
-    return r_top.__matmul__ if isinstance(r_top, np.ndarray) else r_top
+def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
+                 stages: dict):
+    """Form one solved block's pencil and solve it (``_solve_pencil``).
 
-
-def _max_over_blocks(tops, bottoms, copies, floors, trace: float,
-                     frobenius: float, stages: dict | None = None):
-    """Top eigenpair of a block-diagonal pencil, one block pair at a time.
-
-    Per solved diagonal block, ``tops`` yields r_top, the block as a matrix
-    up to order ``_DENSE_ORDER`` and above it a matrix or an operator that
-    maps an n-vector to its image (``_top_of_pencil``); ``bottoms`` yields
-    r_bottom, the block as a matrix, which the factor overwrites
-    (``_denominator_factor``); ``copies`` gives the number of diagonal
-    blocks with this spectrum (2 where a mirror block is not solved); and
-    ``floors`` a lower bound on the smallest eigenvalue of r_bottom as
-    formed, or 0. ``trace`` is the trace of the whole r_bottom: each
-    block's smallest eigenvalue is checked against 1e-12 times it, which
-    is the whole pencil's check, as the smallest eigenvalue of r_bottom is
-    the smallest over its blocks; a block whose floor clears it skips the
-    inverse eigensolve that estimates it. The spectrum of the pencil is
-    the union of the block spectra: the value is the largest block top,
-    the tie flag compares the top two over all blocks, each counted
-    ``copies`` times, and the residual is the winning block's defect
-    r_top F - value L (L^T F), with r_bottom = L L^T, relative to
-    ``frobenius``, the norm ||r_top||_F of the whole r_top. A block is
-    asked for only once the one before it is let go, so block generators
-    that form each block on demand have one in memory at a time.
-    ``stages`` adds up the seconds spent forming the blocks (``grams``)
-    and solving them (``eigensolve``). Returns (value, tie, winning block
-    position, its maximizer, residual).
+    ``fine`` and ``mid`` are the block's ``_pair`` triples at degrees r and
+    q, ``floor`` a lower bound on the smallest eigenvalue of its coarse
+    block and ``trace`` the trace of the whole coarse dual Gram. The coarse
+    block is formed, and the fine one up to order ``_DENSE_ORDER``; above
+    it the fine block is applied by ``_product`` and never formed. Both
+    live only in this call, so a cell that solves its blocks one call at a
+    time holds one block at a time. ``stages`` adds up the seconds spent
+    forming the blocks (``grams``) and solving them (``eigensolve``).
     """
-    import scipy.linalg
-
-    dtrmv = scipy.linalg.blas.dtrmv
-    if stages is None:
-        stages = {"grams": 0.0, "eigensolve": 0.0}
-    tops, bottoms = iter(tops), iter(bottoms)
-    spectrum, best = [], None
     clock = time.perf_counter()
-    for index, (count, floor) in enumerate(zip(copies, floors)):
-        r_top, r_bottom = next(tops), next(bottoms)
-        now = time.perf_counter()
-        stages["grams"] += now - clock
-        factor = _denominator_factor(r_bottom, trace, floor)
-        values, maximizer = _top_of_pencil(r_top, factor)
-        spectrum.extend(values.tolist() * count)
-        value = spectrum[-1]
-        if best is None or value > best[0]:
-            bottom = dtrmv(factor, dtrmv(factor, maximizer, lower=1, trans=1),
-                           lower=1)
-            defect = _operator(r_top)(maximizer) - value * bottom
-            best = value, index, maximizer, float(np.linalg.norm(defect))
-        # the solved block is let go before the next one is formed
-        del r_top, r_bottom, factor
-        clock = time.perf_counter()
-        stages["eigensolve"] += clock - now
-    stages["grams"] += time.perf_counter() - clock
-    value, index, maximizer, defect = best
-    spectrum.sort()
+    r_top = (_gram(block, fine) if block.order <= _DENSE_ORDER
+             else _product(block, fine))
+    r_bottom = _gram(block, mid)
+    formed = time.perf_counter()
+    stages["grams"] += formed - clock
+    solution = _solve_pencil(r_top, r_bottom, trace, floor)
+    stages["eigensolve"] += time.perf_counter() - formed
+    return solution
+
+
+def _max_over_blocks(solutions, copies, frobenius: float):
+    """Top eigenpair of a block-diagonal pencil from the ``_solve_pencil``
+    result of each solved diagonal block.
+
+    ``copies`` gives the number of diagonal blocks with each block's
+    spectrum (2 where a mirror block is not solved). The spectrum of the
+    pencil is the union of the block spectra: the value is the largest
+    block top, taken from the first block that reaches it, and the tie flag
+    compares the top two over all blocks, each counted ``copies`` times.
+    The residual is the winning block's defect norm relative to
+    ``frobenius``, the norm ||r_top||_F of the whole r_top, times that of
+    its maximizer. Returns (value, tie, winning block position, its
+    maximizer, residual).
+    """
+    spectrum = sorted(value for (values, _, _), count in zip(solutions, copies)
+                      for value in values.tolist() * count)
+    tops = [float(values[-1]) for values, _, _ in solutions]
+    value = max(tops)
+    index = tops.index(value)
+    _, maximizer, defect = solutions[index]
     tie = len(spectrum) >= 2 and (value - spectrum[-2]) <= 1e-12 * max(1.0, abs(value))
     scale = frobenius * np.linalg.norm(maximizer)
     residual = defect / max(scale, np.finfo(float).tiny)
@@ -931,9 +866,10 @@ def saturation_coefficient(
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = [floor - rounding for floor in _gram_floors(solved, mid)]
     stages["grams"] += time.perf_counter() - clock
+    solutions = [_solve_block(*args, trace, stages)
+                 for args in zip(solved, fine, mid, floors)]
     value, tie, index, maximizer, residual = _max_over_blocks(
-        _tops(solved, fine), _grams(solved, mid),
-        [block.copies for block in solved], floors, trace, frobenius, stages)
+        solutions, [block.copies for block in solved], frobenius)
     size = sum(block.order for block in blocks)
     return SaturationResult(
         spec=spec,

@@ -27,12 +27,11 @@ class Factor(NamedTuple):
 
     #: eigenvalues of the pencil S v = lambda M v
     lam: np.ndarray
-    #: W[k, i] = <phi_probes[k], v_i> for the probes phi_k that load the modes
+    #: W[k, i] = <phi_k, v_i> for the probes phi_k of degree k that load the
+    #: modes, one row per degree from 0 up to the basis degree
     loads: np.ndarray
     #: t[i] = v_i(+1), the values of the modes on the right edge
     trace: np.ndarray
-    #: the probe degrees k of the rows of ``loads``, ascending
-    probes: np.ndarray
 
 
 def _modes(basis: Basis1D) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +72,7 @@ def _factor(basis: Basis1D) -> Factor:
     k = np.arange(basis.degree + 1)
     norms = np.sqrt(2.0 / (2.0 * k + 1.0))
     loads = (norms[:, np.newaxis] * basis.coefficients.T) @ vec
-    return Factor(lam, loads, boundary_trace(basis, 1.0) @ vec, k)
+    return Factor(lam, loads, boundary_trace(basis, 1.0) @ vec)
 
 
 def _classes(basis: Basis1D) -> tuple[Factor, ...]:
@@ -81,8 +80,8 @@ def _classes(basis: Basis1D) -> tuple[Factor, ...]:
 
     The modes of a symmetric basis are even or odd, and the probe L_k of
     parity k loads only the modes of its own parity. Each class is solved
-    from the basis rows of its parity and keeps only its own probe rows, so
-    the loads across parities are exactly zero rather than roundoff. In the
+    from the basis rows of its parity, so its load rows of the other
+    parity's probes are exactly zero rather than roundoff. In the
     free-free case the supplements (1 -/+ x) sqrt(2)/2 are replaced by their
     sum sqrt(2) L_0 and difference sqrt(2) L_1, which span the same space.
     Any other basis is a single class.
@@ -96,12 +95,8 @@ def _classes(basis: Basis1D) -> tuple[Factor, ...]:
     odd = coeff[:, 1::2].any(axis=1)
     if (odd & coeff[:, 0::2].any(axis=1)).any():
         raise ValueError("a symmetric factor basis has rows of mixed parity")
-    classes = []
-    for parity in (0, 1):
-        part = _factor(Basis1D(basis.kind, coeff[odd == parity], basis.bc))
-        classes.append(part._replace(loads=part.loads[parity::2],
-                                     probes=part.probes[parity::2]))
-    return tuple(classes)
+    return tuple(_factor(Basis1D(basis.kind, coeff[odd == parity], basis.bc))
+                 for parity in (0, 1))
 
 
 def edge_weights(xs, mu: np.ndarray, quotient: bool = False) -> np.ndarray:

@@ -42,21 +42,17 @@ from refsat.coefficients import (
     _edge_weights,
     _factor_args,
     _PD_FLOOR,
-    _denominator_factor,
+    _gram,
     _gram_floors,
     _gram_norm,
     _gram_trace,
-    _grams,
     _lower_solver,
     _max_over_blocks,
-    _operator,
     _pair,
-    _products,
+    _product,
     _sides,
+    _solve_pencil,
     _spec_blocks,
-    _top_eigenpairs,
-    _top_of_pencil,
-    _tops,
     _volume_gram,
     q_strategy,
     saturation_coefficient,
@@ -321,24 +317,24 @@ def test_formed_pencils_match_lanczos_on_the_same_pair(name):
                      for degree in (r, q))
         trace = _gram_trace(blocks, mid)
         dense_tops, lanczos_tops, whole = [], [], True
-        for block, formed, product, bottom in zip(
-                blocks, _grams(blocks, fine), _products(blocks, fine),
-                _grams(blocks, mid)):
+        for block, fine_pair, mid_pair in zip(blocks, fine, mid):
             n = block.index.size
             whole &= n <= _DENSE_ORDER
             if n > _DENSE_ORDER:
                 continue
+            formed, bottom = _gram(block, fine_pair), _gram(block, mid_pair)
             try:
                 # the factor takes the place of the block it is given
-                factor = _denominator_factor(bottom.copy(), trace, 0.0)
+                values, maximizer, _ = _solve_pencil(formed, bottom.copy(),
+                                                     trace, 0.0)
             except NumericalError:
                 whole = False
                 continue
-            values, maximizer = _top_of_pencil(formed, factor)
-            solve = _lower_solver(factor)
             if n > 2:
-                expect, _ = _top_eigenpairs(
-                    lambda y: solve(product(solve(y, 1)), 0), n, 2)
+                # the same pair with the fine block as an operator: the
+                # Lanczos route, which production takes above the dense order
+                expect, _, _ = _solve_pencil(_product(block, fine_pair),
+                                             bottom.copy(), trace, 0.0)
             else:
                 expect = scipy.linalg.eigvalsh(formed, bottom)[-2:]
             assert values.size == expect.size == min(2, n)
@@ -417,9 +413,10 @@ def test_parity_classes_merge_to_the_unsplit_modes():
             tol = 1e-11 if free and degree > 112 else 1e-12
             assert np.max(np.abs(merged - lam)) <= tol * lam.max(), (kind, bc, degree)
             for parity, part in enumerate(classes):
+                # a parity class does not load the other parity's probes
                 if symmetric:
-                    assert np.array_equal(part.probes % 2, np.full(part.probes.size, parity))
-                assert part.loads.shape == (part.probes.size, part.lam.size)
+                    assert not part.loads[1 - parity::2].any()
+                assert part.loads.shape == (degree + 1, part.lam.size)
 
 
 def test_only_the_mean_zero_constant_mode_is_set_up_exactly():
@@ -440,8 +437,10 @@ def test_1d_factors_match_a_40_digit_reference():
             reference = reference_classes(kind, bc, degree)
             assert len(classes) == len(reference)
             scale = max(np.max(np.abs(gram)) for _, gram in reference)
-            for part, (lam, gram) in zip(classes, reference):
-                got = (part.loads / (part.lam + 1.0)) @ part.loads.T
+            for parity, (part, (lam, gram)) in enumerate(zip(classes, reference)):
+                # the reference has the rows of the class's own probes
+                loads = part.loads[parity::2] if len(classes) == 2 else part.loads
+                got = (loads / (part.lam + 1.0)) @ loads.T
                 assert np.max(np.abs(got - gram[:-1, :-1])) <= 1e-14 * np.max(
                     np.abs(gram)), (kind, bc, degree)
                 # the constant mode: exactly 0 here, 0 to 40 digits there
@@ -467,8 +466,9 @@ def test_chain_classes_match_the_pencil_oracle():
             assert len(classes) == len(expect)
             top = max(part.lam.max() for part in expect if part.lam.size)
             for parity, (part, oracle) in enumerate(zip(classes, expect)):
-                assert np.array_equal(part.probes, oracle.probes)
                 assert part.loads.shape == oracle.loads.shape
+                if len(classes) == 2:
+                    assert not part.loads[1 - parity::2].any()
                 lam = np.sort(part.lam)
                 error = np.abs(lam - np.sort(oracle.lam))
                 assert np.max(error, initial=0.0) <= 1e-11 * top
@@ -572,7 +572,7 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         blocks = _spec_blocks(spec)
         pairs = triples(blocks, xs, ys)
-        parts = list(_grams(blocks, pairs))
+        parts = [_gram(*pair) for pair in zip(blocks, pairs)]
         assert tuple(part.shape[0] for part in parts) == block_orders(spec)
         assert sum(part.shape[0] for part in parts) == expect.shape[0]
         for part in parts:
@@ -609,16 +609,14 @@ def test_block_counts_follow_the_symmetries():
     assert block_orders(spec_for("E2", 0, 2, 4)) == (1,)
 
 
-def operator_pairs(pairs):
-    """(r_top, r_bottom) matrix pairs as the blocks ``_max_over_blocks``
-    takes: both as matrices, each block counted once, with no lower bound
-    on its smallest eigenvalue, so that the estimate checks it."""
-    tops, bottoms = zip(*pairs)
-    return tops, bottoms, [1] * len(pairs), [0.0] * len(pairs)
-
-
-def frobenius(pairs):
-    return np.sqrt(sum(np.linalg.norm(top) ** 2 for top, _ in pairs))
+def solve_pairs(pairs, trace):
+    """``_max_over_blocks`` over the (r_top, r_bottom) matrix pairs, each
+    solved as a block counted once, with no lower bound on its smallest
+    eigenvalue, so that the estimate checks it."""
+    frobenius = np.sqrt(sum(np.linalg.norm(top) ** 2 for top, _ in pairs))
+    solutions = [_solve_pencil(top, bottom.copy(), trace, 0.0)
+                 for top, bottom in pairs]
+    return _max_over_blocks(solutions, [1] * len(pairs), frobenius)
 
 
 def test_pd_floor_compares_each_block_with_the_whole_trace():
@@ -626,9 +624,7 @@ def test_pd_floor_compares_each_block_with_the_whole_trace():
     big = 100.0 * np.eye(2)
     # lambda_min/trace is 1e-11 on its own trace, 5e-14 on the whole
     small = np.diag([1.0, 1e-11])
-    pairs = [(top, small)]
-    value, tie, index, _, _ = _max_over_blocks(
-        *operator_pairs(pairs), np.trace(small), frobenius(pairs))
+    value, tie, index, _, _ = solve_pairs([(top, small)], np.trace(small))
     assert (value, tie, index) == (pytest.approx(1e11), False, 0)
     whole = np.trace(big) + np.trace(small)
     pairs = [(top, big), (top, small)]
@@ -636,19 +632,17 @@ def test_pd_floor_compares_each_block_with_the_whole_trace():
         NumericalError,
         match=r"ill-posed.*lambda_min/trace 4\.975e-14 is under the floor 1e-12",
     ):
-        _max_over_blocks(*operator_pairs(pairs), whole, frobenius(pairs))
+        solve_pairs(pairs, whole)
 
 
 def test_top_values_and_tie_are_taken_over_all_blocks():
     # the top two values sit in different blocks: a tie across blocks
     pairs = [(np.diag([3.0, 1.0]), np.eye(2)), (np.diag([3.0, 2.0]), np.eye(2))]
-    value, tie, index, maximizer, residual = _max_over_blocks(
-        *operator_pairs(pairs), 4.0, frobenius(pairs))
+    value, tie, index, maximizer, residual = solve_pairs(pairs, 4.0)
     assert value == pytest.approx(3.0) and tie and index == 0
     assert residual < 1e-15
     pairs[1] = (np.diag([2.5, 2.0]), np.eye(2))
-    value, tie, index, _, _ = _max_over_blocks(
-        *operator_pairs(pairs), 4.0, frobenius(pairs))
+    value, tie, index, _, _ = solve_pairs(pairs, 4.0)
     assert not tie and index == 0
 
 
@@ -673,7 +667,8 @@ def test_block_floors_bound_the_smallest_eigenvalue():
     factors, singular = {}, 0
     for name, p, q, r in cases + published_cells(max_p=16):
         spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
-        for floor, gram in zip(floors, _grams(blocks, triples(blocks, xs, ys))):
+        for floor, block in zip(floors, blocks):
+            gram = _gram(block, _pair(block, xs, ys))
             lowest = scipy.linalg.eigvalsh(gram)[0]
             # eigvalsh is backward stable: an exactly singular block reads
             # an eigenvalue of either sign at the rounding level
@@ -730,14 +725,24 @@ def test_every_published_block_is_certified_definite(monkeypatch):
 
 
 def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
+    # the order of each block whose smallest eigenvalue is computed: by a
+    # values-only dsyevd of a formed block, or by the inverse Lanczos run
     calls = []
-    lowest = refsat.coefficients._lowest_eigenvalue
+    lapack = refsat.coefficients._lapack
+    lanczos = refsat.coefficients._top_eigenpairs
 
-    def counting(r_bottom, factor):
-        calls.append(r_bottom.shape[0])
-        return lowest(r_bottom, factor)
+    def counting_lapack(routine, a, *args, **kwargs):
+        if routine == "dsyevd" and kwargs.get("compute_v") == 0:
+            calls.append(a.shape[0])
+        return lapack(routine, a, *args, **kwargs)
 
-    monkeypatch.setattr(refsat.coefficients, "_lowest_eigenvalue", counting)
+    def counting_lanczos(apply, n, k, *args, **kwargs):
+        if k == 1:
+            calls.append(n)
+        return lanczos(apply, n, k, *args, **kwargs)
+
+    monkeypatch.setattr(refsat.coefficients, "_lapack", counting_lapack)
+    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting_lanczos)
     # Lanczos blocks (E1, E2) and a dense one (F1, of order 65)
     for name, p, q, r in (("E1", 28, 32, 64), ("E2", 28, 32, 64),
                           ("F1", 64, 128, 256)):
@@ -752,12 +757,16 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
             r"the array is not positive definite\), so lambda_min/trace is "
             r"at or below roundoff, under the floor 1e-12$")):
         saturation_coefficient(spec_for("E5", 4, 4, 8))
+    # its first block, of order 9, is uncertified: a formed block's smallest
+    # eigenvalue is read before the factor overwrites it, so it is read
+    # even though the factorization then fails
+    assert calls == [9]
     # a singular block that factors has floor 0: the estimate rejects it
     with pytest.raises(NumericalError, match=ill_posed + (
             r"estimated lambda_min/trace \S+e-\d+ is under the floor "
             r"1e-12$")):
         saturation_coefficient(spec_for("F1", 4, 4, 8))
-    assert calls == [5]
+    assert calls == [9, 5]
 
 
 def test_stages_time_the_three_stages():
@@ -786,8 +795,8 @@ def test_fine_products_match_the_formed_blocks(name):
     rng = np.random.default_rng(7)
     for spec, blocks, xs, ys in fine_blocks(name):
         pairs = triples(blocks, xs, ys)
-        for block, apply, gram in zip(blocks, _products(blocks, pairs),
-                                      _grams(blocks, pairs)):
+        for block, triple in zip(blocks, pairs):
+            apply, gram = _product(block, triple), _gram(block, triple)
             n = gram.shape[0]
             vector = rng.standard_normal(n)
             got = apply(vector)
@@ -806,8 +815,8 @@ def test_factored_norm_matches_the_formed_grams(name):
     for spec, blocks, xs, ys in fine_blocks(name):
         expect = np.linalg.norm(dual_gram(spec, spec.r))
         pairs = triples(blocks, xs, ys)
-        parts = np.sqrt(sum(np.linalg.norm(part) ** 2
-                            for part in _grams(blocks, pairs)))
+        parts = np.sqrt(sum(np.linalg.norm(_gram(*pair)) ** 2
+                            for pair in zip(blocks, pairs)))
         got = _gram_norm(blocks, pairs)
         assert abs(got - expect) <= 1e-13 * expect
         assert abs(got - parts) <= 1e-13 * parts
@@ -884,7 +893,8 @@ def test_coarse_kernels_match_the_replaced_contractions():
             pairs = triples(blocks, *_sides(spec, degree, {}))
             swaps = [block for block in blocks if block.partner is not None]
             expect = swap_grams(pairs[0][0], pairs[0][2], swaps) if swaps else []
-            for block, triple, got in zip(blocks, pairs, _grams(blocks, pairs)):
+            for block, triple in zip(blocks, pairs):
+                got = _gram(block, triple)
                 want = (volume_gram(*triple) if block.partner is None
                         else expect.pop(0))
                 assert got.shape == want.shape == (block.order,) * 2
@@ -914,15 +924,20 @@ def residual_gap(spec, factors) -> tuple[float, int]:
                  for degree in (spec.r, spec.q))
     trace = _gram_trace(every, triples(every, *_sides(spec, spec.q, factors)))
     frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
-    kept = list(_grams(blocks, mid))
-    tops, bottoms = list(_tops(blocks, fine)), [gram.copy() for gram in kept]
+    kept = [_gram(*pair) for pair in zip(blocks, mid)]
+    # the fine sides as ``_solve_block`` passes them
+    tops = [_gram(*pair) if pair[0].order <= _DENSE_ORDER else _product(*pair)
+            for pair in zip(blocks, fine)]
+    bottoms = [gram.copy() for gram in kept]
+    solutions = [_solve_pencil(*pencil, trace, floor) for pencil, floor in
+                 zip(zip(tops, bottoms), _gram_floors(blocks, mid))]
     value, _, index, maximizer, residual = _max_over_blocks(
-        tops, bottoms, [block.copies for block in blocks],
-        _gram_floors(blocks, mid), trace, frobenius)
+        solutions, [block.copies for block in blocks], frobenius)
     top, factored = tops[index], bottoms[index]
-    # every published block is certified, so each is factored in place
+    # the factor overwrites the block it is given
     assert not np.array_equal(factored, kept[index]), spec
-    defect = _operator(top)(maximizer) - value * (kept[index] @ maximizer)
+    image = top @ maximizer if isinstance(top, np.ndarray) else top(maximizer)
+    defect = image - value * (kept[index] @ maximizer)
     formed = np.linalg.norm(defect) / (frobenius * np.linalg.norm(maximizer))
     return abs(residual - formed), len(kept[index])
 
@@ -1013,9 +1028,9 @@ def test_e5_counts_its_mirror_block_twice():
     # the mirror pencil has the spectrum of the solved one
     spectra = []
     for index in (1, 2):
-        block = [blocks[index]]
-        fine, mid = (list(_grams(block, triples(block, *(
-            factor_classes(*args) for args in _factor_args(spec, degree)))))[0]
+        block = blocks[index]
+        fine, mid = (_gram(block, _pair(block, *(
+            factor_classes(*args) for args in _factor_args(spec, degree))))
             for degree in (spec.r, spec.q))
         spectra.append(scipy.linalg.eigvalsh(fine, mid))
     assert np.allclose(spectra[0], spectra[1], rtol=1e-12, atol=0.0)
@@ -1024,7 +1039,7 @@ def test_e5_counts_its_mirror_block_twice():
     # a block counted twice ties with itself
     top = np.diag([2.0, 1.0])
     value, tie, _, _, _ = _max_over_blocks(
-        [top], [np.eye(2)], [2], [0.0], 2.0,
+        [_solve_pencil(top, np.eye(2), 2.0, 0.0)], [2],
         np.sqrt(2.0) * np.linalg.norm(top))
     assert value == pytest.approx(2.0) and tie
 
@@ -1175,6 +1190,17 @@ def test_canonical_problem_list():
             assert edges is None
         else:
             assert edges
+
+
+def test_result_fields_are_python_scalars():
+    # a dense cell, a Lanczos cell, a swap cell and a tied cell (q = r)
+    for spec in (spec_for("F1", 16, 20, 40), spec_for("E1", 16, 20, 40),
+                 spec_for("E2", 16, 20, 40), spec_for("E2", 6, 12, 12)):
+        res = saturation_coefficient(spec)
+        assert type(res.tie) is bool, spec
+        assert all(type(value) is float
+                   for value in (res.mu, res.mu_squared, res.residual)), spec
+    assert res.tie
 
 
 def test_results_are_deterministic():

@@ -9,8 +9,8 @@ the whole pencil.
 The matrix forms of the block route live here too, for the tests to
 compare against other routes: ``dual_gram`` scatters its blocks into the
 whole dual Gram, ``block_orders`` lists their orders, and
-``max_generalized_eigenvalue`` runs its top-of-pencil eigensolve on a
-matrix pair.
+``max_generalized_eigenvalue`` runs its one-block eigensolve on a matrix
+pair.
 """
 
 from __future__ import annotations
@@ -20,13 +20,15 @@ import numpy as np
 from basis_oracle import build_basis_1d
 from pencil_oracle import _factor
 from refsat.coefficients import (
+    _DENSE_ORDER,
     ProblemSpec,
     _embed,
     _factor_args,
-    _grams,
+    _gram,
     _max_over_blocks,
     _pair,
     _sides,
+    _solve_pencil,
     _spec_blocks,
 )
 
@@ -54,8 +56,8 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
     blocks = _spec_blocks(spec)
     size = sum(block.order for block in blocks)
     gram = np.zeros((size, size))
-    parts = _grams(blocks, [_pair(block, xs, ys) for block in blocks])
-    for block, part in zip(blocks, parts):
+    for block in blocks:
+        part = _gram(block, _pair(block, xs, ys))
         gram += _embed(block, _embed(block, part.T, size).T, size)
     return gram
 
@@ -67,13 +69,16 @@ def max_generalized_eigenvalue(
 
     With the Cholesky factor r_bottom = L L^T the pencil becomes the
     standard problem for L^{-1} r_top L^{-T}, whose top two eigenpairs give
-    the value, the tie flag and, through F = L^{-T} y, the maximizer. Only
-    the top of the spectrum is computed. r_bottom must be safely positive
-    definite: its smallest eigenvalue, estimated as 1 / lambda_max(r_bottom^{-1})
-    with the same factor, is checked against 1e-12 times its trace, and the
-    problem is rejected as ill posed otherwise, rather than silently
-    regularized. A matrix pair has no 1D factors to bound that eigenvalue
-    from below, so the estimate always runs.
+    the value, the tie flag and, through F = L^{-T} y, the maximizer. As in
+    ``saturation_coefficient``, the pair is solved densely up to order
+    ``_DENSE_ORDER``, and above it by Lanczos on the product with r_top,
+    which computes only the top of the spectrum. r_bottom must be safely
+    positive definite: its smallest eigenvalue, computed up to that order
+    and estimated as 1 / lambda_max(r_bottom^{-1}) with the same factor
+    above it, is checked against 1e-12 times its trace, and the problem is
+    rejected as ill posed otherwise, rather than silently regularized. A
+    matrix pair has no 1D factors to bound that eigenvalue from below, so
+    the check always runs.
     """
     r_top = np.asarray(r_top, dtype=float)
     r_bottom = np.asarray_chkfinite(r_bottom, dtype=float)
@@ -82,11 +87,13 @@ def max_generalized_eigenvalue(
             f"expected square matrices of equal shape, got {r_top.shape} "
             f"and {r_bottom.shape}"
         )
+    top = r_top if r_top.shape[0] <= _DENSE_ORDER else r_top.__matmul__
     # the eigensolve factors the denominator in its place: it gets a copy,
     # so that the caller's matrix is left as it was
+    solution = _solve_pencil(top, r_bottom.copy(), float(np.trace(r_bottom)),
+                             0.0)
     value, tie, _, maximizer, _ = _max_over_blocks(
-        [r_top], [r_bottom.copy()], [1], [0.0], float(np.trace(r_bottom)),
-        float(np.linalg.norm(r_top)))
+        [solution], [1], float(np.linalg.norm(r_top)))
     return value, maximizer, tie
 
 
