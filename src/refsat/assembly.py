@@ -17,6 +17,8 @@ with directly.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from refsat.bases import BoundaryCondition1D
 
 __all__ = [
@@ -48,8 +50,11 @@ EDGE_CLASSES: dict[str, frozenset[int]] = {
 
 
 def normalize_edges(edges) -> frozenset[int]:
-    """Coerce an iterable of edge numbers to a validated frozenset."""
-    out = frozenset(int(e) for e in edges)
+    """Coerce an iterable of integer edge numbers to a validated frozenset."""
+    entries = [edges] if isinstance(edges, (str, bytes)) else list(edges)
+    if any(isinstance(e, bool) or not isinstance(e, Integral) for e in entries):
+        raise ValueError(f"edge numbers must be integers, got {edges!r}")
+    out = frozenset(int(e) for e in entries)
     if not out <= {RIGHT, TOP, LEFT, BOTTOM}:
         raise ValueError(f"edge numbers must lie in 1..4, got {sorted(out)}")
     return out

@@ -26,16 +26,14 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .assembly import EDGE_CLASSES, factor_conditions, normalize_edges
 from .coefficients import (
-    _DENSE_ORDER,
     CANONICAL_PROBLEMS,
     FAMILIES,
     NumericalError,
     ProblemSpec,
     Q_STRATEGIES,
     SaturationResult,
-    _spec_blocks,
+    estimated_seconds,
     q_strategy,
     saturation_coefficient,
 )
@@ -67,62 +65,14 @@ DEFAULT_BUDGET_SECONDS = 300.0
 DEFAULT_TOLERANCE = 2e-4
 
 
-# ------------------------------------------------------------- cost model
-
-
-def estimated_seconds(spec: ProblemSpec) -> float:
-    """Deterministic cost estimate in seconds, used for budget skipping.
-
-    The terms follow the stages of ``saturation_coefficient``: a fixed
-    per-cell overhead; the 1D factors at q and at r, ~d^2 per factor of
-    degree d (family A counts its x and y factors, once where they
-    coincide; families B and C their y factor and a fixed cost for the
-    edge weights), for every cell, as a lone ``compute`` starts cold; and
-    per solved block of order n, its coarse Gram at degree q and its
-    eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
-    and ~n^2 d for its products at degree d, each priced apart for a swap
-    block, whose slabs hold twice its entries and contract over twice as
-    many modes. Up to order 100 the eigensolve is the fine block, formed
-    as the coarse one is at degree r, and a dense reduction and full
-    eigensolve of the formed pair (a fixed cost and ~n^3); above it a
-    Cholesky factor (~n^3) and one Lanczos run of a fixed cost and ~n^2.
-    Every constant is in seconds at the speed where
-    ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
-    one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
-    Gram and Cholesky terms to the kernels alone, the others to the wall
-    time of the published cells.
-    """
-    r, q = spec.r, spec.q
-    overhead = 4e-4
-    modes = 2.4e-4 + 4.6e-8 * (r ** 2 + q ** 2)
-    if spec.family != "A":
-        modes += 2.1e-4
-    elif len(set(factor_conditions(spec.edges))) == 2:
-        modes *= 2
-    blocks = [(block.order, block.partner is not None)
-              for block in _spec_blocks(spec) if block.copies]
-
-    def gram(n: int, degree: int, swap: bool) -> float:
-        if swap:
-            return 3.9e-5 + 3.7e-9 * n ** 2 + 1.1e-10 * n ** 2 * degree
-        return 6e-6 + 6.4e-10 * n ** 2 + 2.4e-11 * n ** 2 * degree
-
-    grams = sum(gram(n, q, swap) for n, swap in blocks)
-    eig = sum(gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
-              else 9.3e-4 + 7.4e-9 * n ** 2 + 8e-12 * n ** 3
-              for n, swap in blocks)
-    return overhead + modes + grams + eig
-
-
 # ------------------------------------------------------------- row output
 
 
 def _edge_class_label(spec: ProblemSpec) -> str:
-    if spec.family == "C":
-        return "C"
-    prefix = "E" if spec.family == "A" else "F"
-    for name, edges in EDGE_CLASSES.items():
-        if name.startswith(prefix) and edges == spec.edges:
+    """The spec's canonical problem name, or its Dirichlet edges joined by
+    '+' for a family-A edge set that is not canonical."""
+    for name, problem in CANONICAL_PROBLEMS.items():
+        if problem == (spec.family, spec.edges):
             return name
     return "+".join(str(e) for e in sorted(spec.edges))
 
@@ -305,10 +255,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.edges is None:
             raise ValueError("families A and B require --edges")
         try:
-            parsed = tuple(int(tok) for tok in args.edges.split(","))
+            edges = tuple(int(tok) for tok in args.edges.split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse --edges {args.edges!r}") from exc
-        edges = normalize_edges(parsed)
     spec = ProblemSpec(family=args.family, edges=edges, p=args.p, q=args.q,
                        r=args.r)
     result = saturation_coefficient(spec)

@@ -33,7 +33,7 @@ import numpy as np
 from refsat.assembly import EDGE_CLASSES, factor_conditions, normalize_edges
 from refsat.bases import BoundaryCondition1D
 
-# scipy.linalg is imported inside the kernels that call LAPACK or BLAS: it
+# scipy.linalg is imported by saturation_coefficient and the kernels: it
 # costs about a quarter second of start-up, which the patch checks and the
 # help text never need
 
@@ -44,6 +44,7 @@ __all__ = [
     "NumericalError",
     "ProblemSpec",
     "SaturationResult",
+    "estimated_seconds",
     "q_strategy",
     "saturation_coefficient",
 ]
@@ -67,9 +68,6 @@ CANONICAL_PROBLEMS: dict[str, tuple[str, frozenset[int] | None]] = {
     "F4": ("B", EDGE_CLASSES["F4"]),
     "C": ("C", None),
 }
-
-_B_CLASSES = tuple(EDGE_CLASSES[name] for name in ("F1", "F2", "F3", "F4"))
-
 
 class NumericalError(RuntimeError):
     """A linear algebra step failed or produced an ill-posed subproblem."""
@@ -109,7 +107,7 @@ class ProblemSpec:
         object.__setattr__(self, "edges", edges)
         if self.family == "A" and not edges:
             raise ValueError("volume-load problems need at least one Dirichlet edge")
-        if self.family == "B" and edges not in _B_CLASSES:
+        if self.family == "B" and ("B", edges) not in CANONICAL_PROBLEMS.values():
             raise ValueError(
                 "edge-load problems use one of the four canonical Dirichlet "
                 "classes {2}, {3}, {2,3}, {2,3,4} relative to the loaded right edge"
@@ -377,20 +375,20 @@ class _Block(NamedTuple):
         return self.index.size
 
 
-def _blocks(spec: ProblemSpec, bc_x: BoundaryCondition1D,
-            bc_y: BoundaryCondition1D) -> list[_Block]:
-    """Diagonal blocks of the spec's dual Grams, skipping those without loads.
+def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
+    """Diagonal blocks of the spec's dual Grams (both degrees alike),
+    skipping those without loads.
 
-    ``bc_x`` and ``bc_y`` are the end conditions of the two factors; equal
-    conditions mean equal factors. Family A has one block per
-    pair of x and y classes, except with equal non-symmetric factors (E2):
-    R is then invariant under (a, b) <-> (b, a) and splits into a
-    symmetric and an antisymmetric block of orders n(n + 1)/2 and
-    n(n - 1)/2. With equal symmetric factors (E5), the (odd, even) block is
-    the probe swap of the (even, odd) one, with the same spectrum: only the
-    latter is solved, and counted twice. Families B and C have one block
-    per y class.
+    Equal end conditions of the x and y factors mean equal factors. Family
+    A has one block per pair of x and y classes, except with equal
+    non-symmetric factors (E2): R is then invariant under (a, b) <-> (b, a)
+    and splits into a symmetric and an antisymmetric block of orders
+    n(n + 1)/2 and n(n - 1)/2. With equal symmetric factors (E5), the
+    (odd, even) block is the probe swap of the (even, odd) one, with the
+    same spectrum: only the latter is solved, and counted twice. Families B
+    and C have one block per y class.
     """
+    (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
     first = 1 if spec.family == "C" else 0
     ys = [k[k >= first] for k in _class_probes(bc_y, spec.p)]
     if spec.family != "A":
@@ -617,12 +615,6 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
     return nx * ny - (spec.family == "C")
 
 
-def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
-    """The diagonal blocks of the spec's dual Grams (both degrees alike)."""
-    (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
-    return _blocks(spec, bc_x, bc_y)
-
-
 #: orders up to which the eigensolves form their blocks: a full dense
 #: eigensolve of the formed pair beats the fixed cost of a Lanczos run (at
 #: least 20 operator applications) up to about this order
@@ -847,6 +839,10 @@ def saturation_coefficient(
     does, builds each of them once; without a table the call starts from
     an empty one of its own.
     """
+    # imported before the clock starts: the first cell of a process would
+    # otherwise time the import as its own work
+    import scipy.linalg  # noqa: F401
+
     start = time.perf_counter()
     if factors is None:
         factors = {}
@@ -884,3 +880,47 @@ def saturation_coefficient(
         wall_seconds=time.perf_counter() - start,
         stages=stages,
     )
+
+
+def estimated_seconds(spec: ProblemSpec) -> float:
+    """Deterministic cost estimate in seconds, used for budget skipping.
+
+    The terms follow the stages of ``saturation_coefficient``: a fixed
+    per-cell overhead; the 1D factors at q and at r, ~d^2 per factor of
+    degree d (family A counts its x and y factors, once where they
+    coincide; families B and C their y factor and a fixed cost for the
+    edge weights), for every cell, as a lone ``compute`` starts cold; and
+    per solved block of order n, its coarse Gram at degree q and its
+    eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
+    and ~n^2 d for its products at degree d, each priced apart for a swap
+    block, whose slabs hold twice its entries and contract over twice as
+    many modes. Up to order 100 the eigensolve is the fine block, formed
+    as the coarse one is at degree r, and a dense reduction and full
+    eigensolve of the formed pair (a fixed cost and ~n^3); above it a
+    Cholesky factor (~n^3) and one Lanczos run of a fixed cost and ~n^2.
+    Every constant is in seconds at the speed where
+    ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
+    one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
+    Gram and Cholesky terms to the kernels alone, the others to the wall
+    time of the published cells.
+    """
+    r, q = spec.r, spec.q
+    overhead = 4e-4
+    modes = 2.4e-4 + 4.6e-8 * (r ** 2 + q ** 2)
+    if spec.family != "A":
+        modes += 2.1e-4
+    elif len(set(factor_conditions(spec.edges))) == 2:
+        modes *= 2
+    blocks = [(block.order, block.partner is not None)
+              for block in _spec_blocks(spec) if block.copies]
+
+    def gram(n: int, degree: int, swap: bool) -> float:
+        if swap:
+            return 3.9e-5 + 3.7e-9 * n ** 2 + 1.1e-10 * n ** 2 * degree
+        return 6e-6 + 6.4e-10 * n ** 2 + 2.4e-11 * n ** 2 * degree
+
+    grams = sum(gram(n, q, swap) for n, swap in blocks)
+    eig = sum(gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
+              else 9.3e-4 + 7.4e-9 * n ** 2 + 8e-12 * n ** 3
+              for n, swap in blocks)
+    return overhead + modes + grams + eig

@@ -351,12 +351,10 @@ def _default_catalog() -> dict[int, RefinedPatch]:
 # -------------------------------------------------------------- traversal
 
 
-def interior_edge_traversal(
-    patch: RefinedPatch, numbering: dict[GridEdge, int] | None = None
-) -> Traversal:
-    """Traverse the patch's interior edges in increasing inherited number."""
-    if numbering is None:
-        numbering = canonical_numbering()
+def interior_edge_traversal(patch: RefinedPatch) -> Traversal:
+    """Traverse the patch's interior edges in increasing inherited number,
+    the fixed ``canonical_numbering`` of the full grid."""
+    numbering = canonical_numbering()
     edges = sorted(patch.interior_edges, key=lambda e: numbering[e])
     steps = tuple(
         TraversalStep(index=i, number=numbering[edge], edge=edge,
@@ -371,21 +369,16 @@ def _classify(
 ) -> str | None:
     """Match the local Dirichlet pattern to one of the five situations.
 
-    Exact patterns first; if none fits, free (Neumann) sides may stand in
+    Exact patterns first: the Dirichlet sides are those of a situation's
+    ``PRE_ZERO_SIDES``, and each of the owner's top and left sides e2, e3
+    is Dirichlet or free. If none fits, free (Neumann) sides may stand in
     for clamped ones, in which case the admissible widened pattern is fixed
     by which side of the owner the traversed edge is (bottom or right).
     """
-    if dirichlet == frozenset({"e1", "e2", "e3"}):
-        return "a"
-    if dirichlet == frozenset({"e2", "e3", "e4"}):
-        return "b"
-    if dirichlet == frozenset({"e2", "e3"}):
-        return "c"
-    if dirichlet == frozenset({"e2"}) and "e3" in ext_neumann:
-        return "d"
-    if dirichlet == frozenset({"e3"}) and "e2" in ext_neumann:
-        return "e"
     covered = dirichlet | ext_neumann
+    for situation, zero in PRE_ZERO_SIDES.items():
+        if dirichlet == set(zero) and {"e2", "e3"} <= covered:
+            return situation
     if dirichlet and self_side == "e4" and {"e1", "e2", "e3"} <= covered:
         return "a"
     if dirichlet and self_side == "e1" and {"e2", "e3", "e4"} <= covered:
@@ -393,11 +386,8 @@ def _classify(
     return None
 
 
-def _step_info(
-    patch: RefinedPatch,
-    step: TraversalStep,
-    numbering: dict[GridEdge, int],
-) -> LocalDirichletInfo:
+def _step_info(patch: RefinedPatch, step: TraversalStep) -> LocalDirichletInfo:
+    numbering = canonical_numbering()
     interior = patch.interior_edges
     sides = _SIDES[step.owner]
     dirichlet = set()
@@ -423,11 +413,7 @@ def _step_info(
     )
 
 
-def local_dirichlet_edges(
-    patch: RefinedPatch,
-    i: int,
-    numbering: dict[GridEdge, int] | None = None,
-) -> LocalDirichletInfo:
+def local_dirichlet_edges(patch: RefinedPatch, i: int) -> LocalDirichletInfo:
     """Local Dirichlet sides and situation label of traversal step i.
 
     Valid steps are 1 <= i <= n-1, plus i = n for boundary-vertex patches.
@@ -435,13 +421,11 @@ def local_dirichlet_edges(
     returns the empty set with situation None, the signal that the
     traversal cannot be continued past the last edge.
     """
-    if numbering is None:
-        numbering = canonical_numbering()
-    traversal = interior_edge_traversal(patch, numbering)
+    traversal = interior_edge_traversal(patch)
     n = len(traversal)
     if not 1 <= i <= n:
         raise ValueError(f"step must be in 1..{n}, got {i}")
-    return _step_info(patch, traversal.steps[i - 1], numbering)
+    return _step_info(patch, traversal.steps[i - 1])
 
 
 # ------------------------------------------------- zero-extension witnesses
@@ -555,12 +539,13 @@ class TraversalReport:
 
 
 def _check_steps(
-    patch: RefinedPatch, numbering: dict[GridEdge, int]
+    patch: RefinedPatch,
 ) -> tuple[list[tuple[int, GridEdge, str]], dict[str, int]]:
     """(step, edge, reason) of each failed step check, and situation counts."""
     violations: list[tuple[int, GridEdge, str]] = []
     counts: dict[str, int] = {}
-    traversal = interior_edge_traversal(patch, numbering)
+    numbering = canonical_numbering()
+    traversal = interior_edge_traversal(patch)
     n = len(traversal)
     rows: dict[int, int] = {}
     cols: dict[int, int] = {}
@@ -572,7 +557,7 @@ def _check_steps(
         violations.append((step, edge, reason))
 
     for step in traversal.steps:
-        info = _step_info(patch, step, numbering)
+        info = _step_info(patch, step)
         last = step.index == n
         if patch.vertex_kind == "interior" and last:
             if info.dirichlet_sides:
@@ -611,24 +596,21 @@ def _check_steps(
     return violations, counts
 
 
-def verify_traversal_lemma(
-    patch: RefinedPatch, numbering: dict[GridEdge, int] | None = None
-) -> TraversalReport:
+def verify_traversal_lemma(patch: RefinedPatch) -> TraversalReport:
     """Machine check of the traversal classification over all 8 orientations.
 
     Each oriented copy must map back to the canonical frame, where the
     traversal is computed; this round trip is checked at run time for every
     orientation, on the memoized dihedral action applied to the patch's
     cells and clamped edges, so no oriented patch is built. Every valid
-    step in the canonical frame must classify into a situation with an
+    step in the canonical frame, traversed in the fixed order of
+    ``canonical_numbering``, must classify into a situation with an
     admissible zero-extension witness. The step checks run once and count
     for every orientation whose round trip holds. The report carries one
     violation record per failed check, tagged with patch, orientation and
     step.
     """
-    if numbering is None:
-        numbering = canonical_numbering()
-    step_violations, step_counts = _check_steps(patch, numbering)
+    step_violations, step_counts = _check_steps(patch)
     violations: list[TraversalViolation] = []
     counts: dict[str, int] = {}
     canonical = patch.cells, patch.ext_dirichlet

@@ -15,6 +15,7 @@ import refsat
 from refsat.cli import (
     CSV_COLUMNS,
     DEFAULT_BUDGET_SECONDS,
+    _edge_class_label,
     _spec_for_problem,
     build_parser,
     estimated_seconds,
@@ -158,6 +159,17 @@ def test_compute_labels_noncanonical_edge_sets(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert dict(zip(header, rows[0]))["edge_class"] == "2"
+
+
+def test_every_canonical_problem_is_labelled_by_its_name():
+    for name, (family, edges) in CANONICAL_PROBLEMS.items():
+        spec = ProblemSpec(family=family, edges=edges, p=2, q=4, r=8)
+        assert _edge_class_label(spec) == name
+    # a family-A set is labelled by its E class whatever its order, and by
+    # its edges where it has none, even when it is an F class's set
+    assert _edge_class_label(ProblemSpec("A", (3, 1), 2, 4, 8)) == "E3"
+    assert _edge_class_label(ProblemSpec("A", {2}, 2, 4, 8)) == "2"
+    assert _edge_class_label(ProblemSpec("A", {2, 4}, 2, 4, 8)) == "2+4"
 
 
 def test_compute_writes_to_file(tmp_path, capsys):

@@ -11,6 +11,8 @@ tridiagonal 1D factors and the resolvent edge weights against the dense
 pencils and the 40-digit mpmath references in ``pencil_oracle``.
 """
 
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -1178,6 +1180,51 @@ def test_problem_spec_takes_only_integer_degrees():
     assert (spec.p, spec.q, spec.r) == (4, 8, 16)
     assert saturation_coefficient(spec).mu == pytest.approx(
         saturation_coefficient(ProblemSpec("A", {1}, 4, 8, 16)).mu, rel=1e-12)
+
+
+def test_problem_spec_takes_only_integer_edges():
+    """A string, a float or a bool edge is invalid input, not converted to
+    an edge number; numpy integers are edge numbers."""
+    for edges in ("13", b"13", [1.7], [True, 3], [1, np.float64(3)],
+                  [np.bool_(True)]):
+        with pytest.raises(ValueError, match="edge numbers must be integers"):
+            ProblemSpec("A", edges, 2, 4, 8)
+    with pytest.raises(ValueError, match="edge numbers must be integers"):
+        ProblemSpec("B", "2", 2, 4, 8)
+    spec = ProblemSpec("A", [np.int64(1), np.int32(3)], 2, 4, 8)
+    assert spec == ProblemSpec("A", frozenset({1, 3}), 2, 4, 8)
+
+
+#: records whether scipy.linalg is loaded when ``saturation_coefficient``
+#: first reads its clock; runs in a fresh interpreter, as this one has
+#: scipy.linalg loaded already
+CLOCK_PROBE = """\
+import sys, time, types
+import refsat.coefficients as coefficients
+
+loaded = []
+
+def perf_counter():
+    loaded.append("scipy.linalg" in sys.modules)
+    return time.perf_counter()
+
+coefficients.time = types.SimpleNamespace(perf_counter=perf_counter)
+print("scipy.linalg" in sys.modules)
+coefficients.saturation_coefficient(coefficients.ProblemSpec("C", None, 1, 1, 1))
+print(loaded[0])
+"""
+
+
+def test_the_first_cell_is_timed_after_the_scipy_import():
+    """The first cell of a process does not count the scipy.linalg import
+    in its ``wall_seconds`` or its stages."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOCK_PROBE], capture_output=True, text=True,
+        cwd=Path(refsat.coefficients.__file__).resolve().parents[1],
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_canonical_problem_list():

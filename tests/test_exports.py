@@ -34,3 +34,20 @@ def test_package_exports_are_public_names_of_their_modules():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(refsat, alias.name) is getattr(module, alias.name)
+
+
+def test_cli_imports_only_public_names_of_the_upper_layers():
+    """The command line is a client of the public ``coefficients`` and
+    ``patches`` names: it imports no underscore name, and nothing from the
+    layers beneath them, in any spelling of the import."""
+    path = Path(refsat.__file__).with_name("cli.py")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            parts = (node.module or "").split(".") + names
+            assert not any(name.startswith("_") for name in names), names
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        assert not {"assembly", "bases"} & set(parts), ast.unparse(node)

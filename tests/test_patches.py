@@ -6,6 +6,8 @@ against its Monte-Carlo ratios, its dense 2D eigenproblem and the scipy
 pencils of the 1D route.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -218,14 +220,50 @@ def test_verify_counts_aggregate_eight_orientations():
         assert report.counts_dict() == expected
 
 
-def test_corrupted_numbering_is_caught_and_located():
+def classify_oracle(dirichlet, ext_neumann, self_side):
+    """The situation rules with every side set written out."""
+    if dirichlet == frozenset({"e1", "e2", "e3"}):
+        return "a"
+    if dirichlet == frozenset({"e2", "e3", "e4"}):
+        return "b"
+    if dirichlet == frozenset({"e2", "e3"}):
+        return "c"
+    if dirichlet == frozenset({"e2"}) and "e3" in ext_neumann:
+        return "d"
+    if dirichlet == frozenset({"e3"}) and "e2" in ext_neumann:
+        return "e"
+    covered = dirichlet | ext_neumann
+    if dirichlet and self_side == "e4" and {"e1", "e2", "e3"} <= covered:
+        return "a"
+    if dirichlet and self_side == "e1" and {"e2", "e3", "e4"} <= covered:
+        return "b"
+    return None
+
+
+def test_classify_matches_the_written_out_rules():
+    """The classification read from ``PRE_ZERO_SIDES`` agrees with the
+    written-out rules on every pair of side sets and every traversed side."""
+    sides = ("e1", "e2", "e3", "e4")
+    subsets = [frozenset(chosen) for k in range(len(sides) + 1)
+               for chosen in itertools.combinations(sides, k)]
+    labels = set()
+    for dirichlet, neumann, self_side in itertools.product(subsets, subsets, sides):
+        expected = classify_oracle(dirichlet, neumann, self_side)
+        assert patches._classify(dirichlet, neumann, self_side) == expected, (
+            dirichlet, neumann, self_side)
+        labels.add(expected)
+    assert labels == {*SITUATIONS, None}
+
+
+def test_corrupted_numbering_is_caught_and_located(monkeypatch):
     """Renumbering one interior edge must be flagged with its location."""
     cat = patch_catalog()
     numbering = dict(canonical_numbering())
     edges = sorted(cat[4].interior_edges, key=lambda e: numbering[e])
     first, last = edges[0], edges[-1]
     numbering[first], numbering[last] = numbering[last], numbering[first]
-    report = verify_traversal_lemma(cat[4], numbering)
+    monkeypatch.setattr(patches, "canonical_numbering", lambda: numbering)
+    report = verify_traversal_lemma(cat[4])
     assert not report.passed
     v = report.violations[0]
     assert v.patch_id == 4
