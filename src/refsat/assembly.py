@@ -51,7 +51,11 @@ EDGE_CLASSES: dict[str, frozenset[int]] = {
 
 def normalize_edges(edges) -> frozenset[int]:
     """Coerce an iterable of integer edge numbers to a validated frozenset."""
-    entries = [edges] if isinstance(edges, (str, bytes)) else list(edges)
+    try:
+        entries = [edges] if isinstance(edges, (str, bytes)) else list(edges)
+    except TypeError:
+        raise ValueError(f"an edge set must be a collection of edge numbers, "
+                         f"got {edges!r}") from None
     if any(isinstance(e, bool) or not isinstance(e, Integral) for e in entries):
         raise ValueError(f"edge numbers must be integers, got {edges!r}")
     out = frozenset(int(e) for e in entries)

@@ -77,66 +77,40 @@ def _edge_class_label(spec: ProblemSpec) -> str:
     return "+".join(str(e) for e in sorted(spec.edges))
 
 
-def _result_row(spec: ProblemSpec, label: str, result: SaturationResult,
-                status: str) -> dict:
-    return {
-        "family": spec.family,
-        "edge_class": label,
-        "p": spec.p,
-        "q": spec.q,
-        "r": spec.r,
-        "mu": repr(result.mu),
-        "mu_display": f"{result.mu:.4f}",
-        "dim_H": result.dim_H,
-        "dim_V": result.dim_V,
-        "dim_F": result.dim_F,
-        "wall_seconds": f"{result.wall_seconds:.3f}",
-        "status": status,
-    }
+def _row(spec: ProblemSpec, result: SaturationResult | None,
+         status: str) -> list:
+    """One table row's values in ``CSV_COLUMNS`` order; without a result
+    the six result columns hold ``SKIP_MARK``."""
+    if result is None:
+        measured = [SKIP_MARK] * 6
+    else:
+        measured = [repr(result.mu), f"{result.mu:.4f}", result.dim_H,
+                    result.dim_V, result.dim_F, f"{result.wall_seconds:.3f}"]
+    return [spec.family, _edge_class_label(spec), spec.p, spec.q, spec.r,
+            *measured, status]
 
 
-def _skipped_row(spec: ProblemSpec, label: str) -> dict:
-    row = {name: SKIP_MARK for name in CSV_COLUMNS}
-    row.update({
-        "family": spec.family,
-        "edge_class": label,
-        "p": spec.p,
-        "q": spec.q,
-        "r": spec.r,
-        "status": "skipped",
-    })
-    return row
-
-
-def _csv_line(values) -> str:
+def _format_row(values, fmt: str) -> str:
+    """One line of a table in ``fmt``, 'csv' or 'markdown'."""
+    if fmt == "markdown":
+        return "| " + " | ".join(str(value) for value in values) + " |\n"
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(values)
     return buffer.getvalue()
 
 
 def _format_header(fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_line(CSV_COLUMNS)
+    """The column names, followed by the rule line of a markdown table."""
+    header = _format_row(CSV_COLUMNS, fmt)
     if fmt == "markdown":
-        return ("| " + " | ".join(CSV_COLUMNS) + " |\n"
-                + "|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|\n")
-    raise ValueError(f"unknown output format {fmt!r}")
+        header += "|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|\n"
+    return header
 
 
-def _format_row(row: dict, fmt: str) -> str:
-    values = [row[name] for name in CSV_COLUMNS]
-    if fmt == "csv":
-        return _csv_line(values)
-    return "| " + " | ".join(str(value) for value in values) + " |\n"
-
-
-@contextlib.contextmanager
 def _open_output(output: str | None):
     if output is None or output == "-":
-        yield sys.stdout
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            yield handle
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8")
 
 
 # ----------------------------------------------------------- sweep config
@@ -247,21 +221,15 @@ def _spec_for_problem(name: str, p: int, q: int, r: int) -> ProblemSpec:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    if args.family == "C":
-        if args.edges is not None:
-            raise ValueError("family C does not take --edges")
-        edges = None
-    else:
-        if args.edges is None:
-            raise ValueError("families A and B require --edges")
+    edges = args.edges
+    if edges is not None:
         try:
-            edges = tuple(int(tok) for tok in args.edges.split(","))
+            edges = tuple(int(tok) for tok in edges.split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse --edges {args.edges!r}") from exc
     spec = ProblemSpec(family=args.family, edges=edges, p=args.p, q=args.q,
                        r=args.r)
-    result = saturation_coefficient(spec)
-    row = _result_row(spec, _edge_class_label(spec), result, "ok")
+    row = _row(spec, saturation_coefficient(spec), "ok")
     with _open_output(args.output) as handle:
         handle.write(_format_header("csv") + _format_row(row, "csv"))
     return 0
@@ -294,9 +262,8 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
     with _open_output(output) as handle:
         handle.write(_format_header(fmt))
         for spec, entry in cells:
-            label = _edge_class_label(spec)
             if estimated_seconds(spec) > budget:
-                row = _skipped_row(spec, label)
+                result, status = None, "skipped"
                 skipped += 1
             else:
                 result = saturation_coefficient(spec, factors=factors)
@@ -312,8 +279,7 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
                             f"{entry.value:.4f}, got {result.mu:.6f} "
                             f"(diff {diff:.2e})"
                         )
-                row = _result_row(spec, label, result, status)
-            handle.write(_format_row(row, fmt))
+            handle.write(_format_row(_row(spec, result, status), fmt))
             handle.flush()
     return compared, skipped, failures
 

@@ -664,24 +664,6 @@ def _top_eigenpairs(
     return result[0][order], result[1][:, order]
 
 
-def _lower_solver(factor: np.ndarray):
-    """The map (y, trans) -> factor^{-1} y, or factor^{-T} y with ``trans``
-    1, for a vector y, by one BLAS ``dtrsv``.
-
-    ``factor`` is a Fortran-ordered lower triangular matrix, as LAPACK's
-    ``dpotrf`` returns it, and only its lower triangle is read. The BLAS
-    routine is looked up once here, not on each of the solver's many calls.
-    """
-    import scipy.linalg
-
-    dtrsv = scipy.linalg.blas.dtrsv
-
-    def solve(y: np.ndarray, trans: int) -> np.ndarray:
-        return dtrsv(factor, y, lower=1, trans=trans)
-
-    return solve
-
-
 def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
     """Top of the pencil r_top F = lambda r_bottom F of one diagonal block.
 
@@ -719,7 +701,7 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
     """
     import scipy.linalg
 
-    dtrmv = scipy.linalg.blas.dtrmv
+    dtrmv, dtrsv = scipy.linalg.blas.dtrmv, scipy.linalg.blas.dtrsv
     dense = isinstance(r_top, np.ndarray)
     n = r_bottom.shape[0]
     certified = floor >= _PD_FLOOR * trace
@@ -743,7 +725,11 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
             f"lambda_min/trace is at or below roundoff, under the floor "
             f"{_PD_FLOOR:.0e}"
         )
-    solve = _lower_solver(factor)
+
+    def solve(y: np.ndarray, trans: int) -> np.ndarray:
+        """factor^{-1} y, or factor^{-T} y with ``trans`` 1."""
+        return dtrsv(factor, y, lower=1, trans=trans)
+
     if not certified:
         if not dense:
             inverse_top, _ = _top_eigenpairs(lambda y: solve(solve(y, 0), 1),
@@ -840,13 +826,16 @@ def saturation_coefficient(
     an empty one of its own.
     """
     # imported before the clock starts: the first cell of a process would
-    # otherwise time the import as its own work
+    # otherwise time the imports as its own work. Only a block above
+    # _DENSE_ORDER takes the Lanczos route, which needs scipy.sparse.linalg
+    blocks = _spec_blocks(spec)
     import scipy.linalg  # noqa: F401
+    if any(block.order > _DENSE_ORDER for block in blocks):
+        import scipy.sparse.linalg  # noqa: F401
 
     start = time.perf_counter()
     if factors is None:
         factors = {}
-    blocks = _spec_blocks(spec)
     sides = (_sides(spec, degree, factors) for degree in (spec.r, spec.q))
     fine, mid = ([_pair(block, xs, ys) for block in blocks] for xs, ys in sides)
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,

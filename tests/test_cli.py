@@ -201,23 +201,38 @@ def test_compute_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_compute_invalid_inputs_exit_2(capsys):
+    degrees = ["--p", "4", "--q", "8", "--r", "16"]
     cases = [
-        ["compute", "--family", "C", "--edges", "1", "--p", "4", "--q", "8",
-         "--r", "16"],
-        ["compute", "--family", "A", "--p", "4", "--q", "8", "--r", "16"],
-        ["compute", "--family", "A", "--edges", "x", "--p", "4", "--q", "8",
-         "--r", "16"],
-        ["compute", "--family", "A", "--edges", "5", "--p", "4", "--q", "8",
-         "--r", "16"],
-        ["compute", "--family", "A", "--edges", "1", "--p", "9", "--q", "8",
-         "--r", "16"],
-        ["compute", "--family", "B", "--edges", "1", "--p", "4", "--q", "8",
-         "--r", "16"],
+        (["--family", "C", "--edges", "1", *degrees],
+         "the quotient family takes no Dirichlet edges"),
+        (["--family", "A", *degrees], "family A needs a Dirichlet edge set"),
+        (["--family", "B", *degrees], "family B needs a Dirichlet edge set"),
+        (["--family", "A", "--edges", "x", *degrees],
+         "cannot parse --edges 'x'"),
+        (["--family", "A", "--edges", "5", *degrees],
+         "edge numbers must lie in 1..4"),
+        (["--family", "A", "--edges", "1", "--p", "9", "--q", "8", "--r", "16"],
+         "degrees must satisfy p <= q <= r"),
+        (["--family", "B", "--edges", "1", *degrees],
+         "edge-load problems use one of the four canonical Dirichlet classes"),
     ]
-    for argv in cases:
-        code, _, err = run_cli(argv, capsys)
+    for argv, message in cases:
+        code, out, err = run_cli(["compute", *argv], capsys)
         assert code == 2, argv
-        assert "invalid input" in err
+        assert out == ""
+        assert err.startswith("invalid input: " + message), (argv, err)
+
+
+def test_compute_writes_its_row_to_stdout_for_a_dash(capsys, computed):
+    code, out, err = run_cli(
+        ["compute", "--family", "A", "--edges", "1,3",
+         "--p", "4", "--q", "8", "--r", "16", "--output", "-"],
+        capsys,
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (EXPECTED_HEADER + "\n"
+                   + "A,E3,4,8,16,1.5714285714285714,1.5714,16,8,4,0.250,ok\n")
 
 
 def test_compute_numerical_failure_exits_3(capsys):

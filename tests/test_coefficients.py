@@ -48,7 +48,6 @@ from refsat.coefficients import (
     _gram_floors,
     _gram_norm,
     _gram_trace,
-    _lower_solver,
     _max_over_blocks,
     _pair,
     _product,
@@ -832,7 +831,7 @@ def test_blas_solves_match_solve_triangular():
     for trans in (0, 1):
         expect = scipy.linalg.solve_triangular(factor, y, lower=True,
                                                trans=trans)
-        got = _lower_solver(factor)(y, trans)
+        got = scipy.linalg.blas.dtrsv(factor, y, lower=1, trans=trans)
         assert got.shape == y.shape
         assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
@@ -1191,6 +1190,9 @@ def test_problem_spec_takes_only_integer_edges():
             ProblemSpec("A", edges, 2, 4, 8)
     with pytest.raises(ValueError, match="edge numbers must be integers"):
         ProblemSpec("B", "2", 2, 4, 8)
+    for edges in (1, 3.0):
+        with pytest.raises(ValueError, match="edge set must be a collection"):
+            ProblemSpec("A", edges, 2, 4, 8)
     spec = ProblemSpec("A", [np.int64(1), np.int32(3)], 2, 4, 8)
     assert spec == ProblemSpec("A", frozenset({1, 3}), 2, 4, 8)
 
@@ -1221,6 +1223,40 @@ def test_the_first_cell_is_timed_after_the_scipy_import():
     proc = subprocess.run(
         [sys.executable, "-c", CLOCK_PROBE], capture_output=True, text=True,
         cwd=Path(refsat.coefficients.__file__).resolve().parents[1],
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+#: records whether scipy.sparse.linalg is loaded after a cell whose blocks
+#: are all dense, and when a Lanczos cell first reads its clock
+LANCZOS_CLOCK_PROBE = """\
+import sys, time, types
+import refsat.coefficients as coefficients
+
+loaded = []
+
+def perf_counter():
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+    return time.perf_counter()
+
+coefficients.time = types.SimpleNamespace(perf_counter=perf_counter)
+coefficients.saturation_coefficient(coefficients.ProblemSpec("A", {1}, 4, 8, 16))
+print("scipy.sparse.linalg" in sys.modules)
+loaded.clear()
+coefficients.saturation_coefficient(coefficients.ProblemSpec("A", {1}, 16, 20, 40))
+print(loaded[0])
+"""
+
+
+def test_the_first_lanczos_cell_is_timed_after_the_sparse_import():
+    """A cell with a block above ``_DENSE_ORDER`` does not count the
+    scipy.sparse.linalg import in its ``wall_seconds``, and a cell of dense
+    blocks alone does not load it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LANCZOS_CLOCK_PROBE], capture_output=True,
+        text=True, cwd=Path(refsat.coefficients.__file__).resolve().parents[1],
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
