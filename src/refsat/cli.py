@@ -10,7 +10,7 @@ Subcommands:
 Tabular output uses a fixed CSV schema (see ``CSV_COLUMNS``); every value
 is written in full repr precision next to a four-decimal display column.
 Exit codes: 0 success, 1 comparison or verification failure, 2 invalid
-input, 3 numerical failure.
+input, 3 numerical failure or an array too large to allocate.
 """
 
 from __future__ import annotations
@@ -422,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "RefinedPatch",
     "Traversal",
     "TraversalStep",
-    "LocalDirichletInfo",
     "TraversalViolation",
     "TraversalReport",
     "SITUATIONS",
@@ -119,14 +119,14 @@ def _band(edge: GridEdge) -> float:
 
 
 @lru_cache(maxsize=1)
-def canonical_numbering() -> dict[GridEdge, int]:
-    """Numbers 1..24 for the interior edges of the full grid.
+def canonical_numbering() -> Mapping[GridEdge, int]:
+    """Numbers 1..24 for the interior edges of the full grid, read-only.
 
     Edges are sorted by (band, -x): bottom-right anti-diagonal band first,
     right to left within a band. Patch edges inherit these numbers.
     """
     edges = sorted(interior_edges_of(GRID_CELLS), key=lambda e: (_band(e), -e.x))
-    return {edge: k for k, edge in enumerate(edges, start=1)}
+    return MappingProxyType({edge: k for k, edge in enumerate(edges, start=1)})
 
 
 _CENTER_CELLS = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
@@ -182,10 +182,22 @@ class RefinedPatch:
 
 
 class TraversalStep(NamedTuple):
+    """One traversal step and its classification.
+
+    ``dirichlet_sides`` are the owner's sides covered by later interior
+    edges or clamped boundary edges; ``situation`` is one of "a".."e", or
+    None when no situation matches. On the packaged catalog that happens
+    exactly when the set is empty at the final step of an interior-vertex
+    patch (the traversal cannot continue there).
+    """
+
     index: int  # 1-based step position within this patch
     number: int  # inherited grid number 1..24
     edge: GridEdge
     owner: tuple[int, int]
+    dirichlet_sides: frozenset[str]
+    ext_neumann_sides: frozenset[str]
+    situation: str | None
 
 
 @dataclass(frozen=True)
@@ -195,24 +207,6 @@ class Traversal:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-@dataclass(frozen=True)
-class LocalDirichletInfo:
-    """Classification of one traversal step.
-
-    ``dirichlet_sides`` are the owner's sides covered by later interior
-    edges or clamped boundary edges; ``situation`` is one of "a".."e", or
-    None exactly when the set is empty at the final step of an
-    interior-vertex patch (the traversal cannot continue there).
-    """
-
-    step: int
-    edge: GridEdge
-    owner: tuple[int, int]
-    dirichlet_sides: frozenset[str]
-    ext_neumann_sides: frozenset[str]
-    situation: str | None
 
 
 # ----------------------------------------------------------- orientations
@@ -332,10 +326,11 @@ def _parse_catalog(text: str) -> dict[int, RefinedPatch]:
 def patch_catalog(path: str | None = None) -> dict[int, RefinedPatch]:
     """Load the patch catalog, keyed by id 1..13.
 
-    Without a path the packaged data file is used and the result is cached.
+    Without a path the packaged data file is used; it is parsed once, and
+    each call returns a new dict of the same frozen patches.
     """
     if path is None:
-        return _default_catalog()
+        return dict(_default_catalog())
     with open(path, encoding="utf-8") as handle:
         return _parse_catalog(handle.read())
 
@@ -353,15 +348,30 @@ def _default_catalog() -> dict[int, RefinedPatch]:
 
 def interior_edge_traversal(patch: RefinedPatch) -> Traversal:
     """Traverse the patch's interior edges in increasing inherited number,
-    the fixed ``canonical_numbering`` of the full grid."""
+    the fixed ``canonical_numbering`` of the full grid, and classify each
+    step as it is taken: the interior edges traversed later are exactly
+    those not reached yet."""
     numbering = canonical_numbering()
     edges = sorted(patch.interior_edges, key=lambda e: numbering[e])
-    steps = tuple(
-        TraversalStep(index=i, number=numbering[edge], edge=edge,
-                      owner=owner_square(edge))
-        for i, edge in enumerate(edges, start=1)
-    )
-    return Traversal(patch_id=patch.id, steps=steps)
+    pending = set(edges)
+    steps = []
+    for i, edge in enumerate(edges, start=1):
+        pending.remove(edge)
+        owner = owner_square(edge)
+        dirichlet, neumann = set(), set()
+        for name, side in _SIDES[owner].items():
+            if side == edge:
+                self_side = name
+            elif side in patch.ext_dirichlet or side in pending:
+                dirichlet.add(name)
+            elif side in patch.ext_neumann:
+                neumann.add(name)
+        dirichlet, neumann = frozenset(dirichlet), frozenset(neumann)
+        steps.append(TraversalStep(
+            index=i, number=numbering[edge], edge=edge, owner=owner,
+            dirichlet_sides=dirichlet, ext_neumann_sides=neumann,
+            situation=_classify(dirichlet, neumann, self_side)))
+    return Traversal(patch_id=patch.id, steps=tuple(steps))
 
 
 def _classify(
@@ -386,46 +396,18 @@ def _classify(
     return None
 
 
-def _step_info(patch: RefinedPatch, step: TraversalStep) -> LocalDirichletInfo:
-    numbering = canonical_numbering()
-    interior = patch.interior_edges
-    sides = _SIDES[step.owner]
-    dirichlet = set()
-    neumann = set()
-    self_side = None
-    for name, edge in sides.items():
-        if edge == step.edge:
-            self_side = name
-        elif edge in patch.ext_dirichlet:
-            dirichlet.add(name)
-        elif edge in interior and numbering[edge] > step.number:
-            dirichlet.add(name)
-        elif edge in patch.ext_neumann:
-            neumann.add(name)
-    situation = _classify(frozenset(dirichlet), frozenset(neumann), self_side)
-    return LocalDirichletInfo(
-        step=step.index,
-        edge=step.edge,
-        owner=step.owner,
-        dirichlet_sides=frozenset(dirichlet),
-        ext_neumann_sides=frozenset(neumann),
-        situation=situation,
-    )
-
-
-def local_dirichlet_edges(patch: RefinedPatch, i: int) -> LocalDirichletInfo:
-    """Local Dirichlet sides and situation label of traversal step i.
+def local_dirichlet_edges(patch: RefinedPatch, i: int) -> TraversalStep:
+    """Traversal step i, with its local Dirichlet sides and situation label.
 
     Valid steps are 1 <= i <= n-1, plus i = n for boundary-vertex patches.
     Calling with i = n on an interior-vertex patch does not raise: it
     returns the empty set with situation None, the signal that the
     traversal cannot be continued past the last edge.
     """
-    traversal = interior_edge_traversal(patch)
-    n = len(traversal)
-    if not 1 <= i <= n:
-        raise ValueError(f"step must be in 1..{n}, got {i}")
-    return _step_info(patch, traversal.steps[i - 1])
+    steps = interior_edge_traversal(patch).steps
+    if not 1 <= i <= len(steps):
+        raise ValueError(f"step must be in 1..{len(steps)}, got {i}")
+    return steps[i - 1]
 
 
 # ------------------------------------------------- zero-extension witnesses
@@ -544,9 +526,8 @@ def _check_steps(
     """(step, edge, reason) of each failed step check, and situation counts."""
     violations: list[tuple[int, GridEdge, str]] = []
     counts: dict[str, int] = {}
-    numbering = canonical_numbering()
-    traversal = interior_edge_traversal(patch)
-    n = len(traversal)
+    steps = interior_edge_traversal(patch).steps
+    n = len(steps)
     rows: dict[int, int] = {}
     cols: dict[int, int] = {}
     for cx, cy in patch.cells:
@@ -556,41 +537,28 @@ def _check_steps(
     def bad(step, edge, reason):
         violations.append((step, edge, reason))
 
-    for step in traversal.steps:
-        info = _step_info(patch, step)
-        last = step.index == n
-        if patch.vertex_kind == "interior" and last:
-            if info.dirichlet_sides:
+    for step in steps:
+        if patch.vertex_kind == "interior" and step.index == n:
+            if step.dirichlet_sides:
                 bad(step.index, step.edge,
                     "final step of an interior-vertex patch must see an "
                     "empty local Dirichlet set")
             continue
-        if not info.dirichlet_sides:
+        if not step.dirichlet_sides:
             bad(step.index, step.edge, "empty local Dirichlet set")
             continue
-        if info.situation is None:
+        if step.situation is None:
             bad(step.index, step.edge,
-                f"no situation matches sides {sorted(info.dirichlet_sides)}")
+                f"no situation matches sides {sorted(step.dirichlet_sides)}")
             continue
-        counts[info.situation] = counts.get(info.situation, 0) + 1
-        if info.situation in ("d", "e"):
+        counts[step.situation] = counts.get(step.situation, 0) + 1
+        if step.situation in ("d", "e"):
             ox, oy = step.owner
             if rows[oy] != ox and cols[ox] != oy:
                 bad(step.index, step.edge,
                     "decay situation away from its row start or column top")
-        # separation: the owner's top and left sides must still be
-        # untraversed whenever they are interior edges
-        sides = _SIDES[step.owner]
-        for side in ("e2", "e3"):
-            edge = sides[side]
-            if edge in patch.interior_edges and numbering[edge] < step.number:
-                bad(step.index, step.edge,
-                    f"owner side {side} was traversed earlier, breaking "
-                    "the above/left separation")
-        later = frozenset(
-            e for e in patch.interior_edges if numbering[e] > step.number
-        )
-        if not any(_layout_valid(name, step.owner, info.dirichlet_sides, patch,
+        later = frozenset(s.edge for s in steps[step.index:])
+        if not any(_layout_valid(name, step.owner, step.dirichlet_sides, patch,
                                  later, step.edge) for name in _LAYOUTS):
             bad(step.index, step.edge, "no admissible zero-extension layout")
     return violations, counts

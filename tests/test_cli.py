@@ -662,6 +662,44 @@ def test_numerical_failure_keeps_the_finished_rows(tmp_path, capsys,
         (str(spec.p), str(spec.q), str(spec.r)) for spec in specs[:2]]
 
 
+#: numpy's message when an array cannot be allocated
+ALLOCATION_FAILURE = ("Unable to allocate 16.5 GiB for an array with shape "
+                      "(45451, 45451) and data type float64")
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    """A cell too large for memory is reported, not raised; the error is
+    simulated, so nothing large is allocated."""
+    def too_large(spec, factors=None):
+        raise MemoryError(ALLOCATION_FAILURE)
+
+    monkeypatch.setattr("refsat.cli.saturation_coefficient", too_large)
+    code, out, err = run_cli(
+        ["compute", "--family", "A", "--edges", "1", "--p", "300",
+         "--q", "300", "--r", "600"], capsys)
+    assert (code, out, err) == (3, "", f"out of memory: {ALLOCATION_FAILURE}\n")
+
+
+def test_out_of_memory_keeps_the_finished_rows(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "out.csv"
+    specs = []
+
+    def fail_on_third(spec, factors=None):
+        specs.append(spec)
+        if len(specs) == 3:
+            raise MemoryError(ALLOCATION_FAILURE)
+        return fake_result(spec)
+
+    monkeypatch.setattr("refsat.cli.saturation_coefficient", fail_on_third)
+    code, _, err = run_cli(
+        ["reproduce", "--max-p", "4", "--output", str(target)], capsys)
+    assert (code, err) == (3, f"out of memory: {ALLOCATION_FAILURE}\n")
+    header, rows = parse_csv(target.read_text())
+    assert ",".join(header) == EXPECTED_HEADER
+    assert [tuple(row[2:5]) for row in rows] == [
+        (str(spec.p), str(spec.q), str(spec.r)) for spec in specs[:2]]
+
+
 SWEEP_CSV = """\
 family,edge_class,p,q,r,mu,mu_display,dim_H,dim_V,dim_F,wall_seconds,status
 A,E1,2,4,8,1.2857142857142856,1.2857,8,4,2,0.250,ok

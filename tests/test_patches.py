@@ -6,6 +6,7 @@ against its Monte-Carlo ratios, its dense 2D eigenproblem and the scipy
 pencils of the 1D route.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -103,6 +104,20 @@ def test_catalog_has_thirteen_documented_patches():
     for patch in cat.values():
         assert 1 <= len(patch.cells) <= 16
         assert len(patch.interior_edges) <= 24
+
+
+def test_cached_catalog_and_numbering_cannot_be_changed_by_callers():
+    """Both are parsed or built once per process; a caller's edit must not
+    reach the next caller."""
+    patch_catalog().pop(1)
+    cat = patch_catalog()
+    assert sorted(cat) == list(range(1, 14))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cat[1].cells = frozenset()
+    edge = interior_edge_traversal(cat[1]).steps[0].edge
+    with pytest.raises(TypeError):
+        canonical_numbering()[edge] = 99
+    assert canonical_numbering()[edge] == 1
 
 
 def test_catalog_boundary_edges_classified_exactly_once():
@@ -251,8 +266,49 @@ def test_classify_matches_the_written_out_rules():
         expected = classify_oracle(dirichlet, neumann, self_side)
         assert patches._classify(dirichlet, neumann, self_side) == expected, (
             dirichlet, neumann, self_side)
+        if expected is not None:
+            # a labelled step has top and left covered, so neither can be an
+            # interior edge traversed earlier: the above/left separation
+            # needs no check of its own
+            assert {"e2", "e3"} <= dirichlet | neumann
         labels.add(expected)
     assert labels == {*SITUATIONS, None}
+
+
+def step_sides_oracle(patch, step):
+    """(dirichlet_sides, ext_neumann_sides, situation) of a step, marking an
+    interior side Dirichlet when its inherited number exceeds the step's."""
+    numbering = patches.canonical_numbering()
+    dirichlet, neumann, self_side = set(), set(), None
+    for name, edge in cell_sides(step.owner).items():
+        if edge == step.edge:
+            self_side = name
+        elif edge in patch.ext_dirichlet:
+            dirichlet.add(name)
+        elif edge in patch.interior_edges and numbering[edge] > step.number:
+            dirichlet.add(name)
+        elif edge in patch.ext_neumann:
+            neumann.add(name)
+    dirichlet, neumann = frozenset(dirichlet), frozenset(neumann)
+    return dirichlet, neumann, classify_oracle(dirichlet, neumann, self_side)
+
+
+def test_steps_match_the_numbering_oracle(monkeypatch):
+    """Classifying from the traversal order equals comparing inherited
+    numbers, under the canonical numbering and 50 random ones."""
+    cat = patch_catalog()
+    edges = sorted(canonical_numbering())
+    rng = np.random.default_rng(61)
+    numberings = [dict(canonical_numbering())] + [
+        dict(zip(edges, (int(k) for k in rng.permutation(len(edges)) + 1)))
+        for _ in range(50)
+    ]
+    for numbering in numberings:
+        monkeypatch.setattr(patches, "canonical_numbering", lambda: numbering)
+        for patch in cat.values():
+            for step in interior_edge_traversal(patch).steps:
+                assert (step.dirichlet_sides, step.ext_neumann_sides,
+                        step.situation) == step_sides_oracle(patch, step)
 
 
 def test_corrupted_numbering_is_caught_and_located(monkeypatch):
