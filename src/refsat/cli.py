@@ -229,8 +229,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot parse --edges {args.edges!r}") from exc
     spec = ProblemSpec(family=args.family, edges=edges, p=args.p, q=args.q,
                        r=args.r)
-    row = _row(spec, saturation_coefficient(spec), "ok")
+    # the destination is opened before the cell is computed, so an
+    # unwritable one fails before any work
     with _open_output(args.output) as handle:
+        row = _row(spec, saturation_coefficient(spec), "ok")
         handle.write(_format_header("csv") + _format_row(row, "csv"))
     return 0
 

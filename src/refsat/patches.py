@@ -270,6 +270,28 @@ def inverse_orientation(orientation: int) -> int:
 # ---------------------------------------------------------------- catalog
 
 
+#: the form of each catalog line, which the message on a malformed one names
+_LINE_FORMS = {
+    "patch": "patch <id> <kind>",
+    "cells": "cells <CX,CY> ...",
+    "dirichlet": "dirichlet [<H|V> <X> <Y>] ...",
+}
+
+
+def _line_values(keyword: str, tokens: list[str]) -> list:
+    """The values of a catalog line after its keyword: the id and kind of a
+    patch line, the cells or clamped edges of the others. A ValueError
+    means that the tokens do not parse."""
+    if keyword == "patch":
+        pid, kind = tokens
+        return [int(pid), kind]
+    if keyword == "cells":
+        return [(int(cx), int(cy)) for cx, cy in (t.split(",") for t in tokens)]
+    if len(tokens) % 3:
+        raise ValueError("clamped edges take three tokens each")
+    return [GridEdge(o, int(x), int(y)) for o, x, y in zip(*[iter(tokens)] * 3)]
+
+
 def _parse_catalog(text: str) -> dict[int, RefinedPatch]:
     patches: dict[int, RefinedPatch] = {}
     current: dict | None = None
@@ -291,32 +313,22 @@ def _parse_catalog(text: str) -> dict[int, RefinedPatch]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if fields[0] == "patch":
-            if len(fields) != 3:
-                raise ValueError(f"malformed patch line, expected 'patch <id> "
-                                 f"<kind>': {line!r}")
-            flush()
-            current = {"id": int(fields[1]), "kind": fields[2], "cells": [],
-                       "dirichlet": []}
-        elif fields[0] == "cells":
-            if current is None:
-                raise ValueError("cells line before any patch line")
-            for token in fields[1:]:
-                cx, cy = token.split(",")
-                current["cells"].append((int(cx), int(cy)))
-        elif fields[0] == "dirichlet":
-            if current is None:
-                raise ValueError("dirichlet line before any patch line")
-            rest = fields[1:]
-            if len(rest) % 3 != 0:
-                raise ValueError(f"malformed dirichlet line: {line!r}")
-            for j in range(0, len(rest), 3):
-                current["dirichlet"].append(
-                    GridEdge(rest[j], int(rest[j + 1]), int(rest[j + 2]))
-                )
-        else:
+        keyword, *tokens = line.split()
+        if keyword not in _LINE_FORMS:
             raise ValueError(f"unrecognized catalog line: {line!r}")
+        if keyword != "patch" and current is None:
+            raise ValueError(f"{keyword} line before any patch line")
+        try:
+            values = _line_values(keyword, tokens)
+        except ValueError as exc:
+            raise ValueError(f"malformed {keyword} line, expected "
+                             f"'{_LINE_FORMS[keyword]}': {line!r}") from exc
+        if keyword == "patch":
+            flush()
+            pid, kind = values
+            current = {"id": pid, "kind": kind, "cells": [], "dirichlet": []}
+        else:
+            current[keyword].extend(values)
     flush()
     if not patches:
         raise ValueError("catalog has no patch line")

@@ -7,7 +7,10 @@ replaced: the mass and stiffness Grams of the factor basis formed by
 parity class of a symmetric basis. It also keeps the right-edge traces of
 the modes, from which the edge weights of families B and C were summed
 before ``refsat.coefficients`` took them from the 1D resolvent
-(``edge_weights``), and a 40-digit mpmath reference of both.
+(``edge_weights``), and a 40-digit mpmath reference of both. Last, it
+keeps the small eigensolve of W W^T per class by which the coarse blocks
+were bounded from below before ``refsat.coefficients`` took that bound in
+closed form (``load_floor``).
 """
 
 from __future__ import annotations
@@ -113,6 +116,17 @@ def edge_weights(xs, mu: np.ndarray, quotient: bool = False) -> np.ndarray:
             denom[(fx.lam == 0.0)[:, np.newaxis] & (mu == 0.0)] = np.inf
         total += fx.trace ** 2 @ (1.0 / denom)
     return total
+
+
+def load_floor(w: np.ndarray) -> float:
+    """lambda_min(W W^T) of the load rows W of one class, clamped at 0, by
+    a values-only LAPACK ``dsyevd``; exactly 0 for a class with more probes
+    than modes, whose load Gram is singular."""
+    if len(w) > w.shape[1]:
+        return 0.0
+    values, _, info = scipy.linalg.lapack.dsyevd(w @ w.T, compute_v=0)
+    assert info == 0, info
+    return max(float(values[0]), 0.0)
 
 
 def _lower_solve(lower: list, columns: list) -> list:

@@ -187,7 +187,7 @@ def test_compute_writes_to_file(tmp_path, capsys):
     assert row["mu_display"] == "1.0295"
 
 
-def test_compute_unwritable_output_exits_2(tmp_path, capsys):
+def test_compute_unwritable_output_exits_2(tmp_path, capsys, computed):
     target = tmp_path / "missing" / "row.csv"
     code, out, err = run_cli(
         ["compute", "--family", "C", "--p", "2", "--q", "4", "--r", "8",
@@ -198,6 +198,8 @@ def test_compute_unwritable_output_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("invalid input: ") and str(target) in err
     assert err.count("\n") == 1
+    # the destination fails before the cell is computed
+    assert computed == []
 
 
 def test_compute_invalid_inputs_exit_2(capsys):
@@ -540,7 +542,7 @@ def test_failed_dense_eigensolve_is_a_numerical_failure(capsys, monkeypatch):
     dsyevd = scipy.linalg.lapack.dsyevd
 
     def fail_with_vectors(a, compute_v=1, **kwargs):
-        # the values-only calls bound the coarse blocks from below
+        # the values-only calls read lambda_min of uncertified blocks
         values, vectors, info = dsyevd(a, compute_v=compute_v, **kwargs)
         return values, vectors, 3 if compute_v else info
 
@@ -854,6 +856,19 @@ def test_patches_verify_rejects_a_short_patch_line(tmp_path, capsys, line):
         ["patches", "verify", "--catalog", str(bad)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: malformed patch line")
+
+
+@pytest.mark.parametrize("line", ["cells 1,1,1", "cells 1", "cells a,1",
+                                  "patch x interior", "dirichlet V a 1"])
+def test_patches_verify_names_a_line_that_does_not_parse(tmp_path, capsys, line):
+    bad = tmp_path / "catalog.txt"
+    head = "" if line.startswith("patch") else "patch 1 boundary\n"
+    bad.write_text(f"{head}{line}\ncells 2,1\n")
+    code, out, err = run_cli(
+        ["patches", "verify", "--catalog", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: malformed ") and line in err
+    assert err.count("\n") == 1
 
 
 def test_patches_verify_rejects_a_catalog_without_patches(tmp_path, capsys):

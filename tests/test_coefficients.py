@@ -7,8 +7,9 @@ top-of-spectrum eigensolve against the full-spectrum oracle in
 ``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
 sparse-LU oracle in ``sparse_oracle``, the block route (parity classes
 and swap blocks) against the unsplit route in ``unsplit_oracle``, and the
-tridiagonal 1D factors and the resolvent edge weights against the dense
-pencils and the 40-digit mpmath references in ``pencil_oracle``.
+tridiagonal 1D factors, the resolvent edge weights and the closed-form
+load floors against the dense pencils, the 40-digit mpmath references and
+the per-class eigensolves in ``pencil_oracle``.
 """
 
 import subprocess
@@ -32,6 +33,7 @@ from pencil_oracle import (
     _factor,
     _modes,
     edge_weights as oracle_edge_weights,
+    load_floor as oracle_load_floor,
     reference_classes,
     reference_edge_weights,
 )
@@ -40,6 +42,7 @@ from refsat.coefficients import (
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
+    _class_probes,
     _classes as factor_classes,
     _edge_weights,
     _factor_args,
@@ -48,6 +51,7 @@ from refsat.coefficients import (
     _gram_floors,
     _gram_norm,
     _gram_trace,
+    _load_floor,
     _max_over_blocks,
     _pair,
     _product,
@@ -659,7 +663,32 @@ def coarse_floors(name, p, q, r, factors):
     spec = spec_for(name, p, q, r)
     blocks = [block for block in _spec_blocks(spec) if block.copies]
     xs, ys = _sides(spec, q, factors)
-    return spec, blocks, xs, ys, _gram_floors(blocks, triples(blocks, xs, ys))
+    return spec, blocks, xs, ys, _gram_floors(spec, blocks, triples(blocks, xs, ys))
+
+
+def test_closed_form_load_floors_match_the_lapack_route():
+    # every end condition, every probe degree p up to the factor's and
+    # every class with probes; two Dirichlet ends need degree 2
+    degrees = [*range(1, 70), 96, 128, 192, 256]
+    cases, singular = 0, 0
+    for left in (False, True):
+        for right in (False, True):
+            bc = BoundaryCondition1D(left, right)
+            for degree in degrees[1:] if left and right else degrees:
+                classes = factor_classes(bc, degree)
+                for p in range(degree + 1):
+                    for cls, probes in enumerate(_class_probes(bc, p)):
+                        if not probes.size:
+                            continue
+                        w = classes[cls].loads[probes]
+                        got = _load_floor(bc, degree, cls, probes)
+                        assert abs(got - oracle_load_floor(w)) <= 1e-11, (
+                            bc, degree, p, cls)
+                        if len(w) > w.shape[1]:
+                            singular += 1
+                            assert got == 0.0, (bc, degree, p, cls)
+                        cases += 1
+    assert (cases, singular) == (18811, 362)
 
 
 def test_block_floors_bound_the_smallest_eigenvalue():
@@ -717,7 +746,11 @@ def test_every_published_block_is_certified_definite(monkeypatch):
     factors = {}
     cells = published_cells()
     assert len(cells) == 145
-    for name, p, q, r in cells:
+    # and the cells p + ceil(p/7) planned beyond the table, up to q = 192
+    planned = [(name, p, q, 2 * q) for name in CANONICAL_PROBLEMS
+               for p in (70, 84, 112, 140, 168)
+               for q in [q_strategy("p+ceil(p/7)", p)]]
+    for name, p, q, r in cells + planned:
         spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
         every = _spec_blocks(spec)
         trace = _gram_trace(every, triples(every, xs, ys))
@@ -931,7 +964,7 @@ def residual_gap(spec, factors) -> tuple[float, int]:
             for pair in zip(blocks, fine)]
     bottoms = [gram.copy() for gram in kept]
     solutions = [_solve_pencil(*pencil, trace, floor) for pencil, floor in
-                 zip(zip(tops, bottoms), _gram_floors(blocks, mid))]
+                 zip(zip(tops, bottoms), _gram_floors(spec, blocks, mid))]
     value, _, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in blocks], frobenius)
     top, factored = tops[index], bottoms[index]
