@@ -1,6 +1,5 @@
 """Saturation coefficients for hierarchical error estimation on reference squares."""
 
-from refsat.assembly import EDGE_CLASSES
 from refsat.bases import BoundaryCondition1D
 from refsat.coefficients import (
     CANONICAL_PROBLEMS,

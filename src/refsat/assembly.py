@@ -1,4 +1,4 @@
-"""Dirichlet edge classes on the reference square and their 1D factors.
+"""Dirichlet edge sets on the reference square and their 1D factors.
 
 The reference square is [-1, 1]^2. Its edges are numbered counterclockwise
 starting from the rightmost one: 1 is the right edge (x = +1), 2 the top
@@ -26,27 +26,11 @@ __all__ = [
     "TOP",
     "LEFT",
     "BOTTOM",
-    "EDGE_CLASSES",
     "normalize_edges",
     "factor_conditions",
 ]
 
 RIGHT, TOP, LEFT, BOTTOM = 1, 2, 3, 4
-
-#: canonical Dirichlet edge classes; the E classes drive the volume-load
-#: problems, the F classes the edge-load problems (loads act on edge 1, so
-#: edge 1 never carries a Dirichlet condition in an F class)
-EDGE_CLASSES: dict[str, frozenset[int]] = {
-    "E1": frozenset({RIGHT}),
-    "E2": frozenset({RIGHT, TOP}),
-    "E3": frozenset({RIGHT, LEFT}),
-    "E4": frozenset({RIGHT, TOP, LEFT}),
-    "E5": frozenset({RIGHT, TOP, LEFT, BOTTOM}),
-    "F1": frozenset({TOP}),
-    "F2": frozenset({LEFT}),
-    "F3": frozenset({TOP, LEFT}),
-    "F4": frozenset({TOP, LEFT, BOTTOM}),
-}
 
 
 def normalize_edges(edges) -> frozenset[int]:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from refsat.assembly import EDGE_CLASSES, factor_conditions, normalize_edges
+from refsat.assembly import BOTTOM, LEFT, RIGHT, TOP, factor_conditions, normalize_edges
 from refsat.bases import BoundaryCondition1D
 
 # scipy.linalg is imported by saturation_coefficient and the kernels: it
@@ -55,19 +55,21 @@ FAMILIES = ("A", "B", "C")
 Q_STRATEGIES = ("p+4", "p+ceil(p/7)", "2p")
 
 #: the ten canonical problems: five Dirichlet classes with volume loads,
-#: four with edge loads, and the quotient problem
+#: four with edge loads, and the quotient problem. Edge loads act on edge 1,
+#: so edge 1 never carries a Dirichlet condition in an F class
 CANONICAL_PROBLEMS: dict[str, tuple[str, frozenset[int] | None]] = {
-    "E1": ("A", EDGE_CLASSES["E1"]),
-    "E2": ("A", EDGE_CLASSES["E2"]),
-    "E3": ("A", EDGE_CLASSES["E3"]),
-    "E4": ("A", EDGE_CLASSES["E4"]),
-    "E5": ("A", EDGE_CLASSES["E5"]),
-    "F1": ("B", EDGE_CLASSES["F1"]),
-    "F2": ("B", EDGE_CLASSES["F2"]),
-    "F3": ("B", EDGE_CLASSES["F3"]),
-    "F4": ("B", EDGE_CLASSES["F4"]),
+    "E1": ("A", frozenset({RIGHT})),
+    "E2": ("A", frozenset({RIGHT, TOP})),
+    "E3": ("A", frozenset({RIGHT, LEFT})),
+    "E4": ("A", frozenset({RIGHT, TOP, LEFT})),
+    "E5": ("A", frozenset({RIGHT, TOP, LEFT, BOTTOM})),
+    "F1": ("B", frozenset({TOP})),
+    "F2": ("B", frozenset({LEFT})),
+    "F3": ("B", frozenset({TOP, LEFT})),
+    "F4": ("B", frozenset({TOP, LEFT, BOTTOM})),
     "C": ("C", None),
 }
+
 
 class NumericalError(RuntimeError):
     """A linear algebra step failed or produced an ill-posed subproblem."""
@@ -622,6 +624,10 @@ _DENSE_ORDER = 100
 #: relative floor on the smallest eigenvalue of the denominator dual Gram
 _PD_FLOOR = 1e-12
 
+#: the start of the message of each rejection of a singular coarse block
+_ILL_POSED = ("denominator dual Gram is numerically singular; the coarse space "
+              "cannot represent all functionals (ill-posed quotient): ")
+
 
 def _lapack(routine: str, *args, **kwargs) -> list:
     """The outputs of a LAPACK routine of the dense eigensolve, less its
@@ -708,10 +714,6 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
         # r_bottom is symmetric: its transpose is the Fortran-ordered matrix
         values, _ = _lapack("dsyevd", r_bottom.T, compute_v=0, lower=1)
         lowest = float(values[0])
-    ill_posed = (
-        "denominator dual Gram is numerically singular; the coarse space "
-        "cannot represent all functionals (ill-posed quotient): "
-    )
     # LAPACK factors that transpose in place; the factor's upper triangle
     # keeps stale entries, which the triangular products and solves never
     # read
@@ -719,7 +721,7 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
                                               overwrite_a=1)
     if info > 0:
         raise NumericalError(
-            ill_posed + f"its Cholesky factorization failed ({info}-th "
+            _ILL_POSED + f"its Cholesky factorization failed ({info}-th "
             f"leading minor of the array is not positive definite), so "
             f"lambda_min/trace is at or below roundoff, under the floor "
             f"{_PD_FLOOR:.0e}"
@@ -737,7 +739,7 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
         margin = lowest / max(trace, np.finfo(float).tiny)
         if margin < _PD_FLOOR:
             raise NumericalError(
-                ill_posed + f"estimated lambda_min/trace {margin:.3e} is "
+                _ILL_POSED + f"estimated lambda_min/trace {margin:.3e} is "
                 f"under the floor {_PD_FLOOR:.0e}"
             )
     if dense:
@@ -844,11 +846,21 @@ def saturation_coefficient(
     frobenius = _gram_norm(blocks, fine)
     solved, fine, mid = ([item for block, item in zip(blocks, items) if block.copies]
                          for items in (blocks, fine, mid))
+    floors = _gram_floors(spec, solved, mid)
+    for block, floor in zip(solved, floors):
+        # exactly when a class has more probes than modes: the block is
+        # singular, and is rejected before it is formed
+        if floor == 0.0:
+            classes = f"y class {block.y}" if block.x is None else (
+                f"x class {block.x} and y class {block.y}")
+            raise NumericalError(
+                _ILL_POSED + f"the coarse block of {classes} is singular, as "
+                f"one of its 1D classes has more probes than modes")
     # each entry of a coarse block sums at most (q + 1)^2 mode terms, so the
     # rounding in forming it has a norm of about this at most, and moves its
     # eigenvalues by no more (Weyl)
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
-    floors = [floor - rounding for floor in _gram_floors(spec, solved, mid)]
+    floors = [floor - rounding for floor in floors]
     stages["grams"] += time.perf_counter() - clock
     solutions = [_solve_block(*args, trace, stages)
                  for args in zip(solved, fine, mid, floors)]

@@ -33,7 +33,6 @@ from refsat.coefficients import _chains
 __all__ = [
     "GridEdge",
     "RefinedPatch",
-    "Traversal",
     "TraversalStep",
     "TraversalViolation",
     "TraversalReport",
@@ -200,15 +199,6 @@ class TraversalStep(NamedTuple):
     situation: str | None
 
 
-@dataclass(frozen=True)
-class Traversal:
-    patch_id: int
-    steps: tuple[TraversalStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 # ----------------------------------------------------------- orientations
 
 
@@ -358,7 +348,7 @@ def _default_catalog() -> dict[int, RefinedPatch]:
 # -------------------------------------------------------------- traversal
 
 
-def interior_edge_traversal(patch: RefinedPatch) -> Traversal:
+def interior_edge_traversal(patch: RefinedPatch) -> tuple[TraversalStep, ...]:
     """Traverse the patch's interior edges in increasing inherited number,
     the fixed ``canonical_numbering`` of the full grid, and classify each
     step as it is taken: the interior edges traversed later are exactly
@@ -383,7 +373,7 @@ def interior_edge_traversal(patch: RefinedPatch) -> Traversal:
             index=i, number=numbering[edge], edge=edge, owner=owner,
             dirichlet_sides=dirichlet, ext_neumann_sides=neumann,
             situation=_classify(dirichlet, neumann, self_side)))
-    return Traversal(patch_id=patch.id, steps=tuple(steps))
+    return tuple(steps)
 
 
 def _classify(
@@ -416,7 +406,7 @@ def local_dirichlet_edges(patch: RefinedPatch, i: int) -> TraversalStep:
     returns the empty set with situation None, the signal that the
     traversal cannot be continued past the last edge.
     """
-    steps = interior_edge_traversal(patch).steps
+    steps = interior_edge_traversal(patch)
     if not 1 <= i <= len(steps):
         raise ValueError(f"step must be in 1..{len(steps)}, got {i}")
     return steps[i - 1]
@@ -424,48 +414,34 @@ def local_dirichlet_edges(patch: RefinedPatch, i: int) -> TraversalStep:
 
 # ------------------------------------------------- zero-extension witnesses
 
-_IDENT = {"e1": "e1", "e2": "e2", "e3": "e3", "e4": "e4"}
-_MIR_R = {"e1": "e3", "e2": "e2", "e3": "e1", "e4": "e4"}  # reflect across e1
-_MIR_D = {"e1": "e1", "e2": "e4", "e3": "e3", "e4": "e2"}  # reflect across e4
-_MIR_RD = {"e1": "e3", "e2": "e4", "e3": "e1", "e4": "e2"}
-
 #: the zero-extension of each situation, keyed "a".."e", followed by two
-#: witness-only layouts: each maps square offsets to (source-side map,
-#: decayed sides). A piece is the original mirrored across every side whose
-#: source is the opposite side, times a linear decay that vanishes on each
-#: decayed side. The two-square decay layouts are legitimate when the decayed
-#: column or row already kills the outer trace. The traversal check tries the
-#: layouts in this order.
-_LAYOUTS: dict[str, dict[tuple[int, int], tuple[dict, frozenset]]] = {
-    "a": {(0, 0): (_IDENT, frozenset()), (0, -1): (_MIR_D, frozenset())},
-    "b": {(0, 0): (_IDENT, frozenset()), (1, 0): (_MIR_R, frozenset())},
-    "c": {
-        (0, 0): (_IDENT, frozenset()),
-        (1, 0): (_MIR_R, frozenset()),
-        (0, -1): (_MIR_D, frozenset()),
-        (1, -1): (_MIR_RD, frozenset()),
-    },
-    "d": {
-        (0, 0): (_IDENT, frozenset()),
-        (1, 0): (_MIR_R, frozenset({"e1"})),
-        (0, -1): (_MIR_D, frozenset()),
-        (1, -1): (_MIR_RD, frozenset({"e1"})),
-    },
-    "e": {
-        (0, 0): (_IDENT, frozenset()),
-        (0, -1): (_MIR_D, frozenset({"e4"})),
-        (1, 0): (_MIR_R, frozenset()),
-        (1, -1): (_MIR_RD, frozenset({"e4"})),
-    },
-    "right_decay": {
-        (0, 0): (_IDENT, frozenset()),
-        (1, 0): (_MIR_R, frozenset({"e1"})),
-    },
-    "down_decay": {
-        (0, 0): (_IDENT, frozenset()),
-        (0, -1): (_MIR_D, frozenset({"e4"})),
-    },
+#: witness-only layouts: each maps square offsets to decayed sides. The
+#: piece at an offset is the original mirrored across e1 if it lies to the
+#: right, across e4 if it lies below (``_source``), times a linear decay
+#: that vanishes on each decayed side. The two-square decay layouts are
+#: legitimate when the decayed column or row already kills the outer trace.
+#: The traversal check tries the layouts in this order.
+_LAYOUTS: dict[str, dict[tuple[int, int], frozenset[str]]] = {
+    "a": {(0, 0): frozenset(), (0, -1): frozenset()},
+    "b": {(0, 0): frozenset(), (1, 0): frozenset()},
+    "c": {(0, 0): frozenset(), (1, 0): frozenset(), (0, -1): frozenset(),
+          (1, -1): frozenset()},
+    "d": {(0, 0): frozenset(), (1, 0): frozenset({"e1"}), (0, -1): frozenset(),
+          (1, -1): frozenset({"e1"})},
+    "e": {(0, 0): frozenset(), (0, -1): frozenset({"e4"}), (1, 0): frozenset(),
+          (1, -1): frozenset({"e4"})},
+    "right_decay": {(0, 0): frozenset(), (1, 0): frozenset({"e1"})},
+    "down_decay": {(0, 0): frozenset(), (0, -1): frozenset({"e4"})},
 }
+
+_OPPOSITE = {"e1": "e3", "e2": "e4", "e3": "e1", "e4": "e2"}
+
+
+def _source(offset: tuple[int, int], side: str) -> str:
+    """The side of the original whose trace the piece at ``offset`` carries
+    on ``side``: a mirror swaps the two sides across its axis."""
+    axis = side in ("e2", "e4")
+    return _OPPOSITE[side] if offset[axis] else side
 
 
 def _layout_valid(
@@ -485,18 +461,18 @@ def _layout_valid(
     the traversed edge itself excepted.
     """
     squares = {}
-    for offset, payload in _LAYOUTS[name].items():
+    for offset, decayed in _LAYOUTS[name].items():
         square = (owner[0] + offset[0], owner[1] + offset[1])
         if square in patch.cells:
-            squares[square] = payload
+            squares[square] = offset, decayed
     if owner not in squares:
         return False
     interior = patch.interior_edges
-    for square, (sources, decayed) in squares.items():
+    for square, (offset, decayed) in squares.items():
         for side, edge in _SIDES[square].items():
             if edge == current:
                 continue
-            zero = side in decayed or sources[side] in dirichlet_sides
+            zero = side in decayed or _source(offset, side) in dirichlet_sides
             a, b = edge_neighbors(edge)
             other = b if a == square else a
             if other in squares:
@@ -528,9 +504,6 @@ class TraversalReport:
     violations: tuple[TraversalViolation, ...]
     situation_counts: tuple[tuple[str, int], ...]
 
-    def counts_dict(self) -> dict[str, int]:
-        return dict(self.situation_counts)
-
 
 def _check_steps(
     patch: RefinedPatch,
@@ -538,7 +511,7 @@ def _check_steps(
     """(step, edge, reason) of each failed step check, and situation counts."""
     violations: list[tuple[int, GridEdge, str]] = []
     counts: dict[str, int] = {}
-    steps = interior_edge_traversal(patch).steps
+    steps = interior_edge_traversal(patch)
     n = len(steps)
     rows: dict[int, int] = {}
     cols: dict[int, int] = {}
@@ -712,8 +685,8 @@ def extension_norm(situation: str, degree: int) -> float:
         raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
-    layout = _LAYOUTS[situation].values()
-    decayed = [(sources, side) for sources, sides in layout for side in sides]
+    layout = _LAYOUTS[situation]
+    decayed = [(offset, side) for offset, sides in layout.items() for side in sides]
     n_plain = len(layout) - len(decayed)
     if not decayed:
         return float(np.sqrt(n_plain))
@@ -725,10 +698,10 @@ def extension_norm(situation: str, degree: int) -> float:
     cross = _members(ends[1 - axis], degree)[0]
     stiff, mass = _mass_1d(along_der), _mass_1d(along)
     b = c = 0.0
-    for sources, side in decayed:
+    for offset, side in decayed:
         w0, w1 = _DECAY_WEIGHTS[side][1]
         # a mirror is an isometry: w(x) v(-x) has the Grams of w(-x) v(x)
-        if (sources["e1"] == "e3", sources["e2"] == "e4")[axis]:
+        if offset[axis]:
             w1 = -w1
         # (w v)' = w' v + w v', with w' the constant w1
         der = _decay(along_der, 0, (w0, w1))

@@ -165,11 +165,12 @@ def extension_operator(
                 f"situation {situation} needs zero trace on side {side}"
             )
     pieces = {}
-    for offset, (sources, decayed) in _LAYOUTS[situation].items():
+    for offset, decayed in _LAYOUTS[situation].items():
+        # a piece to the right is mirrored in x, a piece below in y
         piece = c
-        if sources["e1"] == "e3":
+        if offset[0]:
             piece = _mirror_x(piece)
-        if sources["e2"] == "e4":
+        if offset[1]:
             piece = _mirror_y(piece)
         for side in decayed:
             piece = patches._decay(piece, *_DECAY_WEIGHTS[side])
@@ -314,8 +315,8 @@ def extension_norm_scipy(situation: str, degree: int) -> float:
     n_plain + max over theta of lambda_max(B + theta C, S + theta M), for
     theta in the eigenvalues of S_c z = theta M_c z.
     """
-    layout = _LAYOUTS[situation].values()
-    decayed = [(sources, side) for sources, sides in layout for side in sides]
+    layout = _LAYOUTS[situation]
+    decayed = [(offset, side) for offset, sides in layout.items() for side in sides]
     if not decayed:
         raise ValueError(f"situation {situation} has no decay")
     zero = PRE_ZERO_SIDES[situation]
@@ -328,10 +329,9 @@ def extension_norm_scipy(situation: str, degree: int) -> float:
     axis = _DECAY_WEIGHTS[decayed[0][1]][0]
     along, cross = bases[axis], bases[1 - axis]
     pieces = [
-        patches._decay(_mirror_x(along) if (sources["e1"] == "e3",
-                                            sources["e2"] == "e4")[axis]
-                       else along, 0, _DECAY_WEIGHTS[side][1])
-        for sources, side in decayed
+        patches._decay(_mirror_x(along) if offset[axis] else along, 0,
+                       _DECAY_WEIGHTS[side][1])
+        for offset, side in decayed
     ]
     b = sum(_stiffness_1d(piece) for piece in pieces)
     c = sum(_mass_1d(piece) for piece in pieces)

@@ -10,7 +10,8 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from basis_oracle import gauss_legendre_rule
-from refsat.assembly import EDGE_CLASSES, normalize_edges
+from refsat.assembly import normalize_edges
+from refsat.coefficients import CANONICAL_PROBLEMS
 from sparse_oracle import (
     load_matrix_edge,
     load_matrix_quotient_edge,
@@ -42,18 +43,20 @@ def legendre_values(k, pts):
 
 
 def test_tensor_space_dims():
-    full = tensor_space(EDGE_CLASSES["E5"], 5)
+    full = tensor_space(CANONICAL_PROBLEMS["E5"][1], 5)
     assert full.dim == 16
-    one = tensor_space(EDGE_CLASSES["E1"], 5)
+    one = tensor_space(CANONICAL_PROBLEMS["E1"][1], 5)
     assert one.dim == 30
     with pytest.raises(ValueError, match="empty"):
-        tensor_space(EDGE_CLASSES["E5"], 1)
+        tensor_space(CANONICAL_PROBLEMS["E5"][1], 1)
 
 
 def test_members_vanish_on_dirichlet_edges():
     rng = np.random.default_rng(3)
     pts = np.linspace(-0.9, 0.9, 5)
-    for name, edges in EDGE_CLASSES.items():
+    for name, (_, edges) in CANONICAL_PROBLEMS.items():
+        if edges is None:
+            continue
         space = tensor_space(edges, 4)
         c = rng.standard_normal(space.dim)
         cmat = c.reshape(space.basis_x.n_functions, space.basis_y.n_functions)
@@ -74,7 +77,7 @@ def test_members_vanish_on_dirichlet_edges():
 
 
 def test_stiffness_frozen_smallest_space():
-    space = tensor_space(EDGE_CLASSES["E5"], 2)
+    space = tensor_space(CANONICAL_PROBLEMS["E5"][1], 2)
     a = stiffness_matrix(space).toarray()
     assert a.shape == (1, 1)
     assert abs(a[0, 0] - 0.8) < 1e-14
@@ -82,7 +85,7 @@ def test_stiffness_frozen_smallest_space():
 
 def test_stiffness_symmetric_positive_definite():
     for name in ("E1", "E3", "E5", "F4"):
-        space = tensor_space(EDGE_CLASSES[name], 6)
+        space = tensor_space(CANONICAL_PROBLEMS[name][1], 6)
         a = stiffness_matrix(space)
         dense = a.toarray()
         assert np.max(np.abs(dense - dense.T)) < 1e-13
@@ -114,7 +117,7 @@ def test_quotient_members_have_zero_mean():
 
 def test_stiffness_matches_quadrature():
     rng = np.random.default_rng(11)
-    space = tensor_space(EDGE_CLASSES["E2"], 6)
+    space = tensor_space(CANONICAL_PROBLEMS["E2"][1], 6)
     a = stiffness_matrix(space)
     rule = gauss_legendre_rule(9)
     x, w = rule.nodes, rule.weights
@@ -136,7 +139,7 @@ def test_stiffness_matches_quadrature():
 
 
 def test_volume_load_matches_brute_force():
-    space = tensor_space(EDGE_CLASSES["E1"], 4)
+    space = tensor_space(CANONICAL_PROBLEMS["E1"][1], 4)
     p = 3
     load = load_matrix_volume(space, p)
     assert load.shape == ((p + 1) ** 2, space.dim)
@@ -154,7 +157,7 @@ def test_volume_load_matches_brute_force():
 
 
 def test_edge_load_matches_brute_force():
-    space = tensor_space(EDGE_CLASSES["F1"], 4)
+    space = tensor_space(CANONICAL_PROBLEMS["F1"][1], 4)
     p = 3
     load = load_matrix_edge(space, p)
     assert load.shape == (p + 1, space.dim)
@@ -179,7 +182,7 @@ def test_edge_load_matches_brute_force():
 
 
 def test_edge_load_rejects_constrained_right_edge():
-    space = tensor_space(EDGE_CLASSES["E1"], 4)
+    space = tensor_space(CANONICAL_PROBLEMS["E1"][1], 4)
     with pytest.raises(ValueError, match="right edge"):
         load_matrix_edge(space, 2)
 
@@ -205,7 +208,7 @@ def test_quotient_edge_load_matches_brute_force():
 
 
 def test_stiffness_sparsity_is_banded():
-    space = tensor_space(EDGE_CLASSES["E5"], 20)
+    space = tensor_space(CANONICAL_PROBLEMS["E5"][1], 20)
     a = stiffness_matrix(space).tocsr()
     per_row = np.diff(a.indptr)
     assert np.max(per_row) <= 25
@@ -221,9 +224,9 @@ def test_normalize_edges_validation():
 
 
 def test_assembly_is_deterministic():
-    first = stiffness_matrix(tensor_space(EDGE_CLASSES["E4"], 9))
-    second = stiffness_matrix(tensor_space(EDGE_CLASSES["E4"], 9))
+    first = stiffness_matrix(tensor_space(CANONICAL_PROBLEMS["E4"][1], 9))
+    second = stiffness_matrix(tensor_space(CANONICAL_PROBLEMS["E4"][1], 9))
     assert np.array_equal(first.toarray(), second.toarray())
-    lf = load_matrix_volume(tensor_space(EDGE_CLASSES["E4"], 9), 5)
-    ls = load_matrix_volume(tensor_space(EDGE_CLASSES["E4"], 9), 5)
+    lf = load_matrix_volume(tensor_space(CANONICAL_PROBLEMS["E4"][1], 9), 5)
+    ls = load_matrix_volume(tensor_space(CANONICAL_PROBLEMS["E4"][1], 9), 5)
     assert np.array_equal(lf, ls)

@@ -23,7 +23,6 @@ import scipy.linalg
 
 import refsat.coefficients
 from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
-from refsat.assembly import EDGE_CLASSES
 from refsat.bases import BoundaryCondition1D
 from refsat.cli import load_published_table
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
@@ -116,7 +115,7 @@ def test_schur_dual_gram_scalar_case():
 
 def test_schur_dual_gram_symmetry_and_values():
     rng = np.random.default_rng(5)
-    space = tensor_space(EDGE_CLASSES["E2"], 6)
+    space = tensor_space(CANONICAL_PROBLEMS["E2"][1], 6)
     a = stiffness_matrix(space)
     load = load_matrix_volume(space, 3)
     r = schur_dual_gram(load, a)
@@ -782,25 +781,39 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
                           ("F1", 64, 128, 256)):
         res = saturation_coefficient(spec_for(name, p, q, r))
         assert res.mu > 1.0 and calls == [], name
-    # the whole messages; only the numbers that rounding decides are free
-    ill_posed = (
-        r"^denominator dual Gram is numerically singular; the coarse space "
-        r"cannot represent all functionals \(ill-posed quotient\): ")
-    with pytest.raises(NumericalError, match=ill_posed + (
-            r"its Cholesky factorization failed \(\d+-th leading minor of "
-            r"the array is not positive definite\), so lambda_min/trace is "
-            r"at or below roundoff, under the floor 1e-12$")):
-        saturation_coefficient(spec_for("E5", 4, 4, 8))
-    # its first block, of order 9, is uncertified: a formed block's smallest
-    # eigenvalue is read before the factor overwrites it, so it is read
-    # even though the factorization then fails
-    assert calls == [9]
-    # a singular block that factors has floor 0: the estimate rejects it
-    with pytest.raises(NumericalError, match=ill_posed + (
-            r"estimated lambda_min/trace \S+e-\d+ is under the floor "
-            r"1e-12$")):
-        saturation_coefficient(spec_for("F1", 4, 4, 8))
-    assert calls == [9, 5]
+    # a singular block has floor 0 and is rejected before any eigenvalue of
+    # it is read
+    for name in ("E5", "F1"):
+        with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK):
+            saturation_coefficient(spec_for(name, 4, 4, 8))
+    assert calls == []
+
+
+#: the start of each rejection of a singular coarse block
+ILL_POSED = (
+    r"^denominator dual Gram is numerically singular; the coarse space "
+    r"cannot represent all functionals \(ill-posed quotient\): ")
+
+#: the rest of the rejection of a block with floor 0
+SINGULAR_BLOCK = (r"the coarse block of (x class \d and )?y class \d is singular, "
+                  r"as one of its 1D classes has more probes than modes$")
+
+#: cells with a class of more probes than modes: E3, E4, E5 and F4 at every
+#: q = p + 1, and cells at p = q
+SINGULAR_CELLS = [(name, p, p + 1, 2 * p + 2) for name in ("E3", "E4", "E5", "F4")
+                  for p in (4, 16, 64)] + [
+    ("E1", 3, 3, 3), ("E2", 60, 60, 60), ("E5", 4, 4, 8), ("F1", 4, 4, 8)]
+
+
+def test_singular_coarse_blocks_are_rejected_before_they_are_formed(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a coarse block was formed")
+
+    monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_block)
+    monkeypatch.setattr(refsat.coefficients, "_swap_gram", no_block)
+    for cell in SINGULAR_CELLS:
+        with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK):
+            saturation_coefficient(spec_for(*cell))
 
 
 def test_stages_time_the_three_stages():

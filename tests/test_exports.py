@@ -2,8 +2,8 @@
 
 Tools that walk ``__all__`` (such as a tracer wrapping every public
 function) break on a name left behind by a removal, so each listed name
-must exist, and every name the package root re-exports must be a public
-name of its module.
+must exist, every name the package root re-exports must be a public name
+of its module, and no module imports a name it neither reads nor lists.
 """
 
 import ast
@@ -23,6 +23,23 @@ def test_every_listed_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_import_is_used_or_listed(name):
+    """A name imported at module level is read in the module or listed in
+    its ``__all__``, so that no import outlives a removal."""
+    module = importlib.import_module(f"refsat.{name}")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - read - set(module.__all__)
 
 
 def test_package_exports_are_public_names_of_their_modules():

@@ -114,7 +114,7 @@ def test_cached_catalog_and_numbering_cannot_be_changed_by_callers():
     assert sorted(cat) == list(range(1, 14))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cat[1].cells = frozenset()
-    edge = interior_edge_traversal(cat[1]).steps[0].edge
+    edge = interior_edge_traversal(cat[1])[0].edge
     with pytest.raises(TypeError):
         canonical_numbering()[edge] = 99
     assert canonical_numbering()[edge] == 1
@@ -166,10 +166,10 @@ def test_traversal_lengths_and_ordering():
     for pid, patch in cat.items():
         traversal = interior_edge_traversal(patch)
         assert len(traversal) == EXPECTED_LENGTHS[pid]
-        numbers = [s.number for s in traversal.steps]
+        numbers = [s.number for s in traversal]
         assert numbers == sorted(numbers)
         assert len(set(numbers)) == len(numbers)
-        for step in traversal.steps:
+        for step in traversal:
             assert step.number == numbering[step.edge]
             assert step.owner == owner_square(step.edge)
             assert step.owner in patch.cells
@@ -177,7 +177,7 @@ def test_traversal_lengths_and_ordering():
 
 def test_owner_holds_edge_on_bottom_or_right():
     for patch in patch_catalog().values():
-        for step in interior_edge_traversal(patch).steps:
+        for step in interior_edge_traversal(patch):
             sides = {
                 "e1": GridEdge("V", step.owner[0] + 1, step.owner[1]),
                 "e4": GridEdge("H", step.owner[0], step.owner[1]),
@@ -232,7 +232,7 @@ def test_verify_counts_aggregate_eight_orientations():
     for pid, patch in cat.items():
         report = verify_traversal_lemma(patch)
         expected = {k: 8 * v for k, v in EXPECTED_COUNTS[pid].items()}
-        assert report.counts_dict() == expected
+        assert dict(report.situation_counts) == expected
 
 
 def classify_oracle(dirichlet, ext_neumann, self_side):
@@ -306,7 +306,7 @@ def test_steps_match_the_numbering_oracle(monkeypatch):
     for numbering in numberings:
         monkeypatch.setattr(patches, "canonical_numbering", lambda: numbering)
         for patch in cat.values():
-            for step in interior_edge_traversal(patch).steps:
+            for step in interior_edge_traversal(patch):
                 assert (step.dirichlet_sides, step.ext_neumann_sides,
                         step.situation) == step_sides_oracle(patch, step)
 
@@ -339,7 +339,8 @@ def test_corrupted_numbering_is_caught_and_located(monkeypatch):
         for t in range(8)
         for step, edge, reason in per_orientation
     )
-    assert report.counts_dict() == {"a": 8, "b": 16, "c": 16, "d": 8, "e": 16}
+    assert dict(report.situation_counts) == {
+        "a": 8, "b": 16, "c": 16, "d": 8, "e": 16}
 
 
 def test_orientation_round_trips():
@@ -368,7 +369,7 @@ def test_broken_dihedral_action_fails_every_orientation(monkeypatch):
                                edge=None, reason="orientation round trip failed")
             for t in range(8)
         )
-        assert report.counts_dict() == {}
+        assert dict(report.situation_counts) == {}
 
 
 def test_integer_action_matches_the_float_oracle():
@@ -415,16 +416,62 @@ def test_layout_seams_and_clamped_sides_match_oracle_tables():
     for situ in SITUATIONS:
         layout = _LAYOUTS[situ]
         seams, clamped = set(), set()
-        for offset, (sources, decayed) in layout.items():
+        for offset, decayed in layout.items():
             for side, (dx, dy) in steps.items():
                 neighbor = (offset[0] + dx, offset[1] + dy)
                 if neighbor not in layout:
-                    if side in decayed or sources[side] in PRE_ZERO_SIDES[situ]:
+                    source = patches._source(offset, side)
+                    if side in decayed or source in PRE_ZERO_SIDES[situ]:
                         clamped.add((offset, side))
                 elif side in ("e1", "e4"):
                     seams.add((offset, side, neighbor, opposite[side]))
         assert seams == set(_SEAMS[situ]), situ
         assert clamped == set(_POST_ZERO[situ]), situ
+
+
+#: the number of labelled steps of the packaged catalog with each pair of
+#: situation and set of admissible witness layouts
+ADMISSIBLE_LAYOUTS = {
+    ("b", ("a", "b", "c", "d", "down_decay", "e", "right_decay")): 1,
+    ("b", ("b", "c", "d", "e", "right_decay")): 19,
+    ("b", ("b", "e", "right_decay")): 9,
+    ("b", ("d", "right_decay")): 9,
+    ("b", ("right_decay",)): 4,
+    ("c", ("a", "b", "c", "d", "down_decay", "e", "right_decay")): 21,
+    ("c", ("b", "c", "d", "e", "right_decay")): 1,
+    ("c", ("c", "d", "e")): 18,
+    ("d", ("a", "b", "c", "d", "down_decay", "e", "right_decay")): 2,
+    ("d", ("a", "d", "down_decay")): 2,
+    ("d", ("a", "d", "down_decay", "right_decay")): 8,
+    ("d", ("d",)): 9,
+    ("e", ("a", "b", "c", "d", "down_decay", "e", "right_decay")): 3,
+    ("e", ("b", "down_decay", "e", "right_decay")): 9,
+    ("e", ("b", "e", "right_decay")): 1,
+    ("e", ("e",)): 9,
+}
+
+
+def test_admissible_layouts_of_every_catalog_step_are_pinned():
+    """A layout read with a wrong mirror can leave every norm as it is and
+    still change which layouts witness a step."""
+    seen = {}
+    for patch in patch_catalog().values():
+        steps = interior_edge_traversal(patch)
+        for step in steps:
+            if step.situation is None:
+                continue
+            later = frozenset(s.edge for s in steps[step.index:])
+            names = tuple(sorted(
+                name for name in _LAYOUTS if patches._layout_valid(
+                    name, step.owner, step.dirichlet_sides, patch, later,
+                    step.edge)))
+            key = step.situation, names
+            seen[key] = seen.get(key, 0) + 1
+    assert seen == ADMISSIBLE_LAYOUTS
+    assert sum(seen.values()) == 125
+    # widened (b) steps with a free e3 are witnessed only by a decay layout
+    assert sum(count for (situation, names), count in seen.items()
+               if situation == "b" and "b" not in names) == 13
 
 
 def test_catalog_roundtrip_through_custom_path(tmp_path):
@@ -675,7 +722,7 @@ def test_single_cell_patch_has_no_traversal():
     assert len(boundary_edges_of(patch.cells)) == 4
     report = verify_traversal_lemma(patch)
     assert report.passed
-    assert report.counts_dict() == {}
+    assert dict(report.situation_counts) == {}
 
 
 def test_verification_is_deterministic():
