@@ -340,14 +340,11 @@ def _cmd_patches_verify(args: argparse.Namespace) -> int:
         print(
             f"patch {pid:2d} {patch.vertex_kind:8s} "
             f"steps={patch.n_steps:2d} {status}"
-            + (f"  situations over 8 orientations: {counts}" if counts else "")
+            + (f"  situations: {counts}" if counts else "")
         )
         for violation in report.violations:
-            print(
-                f"    orientation {violation.orientation} "
-                f"step {violation.step} edge {violation.edge}: "
-                f"{violation.reason}"
-            )
+            print(f"    step {violation.step} edge {violation.edge}: "
+                  f"{violation.reason}")
     print("extension operator norms in the H1 seminorm (degree 8, exact):")
     for situation in SITUATIONS:
         print(f"    situation {situation}: norm "

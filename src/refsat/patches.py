@@ -42,8 +42,6 @@ __all__ = [
     "interior_edges_of",
     "boundary_edges_of",
     "canonical_numbering",
-    "orient_patch",
-    "inverse_orientation",
     "patch_catalog",
     "interior_edge_traversal",
     "local_dirichlet_edges",
@@ -197,64 +195,6 @@ class TraversalStep(NamedTuple):
     dirichlet_sides: frozenset[str]
     ext_neumann_sides: frozenset[str]
     situation: str | None
-
-
-# ----------------------------------------------------------- orientations
-
-
-def _turn(t: int, x: int, y: int) -> tuple[int, int]:
-    """The transform t on integer offsets from the vertex (2, 2)."""
-    if t & 4:
-        x = -x
-    for _ in range(t & 3):
-        x, y = -y, x
-    return x, y
-
-
-# cells and edges move with their midpoints, which sit on the half-integer
-# lattice: in doubled offsets from (2, 2) a cell's midpoint has both
-# coordinates odd, and an edge's has odd exactly its coordinate along the
-# edge. The action is memoized on this finite domain, so every oriented copy
-# reuses the same images
-@lru_cache(maxsize=None)
-def _transform_edge(t: int, edge: GridEdge) -> GridEdge:
-    dx, dy = (1, 0) if edge.orientation == "H" else (0, 1)
-    x, y = _turn(t, 2 * edge.x + dx - 4, 2 * edge.y + dy - 4)
-    if x % 2:
-        return GridEdge("H", (x + 3) // 2, (y + 4) // 2)
-    return GridEdge("V", (x + 4) // 2, (y + 3) // 2)
-
-
-@lru_cache(maxsize=None)
-def _transform_cell(t: int, cell: tuple[int, int]) -> tuple[int, int]:
-    x, y = _turn(t, 2 * cell[0] - 3, 2 * cell[1] - 3)
-    return (x + 3) // 2, (y + 3) // 2
-
-
-def _orient(t: int, cells: frozenset,
-            edges: frozenset) -> tuple[frozenset, frozenset]:
-    """Images of a set of cells and a set of edges under the transform t."""
-    return (frozenset(_transform_cell(t, c) for c in cells),
-            frozenset(_transform_edge(t, e) for e in edges))
-
-
-def orient_patch(patch: RefinedPatch, orientation: int) -> RefinedPatch:
-    """Apply one of the 8 dihedral transforms about the vertex (2, 2).
-
-    Orientations 0..3 are counterclockwise quarter turns, 4..7 the same
-    after mirroring x.
-    """
-    if not 0 <= orientation <= 7:
-        raise ValueError(f"orientation must be 0..7, got {orientation}")
-    cells, ext_dirichlet = _orient(orientation, patch.cells, patch.ext_dirichlet)
-    return RefinedPatch(id=patch.id, vertex_kind=patch.vertex_kind,
-                        cells=cells, ext_dirichlet=ext_dirichlet)
-
-
-def inverse_orientation(orientation: int) -> int:
-    """The transform undoing ``orientation``: a mirrored one is its own
-    inverse, and a quarter turn t is undone by 4 - t."""
-    return orientation if orientation & 4 else -orientation % 4
 
 
 # ---------------------------------------------------------------- catalog
@@ -490,10 +430,8 @@ def _layout_valid(
 
 @dataclass(frozen=True)
 class TraversalViolation:
-    patch_id: int
-    orientation: int
     step: int
-    edge: GridEdge | None
+    edge: GridEdge
     reason: str
 
 
@@ -505,11 +443,17 @@ class TraversalReport:
     situation_counts: tuple[tuple[str, int], ...]
 
 
-def _check_steps(
-    patch: RefinedPatch,
-) -> tuple[list[tuple[int, GridEdge, str]], dict[str, int]]:
-    """(step, edge, reason) of each failed step check, and situation counts."""
-    violations: list[tuple[int, GridEdge, str]] = []
+def verify_traversal_lemma(patch: RefinedPatch) -> TraversalReport:
+    """Machine check of the traversal classification in the catalog frame.
+
+    Every valid step, traversed in the fixed order of
+    ``canonical_numbering``, must classify into a situation with an
+    admissible zero-extension witness. A patch met in another orientation
+    is the image of a catalogued one with the enumeration carried along, so
+    this frame is the whole check. The report carries one violation per
+    failed check and the number of labelled steps of each situation.
+    """
+    violations: list[TraversalViolation] = []
     counts: dict[str, int] = {}
     steps = interior_edge_traversal(patch)
     n = len(steps)
@@ -519,74 +463,30 @@ def _check_steps(
         rows[cy] = min(rows.get(cy, cx), cx)
         cols[cx] = max(cols.get(cx, cy), cy)
 
-    def bad(step, edge, reason):
-        violations.append((step, edge, reason))
+    def bad(step, reason):
+        violations.append(TraversalViolation(step.index, step.edge, reason))
 
     for step in steps:
         if patch.vertex_kind == "interior" and step.index == n:
             if step.dirichlet_sides:
-                bad(step.index, step.edge,
-                    "final step of an interior-vertex patch must see an "
-                    "empty local Dirichlet set")
+                bad(step, "final step of an interior-vertex patch must see an "
+                          "empty local Dirichlet set")
             continue
         if not step.dirichlet_sides:
-            bad(step.index, step.edge, "empty local Dirichlet set")
+            bad(step, "empty local Dirichlet set")
             continue
         if step.situation is None:
-            bad(step.index, step.edge,
-                f"no situation matches sides {sorted(step.dirichlet_sides)}")
+            bad(step, f"no situation matches sides {sorted(step.dirichlet_sides)}")
             continue
         counts[step.situation] = counts.get(step.situation, 0) + 1
         if step.situation in ("d", "e"):
             ox, oy = step.owner
             if rows[oy] != ox and cols[ox] != oy:
-                bad(step.index, step.edge,
-                    "decay situation away from its row start or column top")
+                bad(step, "decay situation away from its row start or column top")
         later = frozenset(s.edge for s in steps[step.index:])
         if not any(_layout_valid(name, step.owner, step.dirichlet_sides, patch,
                                  later, step.edge) for name in _LAYOUTS):
-            bad(step.index, step.edge, "no admissible zero-extension layout")
-    return violations, counts
-
-
-def verify_traversal_lemma(patch: RefinedPatch) -> TraversalReport:
-    """Machine check of the traversal classification over all 8 orientations.
-
-    Each oriented copy must map back to the canonical frame, where the
-    traversal is computed; this round trip is checked at run time for every
-    orientation, on the memoized dihedral action applied to the patch's
-    cells and clamped edges, so no oriented patch is built. Every valid
-    step in the canonical frame, traversed in the fixed order of
-    ``canonical_numbering``, must classify into a situation with an
-    admissible zero-extension witness. The step checks run once and count
-    for every orientation whose round trip holds. The report carries one
-    violation record per failed check, tagged with patch, orientation and
-    step.
-    """
-    step_violations, step_counts = _check_steps(patch)
-    violations: list[TraversalViolation] = []
-    counts: dict[str, int] = {}
-    canonical = patch.cells, patch.ext_dirichlet
-    for orientation in range(8):
-        restored = _orient(inverse_orientation(orientation),
-                           *_orient(orientation, *canonical))
-        if restored != canonical:
-            violations.append(
-                TraversalViolation(
-                    patch_id=patch.id, orientation=orientation, step=0,
-                    edge=None, reason="orientation round trip failed",
-                )
-            )
-            continue
-        violations.extend(
-            TraversalViolation(
-                patch_id=patch.id, orientation=orientation, step=step,
-                edge=edge, reason=reason,
-            )
-            for step, edge, reason in step_violations
-        )
-        for key, value in step_counts.items():
-            counts[key] = counts.get(key, 0) + value
+            bad(step, "no admissible zero-extension layout")
     return TraversalReport(
         patch_id=patch.id,
         passed=not violations,

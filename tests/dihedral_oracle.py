@@ -1,10 +1,10 @@
-"""The dihedral action on floating-point corners: the test oracle.
+"""The dihedral action on floating-point corners: a test oracle.
 
-``refsat.patches`` moves cells and edges by their midpoints in integer
-offsets from the vertex (2, 2), and inverts a transform in closed form.
-Here each corner is moved as a float point and the image is read back by
-rounding, and the inverse of each transform is found by searching for the
-one that restores three probe points.
+The 8 transforms about the vertex (2, 2) are the counterclockwise quarter
+turns t = 0..3 and the same after mirroring x (t = 4..7). Each corner of
+a cell or edge is moved as a float point and the image is read back by
+rounding. The tests build the dihedral images of the catalog patches with
+it, to show that the traversal enumeration belongs to the catalog frame.
 """
 
 from __future__ import annotations
@@ -43,15 +43,3 @@ def transform_cell(t: int, cell: tuple[int, int]) -> tuple[int, int]:
         int(round(min(p[1] for p in corners))),
     )
 
-
-def inverse_table() -> dict[int, int]:
-    probes = [(0.0, 0.0), (1.0, 3.0), (4.0, 1.0)]
-    table = {}
-    for t in range(8):
-        for u in range(8):
-            if all(
-                transform_point(u, transform_point(t, p)) == p for p in probes
-            ):
-                table[t] = u
-                break
-    return table

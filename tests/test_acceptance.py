@@ -202,5 +202,5 @@ def test_criterion_7_patch_verification_suite(capsys):
     assert code == 0
     assert "catalog verified" in out
     assert out.count(" ok") >= 13
-    print("criterion 7: PASS - all 13 refined patches verify in every "
-          "orientation with bounded extensions")
+    print("criterion 7: PASS - all 13 refined patches verify in the "
+          "catalog frame with bounded extensions")

@@ -36,18 +36,18 @@ EXPECTED_HEADER = ("family,edge_class,p,q,r,mu,mu_display,"
 
 #: ``refsat patches verify`` on the packaged catalog, byte for byte
 PATCHES_VERIFY_OUTPUT = """\
-patch  1 interior steps=22 ok  situations over 8 orientations: b=64 c=56 d=24 e=24
-patch  2 interior steps=20 ok  situations over 8 orientations: b=56 c=48 d=24 e=24
-patch  3 interior steps=17 ok  situations over 8 orientations: b=48 c=40 d=24 e=16
-patch  4 interior steps=12 ok  situations over 8 orientations: b=32 c=24 d=16 e=16
-patch  5 interior steps= 4 ok  situations over 8 orientations: b=8 d=8 e=8
-patch  6 boundary steps=14 ok  situations over 8 orientations: b=40 c=40 d=16 e=16
-patch  7 boundary steps=13 ok  situations over 8 orientations: b=32 c=40 d=16 e=16
-patch  8 boundary steps= 8 ok  situations over 8 orientations: b=16 c=24 d=16 e=8
-patch  9 boundary steps=10 ok  situations over 8 orientations: b=24 c=24 d=16 e=16
-patch 10 boundary steps= 7 ok  situations over 8 orientations: b=16 c=24 e=16
-patch 11 boundary steps= 2 ok  situations over 8 orientations: d=8 e=8
-patch 12 boundary steps= 1 ok  situations over 8 orientations: e=8
+patch  1 interior steps=22 ok  situations: b=8 c=7 d=3 e=3
+patch  2 interior steps=20 ok  situations: b=7 c=6 d=3 e=3
+patch  3 interior steps=17 ok  situations: b=6 c=5 d=3 e=2
+patch  4 interior steps=12 ok  situations: b=4 c=3 d=2 e=2
+patch  5 interior steps= 4 ok  situations: b=1 d=1 e=1
+patch  6 boundary steps=14 ok  situations: b=5 c=5 d=2 e=2
+patch  7 boundary steps=13 ok  situations: b=4 c=5 d=2 e=2
+patch  8 boundary steps= 8 ok  situations: b=2 c=3 d=2 e=1
+patch  9 boundary steps=10 ok  situations: b=3 c=3 d=2 e=2
+patch 10 boundary steps= 7 ok  situations: b=2 c=3 e=2
+patch 11 boundary steps= 2 ok  situations: d=1 e=1
+patch 12 boundary steps= 1 ok  situations: e=1
 patch 13 boundary steps= 0 ok
 extension operator norms in the H1 seminorm (degree 8, exact):
     situation a: norm 1.414214
@@ -61,18 +61,11 @@ catalog verified
 #: a plausible record whose free edge breaks the classification
 CORRUPTED_CATALOG = "patch 11 boundary\ncells 1,1 2,1 2,2\ndirichlet V 2 2\n"
 
-#: ``refsat patches verify`` on CORRUPTED_CATALOG: the step violation
-#: recurs once per orientation, each tagged with its orientation
+#: ``refsat patches verify`` on CORRUPTED_CATALOG: the step violation,
+#: once, with its step and edge
 CORRUPTED_REPORT = """\
-patch 11 boundary steps= 2 FAIL  situations over 8 orientations: e=8
-    orientation 0 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 1 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 2 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 3 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 4 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 5 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 6 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
-    orientation 7 step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
+patch 11 boundary steps= 2 FAIL  situations: e=1
+    step 1 edge GridEdge(orientation='V', x=2, y=1): empty local Dirichlet set
 extension operator norms in the H1 seminorm (degree 8, exact):
     situation a: norm 1.414214
     situation b: norm 1.414214
@@ -829,7 +822,7 @@ def test_patches_verify_flags_corrupted_catalog(tmp_path, capsys):
         ["patches", "verify", "--catalog", str(bad)], capsys)
     assert code == 1
     assert "FAIL" in out
-    assert "orientation" in out and "step" in out
+    assert "    step 1 edge " in out
 
 
 def test_patches_verify_corrupted_report_is_pinned(tmp_path, capsys):

@@ -781,6 +781,12 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
                           ("F1", 64, 128, 256)):
         res = saturation_coefficient(spec_for(name, p, q, r))
         assert res.mu > 1.0 and calls == [], name
+    # at q = 512 the floors of E1 (4, 512, 512) no longer clear the check,
+    # so both of its small blocks take the values-only dsyevd
+    res = saturation_coefficient(spec_for("E1", 4, 512, 512))
+    assert calls == [15, 10]
+    assert abs(res.mu - 1.0) <= 1e-12
+    calls.clear()
     # a singular block has floor 0 and is rejected before any eigenvalue of
     # it is read
     for name in ("E5", "F1"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from dihedral_oracle import inverse_table, transform_cell, transform_edge
+from dihedral_oracle import transform_cell, transform_edge
 from extension_oracle import (
     _POST_ZERO,
     _SEAMS,
@@ -40,9 +40,7 @@ from refsat.patches import (
     extension_norm,
     interior_edge_traversal,
     interior_edges_of,
-    inverse_orientation,
     local_dirichlet_edges,
-    orient_patch,
     owner_square,
     patch_catalog,
     verify_traversal_lemma,
@@ -228,11 +226,11 @@ def test_verify_passes_for_all_patches_and_orientations():
 
 
 def test_verify_counts_aggregate_eight_orientations():
+    """The report counts each labelled step once, in the catalog frame."""
     cat = patch_catalog()
     for pid, patch in cat.items():
         report = verify_traversal_lemma(patch)
-        expected = {k: 8 * v for k, v in EXPECTED_COUNTS[pid].items()}
-        assert dict(report.situation_counts) == expected
+        assert dict(report.situation_counts) == EXPECTED_COUNTS[pid], pid
 
 
 def classify_oracle(dirichlet, ext_neumann, self_side):
@@ -321,85 +319,55 @@ def test_corrupted_numbering_is_caught_and_located(monkeypatch):
     monkeypatch.setattr(patches, "canonical_numbering", lambda: numbering)
     report = verify_traversal_lemma(cat[4])
     assert not report.passed
-    v = report.violations[0]
-    assert v.patch_id == 4
-    assert 0 <= v.orientation <= 7
-    assert v.step >= 1
-    assert v.edge is not None
-    # the step checks run once; their violations recur in every orientation
-    per_orientation = (
-        (6, GridEdge("H", 1, 1), "no admissible zero-extension layout"),
-        (8, GridEdge("V", 1, 1), "no situation matches sides ['e4']"),
-        (10, GridEdge("H", 0, 1), "empty local Dirichlet set"),
-        (11, GridEdge("V", 1, 2), "empty local Dirichlet set"),
-    )
-    assert report.violations == tuple(
-        TraversalViolation(patch_id=4, orientation=t, step=step, edge=edge,
-                           reason=reason)
-        for t in range(8)
-        for step, edge, reason in per_orientation
+    assert report.patch_id == 4
+    assert report.violations == (
+        TraversalViolation(6, GridEdge("H", 1, 1),
+                           "no admissible zero-extension layout"),
+        TraversalViolation(8, GridEdge("V", 1, 1),
+                           "no situation matches sides ['e4']"),
+        TraversalViolation(10, GridEdge("H", 0, 1), "empty local Dirichlet set"),
+        TraversalViolation(11, GridEdge("V", 1, 2), "empty local Dirichlet set"),
     )
     assert dict(report.situation_counts) == {
-        "a": 8, "b": 16, "c": 16, "d": 8, "e": 16}
+        "a": 1, "b": 2, "c": 2, "d": 1, "e": 2}
 
 
-def test_orientation_round_trips():
-    cat = patch_catalog()
-    for t in range(8):
-        u = inverse_orientation(t)
-        for patch in cat.values():
-            assert orient_patch(orient_patch(patch, t), u) == patch
-    with pytest.raises(ValueError):
-        orient_patch(cat[1], 8)
+#: violations of each dihedral image of a catalog patch, under the one
+#: fixed numbering, for the transforms t = 0..7 of ``dihedral_oracle``;
+#: the patches left out have none in any image
+IMAGE_VIOLATIONS = {
+    1: [0, 0, 0, 2, 0, 0, 2, 0],
+    2: [0, 2, 0, 2, 2, 0, 2, 0],
+    6: [0, 1, 4, 1, 1, 0, 1, 4],
+    7: [0, 1, 2, 1, 1, 0, 1, 2],
+    8: [0, 0, 2, 1, 0, 0, 1, 2],
+    9: [0, 1, 2, 1, 1, 0, 1, 2],
+    10: [0, 1, 1, 0, 1, 0, 0, 1],
+    11: [0, 0, 1, 0, 0, 0, 0, 1],
+}
 
 
-def test_broken_dihedral_action_fails_every_orientation(monkeypatch):
-    """The round trip is checked at run time: a wrong inverse shows in each
-    orientation of a patch that no transform but the identity fixes."""
-    asymmetric = [patch for patch in patch_catalog().values()
-                  if all(orient_patch(patch, t) != patch for t in range(1, 8))]
-    assert asymmetric
-    monkeypatch.setattr(patches, "inverse_orientation",
-                        lambda t: inverse_orientation(t) ^ 1)
-    for patch in asymmetric:
-        report = verify_traversal_lemma(patch)
-        assert not report.passed
-        assert report.violations == tuple(
-            TraversalViolation(patch_id=patch.id, orientation=t, step=0,
-                               edge=None, reason="orientation round trip failed")
-            for t in range(8)
-        )
-        assert dict(report.situation_counts) == {}
-
-
-def test_integer_action_matches_the_float_oracle():
-    """Midpoint arithmetic and the closed-form inverse equal the rounded
-    corner images and the probe search on every grid cell and edge."""
-    cells = sorted((x, y) for x in range(4) for y in range(4))
-    edges = sorted({edge for cell in cells for edge in cell_sides(cell).values()})
-    assert (len(cells), len(edges)) == (16, 40)
-    interior = frozenset(canonical_numbering())
-    assert len(interior) == 24
-    inverses = inverse_table()
-    for t in range(8):
-        assert inverse_orientation(t) == inverses[t]
-        for cell in cells:
-            assert patches._transform_cell(t, cell) == transform_cell(t, cell)
-        for edge in edges:
-            assert patches._transform_edge(t, edge) == transform_edge(t, edge)
-        assert frozenset(patches._transform_edge(t, e) for e in interior) == interior
-
-
-def test_oriented_copies_crop_to_valid_patches():
-    """Each dihedral image stays on the grid with the same edge split."""
-    cat = patch_catalog()
-    for patch in cat.values():
+def test_enumeration_belongs_to_the_catalog_frame():
+    """Re-traversing a rotated or mirrored copy under the same numbering is
+    not the lemma: 34 of the 104 images fail, and only the identity and the
+    anti-diagonal mirror (t = 5) pass for every patch. A patch in another
+    orientation carries the enumeration along, so the catalog frame is
+    checked alone."""
+    counts = {}
+    for pid, patch in patch_catalog().items():
+        counts[pid] = []
         for t in range(8):
-            oriented = orient_patch(patch, t)
-            assert len(oriented.cells) == len(patch.cells)
-            assert len(oriented.ext_dirichlet) == len(patch.ext_dirichlet)
-            assert oriented.vertex_kind == patch.vertex_kind
-            assert interior_edges_of(oriented.cells) == oriented.interior_edges
+            image = RefinedPatch(
+                id=pid, vertex_kind=patch.vertex_kind,
+                cells=frozenset(transform_cell(t, c) for c in patch.cells),
+                ext_dirichlet=frozenset(
+                    transform_edge(t, e) for e in patch.ext_dirichlet))
+            assert image.n_steps == patch.n_steps
+            counts[pid].append(len(verify_traversal_lemma(image).violations))
+    assert counts == {pid: IMAGE_VIOLATIONS.get(pid, [0] * 8) for pid in counts}
+    assert sum(n > 0 for row in counts.values() for n in row) == 34
+    assert [t for t in range(8)
+            if all(row[t] == 0 for row in counts.values())] == [0, 5]
 
 
 def test_extension_layouts_only_reach_right_and_down():
