@@ -256,11 +256,14 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
     is opened and the header written before the first cell, so an
     unwritable destination fails before any work and a run stopped by an
     error keeps the rows already finished. All cells share one table of 1D
-    factors, so each factor basis is diagonalized once per run. Returns the
-    number of compared and skipped cells and one line per failed comparison.
+    factors, so each factor basis is diagonalized once per run, and each
+    distinct spec is solved once per run: a row whose spec is already solved
+    repeats that result, wall_seconds included, with its own status. Returns
+    the number of compared and skipped cells and one line per failed
+    comparison.
     """
     compared, skipped, failures = 0, 0, []
-    factors = {}
+    factors, solved = {}, {}
     with _open_output(output) as handle:
         handle.write(_format_header(fmt))
         for spec, entry in cells:
@@ -268,7 +271,9 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
                 result, status = None, "skipped"
                 skipped += 1
             else:
-                result = saturation_coefficient(spec, factors=factors)
+                if spec not in solved:
+                    solved[spec] = saturation_coefficient(spec, factors=factors)
+                result = solved[spec]
                 status = "ok"
                 if entry is not None:
                     compared += 1

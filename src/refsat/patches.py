@@ -360,7 +360,8 @@ def local_dirichlet_edges(patch: RefinedPatch, i: int) -> TraversalStep:
 #: right, across e4 if it lies below (``_source``), times a linear decay
 #: that vanishes on each decayed side. The two-square decay layouts are
 #: legitimate when the decayed column or row already kills the outer trace.
-#: The traversal check tries the layouts in this order.
+#: The traversal check tries a step's own situation first, then the others
+#: in this order.
 _LAYOUTS: dict[str, dict[tuple[int, int], frozenset[str]]] = {
     "a": {(0, 0): frozenset(), (0, -1): frozenset()},
     "b": {(0, 0): frozenset(), (1, 0): frozenset()},
@@ -484,8 +485,10 @@ def verify_traversal_lemma(patch: RefinedPatch) -> TraversalReport:
             if rows[oy] != ox and cols[ox] != oy:
                 bad(step, "decay situation away from its row start or column top")
         later = frozenset(s.edge for s in steps[step.index:])
+        # the step's own layout is the likeliest witness
+        layouts = dict.fromkeys((step.situation, *_LAYOUTS))
         if not any(_layout_valid(name, step.owner, step.dirichlet_sides, patch,
-                                 later, step.edge) for name in _LAYOUTS):
+                                 later, step.edge) for name in layouts):
             bad(step, "no admissible zero-extension layout")
     return TraversalReport(
         patch_id=patch.id,

@@ -16,6 +16,8 @@ from refsat.cli import (
     CSV_COLUMNS,
     DEFAULT_BUDGET_SECONDS,
     _edge_class_label,
+    _format_row,
+    _row,
     _spec_for_problem,
     build_parser,
     estimated_seconds,
@@ -106,6 +108,11 @@ def fake_result(spec):
         maximizer=np.zeros(1), dim_H=spec.r, dim_V=spec.q, dim_F=spec.p,
         residual=0.0, tie=False, wall_seconds=0.25,
     )
+
+
+def cell_key(spec):
+    """The (edge_class, p, q, r) columns of the spec's CSV row."""
+    return (_edge_class_label(spec), str(spec.p), str(spec.q), str(spec.r))
 
 
 @pytest.fixture
@@ -569,6 +576,56 @@ def test_reproduce_matches_cold_cells(tmp_path, capsys):
             cold.dim_H, cold.dim_V, cold.dim_F)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Spy on the coefficient computation of the CLI; list its specs."""
+    specs = []
+
+    def spy(spec, factors=None):
+        specs.append(spec)
+        return saturation_coefficient(spec, factors)
+
+    monkeypatch.setattr("refsat.cli.saturation_coefficient", spy)
+    return specs
+
+
+def test_reproduce_solves_each_distinct_cell_once(capsys, solves):
+    code, out, _ = run_cli(["reproduce", "--max-p", "16"], capsys)
+    assert code == 0
+    entries = [entry for entry in load_published_table() if entry.p <= 16]
+    specs = [_spec_for_problem(entry.problem, entry.p, entry.q, entry.r)
+             for entry in entries]
+    # p+4 and 2p name the same cell at p = 4: 16 of the 96 rows repeat one
+    assert (len(specs), len(set(specs))) == (96, 80)
+    assert solves == list(dict.fromkeys(specs))
+    # the rows equal those of solving every row afresh, but for the timing
+    factors = {}
+    expected = _format_row(CSV_COLUMNS, "csv") + "".join(
+        _format_row(_row(spec, saturation_coefficient(spec, factors), "pass"),
+                    "csv") for spec in specs)
+    assert mask_wall(out) == mask_wall(expected)
+    # and a repeated row repeats its cell's timing as well
+    _, rows = parse_csv(out)
+    first = {}
+    for spec, row in zip(specs, rows):
+        assert first.setdefault(spec, row) == row
+    # the solved cells are forgotten when the run ends
+    assert run_cli(["reproduce", "--max-p", "16"], capsys)[0] == 0
+    assert len(solves) == 2 * 80
+
+
+def test_sweep_solves_coinciding_strategies_once(tmp_path, capsys, solves):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problems": ["E1"], "strategies": ["p+4", "2p"],
+                                "p_values": [4]}))
+    code, out, _ = run_cli(["sweep", "--config", str(path)], capsys)
+    assert code == 0
+    assert solves == [_spec_for_problem("E1", 4, 8, 16)]
+    _, rows = parse_csv(out)
+    assert len(rows) == 2 and rows[0] == rows[1]
+    assert rows[0][1:5] == ["E1", "4", "8", "16"]
+
+
 @pytest.mark.parametrize("max_p", ["3", "0", "-3"])
 def test_reproduce_below_the_smallest_published_p_is_rejected(tmp_path, capsys,
                                                              max_p):
@@ -641,20 +698,27 @@ def test_numerical_failure_keeps_the_finished_rows(tmp_path, capsys,
 
     monkeypatch.setattr("refsat.cli.saturation_coefficient", fail_on_third)
     if command == "reproduce":
+        # at p = 4 the strategies p+4 and 2p name the same cell, so each
+        # distinct cell is two rows: the rows before the third distinct
+        # cell are E1, E1, E2, E2
         argv = ["reproduce", "--max-p", "4", "--output", str(target)]
+        rows_per_cell = 2
     else:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"problems": ["E1", "C"],
                                     "strategies": ["2p"], "p_values": [2, 3],
                                     "output": str(target)}))
         argv = ["sweep", "--config", str(path)]
+        rows_per_cell = 1
     code, _, err = run_cli(argv, capsys)
     assert code == 3
     assert "numerical failure: third cell" in err
     header, rows = parse_csv(target.read_text())
     assert ",".join(header) == EXPECTED_HEADER
-    assert [tuple(row[2:5]) for row in rows] == [
-        (str(spec.p), str(spec.q), str(spec.r)) for spec in specs[:2]]
+    assert [tuple(row[1:5]) for row in rows] == [
+        cell_key(spec) for spec in specs[:2] for _ in range(rows_per_cell)]
+    if command == "reproduce":
+        assert [row[1] for row in rows] == ["E1", "E1", "E2", "E2"]
 
 
 #: numpy's message when an array cannot be allocated
@@ -691,8 +755,10 @@ def test_out_of_memory_keeps_the_finished_rows(tmp_path, capsys, monkeypatch):
     assert (code, err) == (3, f"out of memory: {ALLOCATION_FAILURE}\n")
     header, rows = parse_csv(target.read_text())
     assert ",".join(header) == EXPECTED_HEADER
-    assert [tuple(row[2:5]) for row in rows] == [
-        (str(spec.p), str(spec.q), str(spec.r)) for spec in specs[:2]]
+    # each p = 4 cell is two rows, p+4 and 2p
+    assert [tuple(row[1:5]) for row in rows] == [
+        cell_key(spec) for spec in specs[:2] for _ in range(2)]
+    assert [row[1] for row in rows] == ["E1", "E1", "E2", "E2"]
 
 
 SWEEP_CSV = """\

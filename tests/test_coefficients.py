@@ -795,6 +795,32 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
     assert calls == []
 
 
+def test_lanczos_runs_keep_a_krylov_space_sized_to_two_eigenpairs(monkeypatch):
+    # operator applications of each Lanczos run; scipy's default of 20
+    # Lanczos vectors takes at least 21 on every block
+    runs = []
+    lanczos = refsat.coefficients._top_eigenpairs
+
+    def counting_lanczos(apply, n, k, *args, **kwargs):
+        calls = []
+
+        def counted(v):
+            calls.append(n)
+            return apply(v)
+
+        result = lanczos(counted, n, k, *args, **kwargs)
+        runs.append((n, len(calls)))
+        return result
+
+    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting_lanczos)
+    for (name, p, q, r), most in ((("E2", 16, 32, 64), 12),
+                                  (("E1", 28, 32, 64), 30)):
+        runs.clear()
+        saturation_coefficient(spec_for(name, p, q, r))
+        assert len(runs) == 2 and all(n > _DENSE_ORDER for n, _ in runs), name
+        assert all(count <= most for _, count in runs), (name, runs)
+
+
 #: the start of each rejection of a singular coarse block
 ILL_POSED = (
     r"^denominator dual Gram is numerically singular; the coarse space "

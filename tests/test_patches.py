@@ -442,6 +442,28 @@ def test_admissible_layouts_of_every_catalog_step_are_pinned():
                if situation == "b" and "b" not in names) == 13
 
 
+def test_verify_tries_each_steps_own_layout_first(monkeypatch):
+    calls = []
+    layout_valid = patches._layout_valid
+
+    def recording(name, owner, dirichlet_sides, patch, later, current):
+        calls.append((patch.id, current, name))
+        return layout_valid(name, owner, dirichlet_sides, patch, later, current)
+
+    monkeypatch.setattr(patches, "_layout_valid", recording)
+    firsts = {}
+    for patch in patch_catalog().values():
+        assert verify_traversal_lemma(patch).passed
+        for step in interior_edge_traversal(patch):
+            if step.situation is not None:
+                firsts[patch.id, step.edge] = step.situation
+    tried = {}
+    for pid, edge, name in calls:
+        tried.setdefault((pid, edge), name)
+    assert tried == firsts
+    assert len(calls) == 172
+
+
 def test_catalog_roundtrip_through_custom_path(tmp_path):
     source = patch_catalog()
     lines = []
