@@ -364,22 +364,22 @@ class _Block(NamedTuple):
     #: block, the pairs of px x px for a swap block, py for B and C
     px: np.ndarray | None
     py: np.ndarray
-    index: np.ndarray
+    #: the number of rows
+    order: int
+    #: the rows, None where ``_spec_blocks`` was asked for the orders alone
+    index: np.ndarray | None = None
     partner: np.ndarray | None = None
-    sign: float = 1.0
+    #: +1 or -1 for a swap block, 0 for any other
+    sign: float = 0.0
     #: blocks of this spectrum that the eigensolve counts: 2 for a block
     #: whose mirror under the probe swap is not solved, 0 for that mirror
     copies: int = 1
 
-    @property
-    def order(self) -> int:
-        """The number of rows."""
-        return self.index.size
 
-
-def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
+def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
     """Diagonal blocks of the spec's dual Grams (both degrees alike),
-    skipping those without loads.
+    skipping those without loads; without ``rows`` their index arrays are
+    left out, for a caller that reads only their orders and kinds.
 
     Equal end conditions of the x and y factors mean equal factors. Family
     A has one block per pair of x and y classes, except with equal
@@ -394,18 +394,23 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     first = 1 if spec.family == "C" else 0
     ys = [k[k >= first] for k in _class_probes(bc_y, spec.p)]
     if spec.family != "A":
-        return [_Block(None, y, None, py, py - first)
+        return [_Block(None, y, None, py, py.size, py - first if rows else None)
                 for y, py in enumerate(ys) if py.size]
     n = spec.p + 1
     xs = _class_probes(bc_x, spec.p)
     if bc_x == bc_y and len(xs) == 1:
         blocks = []
         for offset, sign in ((0, 1.0), (1, -1.0)):
-            a, b = np.triu_indices(n, offset)
-            blocks.append(_Block(0, 0, xs[0], xs[0], a * n + b, b * n + a, sign))
-        return [block for block in blocks if block.index.size]
+            index = partner = None
+            if rows:
+                a, b = np.triu_indices(n, offset)
+                index, partner = a * n + b, b * n + a
+            blocks.append(_Block(0, 0, xs[0], xs[0], n * (n + 1 - 2 * offset) // 2,
+                                 index, partner, sign))
+        return [block for block in blocks if block.order]
     mirrored = bc_x == bc_y
-    return [_Block(x, y, px, py, (px[:, np.newaxis] * n + py).ravel(),
+    return [_Block(x, y, px, py, px.size * py.size,
+                   (px[:, np.newaxis] * n + py).ravel() if rows else None,
                    copies=2 * (x < y) if mirrored and x != y else 1)
             for x, px in enumerate(xs) for y, py in enumerate(ys)
             if px.size and py.size]
@@ -414,7 +419,7 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
 def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
     """Place the block rows of ``rows`` in the family's load order of ``size``."""
     out = np.zeros((size,) + rows.shape[1:])
-    if block.partner is None:
+    if not block.sign:
         out[block.index] = rows
         return out
     pair = block.index != block.partner
@@ -515,7 +520,7 @@ def _swap_gram(block: _Block, wx: np.ndarray, wy: np.ndarray,
 def _gram(block: _Block, triple) -> np.ndarray:
     """The block of the dual Gram R = L A^{-1} L^T, formed from its
     ``_pair`` triple."""
-    if block.partner is None:
+    if not block.sign:
         return _volume_gram(*triple)
     return _swap_gram(block, *triple)
 
@@ -533,11 +538,11 @@ def _product(block: _Block, triple):
     nx, ny = len(wx), len(wy)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        if block.partner is not None:
+        if block.sign:
             v = _embed(block, v, nx * ny)
         modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
         image = (wx @ modes @ wy.T).ravel()
-        return image if block.partner is None else _restrict(block, image)
+        return _restrict(block, image) if block.sign else image
 
     return apply
 
@@ -616,16 +621,17 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
     return nx * ny - (spec.family == "C")
 
 
-#: orders up to which the eigensolves form their blocks: a full dense
-#: eigensolve of the formed pair beats the fixed cost of a Lanczos run (at
-#: least 9 operator applications) up to about this order
+#: orders up to which the eigensolves form their blocks. Where q >= 2p a
+#: Lanczos run takes 5 to 7 operator applications and beats a dense
+#: eigensolve of the formed pair from about order 60 (E1 (12, 32, 64),
+#: order 91: 0.30 against 0.62 ms); where q is close to p it takes twice
+#: as many, and the two are about even up to order 120 (E1 (14, 16, 32)).
+#: A cut at 60 moved no benchmark workload beyond its run-to-run spread
 _DENSE_ORDER = 100
 
-#: Lanczos vectors kept by each ARPACK run, which needs at most two
-#: eigenpairs. Over the published cells 8 takes the fewest operator
-#: applications: 1311, against 1350 at 6, 1325 at 12 and 1651 at scipy's
-#: default of 20, which applies the operator at least 21 times per run
-_KRYLOV_SIZE = 8
+#: the most steps a Lanczos run may take short of its operator's order; the
+#: blocks of the published cells converge within 22
+_LANCZOS_STEPS = 300
 
 #: relative floor on the smallest eigenvalue of the denominator dual Gram
 _PD_FLOOR = 1e-12
@@ -652,28 +658,67 @@ def _top_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
-    ``apply`` maps an n-vector to its image: ARPACK's Lanczos (Lehoucq,
-    Sorensen & Yang, 1998) runs to the relative accuracy ``tol`` (0 asks
-    for machine precision) from a seeded start vector, so repeated runs
-    return bitwise equal vectors. It keeps ``_KRYLOV_SIZE`` Lanczos vectors
-    (all n below that). Without ``vectors`` only the values are computed,
-    and None stands for the vectors.
+    ``apply`` maps an n-vector to its image. Lanczos with full
+    reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, ch. 13):
+    each image is orthogonalized twice against every basis vector
+    (classical Gram-Schmidt twice), so the basis stays orthonormal to
+    working precision and needs no restart. After each step LAPACK
+    ``dstevd`` solves the tridiagonal projection T, and the run stops once
+    each of its top k Ritz pairs (theta_i, s_i) has the residual bound
+    beta |s_i[-1]| <= max(tol, eps) |theta_i| (``tol`` 0 asks for machine
+    precision), beta the norm of the step's new direction, or once the
+    basis spans all n. A direction of norm at most eps times its image's
+    spans nothing new (as on the identity of a q = r block): T takes 0 for
+    its coupling, and the run goes on from a fresh start vector made
+    orthogonal to the basis. Start vectors come from a seeded generator, so
+    repeated runs return bitwise equal results. The basis grows with the
+    steps taken, not with n; a run that has not converged after
+    ``_LANCZOS_STEPS`` steps raises a NumericalError. Without ``vectors``
+    only the values are computed, and None stands for the vectors.
     """
-    # imported here: scipy.sparse.linalg costs start-up time and memory
-    # that only the large orders need
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    import scipy.linalg
 
-    op = LinearOperator((n, n), matvec=apply, dtype=float)
-    start = np.random.default_rng(0).standard_normal(n)
-    try:
-        result = eigsh(op, k=k, which="LA", tol=tol, v0=start,
-                       ncv=min(n, _KRYLOV_SIZE), return_eigenvectors=vectors)
-    except ArpackError as exc:
-        raise NumericalError(f"Lanczos eigensolve failed: {exc}") from exc
-    if not vectors:
-        return np.sort(result), None
-    order = np.argsort(result[0])
-    return result[0][order], result[1][:, order]
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    bound = max(tol, eps)
+    most = min(n, _LANCZOS_STEPS)
+    # the basis doubles as the run needs rows
+    basis, alpha, beta = np.empty((min(most, 16), n)), np.empty(most), np.empty(most)
+    direction = rng.standard_normal(n)
+    norm = np.linalg.norm(direction)
+    for steps in range(1, most + 1):
+        if steps > len(basis):
+            basis = np.resize(basis, (min(most, 2 * len(basis)), n))
+        basis[steps - 1] = direction / norm
+        kept = basis[:steps]
+        image = apply(kept[-1])
+        coeffs = kept @ image
+        alpha[steps - 1] = coeffs[-1]
+        direction = image - kept.T @ coeffs
+        direction -= kept.T @ (kept @ direction)
+        beta[steps - 1] = norm = np.linalg.norm(direction)
+        if norm <= eps * np.linalg.norm(image):
+            beta[steps - 1] = 0.0
+            direction = rng.standard_normal(n)
+            for _ in range(2):
+                direction -= kept.T @ (kept @ direction)
+            norm = np.linalg.norm(direction)
+        # dstevd reads no coupling at order 1 but takes an array of one
+        theta, ritz, info = scipy.linalg.lapack.dstevd(alpha[:steps],
+                                                      beta[:max(steps - 1, 1)])
+        if info:
+            raise NumericalError(f"Lanczos eigensolve failed: dstevd returned "
+                                 f"info {info}")
+        first = max(steps - k, 0)
+        if steps == n or (steps >= k and all(
+                beta[steps - 1] * abs(ritz[-1, i]) <= bound * abs(theta[i])
+                for i in range(first, steps))):
+            break
+    else:
+        raise NumericalError(
+            f"Lanczos eigensolve failed: the top {k} Ritz pairs of an operator "
+            f"of order {n} did not converge in {_LANCZOS_STEPS} steps")
+    return theta[first:], (kept.T @ ritz[:, first:] if vectors else None)
 
 
 def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
@@ -834,13 +879,10 @@ def saturation_coefficient(
     an empty one of its own.
     """
     # imported before the clock starts: the first cell of a process would
-    # otherwise time the imports as its own work. Only a block above
-    # _DENSE_ORDER takes the Lanczos route, which needs scipy.sparse.linalg
-    blocks = _spec_blocks(spec)
+    # otherwise time the import as its own work
     import scipy.linalg  # noqa: F401
-    if any(block.order > _DENSE_ORDER for block in blocks):
-        import scipy.sparse.linalg  # noqa: F401
 
+    blocks = _spec_blocks(spec)
     start = time.perf_counter()
     if factors is None:
         factors = {}
@@ -909,7 +951,13 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
     one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
     Gram and Cholesky terms to the kernels alone, the others to the wall
-    time of the published cells.
+    time of the published cells. The term above order 100 was refitted,
+    on a 2-core VM where it took about 0.1 s, to the eigensolve times of
+    the 77 such blocks of the published cells: it reads 0.84-1.18 of them
+    between the quartiles (median 0.97), and the whole estimate 0.45-1.35
+    of the wall time of the 31 cells with such blocks (median 0.90). A
+    run takes 5 to 7 steps where q >= 2p and up to 22 where q is close to
+    p, which the term does not tell apart.
     """
     r, q = spec.r, spec.q
     overhead = 4e-4
@@ -918,8 +966,8 @@ def estimated_seconds(spec: ProblemSpec) -> float:
         modes += 2.1e-4
     elif len(set(factor_conditions(spec.edges))) == 2:
         modes *= 2
-    blocks = [(block.order, block.partner is not None)
-              for block in _spec_blocks(spec) if block.copies]
+    blocks = [(block.order, bool(block.sign))
+              for block in _spec_blocks(spec, rows=False) if block.copies]
 
     def gram(n: int, degree: int, swap: bool) -> float:
         if swap:
@@ -928,6 +976,6 @@ def estimated_seconds(spec: ProblemSpec) -> float:
 
     grams = sum(gram(n, q, swap) for n, swap in blocks)
     eig = sum(gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
-              else 9.3e-4 + 7.4e-9 * n ** 2 + 8e-12 * n ** 3
+              else 6e-4 + 4.1e-9 * n ** 2 + 9.6e-12 * n ** 3
               for n, swap in blocks)
     return overhead + modes + grams + eig

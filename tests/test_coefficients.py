@@ -6,7 +6,8 @@ norm routes are cross-checked against independent dense linear algebra, the
 top-of-spectrum eigensolve against the full-spectrum oracle in
 ``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
 sparse-LU oracle in ``sparse_oracle``, the block route (parity classes
-and swap blocks) against the unsplit route in ``unsplit_oracle``, and the
+and swap blocks) against the unsplit route in ``unsplit_oracle``, the
+reorthogonalized Lanczos against ARPACK in ``arpack_oracle``, and the
 tridiagonal 1D factors, the resolvent edge weights and the closed-form
 load floors against the dense pencils, the 40-digit mpmath references and
 the per-class eigensolves in ``pencil_oracle``.
@@ -22,9 +23,10 @@ import pytest
 import scipy.linalg
 
 import refsat.coefficients
+from arpack_oracle import top_eigenpairs as arpack_top_eigenpairs
 from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
 from refsat.bases import BoundaryCondition1D
-from refsat.cli import load_published_table
+from refsat.cli import load_published_table, main
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
 from gram_oracle import swap_grams, volume_gram
 from pencil_oracle import (
@@ -657,6 +659,21 @@ def published_cells(max_p=None):
                    if max_p is None or entry.p <= max_p})
 
 
+def test_blocks_without_rows_keep_the_layout():
+    # the cost model reads the block orders without forming index arrays
+    for cell in published_cells():
+        spec = spec_for(*cell)
+        full, bare = _spec_blocks(spec), _spec_blocks(spec, rows=False)
+        assert len(full) == len(bare), cell
+        for block, orders_only in zip(full, bare):
+            assert orders_only.index is None and orders_only.partner is None
+            assert block.index.size == block.order == orders_only.order, cell
+            assert (block.partner is not None) == bool(block.sign), cell
+            assert ((block.x, block.y, block.sign, block.copies)
+                    == (orders_only.x, orders_only.y, orders_only.sign,
+                        orders_only.copies)), cell
+
+
 def coarse_floors(name, p, q, r, factors):
     """(spec, solved blocks, x side and y classes at q, their floors)."""
     spec = spec_for(name, p, q, r)
@@ -795,9 +812,8 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
     assert calls == []
 
 
-def test_lanczos_runs_keep_a_krylov_space_sized_to_two_eigenpairs(monkeypatch):
-    # operator applications of each Lanczos run; scipy's default of 20
-    # Lanczos vectors takes at least 21 on every block
+def counting_runs(monkeypatch):
+    """(order, k, operator applications) of each Lanczos run, as they run."""
     runs = []
     lanczos = refsat.coefficients._top_eigenpairs
 
@@ -809,16 +825,107 @@ def test_lanczos_runs_keep_a_krylov_space_sized_to_two_eigenpairs(monkeypatch):
             return apply(v)
 
         result = lanczos(counted, n, k, *args, **kwargs)
-        runs.append((n, len(calls)))
+        runs.append((n, k, len(calls)))
         return result
 
     monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting_lanczos)
-    for (name, p, q, r), most in ((("E2", 16, 32, 64), 12),
-                                  (("E1", 28, 32, 64), 30)):
+    return runs
+
+
+def test_lanczos_runs_stop_once_their_top_ritz_pairs_converge(monkeypatch):
+    # operator applications of each Lanczos run: 7 and 6 for E2, 16 and 16
+    # for E1, where ARPACK on an 8-vector Krylov space took 9 and 9, and 26
+    # and 20
+    runs = counting_runs(monkeypatch)
+    for (name, p, q, r), most in ((("E2", 16, 32, 64), 8),
+                                  (("E1", 28, 32, 64), 18)):
         runs.clear()
         saturation_coefficient(spec_for(name, p, q, r))
-        assert len(runs) == 2 and all(n > _DENSE_ORDER for n, _ in runs), name
-        assert all(count <= most for _, count in runs), (name, runs)
+        assert len(runs) == 2 and all(n > _DENSE_ORDER for n, _, _ in runs), name
+        assert all(count <= most for _, _, count in runs), (name, runs)
+
+
+def test_lanczos_matches_the_arpack_oracle(monkeypatch):
+    # every run also goes through ARPACK on the same operator; the top two
+    # values of each block must agree
+    compared = []
+    lanczos = refsat.coefficients._top_eigenpairs
+
+    def checked_lanczos(apply, n, k, *args, **kwargs):
+        values, vectors = lanczos(apply, n, k, *args, **kwargs)
+        expect, _ = arpack_top_eigenpairs(apply, n, k, *args, **kwargs)
+        if k == 2:
+            assert np.all(np.abs(values - expect) <= 1e-14 * np.abs(expect)), (
+                n, values, expect)
+            compared.append(n)
+        return values, vectors
+
+    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", checked_lanczos)
+    cells = [(name, p, q, r) for name, (family, _) in CANONICAL_PROBLEMS.items()
+             for p, q, r in EIGEN_CASES[family]]
+    cells += [(name, 28, 32, 64) for name in ("E1", "E2", "E3", "E4", "E5")]
+    for cell in cells:
+        try:
+            saturation_coefficient(spec_for(*cell))
+        except NumericalError as exc:
+            assert "ill-posed" in str(exc), cell
+    # the order-105 blocks of F1 and F3 at (104, 112, 128) and (104, 112, 112),
+    # and the blocks of E1..E5 at (28, 32, 64)
+    assert len(compared) == 17 and min(compared) > _DENSE_ORDER
+
+
+def test_lanczos_finds_the_top_of_a_known_spectrum():
+    top_eigenpairs = refsat.coefficients._top_eigenpairs
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    spectrum = np.linspace(1.0, 2.0, 300) ** 8
+    matrix = (q * spectrum) @ q.T
+    values, vectors = top_eigenpairs(matrix.__matmul__, 300, 2)
+    assert np.all(np.abs(values - spectrum[-2:]) <= 1e-13 * spectrum[-1])
+    assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-13)
+    defect = matrix @ vectors - vectors * values
+    assert np.linalg.norm(defect) <= 1e-12 * spectrum[-1]
+    assert np.array_equal(top_eigenpairs(matrix.__matmul__, 300, 2,
+                                         vectors=False)[0], values)
+    # the identity spans nothing past its start vector: each step starts
+    # afresh, and two steps find the top pair at 1
+    images = []
+
+    def identity(v):
+        images.append(v.copy())
+        return images[-1]
+
+    values, vectors = top_eigenpairs(identity, 50, 2)
+    assert len(images) == 2
+    assert np.allclose(values, [1.0, 1.0], rtol=1e-15, atol=0.0)
+    assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-15)
+    # a small operator is solved on its whole space
+    values, _ = top_eigenpairs(np.diag([3.0, 1.0, 2.0]).__matmul__, 3, 2)
+    assert np.allclose(values, [2.0, 3.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_q_equals_r_ties_at_one_on_the_lanczos_route(monkeypatch, name):
+    runs = counting_runs(monkeypatch)
+    spec = spec_for(name, 16, 32, 32)
+    assert block_orders(spec) == (153, 136)
+    res = saturation_coefficient(spec)
+    assert [n for n, _, _ in runs] == [153, 136]
+    assert abs(res.mu - 1.0) <= 1e-12
+    assert res.tie
+
+
+def test_a_lanczos_run_that_does_not_converge_is_a_numerical_failure(
+        monkeypatch, capsys):
+    monkeypatch.setattr(refsat.coefficients, "_LANCZOS_STEPS", 3)
+    with pytest.raises(NumericalError, match="^Lanczos eigensolve failed"):
+        saturation_coefficient(spec_for("E1", 16, 32, 64))
+    code = main(["compute", "--family", "A", "--edges", "1",
+                 "--p", "16", "--q", "32", "--r", "64"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: Lanczos eigensolve failed")
 
 
 #: the start of each rejection of a singular coarse block
@@ -1307,8 +1414,10 @@ def test_the_first_cell_is_timed_after_the_scipy_import():
     assert proc.stdout.split() == ["False", "True"]
 
 
-#: records whether scipy.sparse.linalg is loaded after a cell whose blocks
-#: are all dense, and when a Lanczos cell first reads its clock
+#: records whether scipy.sparse.linalg is loaded when a Lanczos cell
+#: (E1 (16, 20, 40), orders 153 and 136) reads its clock and after it
+#: returns, and whether scipy.linalg is loaded when it first reads its
+#: clock
 LANCZOS_CLOCK_PROBE = """\
 import sys, time, types
 import refsat.coefficients as coefficients
@@ -1316,29 +1425,28 @@ import refsat.coefficients as coefficients
 loaded = []
 
 def perf_counter():
-    loaded.append("scipy.sparse.linalg" in sys.modules)
+    loaded.append(("scipy.linalg" in sys.modules,
+                   "scipy.sparse.linalg" in sys.modules))
     return time.perf_counter()
 
 coefficients.time = types.SimpleNamespace(perf_counter=perf_counter)
-coefficients.saturation_coefficient(coefficients.ProblemSpec("A", {1}, 4, 8, 16))
-print("scipy.sparse.linalg" in sys.modules)
-loaded.clear()
 coefficients.saturation_coefficient(coefficients.ProblemSpec("A", {1}, 16, 20, 40))
-print(loaded[0])
+print(loaded[0][0], any(sparse for _, sparse in loaded))
+print("scipy.sparse.linalg" in sys.modules)
 """
 
 
-def test_the_first_lanczos_cell_is_timed_after_the_sparse_import():
-    """A cell with a block above ``_DENSE_ORDER`` does not count the
-    scipy.sparse.linalg import in its ``wall_seconds``, and a cell of dense
-    blocks alone does not load it."""
+def test_a_lanczos_cell_never_loads_the_sparse_solvers():
+    """A cell with a block above ``_DENSE_ORDER`` runs its Lanczos without
+    scipy.sparse.linalg, and reads its clock after scipy.linalg has
+    loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", LANCZOS_CLOCK_PROBE], capture_output=True,
         text=True, cwd=Path(refsat.coefficients.__file__).resolve().parents[1],
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["True", "False", "False"]
 
 
 def test_canonical_problem_list():

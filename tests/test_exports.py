@@ -68,3 +68,20 @@ def test_cli_imports_only_public_names_of_the_upper_layers():
         else:
             continue
         assert not {"assembly", "bases"} & set(parts), ast.unparse(node)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_the_sparse_solvers(name):
+    """The eigensolves run on numpy and ``scipy.linalg`` alone: no import,
+    at any level of a module, names ``scipy.sparse``."""
+    module = importlib.import_module(f"refsat.{name}")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            spellings = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            spellings = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(spelling.startswith("scipy.sparse")
+                       for spelling in spellings), ast.unparse(node)
