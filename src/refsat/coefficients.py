@@ -496,8 +496,9 @@ def _swap_gram(block: _Block, wx: np.ndarray, wy: np.ndarray,
     scaled R[(a, b), (c, d)] + sign R[(a, b), (d, c)]. The rows are formed
     one outer probe a at a time: the slab s[b, c, d] = R[(a, b), (c, d)]
     over the block's b >= a (b > a in the antisymmetric block) is one
-    batched product as in ``_volume_gram``, folded as s + sign s^T over
-    (c, d) and cut to the block's pairs c <= d. The rows and then the
+    batched product as in ``_volume_gram``; the block's rows gather its
+    columns (c, d), c <= d, and then add sign times its columns (d, c), so
+    the slab is never folded onto its transpose. The rows and then the
     columns of the pairs (a, a) are scaled by sqrt(1/2) in place. No array
     of the block's size is formed but the block.
     """
@@ -506,9 +507,10 @@ def _swap_gram(block: _Block, wx: np.ndarray, wy: np.ndarray,
     offset, start = int(block.sign < 0), 0
     for outer in range(len(wx) - offset):
         slab = np.matmul(xx[outer], z[outer + offset:])
-        slab += block.sign * slab.transpose(0, 2, 1)
+        slab = slab.reshape(len(slab), -1)
         rows = gram[start:start + len(slab)]
-        np.take(slab.reshape(len(slab), -1), block.index, axis=1, out=rows)
+        np.take(slab, block.index, axis=1, out=rows)
+        rows += block.sign * np.take(slab, block.partner, axis=1)
         start += len(slab)
     if offset == 0:
         pairs = np.flatnonzero(block.index == block.partner)
@@ -622,19 +624,24 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
 
 
 #: orders up to which the eigensolves form their blocks. Where q >= 2p a
-#: Lanczos run takes 5 to 7 operator applications and beats a dense
-#: eigensolve of the formed pair from about order 60 (E1 (12, 32, 64),
-#: order 91: 0.30 against 0.62 ms); where q is close to p it takes twice
-#: as many, and the two are about even up to order 120 (E1 (14, 16, 32)).
-#: A cut at 60 moved no benchmark workload beyond its run-to-run spread
+#: Lanczos run takes 4 to 6 operator applications and beats a dense
+#: eigensolve of the formed pair well below the cut (E1 (12, 32, 64),
+#: order 91: 0.25 against 0.55 ms); where q is close to p it takes 9 to
+#: 16, and the two are about even up to the cut (E1 (12, 14, 28), order
+#: 91: 0.61 against 0.58 ms; E1 (14, 16, 32), order 120: 0.66 against
+#: 0.88 ms). A cut at 60, with runs that also converged their second
+#: pairs, moved no benchmark workload beyond its run-to-run spread
 _DENSE_ORDER = 100
 
 #: the most steps a Lanczos run may take short of its operator's order; the
-#: blocks of the published cells converge within 22
+#: blocks of the published cells converge within 16
 _LANCZOS_STEPS = 300
 
 #: relative floor on the smallest eigenvalue of the denominator dual Gram
 _PD_FLOOR = 1e-12
+
+#: relative gap under which the top two eigenvalues of a pencil tie
+_TIE = 1e-12
 
 #: the start of the message of each rejection of a singular coarse block
 _ILL_POSED = ("denominator dual Gram is numerically singular; the coarse space "
@@ -663,13 +670,20 @@ def _top_eigenpairs(
     each image is orthogonalized twice against every basis vector
     (classical Gram-Schmidt twice), so the basis stays orthonormal to
     working precision and needs no restart. After each step LAPACK
-    ``dstevd`` solves the tridiagonal projection T, and the run stops once
-    each of its top k Ritz pairs (theta_i, s_i) has the residual bound
-    beta |s_i[-1]| <= max(tol, eps) |theta_i| (``tol`` 0 asks for machine
-    precision), beta the norm of the step's new direction, or once the
-    basis spans all n. A direction of norm at most eps times its image's
-    spans nothing new (as on the identity of a q = r block): T takes 0 for
-    its coupling, and the run goes on from a fresh start vector made
+    ``dstevd`` solves the tridiagonal projection T; beta |s_i[-1]| bounds
+    the residual of its Ritz pair (theta_i, s_i), beta the norm of the
+    step's new direction. The run stops once the top pair has
+    beta |s[-1]| <= max(tol, eps) |theta| (``tol`` 0 asks for machine
+    precision) and each of the k - 1 below it meets the same bound or lies
+    wholly below the tie gap, theta_i + beta |s_i[-1]| < theta - ``_TIE``
+    max(1, |theta|), or once the basis spans all n. So a lower pair is
+    either converged or a Ritz pair whose value, a lower bound on its
+    eigenvalue, is certified more than the gap below the top: it decides
+    the tie flag of ``_max_over_blocks`` as a converged one would. A near
+    tie inside the gap keeps the top pair from converging until the run
+    resolves both. A direction of norm at most eps times its image's spans
+    nothing new (as on the identity of a q = r block): T takes 0 for its
+    coupling, and the run goes on from a fresh start vector made
     orthogonal to the basis. Start vectors come from a seeded generator, so
     repeated runs return bitwise equal results. The basis grows with the
     steps taken, not with n; a run that has not converged after
@@ -710,9 +724,14 @@ def _top_eigenpairs(
             raise NumericalError(f"Lanczos eigensolve failed: dstevd returned "
                                  f"info {info}")
         first = max(steps - k, 0)
+        values = theta[first:].tolist()
+        residuals = (beta[steps - 1] * np.abs(ritz[-1, first:])).tolist()
+        gap = values[-1] - _TIE * max(1.0, abs(values[-1]))
+        # a lower pair may lie wholly below the tie gap instead; the top
+        # pair never does, so it must converge
         if steps == n or (steps >= k and all(
-                beta[steps - 1] * abs(ritz[-1, i]) <= bound * abs(theta[i])
-                for i in range(first, steps))):
+                residual <= bound * abs(value) or value + residual < gap
+                for value, residual in zip(values, residuals))):
             break
     else:
         raise NumericalError(
@@ -754,7 +773,10 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
 
     Returns the top two eigenvalues, ascending (one at order 1), the
     maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1,
-    and the norm of its defect r_top F - value L (L^T F).
+    and the norm of its defect r_top F - value L (L^T F). The top value is
+    converged; above order 100 the second may be a Lanczos Ritz value
+    certified below the tie gap (``_top_eigenpairs``), a lower bound on the
+    second eigenvalue that serves only the tie flag.
     """
     import scipy.linalg
 
@@ -853,7 +875,7 @@ def _max_over_blocks(solutions, copies, frobenius: float):
     value = max(tops)
     index = tops.index(value)
     _, maximizer, defect = solutions[index]
-    tie = len(spectrum) >= 2 and (value - spectrum[-2]) <= 1e-12 * max(1.0, abs(value))
+    tie = len(spectrum) >= 2 and (value - spectrum[-2]) <= _TIE * max(1.0, abs(value))
     scale = frobenius * np.linalg.norm(maximizer)
     residual = defect / max(scale, np.finfo(float).tiny)
     return value, tie, index, maximizer, residual
@@ -953,11 +975,12 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     Gram and Cholesky terms to the kernels alone, the others to the wall
     time of the published cells. The term above order 100 was refitted,
     on a 2-core VM where it took about 0.1 s, to the eigensolve times of
-    the 77 such blocks of the published cells: it reads 0.84-1.18 of them
-    between the quartiles (median 0.97), and the whole estimate 0.45-1.35
-    of the wall time of the 31 cells with such blocks (median 0.90). A
-    run takes 5 to 7 steps where q >= 2p and up to 22 where q is close to
-    p, which the term does not tell apart.
+    the 77 such blocks of the published cells. Measured again on such a
+    VM (three runs of three sweeps each), it reads 0.97-1.40 of them
+    between the quartiles (median 1.12-1.18), and the whole estimate
+    0.84-1.25 of the wall time of the 31 cells with such blocks (median
+    0.99-1.00). A run takes 4 to 6 steps where q >= 2p and 9 to 16 where
+    q is close to p, which the term does not tell apart.
     """
     r, q = spec.r, spec.q
     overhead = 4e-4

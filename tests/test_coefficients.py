@@ -833,12 +833,13 @@ def counting_runs(monkeypatch):
 
 
 def test_lanczos_runs_stop_once_their_top_ritz_pairs_converge(monkeypatch):
-    # operator applications of each Lanczos run: 7 and 6 for E2, 16 and 16
-    # for E1, where ARPACK on an 8-vector Krylov space took 9 and 9, and 26
-    # and 20
+    # operator applications of each Lanczos run: 6 and 6 for E2, 13 and 13
+    # for E1, as each second Ritz value is certified below the tie gap
+    # before it converges; converging the second pairs too takes 7 and 6,
+    # and 16 and 16
     runs = counting_runs(monkeypatch)
-    for (name, p, q, r), most in ((("E2", 16, 32, 64), 8),
-                                  (("E1", 28, 32, 64), 18)):
+    for (name, p, q, r), most in ((("E2", 16, 32, 64), 6),
+                                  (("E1", 28, 32, 64), 13)):
         runs.clear()
         saturation_coefficient(spec_for(name, p, q, r))
         assert len(runs) == 2 and all(n > _DENSE_ORDER for n, _, _ in runs), name
@@ -902,6 +903,55 @@ def test_lanczos_finds_the_top_of_a_known_spectrum():
     # a small operator is solved on its whole space
     values, _ = top_eigenpairs(np.diag([3.0, 1.0, 2.0]).__matmul__, 3, 2)
     assert np.allclose(values, [2.0, 3.0], rtol=1e-15)
+
+
+def rotated(spectrum):
+    """The product with a matrix of eigenvalues ``spectrum`` in a seeded
+    random basis, and the list of the vectors it is applied to."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal(
+        (spectrum.size, spectrum.size)))
+    matrix = (q * spectrum) @ q.T
+    applied = []
+
+    def apply(v):
+        applied.append(v)
+        return matrix @ v
+
+    return apply, applied
+
+
+def test_a_lanczos_run_stops_once_its_second_value_lies_below_the_tie_gap(
+        monkeypatch):
+    # the top pair 2 converges long before the second, 1, pulls clear of
+    # the bulk in [0, 0.9]: the run stops with a second Ritz value that is
+    # certified more than the tie gap below the top, a lower bound on 1
+    spectrum = np.concatenate([np.linspace(0.0, 0.9, 198), [1.0, 2.0]])
+    apply, applied = rotated(spectrum)
+    values, _ = refsat.coefficients._top_eigenpairs(apply, spectrum.size, 2)
+    assert abs(values[-1] - 2.0) <= 1e-14 * 2.0
+    assert values[-2] <= 1.0
+    # with no gap to certify against, the run goes on until both Ritz
+    # pairs converge
+    stopped = len(applied)
+    applied.clear()
+    monkeypatch.setattr(refsat.coefficients, "_TIE", np.inf)
+    both, _ = refsat.coefficients._top_eigenpairs(apply, spectrum.size, 2)
+    assert abs(both[-2] - 1.0) <= 1e-14
+    assert stopped < len(applied), (stopped, len(applied))
+
+
+@pytest.mark.parametrize("gap, tie", [(1e-13, True), (1e-11, False)])
+def test_a_lanczos_run_decides_a_near_tie(gap, tie):
+    # inside the tie gap the second pair cannot be certified below it, so
+    # the run resolves both pairs; outside it the second Ritz value, a
+    # lower bound, keeps the gap
+    spectrum = np.concatenate([np.linspace(0.0, 0.5, 198), [1.0, 1.0 + gap]])
+    apply, _ = rotated(spectrum)
+    values, vectors = refsat.coefficients._top_eigenpairs(apply, spectrum.size, 2)
+    value, tied, _, _, _ = _max_over_blocks([(values, vectors[:, -1], 0.0)],
+                                            [1], 1.0)
+    assert abs(value - (1.0 + gap)) <= 1e-14
+    assert tied == tie
 
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
