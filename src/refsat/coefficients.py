@@ -130,8 +130,9 @@ class SaturationResult:
     residual: float
     tie: bool
     wall_seconds: float
-    #: seconds spent building the 1D factors, the edge weights and each
-    #: block's load rows and weights (``factors``); the trace, the fine norm
+    #: seconds spent solving the 1D factors' chains, gathering their probe
+    #: rows up to p, computing the edge weights and each block's load rows
+    #: and weights (``factors``); the trace, the fine norm
     #: and the definiteness bounds, and forming each coarse block and each
     #: fine one of order up to 100 (``grams``); and factoring each coarse
     #: block, checking it is definite, solving its pencil against the fine
@@ -153,13 +154,32 @@ def q_strategy(name: str, p: int) -> int:
     raise ValueError(f"unknown strategy {name!r}, expected one of {Q_STRATEGIES}")
 
 
+class _Modes(NamedTuple):
+    """One class of a 1D factor in its eigenbasis, before its probe rows are
+    gathered (``_probe_rows``)."""
+
+    #: eigenvalues of the pencil S v = lambda M v; the constant of a free
+    #: factor (lambda = 0) comes first and is no chain mode
+    lam: np.ndarray
+    #: Q[j, i], the unit eigenvectors of the chain's tridiagonal mass, one
+    #: row per member j
+    vec: np.ndarray
+    #: sqrt(theta_i) of each chain mode: V = Q diag(root)^(-1)
+    root: np.ndarray
+    #: member[s, k] and coeff[s, k], the member whose term s is L_k and its
+    #: coefficient (0 where no member has L_k as term s), for k up to the
+    #: factor's degree
+    member: np.ndarray
+    coeff: np.ndarray
+
+
 class _Factor(NamedTuple):
-    """One 1D factor basis, or one parity class of it, in its eigenbasis."""
+    """One 1D factor basis, or one parity class of it, with its probe rows."""
 
     #: eigenvalues of the pencil S v = lambda M v
     lam: np.ndarray
     #: W[k, i] = <phi_k, v_i> for the probes phi_k of degree k that load the
-    #: modes, one row per degree from 0 up to the factor's
+    #: modes, one row per degree from 0 up to the cell's load degree p
     loads: np.ndarray
 
 
@@ -223,45 +243,70 @@ def _mass(index: np.ndarray, coeff: np.ndarray, degree: int):
     return (coeff * weighted).sum(axis=1), off
 
 
-def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Factor:
+def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Modes:
     """Modes of the members of a chain (see ``_chains``).
 
-    With S = I, S v = lambda M v is M v = v / lambda: the eigenpairs
-    theta, Q of the tridiagonal M give lambda = 1 / theta and
-    V = Q diag(theta)^(-1/2). The probe phi_k loads v_i with sqrt(2/(2k+1))
-    times its L_k coefficient.
+    With S = I, S v = lambda M v is M v = v / lambda: one LAPACK ``dstevd``
+    call gives the eigenpairs theta, Q of the tridiagonal M, so
+    lambda = 1 / theta and V = Q diag(theta)^(-1/2). Q is kept unscaled,
+    with the members that carry each Legendre degree, for ``_probe_rows``.
     """
+    n = len(index)
     theta, vec = np.ones(0), np.zeros((0, 0))
-    if len(index):
+    if n:
         import scipy.linalg
 
-        try:
-            theta, vec = scipy.linalg.eigh_tridiagonal(*_mass(index, coeff, degree))
-            if theta[0] <= 0.0:
-                raise scipy.linalg.LinAlgError("the mass is not definite")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"1D eigensolve failed: {exc}") from exc
-    vec = vec / np.sqrt(theta)
-    loads = np.zeros((degree + 1, theta.size))
-    for s in (0, 1):
-        loads[index[:, s]] += coeff[:, s, np.newaxis] * vec
-    loads *= np.sqrt(2.0 / (2.0 * np.arange(degree + 1) + 1.0))[:, np.newaxis]
-    return _Factor(1.0 / theta, loads)
+        diag, off = _mass(index, coeff, degree)
+        # dstevd reads no coupling at order 1 but takes an array of one
+        theta, vec, info = scipy.linalg.lapack.dstevd(
+            diag, off if n > 1 else np.zeros(1))
+        if info:
+            raise NumericalError(f"1D eigensolve failed: dstevd returned info {info}")
+        if theta[0] <= 0.0:
+            raise NumericalError("1D eigensolve failed: the mass is not definite")
+    member = np.zeros((2, degree + 1), dtype=int)
+    terms = np.zeros((2, degree + 1))
+    column = np.arange(2)[:, np.newaxis]
+    member[column, index.T] = np.arange(n)
+    terms[column, index.T] = coeff.T
+    return _Modes(1.0 / theta, vec, np.sqrt(theta), member, terms)
 
 
-def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Factor, ...]:
-    """The 1D factor of degree ``degree`` with ends ``bc``, one ``_Factor``
+def _classes(bc: BoundaryCondition1D, degree: int) -> tuple[_Modes, ...]:
+    """The 1D factor of degree ``degree`` with ends ``bc``, one ``_Modes``
     per class: one per chain of ``_chains``, and with no Dirichlet end the
-    constant (lambda = 0, set up exactly) joins the even chain. The probe
-    rows of the other parity of a parity class are exactly zero, and
-    ``_class_probes`` never asks for them.
+    constant (lambda = 0) joins the even chain.
     """
     classes = [_chain(index, coeff, degree) for index, coeff in _chains(bc, degree)]
     if _symmetric(bc) and not bc.dirichlet_at_minus1:
-        constant = (np.zeros(1), np.eye(degree + 1, 1))
-        classes[0] = _Factor(*(np.concatenate(pair, axis=-1)
-                               for pair in zip(constant, classes[0])))
+        classes[0] = classes[0]._replace(lam=np.concatenate(([0.0], classes[0].lam)))
     return tuple(classes)
+
+
+def _probe_rows(modes: _Modes, p: int) -> _Factor:
+    """A class of a 1D factor with its load rows of the probes up to degree
+    p <= its degree.
+
+    The probe phi_k = sqrt(k + 1/2) L_k loads a mode with sqrt(2/(2k+1))
+    times its L_k coefficient. L_k is a term of at most two members of a
+    chain, one per column of ``_chains``, so row k is c_0 V[j_0] + c_1 V[j_1]
+    for those members j_s and their coefficients c_s: the rows up to p
+    take O(p n) for n modes, and no full load matrix of all degree + 1
+    probes is formed. The constant of a free factor is loaded by phi_0
+    alone, with exactly 1. The rows of the other parity of a parity class
+    are exactly zero, and ``_class_probes`` never asks for them.
+    """
+    lam, vec, root, member, coeff = modes
+    loads = np.zeros((p + 1, lam.size))
+    first = lam.size - root.size
+    loads[0, :first] = 1.0
+    if root.size:
+        terms = vec[member[:, :p + 1]] / root
+        terms *= coeff[:, :p + 1, np.newaxis]
+        rows = loads[:, first:]
+        np.add(terms[0], terms[1], out=rows)
+        rows *= np.sqrt(2.0 / (2.0 * np.arange(p + 1) + 1.0))[:, np.newaxis]
+    return _Factor(lam, loads)
 
 
 def _last_pivot(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -320,24 +365,33 @@ def _factor_args(spec: ProblemSpec, degree: int) -> tuple[tuple, tuple]:
     return (bc_x, degree), (bc_y, degree)
 
 
+def _probed(args: tuple, p: int, factors: dict) -> tuple[_Factor, ...]:
+    """The classes of the 1D factor ``args`` = (bc, degree) with their probe
+    rows up to p, looked up in ``factors`` and filled in on a miss: the
+    modes of ``_classes`` under (bc, degree), so that every p shares one
+    eigensolve, and the classes with their rows under (bc, degree, p)."""
+    key = (*args, p)
+    if key not in factors:
+        if args not in factors:
+            factors[args] = _classes(*args)
+        factors[key] = tuple(_probe_rows(modes, p) for modes in factors[args])
+    return factors[key]
+
+
 def _sides(spec: ProblemSpec, degree: int, factors: dict) -> tuple[tuple, tuple]:
-    """The x side and the y classes of the spec's space at ``degree``.
+    """The x side and the y classes of the spec's space at ``degree``, with
+    the probe rows up to the spec's p (``_probed``).
 
     The x side is the tuple of x classes for family A. Families B and C
     see x only through the right-edge trace, and their x side is the edge
     weights of each y class instead (``_edge_weights``); no x factor is
-    built. Both are looked up in ``factors`` and filled in on a miss: the
-    classes under their (bc, degree), the edge weights under
-    ("edge", bc_x, bc_y, degree).
+    built. Both are looked up in ``factors`` and filled in on a miss, the
+    edge weights under ("edge", bc_x, bc_y, degree).
     """
     x_args, y_args = _factor_args(spec, degree)
-    if y_args not in factors:
-        factors[y_args] = _classes(*y_args)
-    ys = factors[y_args]
+    ys = _probed(y_args, spec.p, factors)
     if spec.family == "A":
-        if x_args not in factors:
-            factors[x_args] = _classes(*x_args)
-        return factors[x_args], ys
+        return _probed(x_args, spec.p, factors), ys
     key = ("edge", x_args[0], *y_args)
     if key not in factors:
         weights = _edge_weights(x_args[0], degree, np.concatenate([f.lam for f in ys]))
@@ -416,26 +470,34 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
             if px.size and py.size]
 
 
-def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
-    """Place the block rows of ``rows`` in the family's load order of ``size``."""
+def _swap_scales(block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of a swap block's row k on e_index[k] and e_partner[k]:
+    sqrt(1/2) and sign sqrt(1/2), or 1 and 0 where ``index[k] ==
+    partner[k]``."""
+    pair = block.index != block.partner
+    return (np.where(pair, np.sqrt(0.5), 1.0),
+            np.where(pair, block.sign * np.sqrt(0.5), 0.0))
+
+
+def _embed(block: _Block, rows: np.ndarray, size: int, scales=None) -> np.ndarray:
+    """Place the block rows of ``rows`` in the family's load order of
+    ``size``; a swap block's ``scales`` (``_swap_scales``) are formed here
+    unless given."""
     out = np.zeros((size,) + rows.shape[1:])
     if not block.sign:
         out[block.index] = rows
         return out
-    pair = block.index != block.partner
-    scale = np.where(pair, np.sqrt(0.5), 1.0)
-    rows = rows * scale.reshape((-1,) + (1,) * (rows.ndim - 1))
-    out[block.index] = rows
-    out[block.partner[pair]] += block.sign * rows[pair]
+    shape = (-1,) + (1,) * (rows.ndim - 1)
+    keep, swap = scales or _swap_scales(block)
+    out[block.index] = rows * keep.reshape(shape)
+    out[block.partner] += rows * swap.reshape(shape)
     return out
 
 
-def _restrict(block: _Block, full: np.ndarray) -> np.ndarray:
+def _restrict(block: _Block, full: np.ndarray, scales) -> np.ndarray:
     """The transpose of ``_embed`` for a swap block: its rows of the vector
     ``full``, given in the family's load order."""
-    pair = block.index != block.partner
-    keep = np.where(pair, np.sqrt(0.5), 1.0)
-    swap = np.where(pair, block.sign * np.sqrt(0.5), 0.0)
+    keep, swap = scales
     return keep * full[block.index] + swap * full[block.partner]
 
 
@@ -534,17 +596,18 @@ def _product(block: _Block, triple):
     outermost), the pair's Gram applies as Wx (G o (Wx^T V Wy)) Wy^T for
     the weights G of the ``_pair`` triple. A swap block embeds v in the
     load order first and takes its rows of the image back (``_embed``,
-    ``_restrict``).
+    ``_restrict``), with its scales formed once, not per application.
     """
     wx, wy, weights = triple
     nx, ny = len(wx), len(wy)
+    scales = _swap_scales(block) if block.sign else None
 
     def apply(v: np.ndarray) -> np.ndarray:
-        if block.sign:
-            v = _embed(block, v, nx * ny)
+        if scales:
+            v = _embed(block, v, nx * ny, scales)
         modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
         image = (wx @ modes @ wy.T).ravel()
-        return _restrict(block, image) if block.sign else image
+        return _restrict(block, image, scales) if scales else image
 
     return apply
 
@@ -980,7 +1043,11 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     between the quartiles (median 1.12-1.18), and the whole estimate
     0.84-1.25 of the wall time of the 31 cells with such blocks (median
     0.99-1.00). A run takes 4 to 6 steps where q >= 2p and 9 to 16 where
-    q is close to p, which the term does not tell apart.
+    q is close to p, which the term does not tell apart. Once each cell
+    gathered only its probe rows up to p, the 1D factor term read 0.73-0.86
+    of the factors stage of the 20 published B and C cells at r = 256 in
+    the median (six runs, best of five each): about 0.7 where the y
+    factor is one chain (F1, F3) and 1.0-1.2 where it is two (F2, F4, C).
     """
     r, q = spec.r, spec.q
     overhead = 4e-4

@@ -10,7 +10,10 @@ before ``refsat.coefficients`` took them from the 1D resolvent
 (``edge_weights``), and a 40-digit mpmath reference of both. Last, it
 keeps the small eigensolve of W W^T per class by which the coarse blocks
 were bounded from below before ``refsat.coefficients`` took that bound in
-closed form (``load_floor``).
+closed form (``load_floor``). And it keeps the full load matrix of each
+chain, scattered member by member over all degree + 1 probes, from which
+``refsat.coefficients`` read the probe rows up to p before it gathered
+just those rows (``scatter_classes``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
-from refsat.coefficients import NumericalError, _symmetric
+from refsat.coefficients import NumericalError, _chains, _Factor, _mass, _symmetric
 
 
 class Factor(NamedTuple):
@@ -100,6 +103,36 @@ def _classes(basis: Basis1D) -> tuple[Factor, ...]:
         raise ValueError("a symmetric factor basis has rows of mixed parity")
     return tuple(_factor(Basis1D(basis.kind, coeff[odd == parity], basis.bc))
                  for parity in (0, 1))
+
+
+def scatter_classes(bc, degree: int) -> tuple[_Factor, ...]:
+    """The classes of the 1D factor of degree ``degree`` with ends ``bc``
+    (``refsat.coefficients._chains``) with their full load matrices.
+
+    Each chain is solved by ``scipy.linalg.eigh_tridiagonal`` with the
+    LAPACK ``stevd`` driver, its modes scaled to V = Q diag(theta)^(-1/2),
+    and every member's coefficients scattered into the rows of all its
+    Legendre degrees, the rows then scaled by sqrt(2 / (2k + 1)). With no
+    Dirichlet end the constant, lambda = 0 and the load row e_0, is
+    prepended to the even chain.
+    """
+    classes = []
+    for index, coeff in _chains(bc, degree):
+        theta, vec = np.ones(0), np.zeros((0, 0))
+        if len(index):
+            theta, vec = scipy.linalg.eigh_tridiagonal(
+                *_mass(index, coeff, degree), lapack_driver="stevd")
+        vec = vec / np.sqrt(theta)
+        loads = np.zeros((degree + 1, theta.size))
+        for s in (0, 1):
+            loads[index[:, s]] += coeff[:, s, np.newaxis] * vec
+        loads *= np.sqrt(2.0 / (2.0 * np.arange(degree + 1) + 1.0))[:, np.newaxis]
+        classes.append(_Factor(1.0 / theta, loads))
+    if _symmetric(bc) and not bc.dirichlet_at_minus1:
+        constant = (np.zeros(1), np.eye(degree + 1, 1))
+        classes[0] = _Factor(*(np.concatenate(pair, axis=-1)
+                               for pair in zip(constant, classes[0])))
+    return tuple(classes)
 
 
 def edge_weights(xs, mu: np.ndarray, quotient: bool = False) -> np.ndarray:

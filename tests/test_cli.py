@@ -525,17 +525,27 @@ def test_saturation_forms_no_1d_pencil(capsys, monkeypatch):
 
 
 def test_failed_chain_eigensolve_is_a_numerical_failure(capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+    dstevd = scipy.linalg.lapack.dstevd
+    # E1 (4, 8, 16) solves its blocks densely: only the chains call dstevd.
+    # It fails by its info, or with a smallest eigenvalue of the mass at 0
+    for failure, reason in (("info", "dstevd returned info 3"),
+                            ("indefinite", "the mass is not definite")):
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-    with pytest.raises(NumericalError, match="1D eigensolve failed"):
-        saturation_coefficient(_spec_for_problem("E1", 4, 8, 16))
-    code, out, err = run_cli(["compute", "--family", "A", "--edges", "1",
-                              "--p", "4", "--q", "8", "--r", "16"], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("numerical failure: 1D eigensolve failed")
+        def fail(d, e, *args, failure=failure, **kwargs):
+            theta, vec, info = dstevd(d, e, *args, **kwargs)
+            if failure == "info":
+                return theta, vec, 3
+            return theta - theta[-1], vec, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", fail)
+        message = "1D eigensolve failed: " + reason
+        with pytest.raises(NumericalError, match=message):
+            saturation_coefficient(_spec_for_problem("E1", 4, 8, 16))
+        code, out, err = run_cli(["compute", "--family", "A", "--edges", "1",
+                                  "--p", "4", "--q", "8", "--r", "16"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: " + message)
 
 
 def test_failed_dense_eigensolve_is_a_numerical_failure(capsys, monkeypatch):

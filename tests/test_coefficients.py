@@ -37,6 +37,7 @@ from pencil_oracle import (
     load_floor as oracle_load_floor,
     reference_classes,
     reference_edge_weights,
+    scatter_classes,
 )
 from refsat.coefficients import (
     _DENSE_ORDER,
@@ -55,6 +56,7 @@ from refsat.coefficients import (
     _load_floor,
     _max_over_blocks,
     _pair,
+    _probe_rows,
     _product,
     _sides,
     _solve_pencil,
@@ -425,6 +427,74 @@ def test_parity_classes_merge_to_the_unsplit_modes():
                 assert part.loads.shape == (degree + 1, part.lam.size)
 
 
+def test_gathered_probe_rows_match_the_scattered_load_matrix():
+    # every end condition, every degree up to 64 and every 32nd up to 256,
+    # at p = 0, 1, about half the degree, and the degree less one and itself
+    degrees = [*range(1, 65), *range(96, 257, 32)]
+    checked = 0
+    for left in (False, True):
+        for right in (False, True):
+            bc = BoundaryCondition1D(left, right)
+            for degree in degrees[1:] if left and right else degrees:
+                modes = factor_classes(bc, degree)
+                expect = scatter_classes(bc, degree)
+                assert len(modes) == len(expect)
+                for part, oracle in zip(modes, expect):
+                    assert np.array_equal(part.lam, oracle.lam), (bc, degree)
+                    for p in sorted({0, 1, degree // 2, degree - 1, degree}):
+                        got = _probe_rows(part, p)
+                        assert got.lam is part.lam
+                        want = oracle.loads[:p + 1]
+                        assert got.loads.shape == want.shape, (bc, degree, p)
+                        # an exactly zero row, of the other parity, stays zero
+                        bound = 1e-14 * np.linalg.norm(want, axis=1)
+                        error = np.abs(got.loads - want).max(axis=1, initial=0.0)
+                        assert np.all(error <= bound), (bc, degree, p)
+                        checked += 1
+                if not (left or right):
+                    # the constant of the free factor: lambda = 0 and the
+                    # load row e_0, exactly
+                    even = _probe_rows(modes[0], degree)
+                    assert even.lam[0] == 0.0
+                    assert np.array_equal(even.loads[:, 0], np.eye(degree + 1)[0])
+    assert checked == 2060
+    # C with p = 1 at degree 1: the free even chain is empty, and the even
+    # class is the constant alone
+    spec = spec_for("C", 1, 1, 1)
+    _, (even, odd) = _sides(spec, 1, {})
+    assert np.array_equal(even.lam, [0.0])
+    assert np.array_equal(even.loads, [[1.0], [0.0]])
+    assert odd.loads.shape == (2, 1) and odd.loads[0, 0] == 0.0
+    assert saturation_coefficient(spec).mu == pytest.approx(1.0)
+
+
+def test_cells_that_differ_in_p_share_their_chain_eigensolves(monkeypatch):
+    solves = []
+    chain = refsat.coefficients._chain
+
+    def counting(index, coeff, degree):
+        solves.append(degree)
+        return chain(index, coeff, degree)
+
+    monkeypatch.setattr(refsat.coefficients, "_chain", counting)
+    factors = {}
+    cells = [spec_for("F2", 4, 8, 16), spec_for("F2", 8, 8, 16)]
+    results = [saturation_coefficient(spec, factors) for spec in cells]
+    # F2's free-free y factor: two parity chains at each of q and r, solved
+    # once for both cells, which gather their own probe rows
+    assert sorted(solves) == [8, 8, 16, 16]
+    free = BoundaryCondition1D()
+    for degree in (8, 16):
+        for p in (4, 8):
+            rows = [len(part.loads) for part in factors[free, degree, p]]
+            assert rows == [p + 1] * 2
+    # a shared table changes no result
+    for spec, result in zip(cells, results):
+        alone = saturation_coefficient(spec)
+        assert (alone.mu, alone.residual) == (result.mu, result.residual)
+        assert np.array_equal(alone.maximizer, result.maximizer)
+
+
 def test_only_the_mean_zero_constant_mode_is_set_up_exactly():
     # the odd class has no constant: its lowest mode is a sine-like one
     even, odd = _classes(build_basis_1d("mean_zero", r=9))
@@ -439,7 +509,8 @@ def test_1d_factors_match_a_40_digit_reference():
     # 1 / (lambda + mu) is of order 1e-8
     for kind, bc in FACTOR_KINDS:
         for degree in (8, 16, 24, 48):
-            classes = factor_classes(bc, degree)
+            classes = [_probe_rows(modes, degree)
+                       for modes in factor_classes(bc, degree)]
             reference = reference_classes(kind, bc, degree)
             assert len(classes) == len(reference)
             scale = max(np.max(np.abs(gram)) for _, gram in reference)
@@ -467,7 +538,8 @@ def test_chain_classes_match_the_pencil_oracle():
                 with pytest.raises(ValueError, match="empty"):
                     factor_classes(bc, degree)
                 continue
-            classes = factor_classes(bc, degree)
+            classes = [_probe_rows(modes, degree)
+                       for modes in factor_classes(bc, degree)]
             expect = _classes(build_basis_1d(kind, bc, degree))
             assert len(classes) == len(expect)
             top = max(part.lam.max() for part in expect if part.lam.size)
@@ -691,7 +763,9 @@ def test_closed_form_load_floors_match_the_lapack_route():
         for right in (False, True):
             bc = BoundaryCondition1D(left, right)
             for degree in degrees[1:] if left and right else degrees:
-                classes = factor_classes(bc, degree)
+                # row k does not depend on the p the rows are gathered to
+                classes = [_probe_rows(part, degree)
+                           for part in factor_classes(bc, degree)]
                 for p in range(degree + 1):
                     for cls, probes in enumerate(_class_probes(bc, p)):
                         if not probes.size:
@@ -1046,6 +1120,46 @@ def test_fine_products_match_the_formed_blocks(name):
                     <= 1e-13 * np.linalg.norm(gram)), (spec, block.x, block.y)
 
 
+def per_application_product(block, triple):
+    """``_product`` of a swap block with its pair mask and its scales built
+    again on every application, inside ``_embed`` and ``_restrict``."""
+    wx, wy, weights = triple
+    nx, ny = len(wx), len(wy)
+
+    def apply(v):
+        pair = block.index != block.partner
+        rows = v * np.where(pair, np.sqrt(0.5), 1.0)
+        full = np.zeros(nx * ny)
+        full[block.index] = rows
+        full[block.partner[pair]] += block.sign * rows[pair]
+        image = (wx @ (weights * (wx.T @ full.reshape(nx, ny) @ wy)) @ wy.T).ravel()
+        keep = np.where(pair, np.sqrt(0.5), 1.0)
+        swap = np.where(pair, block.sign * np.sqrt(0.5), 0.0)
+        return keep * image[block.index] + swap * image[block.partner]
+
+    return apply
+
+
+def test_swap_products_equal_the_per_application_scales_bitwise():
+    rng = np.random.default_rng(11)
+    factors, checked = {}, 0
+    for cell in published_cells():
+        if cell[0] != "E2":
+            continue
+        spec = spec_for(*cell)
+        blocks = _spec_blocks(spec)
+        for degree in (spec.q, spec.r):
+            pairs = triples(blocks, *_sides(spec, degree, factors))
+            for block, triple in zip(blocks, pairs):
+                vector = rng.standard_normal(block.order)
+                got = _product(block, triple)(vector)
+                expect = per_application_product(block, triple)(vector)
+                assert np.array_equal(got, expect), (cell, degree, block.sign)
+                checked += 1
+    # ten published E2 cells, each with a symmetric and an antisymmetric block
+    assert checked == 40
+
+
 @pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
 def test_factored_norm_matches_the_formed_grams(name):
     for spec, blocks, xs, ys in fine_blocks(name):
@@ -1265,9 +1379,8 @@ def test_e5_counts_its_mirror_block_twice():
     spectra = []
     for index in (1, 2):
         block = blocks[index]
-        fine, mid = (_gram(block, _pair(block, *(
-            factor_classes(*args) for args in _factor_args(spec, degree))))
-            for degree in (spec.r, spec.q))
+        fine, mid = (_gram(block, _pair(block, *_sides(spec, degree, {})))
+                     for degree in (spec.r, spec.q))
         spectra.append(scipy.linalg.eigvalsh(fine, mid))
     assert np.allclose(spectra[0], spectra[1], rtol=1e-12, atol=0.0)
     res = saturation_coefficient(spec)
