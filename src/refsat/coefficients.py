@@ -234,6 +234,14 @@ def _chains(bc: BoundaryCondition1D, degree: int) -> list:
              np.vstack([even_c[::-1], half, odd_c[:, ::-1]]))]
 
 
+def _chain_lengths(bc: BoundaryCondition1D, degree: int) -> tuple[int, ...]:
+    """The number of members of each chain of ``_chains(bc, degree)``: one
+    chain of ``degree`` with one Dirichlet end, else the even and the odd
+    one."""
+    ends = bc.dirichlet_at_minus1 + bc.dirichlet_at_plus1
+    return (degree,) if ends == 1 else (degree // 2, (degree + 1 - ends) // 2)
+
+
 def _mass(index: np.ndarray, coeff: np.ndarray, degree: int):
     """Diagonal and off-diagonal of the tridiagonal mass of a chain."""
     norms = 2.0 / (2.0 * np.arange(degree + 1) + 1.0)
@@ -1020,12 +1028,15 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     """Deterministic cost estimate in seconds, used for budget skipping.
 
     The terms follow the stages of ``saturation_coefficient``: a fixed
-    per-cell overhead; the 1D factors at q and at r, ~d^2 per factor of
-    degree d (family A counts its x and y factors, once where they
-    coincide; families B and C their y factor and a fixed cost for the
-    edge weights), for every cell, as a lone ``compute`` starts cold; and
-    per solved block of order n, its coarse Gram at degree q and its
-    eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
+    per-cell overhead; the 1D factors at q and at r, a fixed cost and ~n^2
+    per chain of n members (``_chain_lengths``: one chain of d members with
+    one Dirichlet end, two of about d/2 otherwise) for each distinct end
+    condition (family A counts its x and y factors, once where they
+    coincide; families B and C their y factor, and a fixed cost and ~d^2
+    for the edge weights, whose eliminations run over about d members for
+    about d values of mu), for every cell, as a lone ``compute`` starts
+    cold; and per solved block of order n, its coarse Gram at degree q and
+    its eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
     and ~n^2 d for its products at degree d, each priced apart for a swap
     block, whose slabs hold twice its entries and contract over twice as
     many modes. Up to order 100 the eigensolve is the fine block, formed
@@ -1043,19 +1054,24 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     between the quartiles (median 1.12-1.18), and the whole estimate
     0.84-1.25 of the wall time of the 31 cells with such blocks (median
     0.99-1.00). A run takes 4 to 6 steps where q >= 2p and 9 to 16 where
-    q is close to p, which the term does not tell apart. Once each cell
-    gathered only its probe rows up to p, the 1D factor term read 0.73-0.86
-    of the factors stage of the 20 published B and C cells at r = 256 in
-    the median (six runs, best of five each): about 0.7 where the y
-    factor is one chain (F1, F3) and 1.0-1.2 where it is two (F2, F4, C).
+    q is close to p, which the term does not tell apart. The 1D factor
+    term was refitted, on a 2-core VM where the kernel took about 0.14 s,
+    to the cold factors stage of the 145 distinct published cells (best of
+    five, six runs). On the 20 B and C cells at r = 256 it reads 0.92-1.19
+    of that stage per cell (median 1.03): 1.02-1.19 where the y factor is
+    one chain (F1, F3) and 0.92-1.01 where it is two (F2, F4, C). Priced
+    by the degree alone, as before, it read 0.74-1.19 (median 0.81):
+    0.74-0.87 and 1.08-1.19.
     """
     r, q = spec.r, spec.q
     overhead = 4e-4
-    modes = 2.4e-4 + 4.6e-8 * (r ** 2 + q ** 2)
+    x_args, y_args = _factor_args(spec, r)
+    conditions = {x_args[0], y_args[0]} if spec.family == "A" else {y_args[0]}
+    members = [n for bc in conditions for degree in (r, q)
+               for n in _chain_lengths(bc, degree)]
+    modes = 2.8e-4 * len(conditions) + 5.4e-8 * sum(n * n for n in members)
     if spec.family != "A":
-        modes += 2.1e-4
-    elif len(set(factor_conditions(spec.edges))) == 2:
-        modes *= 2
+        modes += 2.7e-4 + 1e-8 * (r ** 2 + q ** 2)
     blocks = [(block.order, bool(block.sign))
               for block in _spec_blocks(spec, rows=False) if block.copies]
 

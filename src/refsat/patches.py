@@ -70,15 +70,20 @@ def cell_sides(cell: tuple[int, int]) -> dict[str, GridEdge]:
     }
 
 
-#: the sides of every grid cell, shared by the traversal checks
-_SIDES = {cell: cell_sides(cell) for cell in GRID_CELLS}
-
-
 def edge_neighbors(edge: GridEdge) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two cells an edge would separate: (above, below) or (right, left)."""
     if edge.orientation == "H":
         return (edge.x, edge.y), (edge.x, edge.y - 1)
     return (edge.x, edge.y), (edge.x - 1, edge.y)
+
+
+#: each grid cell's (side, edge, the cell across that edge), sides in the
+#: order e1..e4, shared by the traversal checks
+_CELL_EDGES = {
+    cell: tuple((side, edge, next(c for c in edge_neighbors(edge) if c != cell))
+                for side, edge in cell_sides(cell).items())
+    for cell in GRID_CELLS
+}
 
 
 def owner_square(edge: GridEdge) -> tuple[int, int]:
@@ -301,7 +306,7 @@ def interior_edge_traversal(patch: RefinedPatch) -> tuple[TraversalStep, ...]:
         pending.remove(edge)
         owner = owner_square(edge)
         dirichlet, neumann = set(), set()
-        for name, side in _SIDES[owner].items():
+        for name, side, _ in _CELL_EDGES[owner]:
             if side == edge:
                 self_side = name
             elif side in patch.ext_dirichlet or side in pending:
@@ -385,6 +390,17 @@ def _source(offset: tuple[int, int], side: str) -> str:
     return _OPPOSITE[side] if offset[axis] else side
 
 
+#: each piece of each layout: its offset and, for each side in the order
+#: e1..e4, the side of the original whose trace it carries there, or None
+#: where its decay kills the trace
+_PIECES = {
+    name: tuple((offset, tuple(None if side in decayed else _source(offset, side)
+                               for side in ("e1", "e2", "e3", "e4")))
+                for offset, decayed in layout.items())
+    for name, layout in _LAYOUTS.items()
+}
+
+
 def _layout_valid(
     name: str,
     owner: tuple[int, int],
@@ -402,27 +418,19 @@ def _layout_valid(
     the traversed edge itself excepted.
     """
     squares = {}
-    for offset, decayed in _LAYOUTS[name].items():
-        square = (owner[0] + offset[0], owner[1] + offset[1])
+    for (dx, dy), sources in _PIECES[name]:
+        square = (owner[0] + dx, owner[1] + dy)
         if square in patch.cells:
-            squares[square] = offset, decayed
+            squares[square] = sources
     if owner not in squares:
         return False
-    interior = patch.interior_edges
-    for square, (offset, decayed) in squares.items():
-        for side, edge in _SIDES[square].items():
-            if edge == current:
+    for square, sources in squares.items():
+        for (_, edge, other), source in zip(_CELL_EDGES[square], sources):
+            if edge == current or source is None or source in dirichlet_sides:
                 continue
-            zero = side in decayed or _source(offset, side) in dirichlet_sides
-            a, b = edge_neighbors(edge)
-            other = b if a == square else a
-            if other in squares:
-                if (edge in later or edge in patch.ext_dirichlet) and not zero:
-                    return False
-                continue
-            if edge in interior or edge in patch.ext_dirichlet:
-                if not zero:
-                    return False
+            if edge in patch.ext_dirichlet or edge in (
+                    later if other in squares else patch.interior_edges):
+                return False
     return True
 
 
@@ -567,32 +575,13 @@ def _pencil_eigenvalues(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.linalg.solve(factor, half.T))
 
 
-def extension_norm(situation: str, degree: int) -> float:
-    """Exact norm of the situation's extension in the H1 seminorm.
-
-    Admissible v (coordinate degree ``degree``, zero trace on the clamped
-    sides) span tensor products of the 1D factors of ``_members``. Each
-    piece of the layout is v mirrored, an isometry of the seminorm, at most
-    times a linear decay w along one axis, so a layout without decay has
-    norm sqrt(number of pieces). Otherwise, with S, M the 1D stiffness and
-    mass Grams along the decay axis and B, C those of the decayed pieces
-    summed, the tensor pencil splits by fast diagonalization: the squared
-    norm is n_plain + max over theta of lambda_max(B + theta C, S + theta M),
-    for theta in the eigenvalues of the cross factor, 1 / eigvalsh(M_c), as
-    its one Dirichlet end makes its stiffness I. The dense 2D route is the
-    oracle ``extension_norm_2d`` in the tests.
-    """
-    if situation not in SITUATIONS:
-        raise ValueError(f"situation must be one of {SITUATIONS}, got {situation!r}")
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    if degree < 2:
-        raise ValueError(f"degree must be at least 2, got {degree}")
+def _decay_pencil(situation: str, degree: int):
+    """The 1D Grams of a decay situation's extension norm (see
+    ``extension_norm``): the number of plain pieces; B and C, the stiffness
+    and mass Grams of the decayed pieces summed; S and M, those of the
+    factor along the decay axis; and the cross modes theta, descending."""
     layout = _LAYOUTS[situation]
     decayed = [(offset, side) for offset, sides in layout.items() for side in sides]
-    n_plain = len(layout) - len(decayed)
-    if not decayed:
-        return float(np.sqrt(n_plain))
     zero = PRE_ZERO_SIDES[situation]
     ends = (BoundaryCondition1D("e3" in zero, "e1" in zero),
             BoundaryCondition1D("e4" in zero, "e2" in zero))
@@ -612,6 +601,49 @@ def extension_norm(situation: str, degree: int) -> float:
         b += _mass_1d(der)
         c += _mass_1d(_decay(along, 0, (w0, w1)))
     thetas = 1.0 / np.linalg.eigvalsh(_mass_1d(cross))
-    top = max(_pencil_eigenvalues(b + theta * c, stiff + theta * mass)[-1]
-              for theta in thetas)
-    return float(np.sqrt(n_plain + top))
+    return len(layout) - len(decayed), b, c, stiff, mass, thetas
+
+
+def _top_at_end_modes(b, c, stiff, mass, thetas) -> float:
+    """max over theta in ``thetas`` (positive and sorted) of
+    lambda_max(b + theta c, stiff + theta mass), from the first and the
+    last theta alone (see ``extension_norm``)."""
+    return max(_pencil_eigenvalues(b + theta * c, stiff + theta * mass)[-1]
+               for theta in (thetas[0], thetas[-1]))
+
+
+def extension_norm(situation: str, degree: int) -> float:
+    """Exact norm of the situation's extension in the H1 seminorm.
+
+    Admissible v (coordinate degree ``degree``, zero trace on the clamped
+    sides) span tensor products of the 1D factors of ``_members``. Each
+    piece of the layout is v mirrored, an isometry of the seminorm, at most
+    times a linear decay w along one axis, so a layout without decay has
+    norm sqrt(number of pieces). Otherwise, with S, M the 1D stiffness and
+    mass Grams along the decay axis and B, C those of the decayed pieces
+    summed, the tensor pencil splits by fast diagonalization: the squared
+    norm is n_plain + max over theta of lambda_max(B + theta C, S + theta M),
+    for theta in the eigenvalues of the cross factor, 1 / eigvalsh(M_c), as
+    its one Dirichlet end makes its stiffness I.
+
+    That maximum lies at the smallest or the largest theta, so two pencil
+    eigensolves give it. For a fixed x, with b = x^T B x, c = x^T C x,
+    s = x^T S x >= 0 and m = x^T M x > 0, the quotient
+    (b + theta c) / (s + theta m) is linear-fractional in theta, with a
+    denominator that is positive for theta > 0. Its derivative
+    (c s - b m) / (s + theta m)^2 keeps one sign, so the quotient is
+    monotone in theta and largest at one end of the modes; so is its
+    maximum over x. The dense 2D route is the oracle ``extension_norm_2d``
+    in the tests, and the loop over every mode ``extension_norm_all_modes``.
+    """
+    if situation not in SITUATIONS:
+        raise ValueError(f"situation must be one of {SITUATIONS}, got {situation!r}")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
+    if degree < 2:
+        raise ValueError(f"degree must be at least 2, got {degree}")
+    layout = _LAYOUTS[situation]
+    if not any(layout.values()):
+        return float(np.sqrt(len(layout)))
+    n_plain, *pencil = _decay_pencil(situation, degree)
+    return float(np.sqrt(n_plain + _top_at_end_modes(*pencil)))

@@ -22,6 +22,11 @@ the oracles and of ``random_admissible`` are ``_endpoint_nullspace``, the
 numpy SVD form of that null space, and ``_stiffness_1d`` differentiates
 their columns; both moved here from ``refsat.patches``, as did the mirror
 ``_mirror_x``, which the production norm no longer needs.
+``extension_norm_all_modes`` takes lambda_max at every cross mode on the
+production Grams, the loop that the end-point rule replaced, and
+``layout_valid_by_calls`` is the witness check that looked each cell's
+sides, neighbours and mirrored sources up by call, before
+``refsat.patches._layout_valid`` read them from tables built at import.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ from refsat.patches import (
     _DECAY_WEIGHTS,
     _LAYOUTS,
     _mass_1d,
+    _source,
+    cell_sides,
+    edge_neighbors,
 )
 
 
@@ -341,3 +349,42 @@ def extension_norm_scipy(situation: str, degree: int) -> float:
     top = max(scipy.linalg.eigh(b + theta * c, stiff + theta * mass,
                                 eigvals_only=True)[-1] for theta in thetas)
     return float(np.sqrt(len(layout) - len(decayed) + top))
+
+
+def extension_norm_all_modes(situation: str, degree: int) -> float:
+    """A decay situation's norm with lambda_max(B + theta C, S + theta M)
+    taken at every cross mode theta, on the Grams of
+    ``refsat.patches._decay_pencil``."""
+    n_plain, b, c, stiff, mass, thetas = patches._decay_pencil(situation, degree)
+    top = max(patches._pencil_eigenvalues(b + theta * c, stiff + theta * mass)[-1]
+              for theta in thetas)
+    return float(np.sqrt(n_plain + top))
+
+
+def layout_valid_by_calls(name, owner, dirichlet_sides, patch, later, current):
+    """``refsat.patches._layout_valid`` with every side, neighbour and
+    mirrored source found by a call to ``cell_sides``, ``edge_neighbors``
+    and ``_source``."""
+    squares = {}
+    for offset, decayed in _LAYOUTS[name].items():
+        square = (owner[0] + offset[0], owner[1] + offset[1])
+        if square in patch.cells:
+            squares[square] = offset, decayed
+    if owner not in squares:
+        return False
+    interior = patch.interior_edges
+    for square, (offset, decayed) in squares.items():
+        for side, edge in cell_sides(square).items():
+            if edge == current:
+                continue
+            zero = side in decayed or _source(offset, side) in dirichlet_sides
+            a, b = edge_neighbors(edge)
+            other = b if a == square else a
+            if other in squares:
+                if (edge in later or edge in patch.ext_dirichlet) and not zero:
+                    return False
+                continue
+            if edge in interior or edge in patch.ext_dirichlet:
+                if not zero:
+                    return False
+    return True

@@ -13,6 +13,7 @@ load floors against the dense pencils, the 40-digit mpmath references and
 the per-class eigensolves in ``pencil_oracle``.
 """
 
+import itertools
 import subprocess
 import sys
 import tracemalloc
@@ -527,6 +528,21 @@ def test_1d_factors_match_a_40_digit_reference():
             edge = _edge_weights(bc, degree, np.ones(1))[0]
             expect = sum(gram[-1, -1] for _, gram in reference)
             assert abs(edge - expect) <= 1e-14 * scale, (kind, bc, degree)
+
+
+def test_closed_form_chain_lengths_count_the_chain_members(monkeypatch):
+    """``_chain_lengths`` counts the members of every chain of ``_chains``
+    for the four end conditions, and ``estimated_seconds`` reads it
+    without building a chain."""
+    for minus, plus in itertools.product((False, True), repeat=2):
+        bc = BoundaryCondition1D(minus, plus)
+        for degree in range(1 + (minus and plus), 300):
+            lengths = tuple(len(index) for index, _ in
+                            refsat.coefficients._chains(bc, degree))
+            assert refsat.coefficients._chain_lengths(bc, degree) == lengths
+    monkeypatch.setattr(refsat.coefficients, "_chains", None)
+    for name in CANONICAL_PROBLEMS:
+        assert refsat.coefficients.estimated_seconds(spec_for(name, 64, 128, 256)) > 0
 
 
 def test_chain_classes_match_the_pencil_oracle():

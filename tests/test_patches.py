@@ -2,8 +2,9 @@
 
 The extensions built from ``_LAYOUTS`` are checked against the hand-written
 seam and clamped-side tables of ``extension_oracle``, and their exact norms
-against its Monte-Carlo ratios, its dense 2D eigenproblem and the scipy
-pencils of the 1D route.
+against its Monte-Carlo ratios, its dense 2D eigenproblem, the scipy
+pencils of the 1D route and the loop over every cross mode. The witness
+check is compared with the call-based one there.
 """
 
 import dataclasses
@@ -20,13 +21,16 @@ from extension_oracle import (
     decay_by_columns,
     extension_interface_checks,
     extension_norm_2d,
+    extension_norm_all_modes,
     extension_norm_scipy,
     extension_operator,
     h1_seminorm_squared,
+    layout_valid_by_calls,
     measured_extension_ratio,
     random_admissible,
     side_trace,
 )
+from test_cli import CORRUPTED_CATALOG
 from refsat import patches
 from refsat.patches import (
     PRE_ZERO_SIDES,
@@ -464,6 +468,34 @@ def test_verify_tries_each_steps_own_layout_first(monkeypatch):
     assert len(calls) == 172
 
 
+def test_witness_verdicts_match_the_call_based_oracle(tmp_path):
+    """The witness check read from tables gives the call-based verdict on
+    every (patch, step, layout) of the catalog, of its dihedral images and
+    of the corrupted catalog of the CLI tests."""
+    catalog = patch_catalog()
+    images = [
+        RefinedPatch(
+            id=pid, vertex_kind=patch.vertex_kind,
+            cells=frozenset(transform_cell(t, c) for c in patch.cells),
+            ext_dirichlet=frozenset(
+                transform_edge(t, e) for e in patch.ext_dirichlet))
+        for pid, patch in catalog.items() for t in range(1, 8)]
+    bad = tmp_path / "corrupted.txt"
+    bad.write_text(CORRUPTED_CATALOG)
+    verdicts = {}
+    for patch in [*catalog.values(), *images, *patch_catalog(str(bad)).values()]:
+        steps = interior_edge_traversal(patch)
+        for step in steps:
+            later = frozenset(s.edge for s in steps[step.index:])
+            for name in _LAYOUTS:
+                args = (name, step.owner, step.dirichlet_sides, patch, later,
+                        step.edge)
+                verdict = patches._layout_valid(*args)
+                assert verdict == layout_valid_by_calls(*args), (patch, step, name)
+                verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert verdicts == {True: 3580, False: 3714}
+
+
 def test_catalog_roundtrip_through_custom_path(tmp_path):
     source = patch_catalog()
     lines = []
@@ -666,10 +698,42 @@ def test_extension_norm_matches_the_scipy_pencils():
             assert abs(got - expected) <= tol * expected, (situ, degree)
 
 
+def test_extension_norm_equals_the_all_modes_loop_bitwise():
+    """Two cross modes, the smallest and the largest, give the norm that
+    the loop over every mode gives, to the last bit."""
+    for degree in range(2, 65):
+        for situ in ("d", "e"):
+            assert extension_norm(situ, degree) == extension_norm_all_modes(
+                situ, degree), (situ, degree)
+
+
+def test_the_end_modes_hold_the_largest_pencil_eigenvalue():
+    """For symmetric B and C, semidefinite S, definite M and sorted positive
+    thetas, in either direction, the largest lambda_max(B + theta C,
+    S + theta M) over the thetas is that at the smallest or the largest
+    theta, to a few ulps; either end can hold it."""
+    rng = np.random.default_rng(71)
+    ends = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        b, c = (a + a.T for a in rng.standard_normal((2, n, n)))
+        g = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+        h = rng.standard_normal((n, n))
+        stiff, mass = g @ g.T, h @ h.T + np.eye(n)
+        thetas = np.sort(np.exp(rng.uniform(-4.0, 4.0, int(rng.integers(2, 12)))))
+        every = [patches._pencil_eigenvalues(b + t * c, stiff + t * mass)[-1]
+                 for t in thetas]
+        top = patches._top_at_end_modes(b, c, stiff, mass, thetas[::-1])
+        assert top == patches._top_at_end_modes(b, c, stiff, mass, thetas)
+        assert max(every) <= top + 4 * np.spacing(abs(top))
+        ends.add(top == every[0])
+    assert ends == {True, False}
+
+
 def test_decay_extension_norms_settle_at_high_degree():
     """The norm is flat to rounding from degree 32 on."""
     for situ in ("d", "e"):
-        for degree in (32, 64, 128):
+        for degree in (32, 64, 128, 256):
             got = extension_norm(situ, degree)
             assert abs(got - 2.154603231938705) <= 1e-12 * got, (situ, degree)
 
