@@ -137,7 +137,8 @@ class SaturationResult:
     #: fine one of order up to 100 (``grams``); and factoring each coarse
     #: block, checking it is definite, solving its pencil against the fine
     #: block, or above order 100 the fine products, and taking the defect of
-    #: the maximizer (``eigensolve``)
+    #: the maximizer (``eigensolve``). A block on the Schur route forms
+    #: nothing: its class pair's setup and its run are all ``eigensolve``
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -240,6 +241,15 @@ def _chain_lengths(bc: BoundaryCondition1D, degree: int) -> tuple[int, ...]:
     one."""
     ends = bc.dirichlet_at_minus1 + bc.dirichlet_at_plus1
     return (degree,) if ends == 1 else (degree // 2, (degree + 1 - ends) // 2)
+
+
+def _class_sizes(bc: BoundaryCondition1D, degree: int) -> tuple[int, ...]:
+    """The number of modes of each class of ``_classes(bc, degree)``: its
+    chain's members, and with no Dirichlet end the constant in the even
+    class."""
+    lengths = _chain_lengths(bc, degree)
+    free = not (bc.dirichlet_at_minus1 or bc.dirichlet_at_plus1)
+    return (lengths[0] + free,) + lengths[1:]
 
 
 def _mass(index: np.ndarray, coeff: np.ndarray, degree: int):
@@ -694,7 +704,9 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
     return nx * ny - (spec.family == "C")
 
 
-#: orders up to which the eigensolves form their blocks. Where q >= 2p a
+#: orders up to which the eigensolves form both blocks; above it the fine
+#: block is applied by products, and the coarse one formed and factored
+#: unless it takes the Schur route above ``_SCHUR_ORDER``. Where q >= 2p a
 #: Lanczos run takes 4 to 6 operator applications and beats a dense
 #: eigensolve of the formed pair well below the cut (E1 (12, 32, 64),
 #: order 91: 0.25 against 0.55 ms); where q is close to p it takes 9 to
@@ -704,8 +716,16 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
 #: pairs, moved no benchmark workload beyond its run-to-run spread
 _DENSE_ORDER = 100
 
+#: orders above which a certified family-A block is solved through the
+#: Schur complement of its Kronecker sum (``_schur_inverse``) when that
+#: needs a smaller factor than the block's own. With the cut at 100
+#: instead, E3 (28, 32, 64), at orders 196-225, took 10 % longer, E5
+#: there as long, and E1, E2 and E4 (14, 16, 32), at 105-120, 30-42 %
+#: longer (median of seven alternations, one BLAS thread)
+_SCHUR_ORDER = 300
+
 #: the most steps a Lanczos run may take short of its operator's order; the
-#: blocks of the published cells converge within 16
+#: blocks of the published cells converge within 17
 _LANCZOS_STEPS = 300
 
 #: relative floor on the smallest eigenvalue of the denominator dual Gram
@@ -732,7 +752,7 @@ def _lapack(routine: str, *args, **kwargs) -> list:
 
 
 def _top_eigenpairs(
-    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True
+    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True, inner=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
@@ -760,6 +780,12 @@ def _top_eigenpairs(
     steps taken, not with n; a run that has not converged after
     ``_LANCZOS_STEPS`` steps raises a NumericalError. Without ``vectors``
     only the values are computed, and None stands for the vectors.
+
+    ``inner`` (v -> M v, M definite) makes every inner product and norm
+    that of M, and ``apply`` self-adjoint in it: as for M^{-1} K of a pencil
+    K F = lambda M F. The basis is then M-orthonormal, and M times each
+    basis vector is kept from one ``inner`` call per step, which the
+    projections read; the vectors are M-normalized.
     """
     import scipy.linalg
 
@@ -767,27 +793,40 @@ def _top_eigenpairs(
     eps = np.finfo(float).eps
     bound = max(tol, eps)
     most = min(n, _LANCZOS_STEPS)
-    # the basis doubles as the run needs rows
+
+    def metric(v: np.ndarray) -> tuple[np.ndarray, float]:
+        """M v (v itself without ``inner``) and the norm of v."""
+        mv = v if inner is None else inner(v)
+        return mv, np.sqrt(v @ mv)
+
+    # the basis, and M times it, double as the run needs rows
     basis, alpha, beta = np.empty((min(most, 16), n)), np.empty(most), np.empty(most)
+    mbasis = basis if inner is None else np.empty_like(basis)
     direction = rng.standard_normal(n)
-    norm = np.linalg.norm(direction)
+    mdirection, norm = metric(direction)
     for steps in range(1, most + 1):
         if steps > len(basis):
-            basis = np.resize(basis, (min(most, 2 * len(basis)), n))
+            rows = (min(most, 2 * len(basis)), n)
+            basis = np.resize(basis, rows)
+            mbasis = basis if inner is None else np.resize(mbasis, rows)
         basis[steps - 1] = direction / norm
-        kept = basis[:steps]
+        if inner is not None:
+            mbasis[steps - 1] = mdirection / norm
+        kept, mkept = basis[:steps], mbasis[:steps]
         image = apply(kept[-1])
-        coeffs = kept @ image
+        coeffs = mkept @ image
         alpha[steps - 1] = coeffs[-1]
         direction = image - kept.T @ coeffs
-        direction -= kept.T @ (kept @ direction)
-        beta[steps - 1] = norm = np.linalg.norm(direction)
-        if norm <= eps * np.linalg.norm(image):
+        direction -= kept.T @ (mkept @ direction)
+        mdirection, norm = metric(direction)
+        beta[steps - 1] = norm
+        # the image's norm is that of its projection and of the direction
+        if norm <= eps * np.hypot(np.linalg.norm(coeffs), norm):
             beta[steps - 1] = 0.0
             direction = rng.standard_normal(n)
             for _ in range(2):
-                direction -= kept.T @ (kept @ direction)
-            norm = np.linalg.norm(direction)
+                direction -= kept.T @ (mkept @ direction)
+            mdirection, norm = metric(direction)
         # dstevd reads no coupling at order 1 but takes an array of one
         theta, ritz, info = scipy.linalg.lapack.dstevd(alpha[:steps],
                                                       beta[:max(steps - 1, 1)])
@@ -809,6 +848,17 @@ def _top_eigenpairs(
             f"Lanczos eigensolve failed: the top {k} Ritz pairs of an operator "
             f"of order {n} did not converge in {_LANCZOS_STEPS} steps")
     return theta[first:], (kept.T @ ritz[:, first:] if vectors else None)
+
+
+def _check_margin(lowest: float, trace: float) -> None:
+    """Reject a coarse block whose smallest eigenvalue, computed or
+    estimated as ``lowest``, is under 1e-12 times ``trace``."""
+    margin = lowest / max(trace, np.finfo(float).tiny)
+    if margin < _PD_FLOOR:
+        raise NumericalError(
+            _ILL_POSED + f"estimated lambda_min/trace {margin:.3e} is "
+            f"under the floor {_PD_FLOOR:.0e}"
+        )
 
 
 def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
@@ -881,12 +931,7 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
             inverse_top, _ = _top_eigenpairs(lambda y: solve(solve(y, 0), 1),
                                              n, 1, tol=1e-8, vectors=False)
             lowest = 1.0 / float(inverse_top[-1])
-        margin = lowest / max(trace, np.finfo(float).tiny)
-        if margin < _PD_FLOOR:
-            raise NumericalError(
-                _ILL_POSED + f"estimated lambda_min/trace {margin:.3e} is "
-                f"under the floor {_PD_FLOOR:.0e}"
-            )
+        _check_margin(lowest, trace)
     if dense:
         # r_top is symmetric: its transpose is the Fortran-ordered matrix
         (reduced,) = _lapack("dsygst", r_top.T, factor, lower=1)
@@ -902,8 +947,101 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
     return values, maximizer, float(np.linalg.norm(defect))
 
 
+def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
+                   lam_y: np.ndarray):
+    """v -> R^{-1} v for the dual Gram R = (Wx (x) Wy) G (Wx (x) Wy)^T of a
+    family-A class pair, with no formed block and no factor of it.
+
+    G^{-1} = diag(lam_x) (+) diag(lam_y) is the Kronecker sum of the
+    classes' eigenvalues (fast diagonalization, see ``_pair``). With the
+    complete QRs Wx^T = Qx [Lx^T; 0], Wy^T = Qy [Ly^T; 0] and the rotated
+    sum H = Ax (+) Ay, Ax = Qx^T diag(lam_x) Qx and Ay likewise, R is
+    (Lx (x) Ly) (H^{-1})11 (Lx (x) Ly)^T, so
+
+        R^{-1} = (Lx (x) Ly)^{-T} (H11 - H12 H22^{-1} H21) (Lx (x) Ly)^{-1},
+
+    set 1 being the nx ny mode pairs (a, b) with a < nx and b < ny, set 2
+    the other k = mx my - nx ny. H applies as Ax V + V Ay to the mx x my
+    array V of a vector, and the Schur complement of one as H [v; -w] on
+    set 1, with H22 w = (H [v; 0]) on set 2. Only the k x k block H22,
+    entries Ax[c, c'] [d = d'] + [c = c'] Ay[d, d'], is formed, and
+    factored by ``dpotrf``; H is definite, as every family-A pair has a
+    factor with a Dirichlet end, whose lam are positive. The first term
+    alone is the Kronecker sum (Lx^{-T} Ax11 Lx^{-1}) (x) My + Mx (x)
+    (Ly^{-T} Ay11 Ly^{-1}) of 1D matrices, M = L^{-T} L^{-1}. The rows of
+    each W must be independent, as they are in every block that passes
+    the caller's floor check.
+    """
+    import scipy.linalg
+
+    (nx, mx), (ny, my) = wx.shape, wy.shape
+    sides = []
+    for w, lam in ((wx, lam_x), (wy, lam_y)):
+        q, r = scipy.linalg.qr(w.T, check_finite=False)
+        (inverse,) = _lapack("dtrtri", r[:len(w)])
+        sides.append(((q.T * lam) @ q, inverse))
+    (ax, ux), (ay, uy) = sides
+    outer = np.ones((mx, my), dtype=bool)
+    outer[:nx, :ny] = False
+    c, d = np.nonzero(outer)
+    h22 = (ax.take(c, 0).take(c, 1) * np.equal.outer(d, d)
+           + np.equal.outer(c, c) * ay.take(d, 0).take(d, 1))
+    (factor,) = _lapack("dpotrf", h22, lower=1, overwrite_a=1)
+    dpotrs = scipy.linalg.lapack.dpotrs
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        # ux = Lx^{-T}: (Lx (x) Ly)^{-1} v is ux^T V uy on its nx x ny array
+        modes = np.zeros((mx, my))
+        modes[:nx, :ny] = ux.T @ v.reshape(nx, ny) @ uy
+        image = ax @ modes + modes @ ay
+        if c.size:
+            modes[c, d] = -dpotrs(factor, image[c, d], lower=1)[0]
+            image = ax[:nx] @ modes[:, :ny] + modes[:nx] @ ay[:, :ny]
+        return (ux @ image[:nx, :ny] @ uy.T).ravel()
+
+    return apply
+
+
+def _schur_route(block: _Block, mx: int, my: int) -> bool:
+    """Whether ``_solve_block`` solves a block by ``_solve_schur``: a
+    family-A block above ``_SCHUR_ORDER`` whose class pair, of mx x my
+    mode pairs, has k = mx my - nx ny < n outside its probes' nx x ny."""
+    return (block.x is not None and block.order > _SCHUR_ORDER
+            and mx * my - block.px.size * block.py.size < block.order)
+
+
+def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
+    """Top of the pencil R_r F = lambda R_q F of one block by Lanczos on
+    R_q^{-1} R_r in the R_q inner product (``_top_eigenpairs``), with
+    ``inverse`` the ``_schur_inverse`` of the block's class pair and the
+    ``_product`` of both sides: two products and one inverse per step. A
+    swap block's inverse is its rows of the pair's (``_embed``,
+    ``_restrict``), as R commutes with the probe swap. A block whose
+    ``floor`` does not certify it has its smallest eigenvalue estimated as
+    1 / lambda_max(R_q^{-1}), as in ``_solve_pencil``, and checked against
+    ``trace``. Returns what ``_solve_pencil`` returns; the maximizer has
+    F^T R_q F = 1, and its defect is taken from the two products.
+    """
+    top, bottom = _product(block, fine), _product(block, mid)
+    if block.sign:
+        size, scales, pair = len(mid[0]) * len(mid[1]), _swap_scales(block), inverse
+
+        def inverse(v: np.ndarray) -> np.ndarray:
+            return _restrict(block, pair(_embed(block, v, size, scales)), scales)
+
+    if floor < _PD_FLOOR * trace:
+        inverse_top, _ = _top_eigenpairs(inverse, block.order, 1, tol=1e-8,
+                                         vectors=False)
+        _check_margin(1.0 / float(inverse_top[-1]), trace)
+    values, vectors = _top_eigenpairs(lambda v: inverse(top(v)), block.order, 2,
+                                      inner=bottom)
+    maximizer = vectors[:, -1]
+    defect = top(maximizer) - values[-1] * bottom(maximizer)
+    return values, maximizer, float(np.linalg.norm(defect))
+
+
 def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
-                 stages: dict):
+                 stages: dict, schur):
     """Form one solved block's pencil and solve it (``_solve_pencil``).
 
     ``fine`` and ``mid`` are the block's ``_pair`` triples at degrees r and
@@ -912,10 +1050,17 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
     block is formed, and the fine one up to order ``_DENSE_ORDER``; above
     it the fine block is applied by ``_product`` and never formed. Both
     live only in this call, so a cell that solves its blocks one call at a
-    time holds one block at a time. ``stages`` adds up the seconds spent
-    forming the blocks (``grams``) and solving them (``eigensolve``).
+    time holds one block at a time. A block on the Schur route
+    (``_schur_route``) is solved by ``_solve_schur`` instead, with no block
+    formed: ``schur(block, mid)`` gives its pair's ``_schur_inverse``. ``stages
+    adds up the seconds spent forming the blocks (``grams``) and solving
+    them (``eigensolve``).
     """
     clock = time.perf_counter()
+    if _schur_route(block, mid[0].shape[1], mid[1].shape[1]):
+        solution = _solve_schur(block, fine, mid, schur(block, mid), floor, trace)
+        stages["eigensolve"] += time.perf_counter() - clock
+        return solution
     r_top = (_gram(block, fine) if block.order <= _DENSE_ORDER
              else _product(block, fine))
     r_bottom = _gram(block, mid)
@@ -979,7 +1124,7 @@ def saturation_coefficient(
     start = time.perf_counter()
     if factors is None:
         factors = {}
-    sides = (_sides(spec, degree, factors) for degree in (spec.r, spec.q))
+    sides = [_sides(spec, degree, factors) for degree in (spec.r, spec.q)]
     fine, mid = ([_pair(block, xs, ys) for block in blocks] for xs, ys in sides)
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,
               "eigensolve": 0.0}
@@ -1004,7 +1149,19 @@ def saturation_coefficient(
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = [floor - rounding for floor in floors]
     stages["grams"] += time.perf_counter() - clock
-    solutions = [_solve_block(*args, trace, stages)
+    xs, ys = sides[1]
+    setups = {}
+
+    def schur(block: _Block, triple):
+        """The ``_schur_inverse`` of the block's class pair, built once for
+        the pair: E2's two swap blocks share it."""
+        key = (block.x, block.y)
+        if key not in setups:
+            setups[key] = _schur_inverse(*triple[:2], xs[block.x].lam,
+                                         ys[block.y].lam)
+        return setups[key]
+
+    solutions = [_solve_block(*args, trace, stages, schur)
                  for args in zip(solved, fine, mid, floors)]
     value, tie, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in solved], frobenius)
@@ -1042,19 +1199,31 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     many modes. Up to order 100 the eigensolve is the fine block, formed
     as the coarse one is at degree r, and a dense reduction and full
     eigensolve of the formed pair (a fixed cost and ~n^3); above it a
-    Cholesky factor (~n^3) and one Lanczos run of a fixed cost and ~n^2.
+    Cholesky factor (~n^3) and one Lanczos run, each step a fixed cost and
+    ~n^2. A run takes 4 to 6 steps where q >= 2p and 10 to 17 where q is
+    close to p on the published blocks, priced as 5 and 13. A block on the
+    Schur route (``_schur_route``), always one where q is close to p, has
+    no Gram: its class pair's setup costs a fixed amount, ~k^2 to form H22
+    and ~k^3 to factor it, once per pair, and each Lanczos step a fixed
+    cost and ~mx my (mx + my) for the products with the 1D matrices of the
+    inverse, which outweigh the two block products. Where the closed-form
+    floor does not certify such a block, as at E1 (256, 260, 520), its
+    definiteness estimate adds a values-only run on the inverse, which is
+    not priced; no published block needs one.
     Every constant is in seconds at the speed where
     ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
     one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
-    Gram and Cholesky terms to the kernels alone, the others to the wall
-    time of the published cells. The term above order 100 was refitted,
-    on a 2-core VM where it took about 0.1 s, to the eigensolve times of
-    the 77 such blocks of the published cells. Measured again on such a
-    VM (three runs of three sweeps each), it reads 0.97-1.40 of them
-    between the quartiles (median 1.12-1.18), and the whole estimate
-    0.84-1.25 of the wall time of the 31 cells with such blocks (median
-    0.99-1.00). A run takes 4 to 6 steps where q >= 2p and 9 to 16 where
-    q is close to p, which the term does not tell apart. The 1D factor
+    Gram terms to the kernels alone, the others to the wall time of the
+    published cells. The terms above order 100 were refitted, on a 2-core
+    VM where the kernel took 0.13-0.18 s, by relative least squares to the
+    calls of the 77 such blocks of the published cells (best of three).
+    Over that run and a second one, the Cholesky term reads 0.51-1.53 of
+    its 45 ``_solve_pencil`` calls (medians 0.95 and 1.05), the Schur
+    setup 0.62-1.65 of its 29 ``_schur_inverse`` calls (0.98 and 1.00),
+    the Schur steps 0.55-1.48 of its 32 ``_solve_schur`` calls (0.93 and
+    1.01), and the whole estimate 0.68-2.15 of the wall time of the 31
+    cells with such blocks (1.04 and 1.07), their 1D factors already
+    built. The 1D factor
     term was refitted, on a 2-core VM where the kernel took about 0.14 s,
     to the cold factors stage of the 145 distinct published cells (best of
     five, six runs). On the 20 B and C cells at r = 256 it reads 0.92-1.19
@@ -1072,16 +1241,28 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     modes = 2.8e-4 * len(conditions) + 5.4e-8 * sum(n * n for n in members)
     if spec.family != "A":
         modes += 2.7e-4 + 1e-8 * (r ** 2 + q ** 2)
-    blocks = [(block.order, bool(block.sign))
-              for block in _spec_blocks(spec, rows=False) if block.copies]
 
     def gram(n: int, degree: int, swap: bool) -> float:
         if swap:
             return 3.9e-5 + 3.7e-9 * n ** 2 + 1.1e-10 * n ** 2 * degree
         return 6e-6 + 6.4e-10 * n ** 2 + 2.4e-11 * n ** 2 * degree
 
-    grams = sum(gram(n, q, swap) for n, swap in blocks)
-    eig = sum(gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
-              else 6e-4 + 4.1e-9 * n ** 2 + 9.6e-12 * n ** 3
-              for n, swap in blocks)
-    return overhead + modes + grams + eig
+    steps = 5 if q >= 2 * spec.p else 13
+    grams = eig = 0.0
+    setups = {}
+    for block in _spec_blocks(spec, rows=False):
+        n, swap = block.order, bool(block.sign)
+        if not block.copies:
+            continue
+        if block.x is not None:
+            mx, my = (_class_sizes(args[0], q)[cls]
+                      for args, cls in ((x_args, block.x), (y_args, block.y)))
+            if _schur_route(block, mx, my):
+                k = mx * my - block.px.size * block.py.size
+                setups[block.x, block.y] = 3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
+                eig += steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my))
+                continue
+        grams += gram(n, q, swap)
+        eig += (gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
+                else 5e-4 + 1.2e-11 * n ** 3 + steps * (7.8e-6 + 1.1e-10 * n ** 2))
+    return overhead + modes + grams + eig + sum(setups.values())

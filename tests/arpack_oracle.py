@@ -27,7 +27,7 @@ KRYLOV_SIZE = 8
 
 
 def top_eigenpairs(
-    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True
+    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True, inner=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
@@ -35,13 +35,30 @@ def top_eigenpairs(
     relative accuracy ``tol`` (0 asks for machine precision) from a seeded
     start vector, so repeated runs return bitwise equal vectors. It keeps
     ``KRYLOV_SIZE`` Lanczos vectors (all n below that). Without ``vectors``
-    only the values are computed, and None stands for the vectors.
+    only the values are computed, and None stands for the vectors. With
+    ``inner`` (v -> M v), ``apply`` is self-adjoint in the M inner product:
+    ARPACK runs in its mode 2 on A x = lambda M x, A = M ``apply``. Mode 2
+    applies M^{-1} only to the A x it has just asked for, so M^{-1} returns
+    the image of ``apply`` that A x was formed from.
     """
     op = LinearOperator((n, n), matvec=apply, dtype=float)
+    metric = {}
+    if inner is not None:
+        images = []
+
+        def product(v):
+            images.append(apply(v))
+            return inner(images[-1])
+
+        op = LinearOperator((n, n), matvec=product, dtype=float)
+        metric = {"M": LinearOperator((n, n), matvec=inner, dtype=float),
+                  "Minv": LinearOperator((n, n), matvec=lambda _: images.pop(),
+                                         dtype=float)}
     start = np.random.default_rng(0).standard_normal(n)
     try:
         result = eigsh(op, k=k, which="LA", tol=tol, v0=start,
-                       ncv=min(n, KRYLOV_SIZE), return_eigenvectors=vectors)
+                       ncv=min(n, KRYLOV_SIZE), return_eigenvectors=vectors,
+                       **metric)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos eigensolve failed: {exc}") from exc
     if not vectors:

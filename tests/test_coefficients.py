@@ -42,6 +42,7 @@ from pencil_oracle import (
 )
 from refsat.coefficients import (
     _DENSE_ORDER,
+    _SCHUR_ORDER,
     CANONICAL_PROBLEMS,
     NumericalError,
     ProblemSpec,
@@ -59,7 +60,9 @@ from refsat.coefficients import (
     _pair,
     _probe_rows,
     _product,
+    _schur_inverse,
     _sides,
+    _solve_block,
     _solve_pencil,
     _spec_blocks,
     _volume_gram,
@@ -532,14 +535,19 @@ def test_1d_factors_match_a_40_digit_reference():
 
 def test_closed_form_chain_lengths_count_the_chain_members(monkeypatch):
     """``_chain_lengths`` counts the members of every chain of ``_chains``
-    for the four end conditions, and ``estimated_seconds`` reads it
-    without building a chain."""
+    and ``_class_sizes`` the modes of every class of ``_classes`` for the
+    four end conditions, and ``estimated_seconds`` reads them without
+    building a chain."""
     for minus, plus in itertools.product((False, True), repeat=2):
         bc = BoundaryCondition1D(minus, plus)
         for degree in range(1 + (minus and plus), 300):
             lengths = tuple(len(index) for index, _ in
                             refsat.coefficients._chains(bc, degree))
             assert refsat.coefficients._chain_lengths(bc, degree) == lengths
+            if degree <= 64:
+                sizes = tuple(modes.lam.size for modes in
+                              refsat.coefficients._classes(bc, degree))
+                assert refsat.coefficients._class_sizes(bc, degree) == sizes
     monkeypatch.setattr(refsat.coefficients, "_chains", None)
     for name in CANONICAL_PROBLEMS:
         assert refsat.coefficients.estimated_seconds(spec_for(name, 64, 128, 256)) > 0
@@ -1058,8 +1066,10 @@ def test_q_equals_r_ties_at_one_on_the_lanczos_route(monkeypatch, name):
 def test_a_lanczos_run_that_does_not_converge_is_a_numerical_failure(
         monkeypatch, capsys):
     monkeypatch.setattr(refsat.coefficients, "_LANCZOS_STEPS", 3)
-    with pytest.raises(NumericalError, match="^Lanczos eigensolve failed"):
-        saturation_coefficient(spec_for("E1", 16, 32, 64))
+    # the Cholesky route, and the Schur route of E1 (28, 32, 64)
+    for cell in (("E1", 16, 32, 64), ("E1", 28, 32, 64)):
+        with pytest.raises(NumericalError, match="^Lanczos eigensolve failed"):
+            saturation_coefficient(spec_for(*cell))
     code = main(["compute", "--family", "A", "--edges", "1",
                  "--p", "16", "--q", "32", "--r", "64"])
     out, err = capsys.readouterr()
@@ -1281,9 +1291,10 @@ def test_coarse_kernels_match_the_replaced_contractions():
 
 def residual_gap(spec, factors) -> tuple[float, int]:
     """|residual - formed| and the order n of the winning block, where the
-    eigensolve's residual takes r_bottom F as L (L^T F) from the factor
-    that overwrote the block, and ``formed`` takes it from a kept copy of
-    the formed block."""
+    eigensolve's residual is taken on each block's production route, from
+    the Cholesky factor that overwrote its formed block or from the two
+    products of the Schur route, and ``formed`` takes it from a kept copy
+    of the formed block."""
     every = _spec_blocks(spec)
     blocks = [block for block in every if block.copies]
     fine, mid = (triples(blocks, *_sides(spec, degree, factors))
@@ -1291,27 +1302,29 @@ def residual_gap(spec, factors) -> tuple[float, int]:
     trace = _gram_trace(every, triples(every, *_sides(spec, spec.q, factors)))
     frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
     kept = [_gram(*pair) for pair in zip(blocks, mid)]
-    # the fine sides as ``_solve_block`` passes them
-    tops = [_gram(*pair) if pair[0].order <= _DENSE_ORDER else _product(*pair)
-            for pair in zip(blocks, fine)]
-    bottoms = [gram.copy() for gram in kept]
-    solutions = [_solve_pencil(*pencil, trace, floor) for pencil, floor in
-                 zip(zip(tops, bottoms), _gram_floors(spec, blocks, mid))]
+    xs, ys = _sides(spec, spec.q, factors)
+
+    def schur(block, triple):
+        return _schur_inverse(*triple[:2], xs[block.x].lam, ys[block.y].lam)
+
+    stages = {"grams": 0.0, "eigensolve": 0.0}
+    solutions = [_solve_block(*args, trace, stages, schur) for args in
+                 zip(blocks, fine, mid, _gram_floors(spec, blocks, mid))]
     value, _, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in blocks], frobenius)
-    top, factored = tops[index], bottoms[index]
-    # the factor overwrites the block it is given
-    assert not np.array_equal(factored, kept[index]), spec
-    image = top @ maximizer if isinstance(top, np.ndarray) else top(maximizer)
+    # the fine side as ``_solve_block`` applies it
+    block, pair = blocks[index], fine[index]
+    image = (_gram(block, pair) @ maximizer if block.order <= _DENSE_ORDER
+             else _product(block, pair)(maximizer))
     defect = image - value * (kept[index] @ maximizer)
     formed = np.linalg.norm(defect) / (frobenius * np.linalg.norm(maximizer))
     return abs(residual - formed), len(kept[index])
 
 
 def test_factor_residual_matches_the_formed_block():
-    # CI checks every published cell
+    # CI checks every published cell; E1 (28, 32, 64) takes the Schur route
     factors, eps = {}, np.finfo(float).eps
-    for cell in published_cells(max_p=16):
+    for cell in published_cells(max_p=16) + [("E1", 28, 32, 64)]:
         gap, n = residual_gap(spec_for(*cell), factors)
         assert gap <= n * eps, cell
 
@@ -1364,9 +1377,12 @@ def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", counting_volume)
     monkeypatch.setattr(refsat.coefficients, "_swap_gram", counting_swap)
     # every block is above the dense order here: one coarse product per
-    # block, parity or swap, and no fine one
-    for name, orders in (("E1", [435, 406]), ("E2", [435, 406])):
-        spec = spec_for(name, 28, 32, 64)
+    # block, parity or swap, and no fine one; E1 and E2 at (28, 32, 64)
+    # take the Schur route above the Schur order, which forms no block
+    for name, p, q, r, orders in (("E2", 16, 32, 64, [153, 136]),
+                                  ("E3", 28, 32, 64, [225, 210, 210, 196]),
+                                  ("E1", 28, 32, 64, []), ("E2", 28, 32, 64, [])):
+        spec = spec_for(name, p, q, r)
         xs, ys = (factor_classes(*args) for args in _factor_args(spec, spec.q))
         coarse = {(fx.lam.size, fy.lam.size) for fx in xs for fy in ys}
         formed.clear()
@@ -1384,6 +1400,242 @@ def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
         assert len(formed) == 2 * solved, name
         assert sum(shape in fine for shape, _ in formed) == solved, name
         assert all(order <= _DENSE_ORDER for _, order in formed), name
+
+
+def test_schur_inverse_is_the_kronecker_sum_less_a_low_rank_correction():
+    # R^{-1} = P^{-1} - C: the first term is the Kronecker sum
+    # P^{-1} = Ax' (x) My + Mx (x) Ay' of the load rows' pseudo-inverses,
+    # and the correction C is semidefinite of rank at most k
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for name in ("E1", "E2", "E3", "E4", "E5"):
+        for p, q in ((2, 3), (4, 6), (6, 7), (5, 10)):
+            spec = spec_for(name, p, q, 2 * q)
+            xs, ys = _sides(spec, q, {})
+            pairs = {(block.x, block.y): _pair(block, xs, ys)
+                     for block in _spec_blocks(spec)}
+            for (x, y), (wx, wy, weights) in pairs.items():
+                (nx, mx), (ny, my) = wx.shape, wy.shape
+                if nx > mx or ny > my:
+                    continue
+                gram = _volume_gram(wx, wy, weights)
+                inverse = _schur_inverse(wx, wy, xs[x].lam, ys[y].lam)
+                vector = rng.standard_normal(nx * ny)
+                assert (np.linalg.norm(gram @ inverse(vector) - vector)
+                        <= 1e-11 * np.linalg.norm(vector)), (name, p, q, x, y)
+                whole = np.column_stack([inverse(unit) for unit in np.eye(nx * ny)])
+                px, py = np.linalg.pinv(wx), np.linalg.pinv(wy)
+                kronecker = (np.kron((px.T * xs[x].lam) @ px, py.T @ py)
+                             + np.kron(px.T @ px, (py.T * ys[y].lam) @ py))
+                values = scipy.linalg.eigvalsh(kronecker - whole)
+                slack = 1e-11 * np.linalg.norm(kronecker, 2)
+                k = mx * my - nx * ny
+                assert values[0] >= -slack, (name, p, q, x, y)
+                assert np.sum(values > slack) <= k, (name, p, q, x, y)
+                kinds.add(min(k, 1))
+    assert kinds == {0, 1}
+
+
+def schur_routes(monkeypatch):
+    """(order, k) of each Schur solve and the (nx, ny) of each class pair
+    set up for one, as they run."""
+    solves, setups = [], []
+    solve, setup = refsat.coefficients._solve_schur, refsat.coefficients._schur_inverse
+
+    def counting_solve(block, fine, mid, *args):
+        (nx, mx), (ny, my) = mid[0].shape, mid[1].shape
+        solves.append((block.order, mx * my - nx * ny))
+        return solve(block, fine, mid, *args)
+
+    def counting_setup(wx, wy, lam_x, lam_y):
+        setups.append((len(wx), len(wy)))
+        return setup(wx, wy, lam_x, lam_y)
+
+    monkeypatch.setattr(refsat.coefficients, "_solve_schur", counting_solve)
+    monkeypatch.setattr(refsat.coefficients, "_schur_inverse", counting_setup)
+    return solves, setups
+
+
+#: the published cells with a block on the Schur route, and every block of
+#: each takes it
+SCHUR_CELLS = [(name, p, q, r) for name, cells in (
+    ("E1", ((28, 32, 64), (56, 64, 128), (60, 64, 128))),
+    ("E2", ((28, 32, 64), (56, 64, 128), (60, 64, 128))),
+    ("E3", ((56, 64, 128), (60, 64, 128))),
+    ("E4", ((28, 32, 64), (56, 64, 128), (60, 64, 128))),
+    ("E5", ((56, 64, 128), (60, 64, 128)))) for p, q, r in cells]
+
+
+def schur_routed(spec) -> list[bool]:
+    """Whether each solved block of ``spec`` takes the Schur route, read
+    from the class sizes as ``estimated_seconds`` reads them."""
+    (bc_x, _), (bc_y, _) = _factor_args(spec, spec.q)
+    sizes_x, sizes_y = (refsat.coefficients._class_sizes(bc, spec.q)
+                        for bc in (bc_x, bc_y))
+    return [block.x is not None and refsat.coefficients._schur_route(
+                block, sizes_x[block.x], sizes_y[block.y])
+            for block in _spec_blocks(spec, rows=False) if block.copies]
+
+
+def test_schur_cells_are_the_published_cells_on_the_route():
+    routed = {cell: schur_routed(spec_for(*cell)) for cell in published_cells()}
+    assert sorted(cell for cell, route in routed.items() if any(route)) == SCHUR_CELLS
+    assert all(all(routed[cell]) for cell in SCHUR_CELLS)
+    assert sum(len(routed[cell]) for cell in SCHUR_CELLS) == 32
+    # the benchmark's small cells keep the Cholesky route
+    for cell in published_cells(max_p=16):
+        assert max(block_orders(spec_for(*cell))) <= _SCHUR_ORDER, cell
+
+
+def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
+        monkeypatch):
+    # the oracle is the Cholesky route on the formed coarse block, forced
+    # by raising the cut above every block; each formed block is kept to
+    # take the residual of the Schur route's maximizer against it
+    solve_pencil, pencils = refsat.coefficients._solve_pencil, []
+    solve_schur, schur = refsat.coefficients._solve_schur, []
+
+    def kept_pencil(r_top, r_bottom, trace, floor):
+        kept = r_bottom.copy()
+        pencils.append((kept, solve_pencil(r_top, r_bottom, trace, floor)))
+        return pencils[-1][1]
+
+    def kept_schur(block, fine, mid, *args):
+        schur.append((block, fine, solve_schur(block, fine, mid, *args)))
+        return schur[-1][2]
+
+    monkeypatch.setattr(refsat.coefficients, "_solve_pencil", kept_pencil)
+    monkeypatch.setattr(refsat.coefficients, "_solve_schur", kept_schur)
+    factors, eps, blocks = {}, np.finfo(float).eps, 0
+    for cell in SCHUR_CELLS:
+        spec = spec_for(*cell)
+        schur.clear(), pencils.clear()
+        res = saturation_coefficient(spec, factors)
+        with monkeypatch.context() as forced:
+            forced.setattr(refsat.coefficients, "_SCHUR_ORDER", np.inf)
+            expect = saturation_coefficient(spec, factors)
+        assert expect.tie == res.tie, cell
+        assert abs(expect.mu - res.mu) <= 1e-13 * expect.mu, cell
+        # every block of these cells takes the Schur route
+        assert len(schur) == len(pencils) == len([b for b in _spec_blocks(spec)
+                                                  if b.copies]), cell
+        every = _spec_blocks(spec)
+        frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
+        for (block, fine, solution), (kept, (want, _, _)) in zip(schur, pencils):
+            values, maximizer, defect = solution
+            top = _product(block, fine)
+            assert abs(values[-1] - want[-1]) <= 1e-13 * want[-1], (cell, values, want)
+            # a second value may be a Ritz value certified below the tie
+            # gap, a lower bound that serves only the tie flag
+            gap = want[-1] * (1.0 - refsat.coefficients._TIE)
+            assert (abs(values[-2] - want[-2]) <= 1e-13 * want[-1]
+                    or max(values[-2], want[-2]) < gap), (cell, values, want)
+            formed = np.linalg.norm(top(maximizer) - values[-1] * (kept @ maximizer))
+            scale = frobenius * np.linalg.norm(maximizer)
+            assert abs(defect - formed) <= block.order * eps * scale, cell
+            blocks += 1
+    assert blocks == 32
+
+
+def test_schur_route_solves_k_zero_and_q_equal_r(monkeypatch):
+    solves, _ = schur_routes(monkeypatch)
+    # E1 (24, 25, 50): the x class and the even y class have as many
+    # probes as modes, so the order-325 block has k = 0 and no correction
+    spec = spec_for("E1", 24, 25, 50)
+    res = saturation_coefficient(spec)
+    assert solves == [(325, 0)]
+    with monkeypatch.context() as forced:
+        forced.setattr(refsat.coefficients, "_SCHUR_ORDER", np.inf)
+        expect = saturation_coefficient(spec)
+    assert abs(res.mu - expect.mu) <= 1e-13 * expect.mu
+    assert res.tie == expect.tie
+    # q = r: the identity pencil ties at 1
+    for name in ("E1", "E2"):
+        solves.clear()
+        res = saturation_coefficient(spec_for(name, 28, 32, 32))
+        assert [order for order, _ in solves] == [435, 406], name
+        assert abs(res.mu - 1.0) <= 1e-12 and res.tie, name
+
+
+def test_e2_swap_blocks_share_one_schur_setup(monkeypatch):
+    solves, setups = schur_routes(monkeypatch)
+    saturation_coefficient(spec_for("E2", 28, 32, 64))
+    assert solves == [(435, 183), (406, 183)]
+    assert setups == [(29, 29)]
+    solves.clear(), setups.clear()
+    saturation_coefficient(spec_for("E1", 28, 32, 64))
+    assert solves == [(435, 109), (406, 106)]
+    assert setups == [(29, 15), (29, 14)]
+
+
+def test_uncertified_blocks_on_the_schur_route_are_estimated_as_on_the_cholesky_route(
+        monkeypatch):
+    # E2 (28, 32, 64): floors 7.7e-8 of the trace, smallest eigenvalues
+    # 4.9e-7 (order 435) and 1.6e-6 (order 406). At a floor of 3e-7 neither
+    # block is certified and both pass the estimate; at 1e-6 the first
+    # fails it, with the Cholesky route's message
+    spec = spec_for("E2", 28, 32, 64)
+    expect = saturation_coefficient(spec)
+    solves, _ = schur_routes(monkeypatch)
+    monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", 3e-7)
+    assert saturation_coefficient(spec).mu == expect.mu
+    assert solves == [(435, 183), (406, 183)]
+    monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", 1e-6)
+    messages = []
+    for cut in (_SCHUR_ORDER, np.inf):
+        monkeypatch.setattr(refsat.coefficients, "_SCHUR_ORDER", cut)
+        with pytest.raises(NumericalError, match="estimated lambda_min/trace") as err:
+            saturation_coefficient(spec)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_a_cell_that_the_floors_do_not_certify_takes_the_schur_route(monkeypatch):
+    # E1 (256, 260, 520), the p+4 cell at p = 256: the floors of its blocks
+    # (orders 33153 and 32896, k = 907) less the rounding allowance are
+    # negative, so each is estimated definite through its Schur inverse.
+    # No coarse block is formed (one would take 8.2 GiB), and the cost
+    # model prices the route the cell takes
+    spec = spec_for("E1", 256, 260, 520)
+    assert schur_routed(spec) == [True, True]
+    assert refsat.coefficients.estimated_seconds(spec) < 2.0
+
+    def no_gram(*args):
+        raise AssertionError("a coarse block was formed")
+
+    monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_gram)
+    res = saturation_coefficient(spec)
+    assert 2.4 < res.mu < 2.5 and not res.tie
+    assert res.residual <= 1e-12
+
+
+def test_schur_route_holds_less_than_one_block():
+    # no block is formed: the Lanczos bases, H22 and the 1D matrices stay
+    # under one block of the largest order
+    for name in ("E1", "E2", "E4"):
+        assert peak_blocks(spec_for(name, 28, 32, 64)) < 1.0, name
+
+
+def test_a_failed_schur_factorization_is_a_numerical_failure(
+        monkeypatch, capsys):
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def fail(a, *args, **kwargs):
+        factor, _ = dpotrf(a, *args, **kwargs)
+        return factor, 5
+
+    # every block of E1 (28, 32, 64) takes the Schur route, so the only
+    # dpotrf calls factor H22
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail)
+    with pytest.raises(NumericalError,
+                       match="^dense eigensolve failed: dpotrf returned info 5$"):
+        saturation_coefficient(spec_for("E1", 28, 32, 64))
+    code = main(["compute", "--family", "A", "--edges", "1",
+                 "--p", "28", "--q", "32", "--r", "64"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: dense eigensolve failed: dpotrf")
 
 
 def test_e5_counts_its_mirror_block_twice():

@@ -49,7 +49,10 @@ from refsat.patches import (
     patch_catalog,
     verify_traversal_lemma,
     _LAYOUTS,
+    _decay_pencil,
+    _members,
 )
+from refsat.bases import BoundaryCondition1D
 
 EXPECTED_LENGTHS = {
     1: 22, 2: 20, 3: 17, 4: 12, 5: 4, 6: 14, 7: 13,
@@ -705,6 +708,25 @@ def test_extension_norm_equals_the_all_modes_loop_bitwise():
         for situ in ("d", "e"):
             assert extension_norm(situ, degree) == extension_norm_all_modes(
                 situ, degree), (situ, degree)
+
+
+def test_the_e_pencil_is_the_d_pencil_mirrored_across_the_anti_diagonal():
+    """(x, y) -> (-y, -x) takes the d layout to the e one. Along the decay
+    axis, whose factor is free-free in both, it is t -> -t, which multiplies
+    each member by (-1) to its degree: the Grams of e are those of d with
+    those signs on both sides, to the last bit, and the cross modes and the
+    plain pieces are the same. So ``patches verify`` takes the norm of e
+    from that of d."""
+    for degree in range(2, 65):
+        n_d, *d = _decay_pencil("d", degree)
+        n_e, *e = _decay_pencil("e", degree)
+        cols, _ = _members(BoundaryCondition1D(), degree)
+        sign = (-1.0) ** np.abs(cols).argmax(axis=0)
+        assert n_d == n_e, degree
+        for gram_d, gram_e in zip(d[:4], e[:4]):
+            assert np.array_equal(gram_e, sign[:, None] * gram_d * sign), degree
+        assert np.array_equal(d[4], e[4]), degree
+        assert extension_norm("d", degree) == extension_norm("e", degree)
 
 
 def test_the_end_modes_hold_the_largest_pencil_eigenvalue():
