@@ -423,9 +423,9 @@ class _Block(NamedTuple):
     Loads are probe pairs (a, b) at a * (p + 1) + b for family A, with the x
     probe outermost, and probe degrees for families B and C (from 1 for C),
     whose x side is one row that the edge weights load (see ``_pair``). A
-    parity block has row k at ``index[k]``. A swap block has row k at
-    (e_index[k] + sign * e_partner[k]) / sqrt(2), or at e_index[k] where
-    ``index[k] == partner[k]``.
+    parity block, or E2's whole class pair, has row k at ``index[k]``. A
+    swap block has row k at (e_index[k] + sign * e_partner[k]) / sqrt(2),
+    or at e_index[k] where ``index[k] == partner[k]``.
     """
 
     #: the x class contracted, None for families B and C
@@ -457,7 +457,8 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
     A has one block per pair of x and y classes, except with equal
     non-symmetric factors (E2): R is then invariant under (a, b) <-> (b, a)
     and splits into a symmetric and an antisymmetric block of orders
-    n(n + 1)/2 and n(n - 1)/2. With equal symmetric factors (E5), the
+    n(n + 1)/2 and n(n - 1)/2, unless the pair takes the Schur route,
+    which forms no block to halve. With equal symmetric factors (E5), the
     (odd, even) block is the probe swap of the (even, odd) one, with the
     same spectrum: only the latter is solved, and counted twice. Families B
     and C have one block per y class.
@@ -470,7 +471,10 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
                 for y, py in enumerate(ys) if py.size]
     n = spec.p + 1
     xs = _class_probes(bc_x, spec.p)
-    if bc_x == bc_y and len(xs) == 1:
+    mirrored = bc_x == bc_y
+    # E2's one class has q modes at degree q
+    if mirrored and len(xs) == 1 and not _schur_route(
+            _Block(0, 0, xs[0], xs[0], n * n), spec.q, spec.q):
         blocks = []
         for offset, sign in ((0, 1.0), (1, -1.0)):
             index = partner = None
@@ -480,7 +484,6 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
             blocks.append(_Block(0, 0, xs[0], xs[0], n * (n + 1 - 2 * offset) // 2,
                                  index, partner, sign))
         return [block for block in blocks if block.order]
-    mirrored = bc_x == bc_y
     return [_Block(x, y, px, py, px.size * py.size,
                    (px[:, np.newaxis] * n + py).ravel() if rows else None,
                    copies=2 * (x < y) if mirrored and x != y else 1)
@@ -510,13 +513,6 @@ def _embed(block: _Block, rows: np.ndarray, size: int, scales=None) -> np.ndarra
     out[block.index] = rows * keep.reshape(shape)
     out[block.partner] += rows * swap.reshape(shape)
     return out
-
-
-def _restrict(block: _Block, full: np.ndarray, scales) -> np.ndarray:
-    """The transpose of ``_embed`` for a swap block: its rows of the vector
-    ``full``, given in the family's load order."""
-    keep, swap = scales
-    return keep * full[block.index] + swap * full[block.partner]
 
 
 def _pair(block: _Block, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -613,8 +609,8 @@ def _product(block: _Block, triple):
     With V the nx x ny reshape of a vector v of its class pair (x probe
     outermost), the pair's Gram applies as Wx (G o (Wx^T V Wy)) Wy^T for
     the weights G of the ``_pair`` triple. A swap block embeds v in the
-    load order first and takes its rows of the image back (``_embed``,
-    ``_restrict``), with its scales formed once, not per application.
+    load order first (``_embed``) and takes its rows of the image back,
+    with its scales formed once, not per application.
     """
     wx, wy, weights = triple
     nx, ny = len(wx), len(wy)
@@ -625,7 +621,10 @@ def _product(block: _Block, triple):
             v = _embed(block, v, nx * ny, scales)
         modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
         image = (wx @ modes @ wy.T).ravel()
-        return _restrict(block, image, scales) if scales else image
+        if not scales:
+            return image
+        keep, swap = scales
+        return keep * image[block.index] + swap * image[block.partner]
 
     return apply
 
@@ -1004,10 +1003,10 @@ def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
 
 def _schur_route(block: _Block, mx: int, my: int) -> bool:
     """Whether ``_solve_block`` solves a block by ``_solve_schur``: a
-    family-A block above ``_SCHUR_ORDER`` whose class pair, of mx x my
-    mode pairs, has k = mx my - nx ny < n outside its probes' nx x ny."""
+    family-A block of order n above ``_SCHUR_ORDER`` whose class pair, of
+    mx x my mode pairs, has k = mx my - n < n outside its probe pairs."""
     return (block.x is not None and block.order > _SCHUR_ORDER
-            and mx * my - block.px.size * block.py.size < block.order)
+            and mx * my - block.order < block.order)
 
 
 def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
@@ -1015,20 +1014,12 @@ def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
     R_q^{-1} R_r in the R_q inner product (``_top_eigenpairs``), with
     ``inverse`` the ``_schur_inverse`` of the block's class pair and the
     ``_product`` of both sides: two products and one inverse per step. A
-    swap block's inverse is its rows of the pair's (``_embed``,
-    ``_restrict``), as R commutes with the probe swap. A block whose
-    ``floor`` does not certify it has its smallest eigenvalue estimated as
-    1 / lambda_max(R_q^{-1}), as in ``_solve_pencil``, and checked against
-    ``trace``. Returns what ``_solve_pencil`` returns; the maximizer has
+    block whose ``floor`` does not certify it has its smallest eigenvalue
+    estimated as 1 / lambda_max(R_q^{-1}), as in ``_solve_pencil``, and
+    checked against ``trace``. Returns what ``_solve_pencil`` returns; the maximizer has
     F^T R_q F = 1, and its defect is taken from the two products.
     """
     top, bottom = _product(block, fine), _product(block, mid)
-    if block.sign:
-        size, scales, pair = len(mid[0]) * len(mid[1]), _swap_scales(block), inverse
-
-        def inverse(v: np.ndarray) -> np.ndarray:
-            return _restrict(block, pair(_embed(block, v, size, scales)), scales)
-
     if floor < _PD_FLOOR * trace:
         inverse_top, _ = _top_eigenpairs(inverse, block.order, 1, tol=1e-8,
                                          vectors=False)
@@ -1041,7 +1032,7 @@ def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
 
 
 def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
-                 stages: dict, schur):
+                 stages: dict, sides):
     """Form one solved block's pencil and solve it (``_solve_pencil``).
 
     ``fine`` and ``mid`` are the block's ``_pair`` triples at degrees r and
@@ -1052,13 +1043,16 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
     live only in this call, so a cell that solves its blocks one call at a
     time holds one block at a time. A block on the Schur route
     (``_schur_route``) is solved by ``_solve_schur`` instead, with no block
-    formed: ``schur(block, mid)`` gives its pair's ``_schur_inverse``. ``stages
-    adds up the seconds spent forming the blocks (``grams``) and solving
-    them (``eigensolve``).
+    formed, through the ``_schur_inverse`` of its class pair in ``sides``,
+    the x side and y classes at q (``_sides``). ``stages`` adds up the
+    seconds spent forming the blocks (``grams``) and solving them
+    (``eigensolve``).
     """
     clock = time.perf_counter()
     if _schur_route(block, mid[0].shape[1], mid[1].shape[1]):
-        solution = _solve_schur(block, fine, mid, schur(block, mid), floor, trace)
+        xs, ys = sides
+        inverse = _schur_inverse(*mid[:2], xs[block.x].lam, ys[block.y].lam)
+        solution = _solve_schur(block, fine, mid, inverse, floor, trace)
         stages["eigensolve"] += time.perf_counter() - clock
         return solution
     r_top = (_gram(block, fine) if block.order <= _DENSE_ORDER
@@ -1149,19 +1143,7 @@ def saturation_coefficient(
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = [floor - rounding for floor in floors]
     stages["grams"] += time.perf_counter() - clock
-    xs, ys = sides[1]
-    setups = {}
-
-    def schur(block: _Block, triple):
-        """The ``_schur_inverse`` of the block's class pair, built once for
-        the pair: E2's two swap blocks share it."""
-        key = (block.x, block.y)
-        if key not in setups:
-            setups[key] = _schur_inverse(*triple[:2], xs[block.x].lam,
-                                         ys[block.y].lam)
-        return setups[key]
-
-    solutions = [_solve_block(*args, trace, stages, schur)
+    solutions = [_solve_block(*args, trace, stages, sides[1])
                  for args in zip(solved, fine, mid, floors)]
     value, tie, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in solved], frobenius)
@@ -1204,9 +1186,9 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     close to p on the published blocks, priced as 5 and 13. A block on the
     Schur route (``_schur_route``), always one where q is close to p, has
     no Gram: its class pair's setup costs a fixed amount, ~k^2 to form H22
-    and ~k^3 to factor it, once per pair, and each Lanczos step a fixed
-    cost and ~mx my (mx + my) for the products with the 1D matrices of the
-    inverse, which outweigh the two block products. Where the closed-form
+    and ~k^3 to factor it, and each Lanczos step a fixed cost and
+    ~mx my (mx + my) for the products with the 1D matrices of the inverse,
+    which outweigh the two block products. Where the closed-form
     floor does not certify such a block, as at E1 (256, 260, 520), its
     definiteness estimate adds a values-only run on the inverse, which is
     not priced; no published block needs one.
@@ -1214,15 +1196,15 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
     one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
     Gram terms to the kernels alone, the others to the wall time of the
-    published cells. The terms above order 100 were refitted, on a 2-core
-    VM where the kernel took 0.13-0.18 s, by relative least squares to the
-    calls of the 77 such blocks of the published cells (best of three).
-    Over that run and a second one, the Cholesky term reads 0.51-1.53 of
-    its 45 ``_solve_pencil`` calls (medians 0.95 and 1.05), the Schur
-    setup 0.62-1.65 of its 29 ``_schur_inverse`` calls (0.98 and 1.00),
-    the Schur steps 0.55-1.48 of its 32 ``_solve_schur`` calls (0.93 and
-    1.01), and the whole estimate 0.68-2.15 of the wall time of the 31
-    cells with such blocks (1.04 and 1.07), their 1D factors already
+    published cells. The terms above order 100 were refitted by relative
+    least squares to the calls of the published blocks above order 100
+    (best of three). Over two runs on a 2-core VM where the kernel took
+    0.10-0.16 s, the Cholesky term reads 0.61-1.79 of its 45
+    ``_solve_pencil`` calls (medians 0.94 and 1.05), the Schur setup
+    0.70-1.47 of its 29 ``_schur_inverse`` calls (1.06 and 1.21), the
+    Schur steps 0.70-1.49 of its 29 ``_solve_schur`` calls (1.06 and
+    1.24), and the whole estimate 0.77-2.04 of the wall time of the 31
+    cells with such blocks (1.03 and 1.22), their 1D factors already
     built. The 1D factor
     term was refitted, on a 2-core VM where the kernel took about 0.14 s,
     to the cold factors stage of the 145 distinct published cells (best of
@@ -1249,7 +1231,6 @@ def estimated_seconds(spec: ProblemSpec) -> float:
 
     steps = 5 if q >= 2 * spec.p else 13
     grams = eig = 0.0
-    setups = {}
     for block in _spec_blocks(spec, rows=False):
         n, swap = block.order, bool(block.sign)
         if not block.copies:
@@ -1258,11 +1239,11 @@ def estimated_seconds(spec: ProblemSpec) -> float:
             mx, my = (_class_sizes(args[0], q)[cls]
                       for args, cls in ((x_args, block.x), (y_args, block.y)))
             if _schur_route(block, mx, my):
-                k = mx * my - block.px.size * block.py.size
-                setups[block.x, block.y] = 3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
-                eig += steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my))
+                k = mx * my - n
+                eig += (3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
+                        + steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my)))
                 continue
         grams += gram(n, q, swap)
         eig += (gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
                 else 5e-4 + 1.2e-11 * n ** 3 + steps * (7.8e-6 + 1.1e-10 * n ** 2))
-    return overhead + modes + grams + eig + sum(setups.values())
+    return overhead + modes + grams + eig

@@ -49,6 +49,7 @@ from refsat.coefficients import (
     _class_probes,
     _classes as factor_classes,
     _edge_weights,
+    _embed,
     _factor_args,
     _PD_FLOOR,
     _gram,
@@ -969,8 +970,8 @@ def test_lanczos_matches_the_arpack_oracle(monkeypatch):
         except NumericalError as exc:
             assert "ill-posed" in str(exc), cell
     # the order-105 blocks of F1 and F3 at (104, 112, 128) and (104, 112, 112),
-    # and the blocks of E1..E5 at (28, 32, 64)
-    assert len(compared) == 17 and min(compared) > _DENSE_ORDER
+    # and the blocks of E1..E5 at (28, 32, 64), E2's whole on the Schur route
+    assert len(compared) == 16 and min(compared) > _DENSE_ORDER
 
 
 def test_lanczos_finds_the_top_of_a_known_spectrum():
@@ -1050,6 +1051,30 @@ def test_a_lanczos_run_decides_a_near_tie(gap, tie):
                                             [1], 1.0)
     assert abs(value - (1.0 + gap)) <= 1e-14
     assert tied == tie
+
+
+@pytest.mark.parametrize("gap, tie", [(1e-13, True), (1e-11, False)])
+def test_a_near_tie_across_the_swap_blocks_ties_alike_when_solved_whole(gap, tie):
+    # the top eigenvector of an operator on 8 x 8 arrays is a symmetric
+    # matrix, and the second, inside or outside the tie gap below it, an
+    # antisymmetric one: the class pair solved whole ties as its two swap
+    # blocks do
+    blocks = _spec_blocks(spec_for("E2", 7, 8, 16))
+    assert [block.sign for block in blocks] == [1.0, -1.0]
+    embeds = [_embed(block, np.eye(block.order), 64) for block in blocks]
+    applies = [rotated(np.concatenate([np.linspace(0.0, 0.5, block.order - 1),
+                                       [top]]))[0]
+               for block, top in zip(blocks, (1.0 + gap, 1.0))]
+    split = [refsat.coefficients._top_eigenpairs(apply, block.order, 2)
+             for block, apply in zip(blocks, applies)]
+    values, vectors = refsat.coefficients._top_eigenpairs(
+        lambda v: sum(embed @ apply(embed.T @ v)
+                      for embed, apply in zip(embeds, applies)), 64, 2)
+    _, whole, _, _, _ = _max_over_blocks([(values, vectors[:, -1], 0.0)], [1], 1.0)
+    _, parts, _, _, _ = _max_over_blocks(
+        [(values, vectors[:, -1], 0.0) for values, vectors in split], [1, 1], 1.0)
+    assert abs(values[-1] - (1.0 + gap)) <= 1e-14
+    assert whole == parts == tie
 
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
@@ -1148,7 +1173,7 @@ def test_fine_products_match_the_formed_blocks(name):
 
 def per_application_product(block, triple):
     """``_product`` of a swap block with its pair mask and its scales built
-    again on every application, inside ``_embed`` and ``_restrict``."""
+    again on every application."""
     wx, wy, weights = triple
     nx, ny = len(wx), len(wy)
 
@@ -1177,13 +1202,16 @@ def test_swap_products_equal_the_per_application_scales_bitwise():
         for degree in (spec.q, spec.r):
             pairs = triples(blocks, *_sides(spec, degree, factors))
             for block, triple in zip(blocks, pairs):
+                if not block.sign:
+                    continue
                 vector = rng.standard_normal(block.order)
                 got = _product(block, triple)(vector)
                 expect = per_application_product(block, triple)(vector)
                 assert np.array_equal(got, expect), (cell, degree, block.sign)
                 checked += 1
-    # ten published E2 cells, each with a symmetric and an antisymmetric block
-    assert checked == 40
+    # seven of the ten published E2 cells have a symmetric and an
+    # antisymmetric block; the other three solve their pair whole
+    assert checked == 28
 
 
 @pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
@@ -1302,13 +1330,9 @@ def residual_gap(spec, factors) -> tuple[float, int]:
     trace = _gram_trace(every, triples(every, *_sides(spec, spec.q, factors)))
     frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
     kept = [_gram(*pair) for pair in zip(blocks, mid)]
-    xs, ys = _sides(spec, spec.q, factors)
-
-    def schur(block, triple):
-        return _schur_inverse(*triple[:2], xs[block.x].lam, ys[block.y].lam)
-
+    sides = _sides(spec, spec.q, factors)
     stages = {"grams": 0.0, "eigensolve": 0.0}
-    solutions = [_solve_block(*args, trace, stages, schur) for args in
+    solutions = [_solve_block(*args, trace, stages, sides) for args in
                  zip(blocks, fine, mid, _gram_floors(spec, blocks, mid))]
     value, _, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in blocks], frobenius)
@@ -1481,7 +1505,7 @@ def test_schur_cells_are_the_published_cells_on_the_route():
     routed = {cell: schur_routed(spec_for(*cell)) for cell in published_cells()}
     assert sorted(cell for cell, route in routed.items() if any(route)) == SCHUR_CELLS
     assert all(all(routed[cell]) for cell in SCHUR_CELLS)
-    assert sum(len(routed[cell]) for cell in SCHUR_CELLS) == 32
+    assert sum(len(routed[cell]) for cell in SCHUR_CELLS) == 29
     # the benchmark's small cells keep the Cholesky route
     for cell in published_cells(max_p=16):
         assert max(block_orders(spec_for(*cell))) <= _SCHUR_ORDER, cell
@@ -1489,41 +1513,41 @@ def test_schur_cells_are_the_published_cells_on_the_route():
 
 def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
         monkeypatch):
-    # the oracle is the Cholesky route on the formed coarse block, forced
-    # by raising the cut above every block; each formed block is kept to
-    # take the residual of the Schur route's maximizer against it
-    solve_pencil, pencils = refsat.coefficients._solve_pencil, []
-    solve_schur, schur = refsat.coefficients._solve_schur, []
+    # the oracle is the Cholesky route, forced by raising the cut above
+    # every block, where E2 splits its class pair into swap blocks: a
+    # Schur block's top two values are those of the oracle blocks of its
+    # class pair. The residual of its maximizer is taken against its
+    # formed coarse block
+    solve_block, solved = refsat.coefficients._solve_block, []
 
-    def kept_pencil(r_top, r_bottom, trace, floor):
-        kept = r_bottom.copy()
-        pencils.append((kept, solve_pencil(r_top, r_bottom, trace, floor)))
-        return pencils[-1][1]
+    def kept_block(block, fine, mid, *args):
+        solved.append((block, fine, mid, solve_block(block, fine, mid, *args)))
+        return solved[-1][3]
 
-    def kept_schur(block, fine, mid, *args):
-        schur.append((block, fine, solve_schur(block, fine, mid, *args)))
-        return schur[-1][2]
-
-    monkeypatch.setattr(refsat.coefficients, "_solve_pencil", kept_pencil)
-    monkeypatch.setattr(refsat.coefficients, "_solve_schur", kept_schur)
+    monkeypatch.setattr(refsat.coefficients, "_solve_block", kept_block)
     factors, eps, blocks = {}, np.finfo(float).eps, 0
     for cell in SCHUR_CELLS:
         spec = spec_for(*cell)
-        schur.clear(), pencils.clear()
+        solved.clear()
         res = saturation_coefficient(spec, factors)
+        schur = solved[:]
+        solved.clear()
         with monkeypatch.context() as forced:
             forced.setattr(refsat.coefficients, "_SCHUR_ORDER", np.inf)
             expect = saturation_coefficient(spec, factors)
         assert expect.tie == res.tie, cell
         assert abs(expect.mu - res.mu) <= 1e-13 * expect.mu, cell
-        # every block of these cells takes the Schur route
-        assert len(schur) == len(pencils) == len([b for b in _spec_blocks(spec)
-                                                  if b.copies]), cell
         every = _spec_blocks(spec)
         frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
-        for (block, fine, solution), (kept, (want, _, _)) in zip(schur, pencils):
+        for block, fine, mid, solution in schur:
+            # every block of these cells takes the Schur route
+            assert refsat.coefficients._schur_route(
+                block, mid[0].shape[1], mid[1].shape[1]), cell
+            want = np.sort(np.concatenate([
+                values for oracle, _, _, (values, _, _) in solved
+                if (oracle.x, oracle.y) == (block.x, block.y)]))
             values, maximizer, defect = solution
-            top = _product(block, fine)
+            top, kept = _product(block, fine), _gram(block, mid)
             assert abs(values[-1] - want[-1]) <= 1e-13 * want[-1], (cell, values, want)
             # a second value may be a Ritz value certified below the tie
             # gap, a lower bound that serves only the tie flag
@@ -1534,7 +1558,7 @@ def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
             scale = frobenius * np.linalg.norm(maximizer)
             assert abs(defect - formed) <= block.order * eps * scale, cell
             blocks += 1
-    assert blocks == 32
+    assert blocks == 29
 
 
 def test_schur_route_solves_k_zero_and_q_equal_r(monkeypatch):
@@ -1550,36 +1574,58 @@ def test_schur_route_solves_k_zero_and_q_equal_r(monkeypatch):
     assert abs(res.mu - expect.mu) <= 1e-13 * expect.mu
     assert res.tie == expect.tie
     # q = r: the identity pencil ties at 1
-    for name in ("E1", "E2"):
+    for name, orders in (("E1", [435, 406]), ("E2", [841])):
         solves.clear()
         res = saturation_coefficient(spec_for(name, 28, 32, 32))
-        assert [order for order, _ in solves] == [435, 406], name
+        assert [order for order, _ in solves] == orders, name
         assert abs(res.mu - 1.0) <= 1e-12 and res.tie, name
 
 
-def test_e2_swap_blocks_share_one_schur_setup(monkeypatch):
+def test_e2_solves_its_class_pair_whole_on_the_schur_route(monkeypatch):
+    # the oracle splits the pair into its swap blocks on the Cholesky route,
+    # forced by raising the cut above every block
+    factors = {}
+    for cell in [cell for cell in SCHUR_CELLS if cell[0] == "E2"]:
+        spec, n = spec_for(*cell), (cell[1] + 1) ** 2
+        with monkeypatch.context() as forced:
+            forced.setattr(refsat.coefficients, "_SCHUR_ORDER", np.inf)
+            assert [block.sign for block in _spec_blocks(spec)] == [1.0, -1.0]
+            expect = saturation_coefficient(spec, factors)
+        with monkeypatch.context() as counted:
+            solves, setups = schur_routes(counted)
+            runs = counting_runs(counted)
+            res = saturation_coefficient(spec, factors)
+        assert [(block.order, block.sign) for block in _spec_blocks(spec)] == [(n, 0.0)]
+        assert [order for order, _ in solves] == [n], cell
+        assert setups == [(cell[1] + 1,) * 2], cell
+        assert len(runs) == 1, cell
+        assert abs(res.mu - expect.mu) <= 1e-13 * expect.mu, cell
+        assert res.tie == expect.tie, cell
+    # E1's two class pairs take a setup each
     solves, setups = schur_routes(monkeypatch)
-    saturation_coefficient(spec_for("E2", 28, 32, 64))
-    assert solves == [(435, 183), (406, 183)]
-    assert setups == [(29, 29)]
-    solves.clear(), setups.clear()
-    saturation_coefficient(spec_for("E1", 28, 32, 64))
+    saturation_coefficient(spec_for("E1", 28, 32, 64), factors)
     assert solves == [(435, 109), (406, 106)]
     assert setups == [(29, 15), (29, 14)]
+    # a swap block is never on the Schur route
+    for cell in published_cells():
+        spec = spec_for(*cell)
+        solved = [block for block in _spec_blocks(spec, rows=False) if block.copies]
+        assert not any(block.sign and routed
+                       for block, routed in zip(solved, schur_routed(spec))), cell
 
 
 def test_uncertified_blocks_on_the_schur_route_are_estimated_as_on_the_cholesky_route(
         monkeypatch):
-    # E2 (28, 32, 64): floors 7.7e-8 of the trace, smallest eigenvalues
-    # 4.9e-7 (order 435) and 1.6e-6 (order 406). At a floor of 3e-7 neither
-    # block is certified and both pass the estimate; at 1e-6 the first
-    # fails it, with the Cholesky route's message
+    # E2 (28, 32, 64): floor 7.7e-8 of the trace, smallest eigenvalue
+    # 4.9e-7 (on the Cholesky route, that of its order-435 swap block). At a
+    # floor of 3e-7 the whole pair is not certified and passes the
+    # estimate; at 1e-6 it fails it, with the Cholesky route's message
     spec = spec_for("E2", 28, 32, 64)
     expect = saturation_coefficient(spec)
     solves, _ = schur_routes(monkeypatch)
     monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", 3e-7)
     assert saturation_coefficient(spec).mu == expect.mu
-    assert solves == [(435, 183), (406, 183)]
+    assert solves == [(841, 183)]
     monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", 1e-6)
     messages = []
     for cut in (_SCHUR_ORDER, np.inf):
