@@ -137,8 +137,9 @@ class SaturationResult:
     #: fine one of order up to 100 (``grams``); and factoring each coarse
     #: block, checking it is definite, solving its pencil against the fine
     #: block, or above order 100 the fine products, and taking the defect of
-    #: the maximizer (``eigensolve``). A block on the Schur route forms
-    #: nothing: its class pair's setup and its run are all ``eigensolve``
+    #: the maximizer (``eigensolve``). A family-A block above order 300 is
+    #: on the Schur route and forms nothing: its class pair's setup, its run
+    #: and any CG solves in it are all ``eigensolve``
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -422,27 +423,21 @@ class _Block(NamedTuple):
 
     Loads are probe pairs (a, b) at a * (p + 1) + b for family A, with the x
     probe outermost, and probe degrees for families B and C (from 1 for C),
-    whose x side is one row that the edge weights load (see ``_pair``). A
-    parity block, or E2's whole class pair, has row k at ``index[k]``. A
-    swap block has row k at (e_index[k] + sign * e_partner[k]) / sqrt(2),
-    or at e_index[k] where ``index[k] == partner[k]``.
+    whose x side is one row that the edge weights load (see ``_pair``). The
+    block has row k at ``index[k]``.
     """
 
     #: the x class contracted, None for families B and C
     x: int | None
     #: the y class contracted
     y: int
-    #: x and y probe degrees: the block loads are px x py for a parity
-    #: block, the pairs of px x px for a swap block, py for B and C
+    #: x and y probe degrees: the block loads are px x py, py for B and C
     px: np.ndarray | None
     py: np.ndarray
     #: the number of rows
     order: int
     #: the rows, None where ``_spec_blocks`` was asked for the orders alone
     index: np.ndarray | None = None
-    partner: np.ndarray | None = None
-    #: +1 or -1 for a swap block, 0 for any other
-    sign: float = 0.0
     #: blocks of this spectrum that the eigensolve counts: 2 for a block
     #: whose mirror under the probe swap is not solved, 0 for that mirror
     copies: int = 1
@@ -453,15 +448,15 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
     skipping those without loads; without ``rows`` their index arrays are
     left out, for a caller that reads only their orders and kinds.
 
-    Equal end conditions of the x and y factors mean equal factors. Family
-    A has one block per pair of x and y classes, except with equal
-    non-symmetric factors (E2): R is then invariant under (a, b) <-> (b, a)
-    and splits into a symmetric and an antisymmetric block of orders
-    n(n + 1)/2 and n(n - 1)/2, unless the pair takes the Schur route,
-    which forms no block to halve. With equal symmetric factors (E5), the
-    (odd, even) block is the probe swap of the (even, odd) one, with the
-    same spectrum: only the latter is solved, and counted twice. Families B
-    and C have one block per y class.
+    Family A has one block per pair of x and y classes, and families B and
+    C one per y class. Equal end conditions of the x and y factors mean
+    equal factors. With equal symmetric factors (E5), the (odd, even) block
+    is the probe swap of the (even, odd) one, with the same spectrum: only
+    the latter is solved, and counted twice. Equal non-symmetric factors
+    (E2) have one class, whose pair is one block of order (p + 1)^2. The
+    probe swap would split it in halves, but no block above
+    ``_SCHUR_ORDER`` is formed, and below it the cells up to p = 16 took
+    no longer whole.
     """
     (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
     first = 1 if spec.family == "C" else 0
@@ -470,48 +465,19 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
         return [_Block(None, y, None, py, py.size, py - first if rows else None)
                 for y, py in enumerate(ys) if py.size]
     n = spec.p + 1
-    xs = _class_probes(bc_x, spec.p)
     mirrored = bc_x == bc_y
-    # E2's one class has q modes at degree q
-    if mirrored and len(xs) == 1 and not _schur_route(
-            _Block(0, 0, xs[0], xs[0], n * n), spec.q, spec.q):
-        blocks = []
-        for offset, sign in ((0, 1.0), (1, -1.0)):
-            index = partner = None
-            if rows:
-                a, b = np.triu_indices(n, offset)
-                index, partner = a * n + b, b * n + a
-            blocks.append(_Block(0, 0, xs[0], xs[0], n * (n + 1 - 2 * offset) // 2,
-                                 index, partner, sign))
-        return [block for block in blocks if block.order]
     return [_Block(x, y, px, py, px.size * py.size,
                    (px[:, np.newaxis] * n + py).ravel() if rows else None,
                    copies=2 * (x < y) if mirrored and x != y else 1)
-            for x, px in enumerate(xs) for y, py in enumerate(ys)
-            if px.size and py.size]
+            for x, px in enumerate(_class_probes(bc_x, spec.p))
+            for y, py in enumerate(ys) if px.size and py.size]
 
 
-def _swap_scales(block: _Block) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of a swap block's row k on e_index[k] and e_partner[k]:
-    sqrt(1/2) and sign sqrt(1/2), or 1 and 0 where ``index[k] ==
-    partner[k]``."""
-    pair = block.index != block.partner
-    return (np.where(pair, np.sqrt(0.5), 1.0),
-            np.where(pair, block.sign * np.sqrt(0.5), 0.0))
-
-
-def _embed(block: _Block, rows: np.ndarray, size: int, scales=None) -> np.ndarray:
+def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
     """Place the block rows of ``rows`` in the family's load order of
-    ``size``; a swap block's ``scales`` (``_swap_scales``) are formed here
-    unless given."""
+    ``size``."""
     out = np.zeros((size,) + rows.shape[1:])
-    if not block.sign:
-        out[block.index] = rows
-        return out
-    shape = (-1,) + (1,) * (rows.ndim - 1)
-    keep, swap = scales or _swap_scales(block)
-    out[block.index] = rows * keep.reshape(shape)
-    out[block.partner] += rows * swap.reshape(shape)
+    out[block.index] = rows
     return out
 
 
@@ -537,116 +503,56 @@ def _pair(block: _Block, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fx.loads[block.px], wy, 1.0 / (fx.lam[:, np.newaxis] + fy.lam)
 
 
-def _load_products(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
-    """xx[a, c, i] = wx[a, i] wx[c, i] and the weighted y side
-    z[b, i, d] = sum_j weights[i, j] wy[b, j] wy[d, j] of a class pair,
-    whose dual Gram is R[(a, b), (c, d)] = sum_i xx[a, c, i] z[b, i, d].
-
-    The y side is contracted in one product. A class may have no modes at
-    low degrees, hence the explicit sizes.
-    """
-    mx, (ny, my) = wx.shape[1], wy.shape
-    z = (wy[:, np.newaxis, :] * weights).reshape(ny * mx, my) @ wy.T
-    return wx[:, np.newaxis, :] * wx, z.reshape(ny, mx, ny)
-
-
 def _volume_gram(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The dual Gram of the probe pairs of wx x wy, x probe outermost.
 
-    The y side is contracted first (``_load_products``); then one batched
-    product of xx[a] against z[b] writes each R[(a, b), :, :] in place,
-    so the block is formed in its final order, with no transposing copy
-    and no other array of its size. With the 1 x 1 identity for wx, the
-    block is exactly (wy * e) @ wy.T for the edge weights e.
+    R[(a, b), (c, d)] = sum_i xx[a, c, i] z[b, i, d] with xx[a, c, i] =
+    wx[a, i] wx[c, i] and the weighted y side z[b, i, d] = sum_j
+    weights[i, j] wy[b, j] wy[d, j], contracted first in one product; then
+    one batched product of xx[a] against z[b] writes each R[(a, b), :, :]
+    in place, so the block is formed in its final order, with no
+    transposing copy and no other array of its size. A class may have no
+    modes at low degrees, hence the explicit sizes. With the 1 x 1 identity
+    for wx, the block is exactly (wy * e) @ wy.T for the edge weights e.
     """
-    xx, z = _load_products(wx, wy, weights)
-    n = len(wx) * len(wy)
-    return np.matmul(xx[:, np.newaxis], z).reshape(n, n)
+    mx, (ny, my) = wx.shape[1], wy.shape
+    z = (wy[:, np.newaxis, :] * weights).reshape(ny * mx, my) @ wy.T
+    xx = wx[:, np.newaxis, :] * wx
+    n = len(wx) * ny
+    return np.matmul(xx[:, np.newaxis], z.reshape(ny, mx, ny)).reshape(n, n)
 
 
-def _swap_gram(block: _Block, wx: np.ndarray, wy: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """A swap block of the dual Gram of one class pair with equal factors.
-
-    As R[(b, a), (d, c)] = R[(a, b), (c, d)], a swap block entry is a
-    scaled R[(a, b), (c, d)] + sign R[(a, b), (d, c)]. The rows are formed
-    one outer probe a at a time: the slab s[b, c, d] = R[(a, b), (c, d)]
-    over the block's b >= a (b > a in the antisymmetric block) is one
-    batched product as in ``_volume_gram``; the block's rows gather its
-    columns (c, d), c <= d, and then add sign times its columns (d, c), so
-    the slab is never folded onto its transpose. The rows and then the
-    columns of the pairs (a, a) are scaled by sqrt(1/2) in place. No array
-    of the block's size is formed but the block.
-    """
-    xx, z = _load_products(wx, wy, weights)
-    gram = np.empty((block.order, block.order))
-    offset, start = int(block.sign < 0), 0
-    for outer in range(len(wx) - offset):
-        slab = np.matmul(xx[outer], z[outer + offset:])
-        slab = slab.reshape(len(slab), -1)
-        rows = gram[start:start + len(slab)]
-        np.take(slab, block.index, axis=1, out=rows)
-        rows += block.sign * np.take(slab, block.partner, axis=1)
-        start += len(slab)
-    if offset == 0:
-        pairs = np.flatnonzero(block.index == block.partner)
-        gram[pairs] *= np.sqrt(0.5)
-        gram[:, pairs] *= np.sqrt(0.5)
-    return gram
-
-
-def _gram(block: _Block, triple) -> np.ndarray:
-    """The block of the dual Gram R = L A^{-1} L^T, formed from its
-    ``_pair`` triple."""
-    if not block.sign:
-        return _volume_gram(*triple)
-    return _swap_gram(block, *triple)
-
-
-def _product(block: _Block, triple):
-    """v -> R v for the block of the dual Gram R, without forming it.
+def _product(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
+    """v -> R v for the dual Gram R of the ``_pair`` triple (wx, wy,
+    weights), without forming it.
 
     With V the nx x ny reshape of a vector v of its class pair (x probe
     outermost), the pair's Gram applies as Wx (G o (Wx^T V Wy)) Wy^T for
-    the weights G of the ``_pair`` triple. A swap block embeds v in the
-    load order first (``_embed``) and takes its rows of the image back,
-    with its scales formed once, not per application.
+    the weights G.
     """
-    wx, wy, weights = triple
     nx, ny = len(wx), len(wy)
-    scales = _swap_scales(block) if block.sign else None
 
     def apply(v: np.ndarray) -> np.ndarray:
-        if scales:
-            v = _embed(block, v, nx * ny, scales)
         modes = weights * (wx.T @ v.reshape(nx, ny) @ wy)
-        image = (wx @ modes @ wy.T).ravel()
-        if not scales:
-            return image
-        keep, swap = scales
-        return keep * image[block.index] + swap * image[block.partner]
+        return (wx @ modes @ wy.T).ravel()
 
     return apply
 
 
-def _class_pairs(blocks: list[_Block], triples: list):
-    """The triple of each class pair once: swap blocks share theirs."""
-    return {(block.x, block.y): triple
-            for block, triple in zip(blocks, triples)}.values()
-
-
-def _gram_trace(blocks: list[_Block], triples: list) -> float:
-    """Trace of the whole dual Gram, the sum of its block traces.
+def _gram_trace(triples: list) -> float:
+    """Trace of the whole dual Gram, the sum of the traces of its blocks'
+    ``_pair`` triples.
 
     The diagonal of a block contracts the squared load rows, so the trace
     is sx G sy per class pair and no block is formed.
     """
     return float(sum((wx ** 2).sum(axis=0) @ weights @ (wy ** 2).sum(axis=0)
-                     for wx, wy, weights in _class_pairs(blocks, triples)))
+                     for wx, wy, weights in triples))
 
 
-def _gram_norm(blocks: list[_Block], triples: list) -> float:
-    """Frobenius norm of the whole dual Gram, from its 1D factors.
+def _gram_norm(triples: list) -> float:
+    """Frobenius norm of the whole dual Gram, from the 1D factors of its
+    blocks' ``_pair`` triples.
 
     A class pair contributes trace(G^T Px G Py), with G its weights and
     Px = (Wx^T Wx) o (Wx^T Wx), Py the same for y. Every term is
@@ -654,7 +560,7 @@ def _gram_norm(blocks: list[_Block], triples: list) -> float:
     """
     return float(np.sqrt(sum(
         np.sum(((wx.T @ wx) ** 2 @ weights @ (wy.T @ wy) ** 2) * weights)
-        for wx, wy, weights in _class_pairs(blocks, triples))))
+        for wx, wy, weights in triples)))
 
 
 def _load_floor(bc: BoundaryCondition1D, degree: int, cls: int,
@@ -678,8 +584,7 @@ def _gram_floors(spec: ProblemSpec, blocks: list[_Block], triples: list) -> list
     """A lower bound on the smallest eigenvalue of each coarse block: a
     class pair's Gram B D B^T, B = Wx (x) Wy and D its weights, is at least
     min(D) lambda_min(Wx Wx^T) lambda_min(Wy Wy^T) (``_load_floor``; 1 for
-    the 1 x 1 x side of a B or C block), and so is a swap block, an
-    orthonormal compression of it. No block is formed. The caller's
+    the 1 x 1 x side of a B or C block). No block is formed. The caller's
     (q + 1)^2 eps trace allowance also absorbs the 1D factors' rounding of
     W W^T: at degree 256 at most 7.9e-12 relative, against 1.5e-11.
     """
@@ -705,27 +610,32 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
 
 #: orders up to which the eigensolves form both blocks; above it the fine
 #: block is applied by products, and the coarse one formed and factored
-#: unless it takes the Schur route above ``_SCHUR_ORDER``. Where q >= 2p a
-#: Lanczos run takes 4 to 6 operator applications and beats a dense
-#: eigensolve of the formed pair well below the cut (E1 (12, 32, 64),
-#: order 91: 0.25 against 0.55 ms); where q is close to p it takes 9 to
-#: 16, and the two are about even up to the cut (E1 (12, 14, 28), order
-#: 91: 0.61 against 0.58 ms; E1 (14, 16, 32), order 120: 0.66 against
-#: 0.88 ms). A cut at 60, with runs that also converged their second
-#: pairs, moved no benchmark workload beyond its run-to-run spread
+#: up to ``_SCHUR_ORDER``. Where q >= 2p a Lanczos run takes 4 to 6
+#: operator applications and beats a dense eigensolve of the formed pair
+#: well below the cut (E1 (12, 32, 64), order 91: 0.25 against 0.55 ms);
+#: where q is close to p it takes 9 to 16, and the two are about even up
+#: to the cut (E1 (12, 14, 28), order 91: 0.61 against 0.58 ms; E1 (14,
+#: 16, 32), order 120: 0.66 against 0.88 ms). A cut at 60, with runs that
+#: also converged their second pairs, moved no benchmark workload beyond
+#: its run-to-run spread
 _DENSE_ORDER = 100
 
-#: orders above which a certified family-A block is solved through the
-#: Schur complement of its Kronecker sum (``_schur_inverse``) when that
-#: needs a smaller factor than the block's own. With the cut at 100
+#: orders above which a family-A block is never formed: it is solved
+#: through the Schur complement of its Kronecker sum (``_schur_inverse``),
+#: exactly where that needs a smaller factor than the block's own and by
+#: CG preconditioned with its first term otherwise. With the cut at 100
 #: instead, E3 (28, 32, 64), at orders 196-225, took 10 % longer, E5
 #: there as long, and E1, E2 and E4 (14, 16, 32), at 105-120, 30-42 %
 #: longer (median of seven alternations, one BLAS thread)
 _SCHUR_ORDER = 300
 
-#: the most steps a Lanczos run may take short of its operator's order; the
-#: blocks of the published cells converge within 17
+#: the most steps a Lanczos run may take short of its operator's order, and
+#: the most iterations of a CG solve; the blocks of the published cells
+#: converge within 17 steps and 47 iterations
 _LANCZOS_STEPS = 300
+
+#: relative residual at which a CG solve of a coarse block stops
+_CG_TOL = 1e-13
 
 #: relative floor on the smallest eigenvalue of the denominator dual Gram
 _PD_FLOOR = 1e-12
@@ -946,6 +856,35 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
     return values, maximizer, float(np.linalg.norm(defect))
 
 
+def _conjugate_gradient(apply, precondition, b: np.ndarray) -> np.ndarray:
+    """x with apply(x) = b for the definite operator ``apply``, by
+    preconditioned CG from x = 0 (Hestenes & Stiefel, J. Res. NBS 1952).
+
+    ``precondition`` applies a definite approximation of the inverse. The
+    solve stops once the recurred residual is at most ``_CG_TOL`` times
+    |b|; one that has not after ``_LANCZOS_STEPS`` iterations raises a
+    NumericalError.
+    """
+    x, r = np.zeros_like(b), b.copy()
+    z = precondition(r)
+    direction, rz = z, r @ z
+    target, iterations = _CG_TOL * np.linalg.norm(b), 0
+    while np.linalg.norm(r) > target:
+        if iterations == _LANCZOS_STEPS:
+            raise NumericalError(
+                f"CG solve failed: a coarse block of order {b.size} did not "
+                f"converge in {_LANCZOS_STEPS} iterations")
+        iterations += 1
+        image = apply(direction)
+        step = rz / (direction @ image)
+        x += step * direction
+        r -= step * image
+        z = precondition(r)
+        rz, previous = r @ z, rz
+        direction = z + (rz / previous) * direction
+    return x
+
+
 def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
                    lam_y: np.ndarray):
     """v -> R^{-1} v for the dual Gram R = (Wx (x) Wy) G (Wx (x) Wy)^T of a
@@ -959,17 +898,24 @@ def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
 
         R^{-1} = (Lx (x) Ly)^{-T} (H11 - H12 H22^{-1} H21) (Lx (x) Ly)^{-1},
 
-    set 1 being the nx ny mode pairs (a, b) with a < nx and b < ny, set 2
-    the other k = mx my - nx ny. H applies as Ax V + V Ay to the mx x my
-    array V of a vector, and the Schur complement of one as H [v; -w] on
-    set 1, with H22 w = (H [v; 0]) on set 2. Only the k x k block H22,
-    entries Ax[c, c'] [d = d'] + [c = c'] Ay[d, d'], is formed, and
-    factored by ``dpotrf``; H is definite, as every family-A pair has a
-    factor with a Dirichlet end, whose lam are positive. The first term
-    alone is the Kronecker sum (Lx^{-T} Ax11 Lx^{-1}) (x) My + Mx (x)
-    (Ly^{-T} Ay11 Ly^{-1}) of 1D matrices, M = L^{-T} L^{-1}. The rows of
-    each W must be independent, as they are in every block that passes
-    the caller's floor check.
+    set 1 being the n = nx ny mode pairs (a, b) with a < nx and b < ny,
+    set 2 the other k = mx my - n. The first term alone is the Kronecker
+    sum P^{-1} = Ax' (x) My + Mx (x) Ay' of the 1D matrices
+    Ax' = Lx^{-T} Ax11 Lx^{-1} and Mx = Lx^{-T} Lx^{-1}, and y alike, which
+    applies as Ax' V My + Mx V Ay' to the nx x ny array V of a vector.
+
+    Where k < n the correction is exact: H applies as Ax V + V Ay to the
+    mx x my array V of a vector, and the Schur complement of one as
+    H [v; -w] on set 1, with H22 w = (H [v; 0]) on set 2. Only the k x k
+    block H22, entries Ax[c, c'] [d = d'] + [c = c'] Ay[d, d'], is formed,
+    and factored by ``dpotrf``; H is definite, as every family-A pair has a
+    factor with a Dirichlet end, whose lam are positive. Where k >= n that
+    factor would outgrow the block, and R^{-1} v is instead solved by
+    ``_conjugate_gradient`` on the block's ``_product``, preconditioned by
+    P^{-1}: as the correction is semidefinite, the spectrum of P^{-1} R
+    lies in [1, kappa] for a small kappa, and the published blocks take 24
+    to 47 iterations per solve. The rows of each W must be independent, as
+    they are in every block that passes the caller's floor check.
     """
     import scipy.linalg
 
@@ -980,6 +926,17 @@ def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
         (inverse,) = _lapack("dtrtri", r[:len(w)])
         sides.append(((q.T * lam) @ q, inverse))
     (ax, ux), (ay, uy) = sides
+    if mx * my >= 2 * nx * ny:
+        # ux = Lx^{-T}, so Ax' = ux Ax11 ux^T and Mx = ux ux^T
+        (sx, mass_x), (sy, mass_y) = ((u @ a[:len(u), :len(u)] @ u.T, u @ u.T)
+                                      for a, u in sides)
+        coarse = _product(wx, wy, 1.0 / (lam_x[:, np.newaxis] + lam_y))
+
+        def precondition(v: np.ndarray) -> np.ndarray:
+            v = v.reshape(nx, ny)
+            return (sx @ v @ mass_y + mass_x @ v @ sy).ravel()
+
+        return lambda v: _conjugate_gradient(coarse, precondition, v)
     outer = np.ones((mx, my), dtype=bool)
     outer[:nx, :ny] = False
     c, d = np.nonzero(outer)
@@ -1001,12 +958,10 @@ def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
     return apply
 
 
-def _schur_route(block: _Block, mx: int, my: int) -> bool:
+def _schur_route(block: _Block) -> bool:
     """Whether ``_solve_block`` solves a block by ``_solve_schur``: a
-    family-A block of order n above ``_SCHUR_ORDER`` whose class pair, of
-    mx x my mode pairs, has k = mx my - n < n outside its probe pairs."""
-    return (block.x is not None and block.order > _SCHUR_ORDER
-            and mx * my - block.order < block.order)
+    family-A block of order above ``_SCHUR_ORDER``."""
+    return block.x is not None and block.order > _SCHUR_ORDER
 
 
 def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
@@ -1016,10 +971,11 @@ def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
     ``_product`` of both sides: two products and one inverse per step. A
     block whose ``floor`` does not certify it has its smallest eigenvalue
     estimated as 1 / lambda_max(R_q^{-1}), as in ``_solve_pencil``, and
-    checked against ``trace``. Returns what ``_solve_pencil`` returns; the maximizer has
-    F^T R_q F = 1, and its defect is taken from the two products.
+    checked against ``trace``. Returns what ``_solve_pencil`` returns; the
+    maximizer has F^T R_q F = 1, and its defect is taken from the two
+    products.
     """
-    top, bottom = _product(block, fine), _product(block, mid)
+    top, bottom = _product(*fine), _product(*mid)
     if floor < _PD_FLOOR * trace:
         inverse_top, _ = _top_eigenpairs(inverse, block.order, 1, tol=1e-8,
                                          vectors=False)
@@ -1049,15 +1005,15 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
     (``eigensolve``).
     """
     clock = time.perf_counter()
-    if _schur_route(block, mid[0].shape[1], mid[1].shape[1]):
+    if _schur_route(block):
         xs, ys = sides
         inverse = _schur_inverse(*mid[:2], xs[block.x].lam, ys[block.y].lam)
         solution = _solve_schur(block, fine, mid, inverse, floor, trace)
         stages["eigensolve"] += time.perf_counter() - clock
         return solution
-    r_top = (_gram(block, fine) if block.order <= _DENSE_ORDER
-             else _product(block, fine))
-    r_bottom = _gram(block, mid)
+    r_top = (_volume_gram(*fine) if block.order <= _DENSE_ORDER
+             else _product(*fine))
+    r_bottom = _volume_gram(*mid)
     formed = time.perf_counter()
     stages["grams"] += formed - clock
     solution = _solve_pencil(r_top, r_bottom, trace, floor)
@@ -1097,9 +1053,9 @@ def saturation_coefficient(
     """Compute the saturation coefficient for one problem spec.
 
     Forms the dual Gram of the intermediate (degree q) space block by
-    block, and that of the fine (degree r) space only in its blocks of
-    order up to ``_DENSE_ORDER``: larger ones are applied by products of
-    their 1D factors without being formed. Extracts the largest generalized
+    block up to order ``_SCHUR_ORDER``, and that of the fine (degree r)
+    space only in its blocks of order up to ``_DENSE_ORDER``: larger ones
+    are applied by products of their 1D factors without being formed. Extracts the largest generalized
     eigenvalue over the blocks; the maximizer is returned in the family's
     full load order. The returned residual is the relative defect of the
     eigenpair and should be tiny.
@@ -1123,8 +1079,8 @@ def saturation_coefficient(
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,
               "eigensolve": 0.0}
     clock = time.perf_counter()
-    trace = _gram_trace(blocks, mid)
-    frobenius = _gram_norm(blocks, fine)
+    trace = _gram_trace(mid)
+    frobenius = _gram_norm(fine)
     solved, fine, mid = ([item for block, item in zip(blocks, items) if block.copies]
                          for items in (blocks, fine, mid))
     floors = _gram_floors(spec, solved, mid)
@@ -1176,22 +1132,24 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     about d values of mu), for every cell, as a lone ``compute`` starts
     cold; and per solved block of order n, its coarse Gram at degree q and
     its eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
-    and ~n^2 d for its products at degree d, each priced apart for a swap
-    block, whose slabs hold twice its entries and contract over twice as
-    many modes. Up to order 100 the eigensolve is the fine block, formed
-    as the coarse one is at degree r, and a dense reduction and full
-    eigensolve of the formed pair (a fixed cost and ~n^3); above it a
-    Cholesky factor (~n^3) and one Lanczos run, each step a fixed cost and
-    ~n^2. A run takes 4 to 6 steps where q >= 2p and 10 to 17 where q is
-    close to p on the published blocks, priced as 5 and 13. A block on the
-    Schur route (``_schur_route``), always one where q is close to p, has
-    no Gram: its class pair's setup costs a fixed amount, ~k^2 to form H22
-    and ~k^3 to factor it, and each Lanczos step a fixed cost and
-    ~mx my (mx + my) for the products with the 1D matrices of the inverse,
-    which outweigh the two block products. Where the closed-form
-    floor does not certify such a block, as at E1 (256, 260, 520), its
-    definiteness estimate adds a values-only run on the inverse, which is
-    not priced; no published block needs one.
+    and ~n^2 d for its products at degree d. Up to order 100 the eigensolve
+    is the fine block, formed as the coarse one is at degree r, and a dense
+    reduction and full eigensolve of the formed pair (a fixed cost and
+    ~n^3); above it a Cholesky factor (~n^3) and one Lanczos run, each step
+    a fixed cost and ~n^2. A run takes 4 to 6 steps where q >= 2p and 10 to
+    17 where q is close to p on the published blocks, priced as 5 and 13. A
+    block on the Schur route (``_schur_route``) has no Gram. Where its
+    class pair has k < n extra mode pairs, the setup costs a fixed amount,
+    ~k^2 to form H22 and ~k^3 to factor it, and each Lanczos step a fixed
+    cost and ~mx my (mx + my) for the products with the 1D matrices of the
+    inverse, which outweigh the two block products. Where k >= n, each
+    Lanczos step is one CG solve, priced as 33 iterations (24 to 47 on the
+    published blocks), each a fixed cost and ~mx my (nx + ny) for the
+    block's product through its 1D load rows; the setup and the
+    preconditioner are of lower order. Where the closed-form floor does
+    not certify a Schur block, as at E1 (256, 260, 520), its definiteness
+    estimate adds a values-only run on the inverse, which is not priced; no
+    published block needs one.
     Every constant is in seconds at the speed where
     ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
     one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
@@ -1199,13 +1157,14 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     published cells. The terms above order 100 were refitted by relative
     least squares to the calls of the published blocks above order 100
     (best of three). Over two runs on a 2-core VM where the kernel took
-    0.10-0.16 s, the Cholesky term reads 0.61-1.79 of its 45
-    ``_solve_pencil`` calls (medians 0.94 and 1.05), the Schur setup
-    0.70-1.47 of its 29 ``_schur_inverse`` calls (1.06 and 1.21), the
-    Schur steps 0.70-1.49 of its 29 ``_solve_schur`` calls (1.06 and
-    1.24), and the whole estimate 0.77-2.04 of the wall time of the 31
-    cells with such blocks (1.03 and 1.22), their 1D factors already
-    built. The 1D factor
+    0.11-0.16 s, the Cholesky term reads 0.67-1.62 of its 25
+    ``_solve_pencil`` calls (medians 1.06 and 0.99), the Schur setup
+    0.70-1.49 of its 29 ``_schur_inverse`` calls where k < n (1.04 and
+    1.01), the Schur steps 0.51-1.53 of its 29 ``_solve_schur`` calls
+    there (0.95 and 1.07), the CG term 0.58-2.03 of the 17 setups and
+    ``_solve_schur`` calls where k >= n (0.99 and 0.84), and the whole
+    estimate 0.69-1.87 of the wall time of the 32 cells with such blocks
+    (1.09 and 1.08), their 1D factors already built. The 1D factor
     term was refitted, on a 2-core VM where the kernel took about 0.14 s,
     to the cold factors stage of the 145 distinct published cells (best of
     five, six runs). On the 20 B and C cells at r = 256 it reads 0.92-1.19
@@ -1224,26 +1183,27 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     if spec.family != "A":
         modes += 2.7e-4 + 1e-8 * (r ** 2 + q ** 2)
 
-    def gram(n: int, degree: int, swap: bool) -> float:
-        if swap:
-            return 3.9e-5 + 3.7e-9 * n ** 2 + 1.1e-10 * n ** 2 * degree
+    def gram(n: int, degree: int) -> float:
         return 6e-6 + 6.4e-10 * n ** 2 + 2.4e-11 * n ** 2 * degree
 
     steps = 5 if q >= 2 * spec.p else 13
     grams = eig = 0.0
     for block in _spec_blocks(spec, rows=False):
-        n, swap = block.order, bool(block.sign)
+        n = block.order
         if not block.copies:
             continue
-        if block.x is not None:
+        if _schur_route(block):
             mx, my = (_class_sizes(args[0], q)[cls]
                       for args, cls in ((x_args, block.x), (y_args, block.y)))
-            if _schur_route(block, mx, my):
-                k = mx * my - n
+            k = mx * my - n
+            if k < n:
                 eig += (3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
                         + steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my)))
-                continue
-        grams += gram(n, q, swap)
-        eig += (gram(n, r, swap) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
+            else:
+                product = mx * my * (block.px.size + block.py.size)
+                eig += steps * 33 * (1.5e-5 + 1.45e-10 * product)
+            continue
+        grams += gram(n, q)
+        eig += (gram(n, r) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
                 else 5e-4 + 1.2e-11 * n ** 3 + steps * (7.8e-6 + 1.1e-10 * n ** 2))
     return overhead + modes + grams + eig

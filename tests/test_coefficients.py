@@ -5,12 +5,14 @@ full table comparison lives in the acceptance suite. The eigenvalue and dual
 norm routes are cross-checked against independent dense linear algebra, the
 top-of-spectrum eigensolve against the full-spectrum oracle in
 ``dense_eigen_oracle``, and the fast-diagonalization dual Grams against the
-sparse-LU oracle in ``sparse_oracle``, the block route (parity classes
-and swap blocks) against the unsplit route in ``unsplit_oracle``, the
-reorthogonalized Lanczos against ARPACK in ``arpack_oracle``, and the
-tridiagonal 1D factors, the resolvent edge weights and the closed-form
-load floors against the dense pencils, the 40-digit mpmath references and
-the per-class eigensolves in ``pencil_oracle``.
+sparse-LU oracle in ``sparse_oracle``, the block route (parity classes)
+against the unsplit route in ``unsplit_oracle``, E2's class pair solved
+whole against its swap blocks in ``gram_oracle``, the Schur route against
+the Cholesky route, the reorthogonalized Lanczos against ARPACK in
+``arpack_oracle``, and the tridiagonal 1D factors, the resolvent edge
+weights and the closed-form load floors against the dense pencils, the
+40-digit mpmath references and the per-class eigensolves in
+``pencil_oracle``.
 """
 
 import itertools
@@ -29,7 +31,14 @@ from basis_oracle import Basis1D, boundary_trace, build_basis_1d, gram_matrices
 from refsat.bases import BoundaryCondition1D
 from refsat.cli import load_published_table, main
 from dense_eigen_oracle import max_generalized_eigenvalue as dense_oracle
-from gram_oracle import swap_grams, volume_gram
+from gram_oracle import (
+    embed as swap_embed,
+    split_saturation,
+    swap_blocks,
+    swap_gram,
+    swap_grams,
+    volume_gram,
+)
 from pencil_oracle import (
     _classes,
     _factor,
@@ -49,10 +58,8 @@ from refsat.coefficients import (
     _class_probes,
     _classes as factor_classes,
     _edge_weights,
-    _embed,
     _factor_args,
     _PD_FLOOR,
-    _gram,
     _gram_floors,
     _gram_norm,
     _gram_trace,
@@ -328,14 +335,14 @@ def test_formed_pencils_match_lanczos_on_the_same_pair(name):
         blocks = [block for block in _spec_blocks(spec) if block.copies]
         fine, mid = (triples(blocks, *_sides(spec, degree, {}))
                      for degree in (r, q))
-        trace = _gram_trace(blocks, mid)
+        trace = _gram_trace(mid)
         dense_tops, lanczos_tops, whole = [], [], True
         for block, fine_pair, mid_pair in zip(blocks, fine, mid):
             n = block.index.size
             whole &= n <= _DENSE_ORDER
             if n > _DENSE_ORDER:
                 continue
-            formed, bottom = _gram(block, fine_pair), _gram(block, mid_pair)
+            formed, bottom = _volume_gram(*fine_pair), _volume_gram(*mid_pair)
             try:
                 # the factor takes the place of the block it is given
                 values, maximizer, _ = _solve_pencil(formed, bottom.copy(),
@@ -346,7 +353,7 @@ def test_formed_pencils_match_lanczos_on_the_same_pair(name):
             if n > 2:
                 # the same pair with the fine block as an operator: the
                 # Lanczos route, which production takes above the dense order
-                expect, _, _ = _solve_pencil(_product(block, fine_pair),
+                expect, _, _ = _solve_pencil(_product(*fine_pair),
                                              bottom.copy(), trace, 0.0)
             else:
                 expect = scipy.linalg.eigvalsh(formed, bottom)[-2:]
@@ -675,13 +682,13 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         blocks = _spec_blocks(spec)
         pairs = triples(blocks, xs, ys)
-        parts = [_gram(*pair) for pair in zip(blocks, pairs)]
+        parts = [_volume_gram(*pair) for pair in pairs]
         assert tuple(part.shape[0] for part in parts) == block_orders(spec)
         assert sum(part.shape[0] for part in parts) == expect.shape[0]
         for part in parts:
             assert np.linalg.norm(part - part.T) <= 1e-14 * np.linalg.norm(part)
         trace = sum(np.trace(part) for part in parts)
-        assert abs(_gram_trace(blocks, pairs) - trace) <= 1e-14 * trace
+        assert abs(_gram_trace(pairs) - trace) <= 1e-14 * trace
         assert abs(trace - np.trace(expect)) <= 1e-12 * trace
 
 
@@ -702,7 +709,7 @@ def test_block_counts_follow_the_symmetries():
     orders = {name: block_orders(spec_for(name, 4, 8, 16))
               for name in CANONICAL_PROBLEMS}
     assert orders["E1"] == orders["E4"] == (15, 10)  # one parity split
-    assert orders["E2"] == (15, 10)  # swap: n(n + 1)/2 and n(n - 1)/2
+    assert orders["E2"] == (25,)  # one class pair, solved whole
     assert orders["E3"] == orders["E5"] == (9, 6, 6, 4)
     assert orders["F1"] == orders["F3"] == (5,)
     assert orders["F2"] == orders["F4"] == (3, 2)
@@ -763,12 +770,10 @@ def test_blocks_without_rows_keep_the_layout():
         full, bare = _spec_blocks(spec), _spec_blocks(spec, rows=False)
         assert len(full) == len(bare), cell
         for block, orders_only in zip(full, bare):
-            assert orders_only.index is None and orders_only.partner is None
+            assert orders_only.index is None
             assert block.index.size == block.order == orders_only.order, cell
-            assert (block.partner is not None) == bool(block.sign), cell
-            assert ((block.x, block.y, block.sign, block.copies)
-                    == (orders_only.x, orders_only.y, orders_only.sign,
-                        orders_only.copies)), cell
+            assert ((block.x, block.y, block.copies)
+                    == (orders_only.x, orders_only.y, orders_only.copies)), cell
 
 
 def coarse_floors(name, p, q, r, factors):
@@ -813,7 +818,7 @@ def test_block_floors_bound_the_smallest_eigenvalue():
     for name, p, q, r in cases + published_cells(max_p=16):
         spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
         for floor, block in zip(floors, blocks):
-            gram = _gram(block, _pair(block, xs, ys))
+            gram = _volume_gram(*_pair(block, xs, ys))
             lowest = scipy.linalg.eigvalsh(gram)[0]
             # eigvalsh is backward stable: an exactly singular block reads
             # an eigenvalue of either sign at the rounding level
@@ -822,8 +827,9 @@ def test_block_floors_bound_the_smallest_eigenvalue():
             if p == q and np.linalg.matrix_rank(gram) < gram.shape[0]:
                 singular += 1
                 assert floor == 0.0, (name, p, q, r)
-    # the p = q cases of E1..E5, F1, F3 and F4 have singular blocks
-    assert singular == 17
+    # the p = q cases of E1..E5, F1, F3 and F4 have singular blocks, E2's
+    # one class pair a single block
+    assert singular == 16
 
 
 #: the mu of each published cell in full precision, in table order
@@ -857,7 +863,6 @@ def test_every_published_block_is_certified_definite(monkeypatch):
         raise AssertionError("a coarse block was formed")
 
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_block)
-    monkeypatch.setattr(refsat.coefficients, "_swap_gram", no_block)
     factors = {}
     cells = published_cells()
     assert len(cells) == 145
@@ -868,7 +873,7 @@ def test_every_published_block_is_certified_definite(monkeypatch):
     for name, p, q, r in cells + planned:
         spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
         every = _spec_blocks(spec)
-        trace = _gram_trace(every, triples(every, xs, ys))
+        trace = _gram_trace(triples(every, xs, ys))
         rounding = (q + 1) ** 2 * np.finfo(float).eps
         assert min(floors) >= (_PD_FLOOR + rounding) * trace, (name, p, q, r)
 
@@ -932,16 +937,17 @@ def counting_runs(monkeypatch):
 
 
 def test_lanczos_runs_stop_once_their_top_ritz_pairs_converge(monkeypatch):
-    # operator applications of each Lanczos run: 6 and 6 for E2, 13 and 13
-    # for E1, as each second Ritz value is certified below the tie gap
-    # before it converges; converging the second pairs too takes 7 and 6,
-    # and 16 and 16
+    # operator applications of each Lanczos run: 7 for E2's whole class
+    # pair, 13 and 13 for E1, as each second Ritz value is certified below
+    # the tie gap before it converges; converging the second pairs too
+    # takes 10, and 16 and 16
     runs = counting_runs(monkeypatch)
-    for (name, p, q, r), most in ((("E2", 16, 32, 64), 6),
-                                  (("E1", 28, 32, 64), 13)):
+    for (name, p, q, r), solved, most in ((("E2", 16, 32, 64), 1, 7),
+                                          (("E1", 28, 32, 64), 2, 13)):
         runs.clear()
         saturation_coefficient(spec_for(name, p, q, r))
-        assert len(runs) == 2 and all(n > _DENSE_ORDER for n, _, _ in runs), name
+        assert len(runs) == solved, name
+        assert all(n > _DENSE_ORDER for n, _, _ in runs), name
         assert all(count <= most for _, _, count in runs), (name, runs)
 
 
@@ -970,8 +976,9 @@ def test_lanczos_matches_the_arpack_oracle(monkeypatch):
         except NumericalError as exc:
             assert "ill-posed" in str(exc), cell
     # the order-105 blocks of F1 and F3 at (104, 112, 128) and (104, 112, 112),
-    # and the blocks of E1..E5 at (28, 32, 64), E2's whole on the Schur route
-    assert len(compared) == 16 and min(compared) > _DENSE_ORDER
+    # E2's whole class pair of order 169 at (12, 16, 32) and (12, 16, 16),
+    # and the blocks of E1..E5 at (28, 32, 64)
+    assert len(compared) == 18 and min(compared) > _DENSE_ORDER
 
 
 def test_lanczos_finds_the_top_of_a_known_spectrum():
@@ -1058,10 +1065,10 @@ def test_a_near_tie_across_the_swap_blocks_ties_alike_when_solved_whole(gap, tie
     # the top eigenvector of an operator on 8 x 8 arrays is a symmetric
     # matrix, and the second, inside or outside the tie gap below it, an
     # antisymmetric one: the class pair solved whole ties as its two swap
-    # blocks do
-    blocks = _spec_blocks(spec_for("E2", 7, 8, 16))
-    assert [block.sign for block in blocks] == [1.0, -1.0]
-    embeds = [_embed(block, np.eye(block.order), 64) for block in blocks]
+    # blocks of the split oracle do
+    blocks = swap_blocks(8)
+    assert [(block.order, block.sign) for block in blocks] == [(36, 1.0), (28, -1.0)]
+    embeds = [swap_embed(block, np.eye(block.order), 64) for block in blocks]
     applies = [rotated(np.concatenate([np.linspace(0.0, 0.5, block.order - 1),
                                        [top]]))[0]
                for block, top in zip(blocks, (1.0 + gap, 1.0))]
@@ -1079,11 +1086,13 @@ def test_a_near_tie_across_the_swap_blocks_ties_alike_when_solved_whole(gap, tie
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
 def test_q_equals_r_ties_at_one_on_the_lanczos_route(monkeypatch, name):
+    # E1 has two parity class pairs, E2 one pair solved whole
+    orders = {"E1": [153, 136], "E2": [289]}[name]
     runs = counting_runs(monkeypatch)
     spec = spec_for(name, 16, 32, 32)
-    assert block_orders(spec) == (153, 136)
+    assert list(block_orders(spec)) == orders
     res = saturation_coefficient(spec)
-    assert [n for n, _, _ in runs] == [153, 136]
+    assert [n for n, _, _ in runs] == orders
     assert abs(res.mu - 1.0) <= 1e-12
     assert res.tie
 
@@ -1124,7 +1133,6 @@ def test_singular_coarse_blocks_are_rejected_before_they_are_formed(monkeypatch)
         raise AssertionError("a coarse block was formed")
 
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_block)
-    monkeypatch.setattr(refsat.coefficients, "_swap_gram", no_block)
     for cell in SINGULAR_CELLS:
         with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK):
             saturation_coefficient(spec_for(*cell))
@@ -1157,7 +1165,7 @@ def test_fine_products_match_the_formed_blocks(name):
     for spec, blocks, xs, ys in fine_blocks(name):
         pairs = triples(blocks, xs, ys)
         for block, triple in zip(blocks, pairs):
-            apply, gram = _product(block, triple), _gram(block, triple)
+            apply, gram = _product(*triple), _volume_gram(*triple)
             n = gram.shape[0]
             vector = rng.standard_normal(n)
             got = apply(vector)
@@ -1171,57 +1179,14 @@ def test_fine_products_match_the_formed_blocks(name):
                     <= 1e-13 * np.linalg.norm(gram)), (spec, block.x, block.y)
 
 
-def per_application_product(block, triple):
-    """``_product`` of a swap block with its pair mask and its scales built
-    again on every application."""
-    wx, wy, weights = triple
-    nx, ny = len(wx), len(wy)
-
-    def apply(v):
-        pair = block.index != block.partner
-        rows = v * np.where(pair, np.sqrt(0.5), 1.0)
-        full = np.zeros(nx * ny)
-        full[block.index] = rows
-        full[block.partner[pair]] += block.sign * rows[pair]
-        image = (wx @ (weights * (wx.T @ full.reshape(nx, ny) @ wy)) @ wy.T).ravel()
-        keep = np.where(pair, np.sqrt(0.5), 1.0)
-        swap = np.where(pair, block.sign * np.sqrt(0.5), 0.0)
-        return keep * image[block.index] + swap * image[block.partner]
-
-    return apply
-
-
-def test_swap_products_equal_the_per_application_scales_bitwise():
-    rng = np.random.default_rng(11)
-    factors, checked = {}, 0
-    for cell in published_cells():
-        if cell[0] != "E2":
-            continue
-        spec = spec_for(*cell)
-        blocks = _spec_blocks(spec)
-        for degree in (spec.q, spec.r):
-            pairs = triples(blocks, *_sides(spec, degree, factors))
-            for block, triple in zip(blocks, pairs):
-                if not block.sign:
-                    continue
-                vector = rng.standard_normal(block.order)
-                got = _product(block, triple)(vector)
-                expect = per_application_product(block, triple)(vector)
-                assert np.array_equal(got, expect), (cell, degree, block.sign)
-                checked += 1
-    # seven of the ten published E2 cells have a symmetric and an
-    # antisymmetric block; the other three solve their pair whole
-    assert checked == 28
-
-
 @pytest.mark.parametrize("name", list(CANONICAL_PROBLEMS))
 def test_factored_norm_matches_the_formed_grams(name):
     for spec, blocks, xs, ys in fine_blocks(name):
         expect = np.linalg.norm(dual_gram(spec, spec.r))
         pairs = triples(blocks, xs, ys)
-        parts = np.sqrt(sum(np.linalg.norm(_gram(*pair)) ** 2
-                            for pair in zip(blocks, pairs)))
-        got = _gram_norm(blocks, pairs)
+        parts = np.sqrt(sum(np.linalg.norm(_volume_gram(*pair)) ** 2
+                            for pair in pairs))
+        got = _gram_norm(pairs)
         assert abs(got - expect) <= 1e-13 * expect
         assert abs(got - parts) <= 1e-13 * parts
 
@@ -1283,31 +1248,35 @@ def test_volume_blocks_match_the_x_first_contraction():
 
 
 #: (p, degree) of the coarse kernel checks: p = 0 (E2 has no antisymmetric
-#: block), p = 1 (its antisymmetric block has order 1), p = degree, a
+#: swap block), p = 1 (its antisymmetric block has order 1), p = degree, a
 #: Lanczos order with a finer space, and the coarse side at (28, 32, 64)
 KERNEL_CASES = ((0, 2), (1, 4), (8, 8), (16, 64), (28, 32))
 
 
 def test_coarse_kernels_match_the_replaced_contractions():
-    checked = set()
+    # the split oracle's swap blocks of E2 are also checked, against the
+    # route they replaced and as compressions of the pair's whole block
+    orders = []
     for name in ("E1", "E2", "E3", "E4", "E5"):
         for p, degree in KERNEL_CASES:
             spec = spec_for(name, p, degree, degree)
             blocks = _spec_blocks(spec)
-            pairs = triples(blocks, *_sides(spec, degree, {}))
-            swaps = [block for block in blocks if block.partner is not None]
-            expect = swap_grams(pairs[0][0], pairs[0][2], swaps) if swaps else []
-            for block, triple in zip(blocks, pairs):
-                got = _gram(block, triple)
-                want = (volume_gram(*triple) if block.partner is None
-                        else expect.pop(0))
+            for block, triple in zip(blocks, triples(blocks, *_sides(spec, degree, {}))):
+                got, want = _volume_gram(*triple), volume_gram(*triple)
                 assert got.shape == want.shape == (block.order,) * 2
                 assert (np.linalg.norm(got - want)
                         <= 1e-14 * np.linalg.norm(want)), (name, p, block.order)
-                checked.add(None if block.partner is None else block.sign)
-            if name == "E2" and p < 2:
-                assert [block.order for block in blocks] == [[1], [3, 1]][p]
-    assert checked == {None, 1.0, -1.0}
+            if name != "E2":
+                continue
+            # E2's one block is the last formed
+            parts, (wx, _, weights) = swap_blocks(p + 1), triple
+            for part, expect in zip(parts, swap_grams(wx, weights, parts)):
+                embedding = swap_embed(part, np.eye(part.order), got.shape[0])
+                for want in expect, embedding.T @ got @ embedding:
+                    assert (np.linalg.norm(swap_gram(part, *triple) - want)
+                            <= 1e-14 * np.linalg.norm(want)), (p, part.sign)
+            orders.append([part.order for part in parts])
+    assert orders[:2] == [[1], [3, 1]]
     # with the 1 x 1 identity for Wx the two contractions are one product
     for name in ("F1", "F2", "F3", "F4", "C"):
         for degree in (2, 8, 64):
@@ -1327,9 +1296,9 @@ def residual_gap(spec, factors) -> tuple[float, int]:
     blocks = [block for block in every if block.copies]
     fine, mid = (triples(blocks, *_sides(spec, degree, factors))
                  for degree in (spec.r, spec.q))
-    trace = _gram_trace(every, triples(every, *_sides(spec, spec.q, factors)))
-    frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
-    kept = [_gram(*pair) for pair in zip(blocks, mid)]
+    trace = _gram_trace(triples(every, *_sides(spec, spec.q, factors)))
+    frobenius = _gram_norm(triples(every, *_sides(spec, spec.r, factors)))
+    kept = [_volume_gram(*pair) for pair in mid]
     sides = _sides(spec, spec.q, factors)
     stages = {"grams": 0.0, "eigensolve": 0.0}
     solutions = [_solve_block(*args, trace, stages, sides) for args in
@@ -1338,8 +1307,8 @@ def residual_gap(spec, factors) -> tuple[float, int]:
         solutions, [block.copies for block in blocks], frobenius)
     # the fine side as ``_solve_block`` applies it
     block, pair = blocks[index], fine[index]
-    image = (_gram(block, pair) @ maximizer if block.order <= _DENSE_ORDER
-             else _product(block, pair)(maximizer))
+    image = (_volume_gram(*pair) @ maximizer if block.order <= _DENSE_ORDER
+             else _product(*pair)(maximizer))
     defect = image - value * (kept[index] @ maximizer)
     formed = np.linalg.norm(defect) / (frobenius * np.linalg.norm(maximizer))
     return abs(residual - formed), len(kept[index])
@@ -1386,24 +1355,18 @@ def test_saturation_holds_one_coarse_block_at_a_time():
 
 def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
     formed = []
-    volume, swap = refsat.coefficients._volume_gram, refsat.coefficients._swap_gram
+    volume = refsat.coefficients._volume_gram
 
     def counting_volume(wx, wy, weights):
         gram = volume(wx, wy, weights)
         formed.append((weights.shape, gram.shape[0]))
         return gram
 
-    def counting_swap(block, wx, wy, weights):
-        gram = swap(block, wx, wy, weights)
-        formed.append((weights.shape, gram.shape[0]))
-        return gram
-
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", counting_volume)
-    monkeypatch.setattr(refsat.coefficients, "_swap_gram", counting_swap)
     # every block is above the dense order here: one coarse product per
-    # block, parity or swap, and no fine one; E1 and E2 at (28, 32, 64)
-    # take the Schur route above the Schur order, which forms no block
-    for name, p, q, r, orders in (("E2", 16, 32, 64, [153, 136]),
+    # block, and no fine one; E1 and E2 at (28, 32, 64) take the Schur
+    # route above the Schur order, which forms no block
+    for name, p, q, r, orders in (("E2", 16, 32, 64, [289]),
                                   ("E3", 28, 32, 64, [225, 210, 210, 196]),
                                   ("E1", 28, 32, 64, []), ("E2", 28, 32, 64, [])):
         spec = spec_for(name, p, q, r)
@@ -1415,7 +1378,7 @@ def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
         assert {shape for shape, _ in formed} <= coarse, name
     # small blocks are formed on both sides, each solved block once; E5
     # does not form its mirror block
-    for name, solved in (("E1", 2), ("E2", 2), ("E3", 4), ("E4", 2), ("E5", 3)):
+    for name, solved in (("E1", 2), ("E2", 1), ("E3", 4), ("E4", 2), ("E5", 3)):
         spec = spec_for(name, 4, 8, 16)
         xs, ys = (factor_classes(*args) for args in _factor_args(spec, spec.r))
         fine = {(fx.lam.size, fy.lam.size) for fx in xs for fy in ys}
@@ -1483,21 +1446,32 @@ def schur_routes(monkeypatch):
 #: the published cells with a block on the Schur route, and every block of
 #: each takes it
 SCHUR_CELLS = [(name, p, q, r) for name, cells in (
-    ("E1", ((28, 32, 64), (56, 64, 128), (60, 64, 128))),
-    ("E2", ((28, 32, 64), (56, 64, 128), (60, 64, 128))),
-    ("E3", ((56, 64, 128), (60, 64, 128))),
-    ("E4", ((28, 32, 64), (56, 64, 128), (60, 64, 128))),
-    ("E5", ((56, 64, 128), (60, 64, 128)))) for p, q, r in cells]
+    ("E1", ((28, 32, 64), (32, 64, 128), (56, 64, 128), (60, 64, 128),
+            (64, 128, 256))),
+    ("E2", ((28, 32, 64), (32, 64, 128), (56, 64, 128), (60, 64, 128),
+            (64, 128, 256))),
+    ("E3", ((56, 64, 128), (60, 64, 128), (64, 128, 256))),
+    ("E4", ((28, 32, 64), (32, 64, 128), (56, 64, 128), (60, 64, 128),
+            (64, 128, 256))),
+    ("E5", ((56, 64, 128), (60, 64, 128), (64, 128, 256)))) for p, q, r in cells]
 
 
 def schur_routed(spec) -> list[bool]:
-    """Whether each solved block of ``spec`` takes the Schur route, read
-    from the class sizes as ``estimated_seconds`` reads them."""
+    """Whether each solved block of ``spec`` takes the Schur route."""
+    return [refsat.coefficients._schur_route(block)
+            for block in _spec_blocks(spec, rows=False) if block.copies]
+
+
+def cg_routed(spec) -> list[bool]:
+    """Whether each solved block of ``spec`` takes the Schur route with its
+    inverse by CG, its class pair of mx x my modes having k = mx my - n >= n
+    for its order n; read from the class sizes as ``estimated_seconds``
+    reads them."""
     (bc_x, _), (bc_y, _) = _factor_args(spec, spec.q)
     sizes_x, sizes_y = (refsat.coefficients._class_sizes(bc, spec.q)
                         for bc in (bc_x, bc_y))
-    return [block.x is not None and refsat.coefficients._schur_route(
-                block, sizes_x[block.x], sizes_y[block.y])
+    return [refsat.coefficients._schur_route(block)
+            and sizes_x[block.x] * sizes_y[block.y] >= 2 * block.order
             for block in _spec_blocks(spec, rows=False) if block.copies]
 
 
@@ -1505,7 +1479,12 @@ def test_schur_cells_are_the_published_cells_on_the_route():
     routed = {cell: schur_routed(spec_for(*cell)) for cell in published_cells()}
     assert sorted(cell for cell, route in routed.items() if any(route)) == SCHUR_CELLS
     assert all(all(routed[cell]) for cell in SCHUR_CELLS)
-    assert sum(len(routed[cell]) for cell in SCHUR_CELLS) == 29
+    assert sum(len(routed[cell]) for cell in SCHUR_CELLS) == 46
+    # 17 of them, at (32, 64, 128) and (64, 128, 256), invert by CG
+    cg = {cell: sum(cg_routed(spec_for(*cell))) for cell in SCHUR_CELLS}
+    assert sum(cg.values()) == 17
+    assert {cell[1:] for cell, count in cg.items() if count} == {
+        (32, 64, 128), (64, 128, 256)}
     # the benchmark's small cells keep the Cholesky route
     for cell in published_cells(max_p=16):
         assert max(block_orders(spec_for(*cell))) <= _SCHUR_ORDER, cell
@@ -1514,10 +1493,9 @@ def test_schur_cells_are_the_published_cells_on_the_route():
 def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
         monkeypatch):
     # the oracle is the Cholesky route, forced by raising the cut above
-    # every block, where E2 splits its class pair into swap blocks: a
-    # Schur block's top two values are those of the oracle blocks of its
-    # class pair. The residual of its maximizer is taken against its
-    # formed coarse block
+    # every block: each Schur block, whose inverse is exact or by CG, has
+    # the top two values of the oracle's block of its class pair. The
+    # residual of its maximizer is taken against its formed coarse block
     solve_block, solved = refsat.coefficients._solve_block, []
 
     def kept_block(block, fine, mid, *args):
@@ -1525,7 +1503,7 @@ def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
         return solved[-1][3]
 
     monkeypatch.setattr(refsat.coefficients, "_solve_block", kept_block)
-    factors, eps, blocks = {}, np.finfo(float).eps, 0
+    factors, eps, blocks = {}, np.finfo(float).eps, [0, 0]
     for cell in SCHUR_CELLS:
         spec = spec_for(*cell)
         solved.clear()
@@ -1537,28 +1515,27 @@ def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
             expect = saturation_coefficient(spec, factors)
         assert expect.tie == res.tie, cell
         assert abs(expect.mu - res.mu) <= 1e-13 * expect.mu, cell
-        every = _spec_blocks(spec)
-        frobenius = _gram_norm(every, triples(every, *_sides(spec, spec.r, factors)))
-        for block, fine, mid, solution in schur:
-            # every block of these cells takes the Schur route
-            assert refsat.coefficients._schur_route(
-                block, mid[0].shape[1], mid[1].shape[1]), cell
-            want = np.sort(np.concatenate([
-                values for oracle, _, _, (values, _, _) in solved
-                if (oracle.x, oracle.y) == (block.x, block.y)]))
+        frobenius = _gram_norm(triples(_spec_blocks(spec),
+                                       *_sides(spec, spec.r, factors)))
+        for (block, fine, mid, solution), (oracle, _, _, (want, _, _)), cg in zip(
+                schur, solved, cg_routed(spec)):
+            assert refsat.coefficients._schur_route(block), cell
+            assert (oracle.x, oracle.y) == (block.x, block.y), cell
             values, maximizer, defect = solution
-            top, kept = _product(block, fine), _gram(block, mid)
             assert abs(values[-1] - want[-1]) <= 1e-13 * want[-1], (cell, values, want)
             # a second value may be a Ritz value certified below the tie
             # gap, a lower bound that serves only the tie flag
             gap = want[-1] * (1.0 - refsat.coefficients._TIE)
             assert (abs(values[-2] - want[-2]) <= 1e-13 * want[-1]
                     or max(values[-2], want[-2]) < gap), (cell, values, want)
-            formed = np.linalg.norm(top(maximizer) - values[-1] * (kept @ maximizer))
+            kept = _volume_gram(*mid)
+            formed = np.linalg.norm(_product(*fine)(maximizer)
+                                    - values[-1] * (kept @ maximizer))
             scale = frobenius * np.linalg.norm(maximizer)
             assert abs(defect - formed) <= block.order * eps * scale, cell
-            blocks += 1
-    assert blocks == 29
+            blocks[cg] += 1
+    # 29 blocks with an exact inverse and 17 with CG
+    assert blocks == [29, 17]
 
 
 def test_schur_route_solves_k_zero_and_q_equal_r(monkeypatch):
@@ -1582,44 +1559,74 @@ def test_schur_route_solves_k_zero_and_q_equal_r(monkeypatch):
 
 
 def test_e2_solves_its_class_pair_whole_on_the_schur_route(monkeypatch):
-    # the oracle splits the pair into its swap blocks on the Cholesky route,
-    # forced by raising the cut above every block
+    # one block of order (p + 1)^2, one setup of its class pair and one
+    # Lanczos run, whether its inverse is exact or by CG
     factors = {}
     for cell in [cell for cell in SCHUR_CELLS if cell[0] == "E2"]:
         spec, n = spec_for(*cell), (cell[1] + 1) ** 2
-        with monkeypatch.context() as forced:
-            forced.setattr(refsat.coefficients, "_SCHUR_ORDER", np.inf)
-            assert [block.sign for block in _spec_blocks(spec)] == [1.0, -1.0]
-            expect = saturation_coefficient(spec, factors)
         with monkeypatch.context() as counted:
             solves, setups = schur_routes(counted)
             runs = counting_runs(counted)
-            res = saturation_coefficient(spec, factors)
-        assert [(block.order, block.sign) for block in _spec_blocks(spec)] == [(n, 0.0)]
+            saturation_coefficient(spec, factors)
+        assert block_orders(spec) == (n,), cell
         assert [order for order, _ in solves] == [n], cell
         assert setups == [(cell[1] + 1,) * 2], cell
         assert len(runs) == 1, cell
-        assert abs(res.mu - expect.mu) <= 1e-13 * expect.mu, cell
-        assert res.tie == expect.tie, cell
     # E1's two class pairs take a setup each
     solves, setups = schur_routes(monkeypatch)
     saturation_coefficient(spec_for("E1", 28, 32, 64), factors)
     assert solves == [(435, 109), (406, 106)]
     assert setups == [(29, 15), (29, 14)]
-    # a swap block is never on the Schur route
-    for cell in published_cells():
+
+
+def test_published_e2_cells_solved_whole_match_the_split_oracle():
+    # the oracle splits E2's class pair into its symmetric and its
+    # antisymmetric block, formed up to order 2145 at (64, 128, 256)
+    factors, cells = {}, [cell for cell in published_cells() if cell[0] == "E2"]
+    for cell in cells:
         spec = spec_for(*cell)
-        solved = [block for block in _spec_blocks(spec, rows=False) if block.copies]
-        assert not any(block.sign and routed
-                       for block, routed in zip(solved, schur_routed(spec))), cell
+        res = saturation_coefficient(spec, factors)
+        value, tie = split_saturation(spec, factors)
+        assert abs(res.mu_squared - value) <= 1e-13 * value, cell
+        assert res.tie == tie, cell
+    assert len(cells) == 10
+
+
+def test_no_published_cell_forms_a_coarse_block_above_the_schur_order(
+        monkeypatch):
+    volume = refsat.coefficients._volume_gram
+
+    def small_block(wx, wy, weights):
+        assert len(wx) * len(wy) <= _SCHUR_ORDER, "a large block was formed"
+        return volume(wx, wy, weights)
+
+    monkeypatch.setattr(refsat.coefficients, "_volume_gram", small_block)
+    factors = {}
+    for cell in published_cells():
+        saturation_coefficient(spec_for(*cell), factors)
+
+
+def test_a_cg_solve_that_does_not_converge_is_a_numerical_failure(
+        monkeypatch, capsys):
+    # the cap is the Lanczos one: the first CG solve of the first step of
+    # E1 (32, 64, 128), which takes more than 3 iterations, reaches it
+    monkeypatch.setattr(refsat.coefficients, "_LANCZOS_STEPS", 3)
+    with pytest.raises(NumericalError, match="^CG solve failed: a coarse block "
+                       "of order 561 did not converge in 3 iterations$"):
+        saturation_coefficient(spec_for("E1", 32, 64, 128))
+    code = main(["compute", "--family", "A", "--edges", "1",
+                 "--p", "32", "--q", "64", "--r", "128"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: CG solve failed")
 
 
 def test_uncertified_blocks_on_the_schur_route_are_estimated_as_on_the_cholesky_route(
         monkeypatch):
     # E2 (28, 32, 64): floor 7.7e-8 of the trace, smallest eigenvalue
-    # 4.9e-7 (on the Cholesky route, that of its order-435 swap block). At a
-    # floor of 3e-7 the whole pair is not certified and passes the
-    # estimate; at 1e-6 it fails it, with the Cholesky route's message
+    # 4.9e-7. At a floor of 3e-7 the whole pair is not certified and passes
+    # the estimate; at 1e-6 it fails it, with the Cholesky route's message
     spec = spec_for("E2", 28, 32, 64)
     expect = saturation_coefficient(spec)
     solves, _ = schur_routes(monkeypatch)
@@ -1693,7 +1700,7 @@ def test_e5_counts_its_mirror_block_twice():
     spectra = []
     for index in (1, 2):
         block = blocks[index]
-        fine, mid = (_gram(block, _pair(block, *_sides(spec, degree, {})))
+        fine, mid = (_volume_gram(*_pair(block, *_sides(spec, degree, {})))
                      for degree in (spec.r, spec.q))
         spectra.append(scipy.linalg.eigvalsh(fine, mid))
     assert np.allclose(spectra[0], spectra[1], rtol=1e-12, atol=0.0)

@@ -24,12 +24,12 @@ from refsat.coefficients import (
     ProblemSpec,
     _embed,
     _factor_args,
-    _gram,
     _max_over_blocks,
     _pair,
     _sides,
     _solve_pencil,
     _spec_blocks,
+    _volume_gram,
 )
 
 
@@ -57,7 +57,7 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
     size = sum(block.order for block in blocks)
     gram = np.zeros((size, size))
     for block in blocks:
-        part = _gram(block, _pair(block, xs, ys))
+        part = _volume_gram(*_pair(block, xs, ys))
         gram += _embed(block, _embed(block, part.T, size).T, size)
     return gram
 
