@@ -436,17 +436,15 @@ class _Block(NamedTuple):
     py: np.ndarray
     #: the number of rows
     order: int
-    #: the rows, None where ``_spec_blocks`` was asked for the orders alone
-    index: np.ndarray | None = None
+    index: np.ndarray
     #: blocks of this spectrum that the eigensolve counts: 2 for a block
     #: whose mirror under the probe swap is not solved, 0 for that mirror
     copies: int = 1
 
 
-def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
+def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     """Diagonal blocks of the spec's dual Grams (both degrees alike),
-    skipping those without loads; without ``rows`` their index arrays are
-    left out, for a caller that reads only their orders and kinds.
+    skipping those without loads.
 
     Family A has one block per pair of x and y classes, and families B and
     C one per y class. Equal end conditions of the x and y factors mean
@@ -462,12 +460,12 @@ def _spec_blocks(spec: ProblemSpec, rows: bool = True) -> list[_Block]:
     first = 1 if spec.family == "C" else 0
     ys = [k[k >= first] for k in _class_probes(bc_y, spec.p)]
     if spec.family != "A":
-        return [_Block(None, y, None, py, py.size, py - first if rows else None)
+        return [_Block(None, y, None, py, py.size, py - first)
                 for y, py in enumerate(ys) if py.size]
     n = spec.p + 1
     mirrored = bc_x == bc_y
     return [_Block(x, y, px, py, px.size * py.size,
-                   (px[:, np.newaxis] * n + py).ravel() if rows else None,
+                   (px[:, np.newaxis] * n + py).ravel(),
                    copies=2 * (x < y) if mirrored and x != y else 1)
             for x, px in enumerate(_class_probes(bc_x, spec.p))
             for y, py in enumerate(ys) if px.size and py.size]
@@ -661,8 +659,8 @@ def _lapack(routine: str, *args, **kwargs) -> list:
 
 
 def _top_eigenpairs(
-    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True, inner=None
-) -> tuple[np.ndarray, np.ndarray | None]:
+    apply, n: int, k: int, tol: float = 0.0, inner=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
     ``apply`` maps an n-vector to its image. Lanczos with full
@@ -687,8 +685,7 @@ def _top_eigenpairs(
     orthogonal to the basis. Start vectors come from a seeded generator, so
     repeated runs return bitwise equal results. The basis grows with the
     steps taken, not with n; a run that has not converged after
-    ``_LANCZOS_STEPS`` steps raises a NumericalError. Without ``vectors``
-    only the values are computed, and None stands for the vectors.
+    ``_LANCZOS_STEPS`` steps raises a NumericalError.
 
     ``inner`` (v -> M v, M definite) makes every inner product and norm
     that of M, and ``apply`` self-adjoint in it: as for M^{-1} K of a pencil
@@ -756,50 +753,41 @@ def _top_eigenpairs(
         raise NumericalError(
             f"Lanczos eigensolve failed: the top {k} Ritz pairs of an operator "
             f"of order {n} did not converge in {_LANCZOS_STEPS} steps")
-    return theta[first:], (kept.T @ ritz[:, first:] if vectors else None)
+    return theta[first:], kept.T @ ritz[:, first:]
 
 
-def _check_margin(lowest: float, trace: float) -> None:
-    """Reject a coarse block whose smallest eigenvalue, computed or
-    estimated as ``lowest``, is under 1e-12 times ``trace``."""
-    margin = lowest / max(trace, np.finfo(float).tiny)
-    if margin < _PD_FLOOR:
+def _cholesky(r_bottom: np.ndarray) -> np.ndarray:
+    """The Cholesky factor L L^T = r_bottom (LAPACK ``dpotrf``) of a formed
+    coarse block, written over it, so that a cell holds one block, not a
+    block and its factor; a failed one rejects the problem as ill posed."""
+    import scipy.linalg
+
+    # LAPACK factors the transpose in place; the factor's upper triangle
+    # keeps stale entries, which the triangular products and solves never
+    # read
+    factor, info = scipy.linalg.lapack.dpotrf(r_bottom.T, lower=1, clean=0,
+                                              overwrite_a=1)
+    if info > 0:
         raise NumericalError(
-            _ILL_POSED + f"estimated lambda_min/trace {margin:.3e} is "
-            f"under the floor {_PD_FLOOR:.0e}"
-        )
+            _ILL_POSED + f"its Cholesky factorization failed ({info}-th "
+            f"leading minor of the array is not positive definite), so "
+            f"lambda_min/trace is at or below roundoff, under the floor "
+            f"{_PD_FLOOR:.0e}")
+    return factor
 
 
-def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
-    """Top of the pencil r_top F = lambda r_bottom F of one diagonal block.
-
-    ``r_bottom`` is the coarse block as a matrix. Its Cholesky factor
-    r_bottom = L L^T (LAPACK ``dpotrf``) overwrites it, so the caller holds
-    one block, not a block and its factor. Its smallest eigenvalue must be
-    at least 1e-12 times ``trace``, the trace of the whole denominator of
-    which it is a diagonal block (the whole pencil's check, as the smallest
-    eigenvalue of the denominator is the smallest over its blocks);
-    otherwise the problem is rejected as ill posed rather than silently
-    regularized. ``floor`` is a lower bound on that eigenvalue (0 when none
-    is known): a block whose floor clears the check is accepted at once.
-    Otherwise the eigenvalue is computed or estimated from above; as
-    floor <= lambda_min, the certificate accepts only blocks that the
-    estimate accepts, and the errors are the estimate's. A failed
-    factorization is reported before the estimate.
+def _solve_pencil(r_top, factor: np.ndarray):
+    """Top of the pencil r_top F = lambda L L^T F of one diagonal block,
+    with ``factor`` the ``_cholesky`` factor L of its coarse block.
 
     ``r_top`` is the fine block as a matrix, or an operator that maps an
-    n-vector to its image. With a matrix, a values-only ``dsyevd`` reads
-    the smallest eigenvalue of r_bottom before the factor overwrites it;
-    ``dsygst`` reduces the pair on the factor to the standard form
-    L^{-1} r_top L^{-T}, and ``dsyevd`` computes its full spectrum (the
-    index-subset drivers can return no eigenvalue at all for a tight
-    cluster, as at q = r). These read only lower triangles, so the
-    factor's stale upper triangle and roundoff skew in the blocks are never
-    seen. With an operator, the smallest eigenvalue is estimated as
-    1 / lambda_max(r_bottom^{-1}) by Lanczos on the factor (a Ritz value
-    never exceeds lambda_max, so the loose tolerance can only overstate
-    lambda_min by a relative 1e-8), and Lanczos computes the top of the
-    standard form applied through the operator.
+    n-vector to its image. With a matrix, ``dsygst`` reduces the pair on
+    the factor to the standard form L^{-1} r_top L^{-T}, and ``dsyevd``
+    computes its full spectrum (the index-subset drivers can return no
+    eigenvalue at all for a tight cluster, as at q = r). These read only
+    lower triangles, so the factor's stale upper triangle and roundoff skew
+    in the blocks are never seen. With an operator, Lanczos computes the
+    top of the standard form applied through the operator.
 
     Returns the top two eigenvalues, ascending (one at order 1), the
     maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1,
@@ -811,44 +799,19 @@ def _solve_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float):
     import scipy.linalg
 
     dtrmv, dtrsv = scipy.linalg.blas.dtrmv, scipy.linalg.blas.dtrsv
-    dense = isinstance(r_top, np.ndarray)
-    n = r_bottom.shape[0]
-    certified = floor >= _PD_FLOOR * trace
-    if dense and not certified:
-        # r_bottom is symmetric: its transpose is the Fortran-ordered matrix
-        values, _ = _lapack("dsyevd", r_bottom.T, compute_v=0, lower=1)
-        lowest = float(values[0])
-    # LAPACK factors that transpose in place; the factor's upper triangle
-    # keeps stale entries, which the triangular products and solves never
-    # read
-    factor, info = scipy.linalg.lapack.dpotrf(r_bottom.T, lower=1, clean=0,
-                                              overwrite_a=1)
-    if info > 0:
-        raise NumericalError(
-            _ILL_POSED + f"its Cholesky factorization failed ({info}-th "
-            f"leading minor of the array is not positive definite), so "
-            f"lambda_min/trace is at or below roundoff, under the floor "
-            f"{_PD_FLOOR:.0e}"
-        )
 
     def solve(y: np.ndarray, trans: int) -> np.ndarray:
         """factor^{-1} y, or factor^{-T} y with ``trans`` 1."""
         return dtrsv(factor, y, lower=1, trans=trans)
 
-    if not certified:
-        if not dense:
-            inverse_top, _ = _top_eigenpairs(lambda y: solve(solve(y, 0), 1),
-                                             n, 1, tol=1e-8, vectors=False)
-            lowest = 1.0 / float(inverse_top[-1])
-        _check_margin(lowest, trace)
-    if dense:
+    if isinstance(r_top, np.ndarray):
         # r_top is symmetric: its transpose is the Fortran-ordered matrix
         (reduced,) = _lapack("dsygst", r_top.T, factor, lower=1)
         values, vectors = _lapack("dsyevd", reduced, lower=1, overwrite_a=1)
         values, apply = values[-2:], r_top.__matmul__
     else:
         values, vectors = _top_eigenpairs(
-            lambda y: solve(r_top(solve(y, 1)), 0), n, 2)
+            lambda y: solve(r_top(solve(y, 1)), 0), factor.shape[0], 2)
         apply = r_top
     maximizer = solve(vectors[:, -1], 1)
     bottom = dtrmv(factor, dtrmv(factor, maximizer, lower=1, trans=1), lower=1)
@@ -883,6 +846,13 @@ def _conjugate_gradient(apply, precondition, b: np.ndarray) -> np.ndarray:
         rz, previous = r @ z, rz
         direction = z + (rz / previous) * direction
     return x
+
+
+def _schur_by_cg(modes: int, order: int) -> bool:
+    """Whether ``_schur_inverse`` inverts a block of ``order`` rows whose
+    class pair has ``modes`` mode pairs by CG: where its k = modes - order
+    extra mode pairs are at least the order, so H22 would outgrow it."""
+    return modes >= 2 * order
 
 
 def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
@@ -926,7 +896,7 @@ def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
         (inverse,) = _lapack("dtrtri", r[:len(w)])
         sides.append(((q.T * lam) @ q, inverse))
     (ax, ux), (ay, uy) = sides
-    if mx * my >= 2 * nx * ny:
+    if _schur_by_cg(mx * my, nx * ny):
         # ux = Lx^{-T}, so Ax' = ux Ax11 ux^T and Mx = ux ux^T
         (sx, mass_x), (sy, mass_y) = ((u @ a[:len(u), :len(u)] @ u.T, u @ u.T)
                                       for a, u in sides)
@@ -964,22 +934,15 @@ def _schur_route(block: _Block) -> bool:
     return block.x is not None and block.order > _SCHUR_ORDER
 
 
-def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
+def _solve_schur(block: _Block, fine, mid, inverse):
     """Top of the pencil R_r F = lambda R_q F of one block by Lanczos on
     R_q^{-1} R_r in the R_q inner product (``_top_eigenpairs``), with
     ``inverse`` the ``_schur_inverse`` of the block's class pair and the
-    ``_product`` of both sides: two products and one inverse per step. A
-    block whose ``floor`` does not certify it has its smallest eigenvalue
-    estimated as 1 / lambda_max(R_q^{-1}), as in ``_solve_pencil``, and
-    checked against ``trace``. Returns what ``_solve_pencil`` returns; the
-    maximizer has F^T R_q F = 1, and its defect is taken from the two
-    products.
+    ``_product`` of both sides: two products and one inverse per step.
+    Returns what ``_solve_pencil`` returns; the maximizer has F^T R_q F = 1,
+    and its defect is taken from the two products.
     """
     top, bottom = _product(*fine), _product(*mid)
-    if floor < _PD_FLOOR * trace:
-        inverse_top, _ = _top_eigenpairs(inverse, block.order, 1, tol=1e-8,
-                                         vectors=False)
-        _check_margin(1.0 / float(inverse_top[-1]), trace)
     values, vectors = _top_eigenpairs(lambda v: inverse(top(v)), block.order, 2,
                                       inner=bottom)
     maximizer = vectors[:, -1]
@@ -989,34 +952,46 @@ def _solve_schur(block: _Block, fine, mid, inverse, floor: float, trace: float):
 
 def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
                  stages: dict, sides):
-    """Form one solved block's pencil and solve it (``_solve_pencil``).
+    """Check that one solved block's coarse block is definite, and solve
+    its pencil: on the Schur route (``_schur_route``) by ``_solve_schur``
+    through the ``_schur_inverse`` of its class pair in ``sides`` (the
+    ``_sides`` at q), with no block formed; otherwise by ``_solve_pencil``
+    on the ``_cholesky`` factor of its formed coarse block, the fine one
+    formed up to ``_DENSE_ORDER`` and applied by ``_product`` above.
+    ``fine`` and ``mid`` are the block's ``_pair`` triples at r and q;
+    ``stages`` adds up the seconds of ``grams`` and ``eigensolve``.
 
-    ``fine`` and ``mid`` are the block's ``_pair`` triples at degrees r and
-    q, ``floor`` a lower bound on the smallest eigenvalue of its coarse
-    block and ``trace`` the trace of the whole coarse dual Gram. The coarse
-    block is formed, and the fine one up to order ``_DENSE_ORDER``; above
-    it the fine block is applied by ``_product`` and never formed. Both
-    live only in this call, so a cell that solves its blocks one call at a
-    time holds one block at a time. A block on the Schur route
-    (``_schur_route``) is solved by ``_solve_schur`` instead, with no block
-    formed, through the ``_schur_inverse`` of its class pair in ``sides``,
-    the x side and y classes at q (``_sides``). ``stages`` adds up the
-    seconds spent forming the blocks (``grams``) and solving them
-    (``eigensolve``).
+    Unless ``floor``, a lower bound on the coarse block's smallest
+    eigenvalue, is at least 1e-12 times ``trace``, that of the whole coarse
+    dual Gram, one Lanczos run on the route's inverse estimates it as
+    1 / lambda_max, at most a relative 1e-8 high, once the route's factor
+    has succeeded; under the check the problem is rejected as ill posed.
     """
-    clock = time.perf_counter()
-    if _schur_route(block):
+    clock = formed = time.perf_counter()
+    schur = _schur_route(block)
+    if schur:
         xs, ys = sides
         inverse = _schur_inverse(*mid[:2], xs[block.x].lam, ys[block.y].lam)
-        solution = _solve_schur(block, fine, mid, inverse, floor, trace)
-        stages["eigensolve"] += time.perf_counter() - clock
-        return solution
-    r_top = (_volume_gram(*fine) if block.order <= _DENSE_ORDER
-             else _product(*fine))
-    r_bottom = _volume_gram(*mid)
-    formed = time.perf_counter()
-    stages["grams"] += formed - clock
-    solution = _solve_pencil(r_top, r_bottom, trace, floor)
+    else:
+        r_top = (_volume_gram(*fine) if block.order <= _DENSE_ORDER
+                 else _product(*fine))
+        r_bottom = _volume_gram(*mid)
+        formed = time.perf_counter()
+        stages["grams"] += formed - clock
+        factor = _cholesky(r_bottom)
+
+        def inverse(v: np.ndarray) -> np.ndarray:
+            return _lapack("dpotrs", factor, v, lower=1)[0]
+
+    if floor < _PD_FLOOR * trace:
+        inverse_top, _ = _top_eigenpairs(inverse, block.order, 1, tol=1e-8)
+        # trace > 0, as every block has passed its floor's singularity test
+        margin = 1.0 / float(inverse_top[-1]) / trace
+        if margin < _PD_FLOOR:
+            raise NumericalError(_ILL_POSED + f"estimated lambda_min/trace "
+                                 f"{margin:.3e} is under the floor {_PD_FLOOR:.0e}")
+    solution = (_solve_schur(block, fine, mid, inverse) if schur
+                else _solve_pencil(r_top, factor))
     stages["eigensolve"] += time.perf_counter() - formed
     return solution
 
@@ -1146,9 +1121,9 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     Lanczos step is one CG solve, priced as 33 iterations (24 to 47 on the
     published blocks), each a fixed cost and ~mx my (nx + ny) for the
     block's product through its 1D load rows; the setup and the
-    preconditioner are of lower order. Where the closed-form floor does
-    not certify a Schur block, as at E1 (256, 260, 520), its definiteness
-    estimate adds a values-only run on the inverse, which is not priced; no
+    preconditioner are of lower order. A block that the closed-form floor
+    does not certify, as at E1 (256, 260, 520), adds one Lanczos run on its
+    route's inverse to check its definiteness, which is not priced; no
     published block needs one.
     Every constant is in seconds at the speed where
     ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
@@ -1188,7 +1163,7 @@ def estimated_seconds(spec: ProblemSpec) -> float:
 
     steps = 5 if q >= 2 * spec.p else 13
     grams = eig = 0.0
-    for block in _spec_blocks(spec, rows=False):
+    for block in _spec_blocks(spec):
         n = block.order
         if not block.copies:
             continue
@@ -1196,12 +1171,12 @@ def estimated_seconds(spec: ProblemSpec) -> float:
             mx, my = (_class_sizes(args[0], q)[cls]
                       for args, cls in ((x_args, block.x), (y_args, block.y)))
             k = mx * my - n
-            if k < n:
-                eig += (3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
-                        + steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my)))
-            else:
+            if _schur_by_cg(mx * my, n):
                 product = mx * my * (block.px.size + block.py.size)
                 eig += steps * 33 * (1.5e-5 + 1.45e-10 * product)
+            else:
+                eig += (3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
+                        + steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my)))
             continue
         grams += gram(n, q)
         eig += (gram(n, r) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER

@@ -27,15 +27,14 @@ KRYLOV_SIZE = 8
 
 
 def top_eigenpairs(
-    apply, n: int, k: int, tol: float = 0.0, vectors: bool = True, inner=None
-) -> tuple[np.ndarray, np.ndarray | None]:
+    apply, n: int, k: int, tol: float = 0.0, inner=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
     ``apply`` maps an n-vector to its image: ARPACK's Lanczos runs to the
     relative accuracy ``tol`` (0 asks for machine precision) from a seeded
     start vector, so repeated runs return bitwise equal vectors. It keeps
-    ``KRYLOV_SIZE`` Lanczos vectors (all n below that). Without ``vectors``
-    only the values are computed, and None stands for the vectors. With
+    ``KRYLOV_SIZE`` Lanczos vectors (all n below that). With
     ``inner`` (v -> M v), ``apply`` is self-adjoint in the M inner product:
     ARPACK runs in its mode 2 on A x = lambda M x, A = M ``apply``. Mode 2
     applies M^{-1} only to the A x it has just asked for, so M^{-1} returns
@@ -57,11 +56,8 @@ def top_eigenpairs(
     start = np.random.default_rng(0).standard_normal(n)
     try:
         result = eigsh(op, k=k, which="LA", tol=tol, v0=start,
-                       ncv=min(n, KRYLOV_SIZE), return_eigenvectors=vectors,
-                       **metric)
+                       ncv=min(n, KRYLOV_SIZE), **metric)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos eigensolve failed: {exc}") from exc
-    if not vectors:
-        return np.sort(result), None
     order = np.argsort(result[0])
     return result[0][order], result[1][:, order]

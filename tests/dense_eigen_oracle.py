@@ -2,16 +2,17 @@
 
 The production eigensolve (``refsat.coefficients._solve_pencil``, one
 diagonal block at a time, on a matrix pair through
-``unsplit_oracle.max_generalized_eigenvalue``) factors the denominator
-(Cholesky) in its place. Up to order ``_DENSE_ORDER`` it reduces the
-formed pair on that factor (LAPACK ``dsygst``) and solves the full
-standard-form spectrum (``dsyevd``); above it, the fine side is an
-operator and Lanczos computes only the top of the spectrum. It checks
-positive definiteness through a lower bound from the 1D factors, or else
-the smallest eigenvalue: read off the formed block by a values-only
-``dsyevd`` before the factor overwrites it up to ``_DENSE_ORDER``, and
-estimated from above by Lanczos on the factor beyond. This is the independent
-route it replaced: a full ``eigvalsh`` of the denominator for the
+``unsplit_oracle.max_generalized_eigenvalue``) solves on the denominator's
+Cholesky factor (``_cholesky``), written in its place. Up to order
+``_DENSE_ORDER`` it reduces the formed pair on that factor (LAPACK
+``dsygst``) and solves the full standard-form spectrum (``dsyevd``); above
+it, the fine side is an operator and Lanczos computes only the top of the
+spectrum. Production checks positive definiteness through a lower bound
+from the 1D factors, or else estimates the smallest eigenvalue from above
+by one Lanczos run on the block's inverse (``_solve_block``); the matrix
+pair route reads it off a values-only ``dsyevd`` instead
+(``unsplit_oracle.checked_pencil``). This is the independent route they
+replaced: a full ``eigvalsh`` of the denominator for the
 positive-definiteness check and a full generalized ``eigh`` with every
 eigenvector, on the whole pencil rather than one block at a time.
 """

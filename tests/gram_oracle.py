@@ -34,9 +34,9 @@ from refsat.coefficients import (
     _pair,
     _product,
     _sides,
-    _solve_pencil,
     _spec_blocks,
 )
+from unsplit_oracle import checked_pencil
 
 
 def volume_gram(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ def swap_product(block: SwapBlock, triple):
 
 def split_saturation(spec: ProblemSpec, factors: dict) -> tuple[float, bool]:
     """mu^2 and the tie flag of an E2 cell, with its class pair split into
-    its swap blocks and each solved by ``_solve_pencil``: formed on both
+    its swap blocks and each solved by ``checked_pencil``: formed on both
     sides up to ``_DENSE_ORDER``, and above it with the coarse block formed
     and the fine one applied by ``swap_product``. The swap blocks are
     compressions of the pair, so the pair's closed-form floor bounds them
@@ -167,7 +167,7 @@ def split_saturation(spec: ProblemSpec, factors: dict) -> tuple[float, bool]:
     for part in swap_blocks(spec.p + 1):
         top = (swap_gram(part, *fine) if part.order <= _DENSE_ORDER
                else swap_product(part, fine))
-        solutions.append(_solve_pencil(top, swap_gram(part, *mid), trace, floor))
+        solutions.append(checked_pencil(top, swap_gram(part, *mid), trace, floor))
     value, tie, _, _, _ = _max_over_blocks(solutions, [1] * len(solutions),
                                            _gram_norm([fine]))
     return value, tie

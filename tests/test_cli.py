@@ -552,7 +552,8 @@ def test_failed_dense_eigensolve_is_a_numerical_failure(capsys, monkeypatch):
     dsyevd = scipy.linalg.lapack.dsyevd
 
     def fail_with_vectors(a, compute_v=1, **kwargs):
-        # the values-only calls read lambda_min of uncertified blocks
+        # production asks for vectors on every call; a values-only one,
+        # as the test oracles make, passes
         values, vectors, info = dsyevd(a, compute_v=compute_v, **kwargs)
         return values, vectors, 3 if compute_v else info
 

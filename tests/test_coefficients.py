@@ -16,6 +16,7 @@ weights and the closed-form load floors against the dense pencils, the
 """
 
 import itertools
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -71,7 +72,6 @@ from refsat.coefficients import (
     _schur_inverse,
     _sides,
     _solve_block,
-    _solve_pencil,
     _spec_blocks,
     _volume_gram,
     q_strategy,
@@ -89,6 +89,7 @@ from sparse_oracle import (
 )
 from unsplit_oracle import (
     block_orders,
+    checked_pencil,
     contract,
     dual_gram,
     max_generalized_eigenvalue,
@@ -344,17 +345,15 @@ def test_formed_pencils_match_lanczos_on_the_same_pair(name):
                 continue
             formed, bottom = _volume_gram(*fine_pair), _volume_gram(*mid_pair)
             try:
-                # the factor takes the place of the block it is given
-                values, maximizer, _ = _solve_pencil(formed, bottom.copy(),
-                                                     trace, 0.0)
+                values, maximizer, _ = checked_pencil(formed, bottom, trace)
             except NumericalError:
                 whole = False
                 continue
             if n > 2:
                 # the same pair with the fine block as an operator: the
                 # Lanczos route, which production takes above the dense order
-                expect, _, _ = _solve_pencil(_product(*fine_pair),
-                                             bottom.copy(), trace, 0.0)
+                expect, _, _ = checked_pencil(_product(*fine_pair), bottom,
+                                              trace)
             else:
                 expect = scipy.linalg.eigvalsh(formed, bottom)[-2:]
             assert values.size == expect.size == min(2, n)
@@ -722,10 +721,9 @@ def test_block_counts_follow_the_symmetries():
 def solve_pairs(pairs, trace):
     """``_max_over_blocks`` over the (r_top, r_bottom) matrix pairs, each
     solved as a block counted once, with no lower bound on its smallest
-    eigenvalue, so that the estimate checks it."""
+    eigenvalue, so that ``checked_pencil`` computes it."""
     frobenius = np.sqrt(sum(np.linalg.norm(top) ** 2 for top, _ in pairs))
-    solutions = [_solve_pencil(top, bottom.copy(), trace, 0.0)
-                 for top, bottom in pairs]
+    solutions = [checked_pencil(top, bottom, trace) for top, bottom in pairs]
     return _max_over_blocks(solutions, [1] * len(pairs), frobenius)
 
 
@@ -763,17 +761,15 @@ def published_cells(max_p=None):
                    if max_p is None or entry.p <= max_p})
 
 
-def test_blocks_without_rows_keep_the_layout():
-    # the cost model reads the block orders without forming index arrays
+def test_block_rows_match_their_orders():
+    # each block has one distinct row per load, and the blocks, mirror
+    # blocks included, cover every load once
     for cell in published_cells():
-        spec = spec_for(*cell)
-        full, bare = _spec_blocks(spec), _spec_blocks(spec, rows=False)
-        assert len(full) == len(bare), cell
-        for block, orders_only in zip(full, bare):
-            assert orders_only.index is None
-            assert block.index.size == block.order == orders_only.order, cell
-            assert ((block.x, block.y, block.copies)
-                    == (orders_only.x, orders_only.y, orders_only.copies)), cell
+        blocks = _spec_blocks(spec_for(*cell))
+        for block in blocks:
+            assert block.index.size == block.order, cell
+        rows = np.concatenate([block.index for block in blocks])
+        assert np.array_equal(np.sort(rows), np.arange(rows.size)), cell
 
 
 def coarse_floors(name, p, q, r, factors):
@@ -879,23 +875,16 @@ def test_every_published_block_is_certified_definite(monkeypatch):
 
 
 def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
-    # the order of each block whose smallest eigenvalue is computed: by a
-    # values-only dsyevd of a formed block, or by the inverse Lanczos run
+    # the order of each block whose smallest eigenvalue is estimated, by
+    # the one-pair Lanczos run on its route's inverse
     calls = []
-    lapack = refsat.coefficients._lapack
     lanczos = refsat.coefficients._top_eigenpairs
-
-    def counting_lapack(routine, a, *args, **kwargs):
-        if routine == "dsyevd" and kwargs.get("compute_v") == 0:
-            calls.append(a.shape[0])
-        return lapack(routine, a, *args, **kwargs)
 
     def counting_lanczos(apply, n, k, *args, **kwargs):
         if k == 1:
             calls.append(n)
         return lanczos(apply, n, k, *args, **kwargs)
 
-    monkeypatch.setattr(refsat.coefficients, "_lapack", counting_lapack)
     monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting_lanczos)
     # Lanczos blocks (E1, E2) and a dense one (F1, of order 65)
     for name, p, q, r in (("E1", 28, 32, 64), ("E2", 28, 32, 64),
@@ -903,7 +892,7 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
         res = saturation_coefficient(spec_for(name, p, q, r))
         assert res.mu > 1.0 and calls == [], name
     # at q = 512 the floors of E1 (4, 512, 512) no longer clear the check,
-    # so both of its small blocks take the values-only dsyevd
+    # so both of its small formed blocks are estimated
     res = saturation_coefficient(spec_for("E1", 4, 512, 512))
     assert calls == [15, 10]
     assert abs(res.mu - 1.0) <= 1e-12
@@ -914,6 +903,91 @@ def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
         with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK):
             saturation_coefficient(spec_for(name, 4, 4, 8))
     assert calls == []
+
+
+def checked_outcome(spec):
+    """mu^2 of the spec, or the message of its rejection, with every coarse
+    block formed and checked by ``checked_pencil`` against production's
+    floors: the definiteness path that the estimate replaced. "singular"
+    stands for production's rejection of a block of floor 0."""
+    every = _spec_blocks(spec)
+    blocks = [block for block in every if block.copies]
+    sides = [_sides(spec, degree, {}) for degree in (spec.r, spec.q)]
+    fine, mid = (triples(blocks, *side) for side in sides)
+    trace = _gram_trace(triples(every, *sides[1]))
+    rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
+    floors = _gram_floors(spec, blocks, mid)
+    try:
+        if min(floors) == 0.0:
+            return "singular"
+        solutions = [checked_pencil(_volume_gram(*top) if block.order <= _DENSE_ORDER
+                                    else _product(*top),
+                                    _volume_gram(*bottom), trace, floor - rounding)
+                     for block, top, bottom, floor in zip(blocks, fine, mid, floors)]
+    except NumericalError as exc:
+        return str(exc)
+    return _max_over_blocks(solutions, [block.copies for block in blocks],
+                            _gram_norm(fine))[0]
+
+
+def test_uncertified_formed_blocks_are_estimated_as_the_oracle_decides(
+        monkeypatch):
+    # with the floor raised, the closed-form floors certify few blocks, and
+    # each other formed coarse block has its smallest eigenvalue estimated
+    # by one Lanczos run through its Cholesky factor. The estimate lies
+    # within a relative 1e-8 above the values-only dsyevd's, or below it by
+    # no more than that eigensolve's own rounding, and every accept or
+    # reject, with its message, is the oracle's
+    blocks, estimates = [], []
+    cholesky = refsat.coefficients._cholesky
+    lanczos = refsat.coefficients._top_eigenpairs
+
+    def kept_cholesky(r_bottom):
+        blocks.append(r_bottom.copy())
+        return cholesky(r_bottom)
+
+    def estimating_lanczos(apply, n, k, *args, **kwargs):
+        values, vectors = lanczos(apply, n, k, *args, **kwargs)
+        if k == 1:
+            estimates.append((blocks[-1], 1.0 / float(values[-1])))
+        return values, vectors
+
+    monkeypatch.setattr(refsat.coefficients, "_cholesky", kept_cholesky)
+    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", estimating_lanczos)
+    cells = [(name, *degrees) for name, (family, _) in CANONICAL_PROBLEMS.items()
+             for degrees in EIGEN_CASES[family] + ((8, 12, 24),)]
+    outcomes, counts = {}, []
+    for least in (1e-4, 1e-3, 1e-2):
+        monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", least)
+        for cell in cells:
+            spec = spec_for(*cell)
+            blocks.clear()
+            estimates.clear()
+            try:
+                got = saturation_coefficient(spec).mu_squared
+            except NumericalError as exc:
+                got = str(exc)
+            expect = checked_outcome(spec)
+            if expect == "singular":
+                assert re.search(SINGULAR_BLOCK, got) and not estimates, cell
+            else:
+                assert got == expect, (cell, least)
+            for block, estimate in estimates:
+                values = scipy.linalg.lapack.dsyevd(block.T, compute_v=0,
+                                                    lower=1)[0]
+                slack = block.shape[0] * np.finfo(float).eps * np.trace(block)
+                assert values[0] - slack <= estimate <= values[0] * (1 + 1e-8), (
+                    cell, least)
+            outcomes[cell, least] = got
+            counts.append(len(estimates))
+    # 41 cells accepted, 20 of them with estimated blocks, and 85 rejected
+    # by an estimate, over 108 estimates; the other 24 have a singular block
+    accepted = [cell for cell, got in outcomes.items() if isinstance(got, float)]
+    assert (len(accepted), sum(counts), len(outcomes)) == (41, 108, 150)
+    # E1 and F1 (8, 12, 24) on either side of a floor of 1e-3
+    rejected = outcomes[("E1", 8, 12, 24), 1e-3]
+    assert "estimated lambda_min/trace 1.538e-04" in rejected
+    assert isinstance(outcomes[("F1", 8, 12, 24), 1e-3], float)
 
 
 def counting_runs(monkeypatch):
@@ -992,8 +1066,6 @@ def test_lanczos_finds_the_top_of_a_known_spectrum():
     assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-13)
     defect = matrix @ vectors - vectors * values
     assert np.linalg.norm(defect) <= 1e-12 * spectrum[-1]
-    assert np.array_equal(top_eigenpairs(matrix.__matmul__, 300, 2,
-                                         vectors=False)[0], values)
     # the identity spans nothing past its start vector: each step starts
     # afresh, and two steps find the top pair at 1
     images = []
@@ -1459,7 +1531,7 @@ SCHUR_CELLS = [(name, p, q, r) for name, cells in (
 def schur_routed(spec) -> list[bool]:
     """Whether each solved block of ``spec`` takes the Schur route."""
     return [refsat.coefficients._schur_route(block)
-            for block in _spec_blocks(spec, rows=False) if block.copies]
+            for block in _spec_blocks(spec) if block.copies]
 
 
 def cg_routed(spec) -> list[bool]:
@@ -1472,7 +1544,7 @@ def cg_routed(spec) -> list[bool]:
                         for bc in (bc_x, bc_y))
     return [refsat.coefficients._schur_route(block)
             and sizes_x[block.x] * sizes_y[block.y] >= 2 * block.order
-            for block in _spec_blocks(spec, rows=False) if block.copies]
+            for block in _spec_blocks(spec) if block.copies]
 
 
 def test_schur_cells_are_the_published_cells_on_the_route():
@@ -1641,6 +1713,7 @@ def test_uncertified_blocks_on_the_schur_route_are_estimated_as_on_the_cholesky_
             saturation_coefficient(spec)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+    assert "estimated lambda_min/trace 4.926e-07 is under" in messages[0]
 
 
 def test_a_cell_that_the_floors_do_not_certify_takes_the_schur_route(monkeypatch):
@@ -1709,7 +1782,7 @@ def test_e5_counts_its_mirror_block_twice():
     # a block counted twice ties with itself
     top = np.diag([2.0, 1.0])
     value, tie, _, _, _ = _max_over_blocks(
-        [_solve_pencil(top, np.eye(2), 2.0, 0.0)], [2],
+        [checked_pencil(top, np.eye(2), 2.0)], [2],
         np.sqrt(2.0) * np.linalg.norm(top))
     assert value == pytest.approx(2.0) and tie
 

@@ -8,20 +8,26 @@ the whole pencil.
 
 The matrix forms of the block route live here too, for the tests to
 compare against other routes: ``dual_gram`` scatters its blocks into the
-whole dual Gram, ``block_orders`` lists their orders, and
-``max_generalized_eigenvalue`` runs its one-block eigensolve on a matrix
-pair.
+whole dual Gram, ``block_orders`` lists their orders, ``checked_pencil``
+solves one block's matrix pair after the definiteness check by a full
+eigensolve that production replaced with an estimate, and
+``max_generalized_eigenvalue`` runs it on a whole matrix pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from basis_oracle import build_basis_1d
 from pencil_oracle import _factor
+import refsat.coefficients
 from refsat.coefficients import (
     _DENSE_ORDER,
+    _ILL_POSED,
+    NumericalError,
     ProblemSpec,
+    _cholesky,
     _embed,
     _factor_args,
     _max_over_blocks,
@@ -62,6 +68,32 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
     return gram
 
 
+def checked_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float = 0.0):
+    """``_solve_pencil`` on one block's pair, r_top a matrix or an operator,
+    with the definiteness check that production makes by an estimate
+    (``_solve_block``) made by a values-only eigensolve of the formed block.
+
+    Unless ``floor``, a lower bound on the smallest eigenvalue of the
+    coarse block ``r_bottom``, is at least ``_PD_FLOOR`` times ``trace``,
+    that eigenvalue is read by a values-only LAPACK ``dsyevd`` and checked
+    against the same bound, with production's message. As in production, a
+    failed ``_cholesky`` factor is reported before the check. ``r_bottom``
+    is left as it was: the factor overwrites a copy.
+    """
+    least, margin = refsat.coefficients._PD_FLOOR, np.inf
+    if floor < least * trace:
+        # r_bottom is symmetric: its transpose is the Fortran-ordered matrix
+        values, _, info = scipy.linalg.lapack.dsyevd(r_bottom.T, compute_v=0,
+                                                     lower=1)
+        assert info == 0, info
+        margin = values[0] / max(trace, np.finfo(float).tiny)
+    factor = _cholesky(r_bottom.copy())
+    if margin < least:
+        raise NumericalError(_ILL_POSED + f"estimated lambda_min/trace "
+                             f"{margin:.3e} is under the floor {least:.0e}")
+    return _solve_pencil(r_top, factor)
+
+
 def max_generalized_eigenvalue(
     r_top: np.ndarray, r_bottom: np.ndarray
 ) -> tuple[float, np.ndarray, bool]:
@@ -73,12 +105,11 @@ def max_generalized_eigenvalue(
     ``saturation_coefficient``, the pair is solved densely up to order
     ``_DENSE_ORDER``, and above it by Lanczos on the product with r_top,
     which computes only the top of the spectrum. r_bottom must be safely
-    positive definite: its smallest eigenvalue, computed up to that order
-    and estimated as 1 / lambda_max(r_bottom^{-1}) with the same factor
-    above it, is checked against 1e-12 times its trace, and the problem is
-    rejected as ill posed otherwise, rather than silently regularized. A
-    matrix pair has no 1D factors to bound that eigenvalue from below, so
-    the check always runs.
+    positive definite: its smallest eigenvalue, computed by
+    ``checked_pencil``, is checked against 1e-12 times its trace, and the
+    problem is rejected as ill posed otherwise, rather than silently
+    regularized. A matrix pair has no 1D factors to bound that eigenvalue
+    from below, so the check always runs.
     """
     r_top = np.asarray(r_top, dtype=float)
     r_bottom = np.asarray_chkfinite(r_bottom, dtype=float)
@@ -88,10 +119,7 @@ def max_generalized_eigenvalue(
             f"and {r_bottom.shape}"
         )
     top = r_top if r_top.shape[0] <= _DENSE_ORDER else r_top.__matmul__
-    # the eigensolve factors the denominator in its place: it gets a copy,
-    # so that the caller's matrix is left as it was
-    solution = _solve_pencil(top, r_bottom.copy(), float(np.trace(r_bottom)),
-                             0.0)
+    solution = checked_pencil(top, r_bottom, float(np.trace(r_bottom)))
     value, tie, _, maximizer, _ = _max_over_blocks(
         [solution], [1], float(np.linalg.norm(r_top)))
     return value, maximizer, tie
