@@ -135,11 +135,11 @@ class SaturationResult:
     #: and weights (``factors``); the trace, the fine norm
     #: and the definiteness bounds, and forming each coarse block and each
     #: fine one of order up to 100 (``grams``); and factoring each coarse
-    #: block, checking it is definite, solving its pencil against the fine
-    #: block, or above order 100 the fine products, and taking the defect of
-    #: the maximizer (``eigensolve``). A family-A block above order 300 is
-    #: on the Schur route and forms nothing: its class pair's setup, its run
-    #: and any CG solves in it are all ``eigensolve``
+    #: block, checking it is definite, solving its pencil (above order 100
+    #: one Lanczos run through its inverse and the fine products), and
+    #: taking the defect of the maximizer (``eigensolve``). A family-A block
+    #: above order 300 is on the Schur route and forms nothing: its class
+    #: pair's setup, its run and any CG solves in it are all ``eigensolve``
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -622,9 +622,10 @@ _DENSE_ORDER = 100
 #: through the Schur complement of its Kronecker sum (``_schur_inverse``),
 #: exactly where that needs a smaller factor than the block's own and by
 #: CG preconditioned with its first term otherwise. With the cut at 100
-#: instead, E3 (28, 32, 64), at orders 196-225, took 10 % longer, E5
-#: there as long, and E1, E2 and E4 (14, 16, 32), at 105-120, 30-42 %
-#: longer (median of seven alternations, one BLAS thread)
+#: instead, E3 and E5 (28, 32, 64), at orders 196-225, took 4.4 and 3.0
+#: ms against 5.3 and 3.8, but E1 (14, 16, 32) 2.5 against 2.4 ms and
+#: E1 (16, 32, 64), whose blocks would go to CG, 7.1 against 2.6 ms (best
+#: of nine, one BLAS thread, 2-core VM)
 _SCHUR_ORDER = 300
 
 #: the most steps a Lanczos run may take short of its operator's order, and
@@ -640,6 +641,9 @@ _PD_FLOOR = 1e-12
 
 #: relative gap under which the top two eigenvalues of a pencil tie
 _TIE = 1e-12
+
+#: relative norm under which a Lanczos direction spans nothing new
+_BREAKDOWN = _TIE / 10
 
 #: the start of the message of each rejection of a singular coarse block
 _ILL_POSED = ("denominator dual Gram is numerically singular; the coarse space "
@@ -675,23 +679,28 @@ def _top_eigenpairs(
     precision) and each of the k - 1 below it meets the same bound or lies
     wholly below the tie gap, theta_i + beta |s_i[-1]| < theta - ``_TIE``
     max(1, |theta|), or once the basis spans all n. So a lower pair is
-    either converged or a Ritz pair whose value, a lower bound on its
-    eigenvalue, is certified more than the gap below the top: it decides
-    the tie flag of ``_max_over_blocks`` as a converged one would. A near
-    tie inside the gap keeps the top pair from converging until the run
-    resolves both. A direction of norm at most eps times its image's spans
-    nothing new (as on the identity of a q = r block): T takes 0 for its
-    coupling, and the run goes on from a fresh start vector made
-    orthogonal to the basis. Start vectors come from a seeded generator, so
+    either converged or a Ritz value, a lower bound on its eigenvalue,
+    certified more than the gap below the top: it decides the tie flag of
+    ``_max_over_blocks`` as a converged one would. A near tie inside the
+    gap keeps the top pair from converging until the run resolves both.
+    A direction of norm at most ``_BREAKDOWN`` times its image's (1e-15 to
+    2.2e-14 on the identity of a q = r block) spans nothing new: T takes
+    0 for its coupling, so a run of k steps or more stops there, every
+    residual bound reading 0, and a shorter one restarts from a fresh
+    vector orthogonal to the basis. The image's norm is at most the
+    operator's, so each Ritz value is then within 1e-13 of that norm of an
+    eigenvalue: a tenth of the tie gap, far under the 1e-8 of a
+    definiteness estimate. Start vectors come from a seeded generator, so
     repeated runs return bitwise equal results. The basis grows with the
     steps taken, not with n; a run that has not converged after
     ``_LANCZOS_STEPS`` steps raises a NumericalError.
 
     ``inner`` (v -> M v, M definite) makes every inner product and norm
-    that of M, and ``apply`` self-adjoint in it: as for M^{-1} K of a pencil
-    K F = lambda M F. The basis is then M-orthonormal, and M times each
-    basis vector is kept from one ``inner`` call per step, which the
-    projections read; the vectors are M-normalized.
+    that of M, and the operator ``apply`` of M v, self-adjoint in M for a
+    symmetric ``apply``, as K^{-1} M of a pencil M F = lambda K F with
+    ``apply`` = K^{-1}. The basis is M-orthonormal; M times each basis
+    vector is kept from one ``inner`` call per step for the image and the
+    projections.
     """
     import scipy.linalg
 
@@ -719,7 +728,7 @@ def _top_eigenpairs(
         if inner is not None:
             mbasis[steps - 1] = mdirection / norm
         kept, mkept = basis[:steps], mbasis[:steps]
-        image = apply(kept[-1])
+        image = apply(mkept[-1])
         coeffs = mkept @ image
         alpha[steps - 1] = coeffs[-1]
         direction = image - kept.T @ coeffs
@@ -727,7 +736,7 @@ def _top_eigenpairs(
         mdirection, norm = metric(direction)
         beta[steps - 1] = norm
         # the image's norm is that of its projection and of the direction
-        if norm <= eps * np.hypot(np.linalg.norm(coeffs), norm):
+        if norm <= _BREAKDOWN * np.hypot(np.linalg.norm(coeffs), norm):
             beta[steps - 1] = 0.0
             direction = rng.standard_normal(n)
             for _ in range(2):
@@ -776,47 +785,30 @@ def _cholesky(r_bottom: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _solve_pencil(r_top, factor: np.ndarray):
-    """Top of the pencil r_top F = lambda L L^T F of one diagonal block,
-    with ``factor`` the ``_cholesky`` factor L of its coarse block.
+def _solve_pencil(r_top: np.ndarray, factor: np.ndarray):
+    """Top of the pencil r_top F = lambda L L^T F of one diagonal block of
+    order up to ``_DENSE_ORDER``, with both blocks formed and ``factor``
+    the ``_cholesky`` factor L of the coarse one.
 
-    ``r_top`` is the fine block as a matrix, or an operator that maps an
-    n-vector to its image. With a matrix, ``dsygst`` reduces the pair on
-    the factor to the standard form L^{-1} r_top L^{-T}, and ``dsyevd``
-    computes its full spectrum (the index-subset drivers can return no
-    eigenvalue at all for a tight cluster, as at q = r). These read only
-    lower triangles, so the factor's stale upper triangle and roundoff skew
-    in the blocks are never seen. With an operator, Lanczos computes the
-    top of the standard form applied through the operator.
+    ``dsygst`` reduces the pair on the factor to the standard form
+    L^{-1} r_top L^{-T}, and ``dsyevd`` computes its full spectrum (the
+    index-subset drivers can return no eigenvalue at all for a tight
+    cluster, as at q = r). These read only lower triangles, so the factor's
+    stale upper triangle and roundoff skew in the blocks are never seen.
 
     Returns the top two eigenvalues, ascending (one at order 1), the
     maximizer F = L^{-T} y of the top one, normalized to F^T L L^T F = 1,
-    and the norm of its defect r_top F - value L (L^T F). The top value is
-    converged; above order 100 the second may be a Lanczos Ritz value
-    certified below the tie gap (``_top_eigenpairs``), a lower bound on the
-    second eigenvalue that serves only the tie flag.
+    and the norm of its defect r_top F - value L (L^T F).
     """
-    import scipy.linalg
+    from scipy.linalg.blas import dtrmv, dtrsv
 
-    dtrmv, dtrsv = scipy.linalg.blas.dtrmv, scipy.linalg.blas.dtrsv
-
-    def solve(y: np.ndarray, trans: int) -> np.ndarray:
-        """factor^{-1} y, or factor^{-T} y with ``trans`` 1."""
-        return dtrsv(factor, y, lower=1, trans=trans)
-
-    if isinstance(r_top, np.ndarray):
-        # r_top is symmetric: its transpose is the Fortran-ordered matrix
-        (reduced,) = _lapack("dsygst", r_top.T, factor, lower=1)
-        values, vectors = _lapack("dsyevd", reduced, lower=1, overwrite_a=1)
-        values, apply = values[-2:], r_top.__matmul__
-    else:
-        values, vectors = _top_eigenpairs(
-            lambda y: solve(r_top(solve(y, 1)), 0), factor.shape[0], 2)
-        apply = r_top
-    maximizer = solve(vectors[:, -1], 1)
+    # r_top is symmetric: its transpose is the Fortran-ordered matrix
+    (reduced,) = _lapack("dsygst", r_top.T, factor, lower=1)
+    values, vectors = _lapack("dsyevd", reduced, lower=1, overwrite_a=1)
+    maximizer = dtrsv(factor, vectors[:, -1], lower=1, trans=1)
     bottom = dtrmv(factor, dtrmv(factor, maximizer, lower=1, trans=1), lower=1)
-    defect = apply(maximizer) - values[-1] * bottom
-    return values, maximizer, float(np.linalg.norm(defect))
+    defect = r_top @ maximizer - values[-1] * bottom
+    return values[-2:], maximizer, float(np.linalg.norm(defect))
 
 
 def _conjugate_gradient(apply, precondition, b: np.ndarray) -> np.ndarray:
@@ -929,37 +921,40 @@ def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
 
 
 def _schur_route(block: _Block) -> bool:
-    """Whether ``_solve_block`` solves a block by ``_solve_schur``: a
-    family-A block of order above ``_SCHUR_ORDER``."""
+    """Whether ``_solve_block`` inverts a block by ``_schur_inverse``,
+    forming none: a family-A block of order above ``_SCHUR_ORDER``."""
     return block.x is not None and block.order > _SCHUR_ORDER
 
 
-def _solve_schur(block: _Block, fine, mid, inverse):
-    """Top of the pencil R_r F = lambda R_q F of one block by Lanczos on
-    R_q^{-1} R_r in the R_q inner product (``_top_eigenpairs``), with
-    ``inverse`` the ``_schur_inverse`` of the block's class pair and the
-    ``_product`` of both sides: two products and one inverse per step.
-    Returns what ``_solve_pencil`` returns; the maximizer has F^T R_q F = 1,
-    and its defect is taken from the two products.
-    """
+def _solve_lanczos(block: _Block, fine, mid, inverse):
+    """Top of the pencil R_r F = lambda R_q F of one block above
+    ``_DENSE_ORDER`` on either route: Lanczos (``_top_eigenpairs``) on
+    R_q^{-1} R_r in the R_r inner product, each step one ``inverse``, the
+    route's R_q^{-1}, and one ``_product`` of ``fine``, the ``_pair``
+    triple at r (``mid`` at q). Returns what ``_solve_pencil`` returns, the
+    maximizer rescaled to F^T R_q F = 1 by one coarse product that its
+    defect reuses; the second value may be a Ritz value certified below
+    the tie gap, which serves only the tie flag."""
     top, bottom = _product(*fine), _product(*mid)
-    values, vectors = _top_eigenpairs(lambda v: inverse(top(v)), block.order, 2,
-                                      inner=bottom)
-    maximizer = vectors[:, -1]
-    defect = top(maximizer) - values[-1] * bottom(maximizer)
+    values, vectors = _top_eigenpairs(inverse, block.order, 2, inner=top)
+    image = bottom(vectors[:, -1])
+    scale = np.sqrt(vectors[:, -1] @ image)
+    maximizer = vectors[:, -1] / scale
+    defect = top(maximizer) - values[-1] * (image / scale)
     return values, maximizer, float(np.linalg.norm(defect))
 
 
 def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
                  stages: dict, sides):
     """Check that one solved block's coarse block is definite, and solve
-    its pencil: on the Schur route (``_schur_route``) by ``_solve_schur``
-    through the ``_schur_inverse`` of its class pair in ``sides`` (the
-    ``_sides`` at q), with no block formed; otherwise by ``_solve_pencil``
-    on the ``_cholesky`` factor of its formed coarse block, the fine one
-    formed up to ``_DENSE_ORDER`` and applied by ``_product`` above.
-    ``fine`` and ``mid`` are the block's ``_pair`` triples at r and q;
-    ``stages`` adds up the seconds of ``grams`` and ``eigensolve``.
+    its pencil through the route's inverse of it: on the Schur route
+    (``_schur_route``) the ``_schur_inverse`` of its class pair in
+    ``sides`` (the ``_sides`` at q), with no block formed; otherwise two
+    triangular solves on the ``_cholesky`` factor of the formed block.
+    Above ``_DENSE_ORDER`` ``_solve_lanczos`` runs Lanczos through that
+    inverse; up to it both blocks are formed and ``_solve_pencil`` solves
+    the pair. ``fine`` and ``mid`` are the block's ``_pair`` triples at r
+    and q; ``stages`` adds up the seconds of ``grams`` and ``eigensolve``.
 
     Unless ``floor``, a lower bound on the coarse block's smallest
     eigenvalue, is at least 1e-12 times ``trace``, that of the whole coarse
@@ -968,20 +963,21 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
     has succeeded; under the check the problem is rejected as ill posed.
     """
     clock = formed = time.perf_counter()
-    schur = _schur_route(block)
-    if schur:
+    dense = block.order <= _DENSE_ORDER
+    if _schur_route(block):
         xs, ys = sides
         inverse = _schur_inverse(*mid[:2], xs[block.x].lam, ys[block.y].lam)
     else:
-        r_top = (_volume_gram(*fine) if block.order <= _DENSE_ORDER
-                 else _product(*fine))
+        from scipy.linalg.blas import dtrsv
+
+        r_top = _volume_gram(*fine) if dense else None
         r_bottom = _volume_gram(*mid)
         formed = time.perf_counter()
         stages["grams"] += formed - clock
         factor = _cholesky(r_bottom)
 
         def inverse(v: np.ndarray) -> np.ndarray:
-            return _lapack("dpotrs", factor, v, lower=1)[0]
+            return dtrsv(factor, dtrsv(factor, v, lower=1), lower=1, trans=1)
 
     if floor < _PD_FLOOR * trace:
         inverse_top, _ = _top_eigenpairs(inverse, block.order, 1, tol=1e-8)
@@ -990,8 +986,8 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
         if margin < _PD_FLOOR:
             raise NumericalError(_ILL_POSED + f"estimated lambda_min/trace "
                                  f"{margin:.3e} is under the floor {_PD_FLOOR:.0e}")
-    solution = (_solve_schur(block, fine, mid, inverse) if schur
-                else _solve_pencil(r_top, factor))
+    solution = (_solve_pencil(r_top, factor) if dense
+                else _solve_lanczos(block, fine, mid, inverse))
     stages["eigensolve"] += time.perf_counter() - formed
     return solution
 
@@ -1078,6 +1074,10 @@ def saturation_coefficient(
                  for args in zip(solved, fine, mid, floors)]
     value, tie, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in solved], frobenius)
+    # the published cells stay under 1.1e-16: a pair this far off is broken
+    if residual > 1e-8:
+        raise NumericalError(f"eigensolve failed: the top eigenpair has "
+                             f"relative residual {residual:.1e}, above 1e-8")
     size = sum(block.order for block in blocks)
     return SaturationResult(
         spec=spec,
@@ -1117,7 +1117,7 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     class pair has k < n extra mode pairs, the setup costs a fixed amount,
     ~k^2 to form H22 and ~k^3 to factor it, and each Lanczos step a fixed
     cost and ~mx my (mx + my) for the products with the 1D matrices of the
-    inverse, which outweigh the two block products. Where k >= n, each
+    inverse, which outweigh the fine block's product. Where k >= n, each
     Lanczos step is one CG solve, priced as 33 iterations (24 to 47 on the
     published blocks), each a fixed cost and ~mx my (nx + ny) for the
     block's product through its 1D load rows; the setup and the
@@ -1132,12 +1132,12 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     published cells. The terms above order 100 were refitted by relative
     least squares to the calls of the published blocks above order 100
     (best of three). Over two runs on a 2-core VM where the kernel took
-    0.11-0.16 s, the Cholesky term reads 0.67-1.62 of its 25
-    ``_solve_pencil`` calls (medians 1.06 and 0.99), the Schur setup
-    0.70-1.49 of its 29 ``_schur_inverse`` calls where k < n (1.04 and
-    1.01), the Schur steps 0.51-1.53 of its 29 ``_solve_schur`` calls
-    there (0.95 and 1.07), the CG term 0.58-2.03 of the 17 setups and
-    ``_solve_schur`` calls where k >= n (0.99 and 0.84), and the whole
+    0.11-0.16 s, the Cholesky term reads 0.67-1.62 of its 25 solves
+    (medians 1.06 and 0.99), the Schur setup 0.70-1.49 of its 29
+    ``_schur_inverse`` calls where k < n (1.04 and 1.01), the Schur steps
+    0.51-1.53 of its 29 Lanczos runs there (0.95 and 1.07), the CG term
+    0.58-2.03 of the 17 setups and runs where k >= n (0.99 and 0.84), and
+    the whole
     estimate 0.69-1.87 of the wall time of the 32 cells with such blocks
     (1.09 and 1.08), their 1D factors already built. The 1D factor
     term was refitted, on a 2-core VM where the kernel took about 0.14 s,

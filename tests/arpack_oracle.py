@@ -35,10 +35,11 @@ def top_eigenpairs(
     relative accuracy ``tol`` (0 asks for machine precision) from a seeded
     start vector, so repeated runs return bitwise equal vectors. It keeps
     ``KRYLOV_SIZE`` Lanczos vectors (all n below that). With
-    ``inner`` (v -> M v), ``apply`` is self-adjoint in the M inner product:
-    ARPACK runs in its mode 2 on A x = lambda M x, A = M ``apply``. Mode 2
-    applies M^{-1} only to the A x it has just asked for, so M^{-1} returns
-    the image of ``apply`` that A x was formed from.
+    ``inner`` (v -> M v), the operator is ``apply`` of M v, self-adjoint in
+    the M inner product for a symmetric ``apply``: ARPACK runs in its mode 2
+    on A x = lambda M x, A = M ``apply`` M. Mode 2 applies M^{-1} only to
+    the A x it has just asked for, so M^{-1} returns the image that A x was
+    formed from.
     """
     op = LinearOperator((n, n), matvec=apply, dtype=float)
     metric = {}
@@ -46,7 +47,7 @@ def top_eigenpairs(
         images = []
 
         def product(v):
-            images.append(apply(v))
+            images.append(apply(inner(v)))
             return inner(images[-1])
 
         op = LinearOperator((n, n), matvec=product, dtype=float)

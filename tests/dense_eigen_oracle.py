@@ -1,17 +1,20 @@
 """Full-spectrum generalized eigensolve: the test oracle.
 
-The production eigensolve (``refsat.coefficients._solve_pencil``, one
-diagonal block at a time, on a matrix pair through
+The production eigensolve (``refsat.coefficients._solve_block``, one
+diagonal block at a time; on a matrix pair,
 ``unsplit_oracle.max_generalized_eigenvalue``) solves on the denominator's
 Cholesky factor (``_cholesky``), written in its place. Up to order
 ``_DENSE_ORDER`` it reduces the formed pair on that factor (LAPACK
-``dsygst``) and solves the full standard-form spectrum (``dsyevd``); above
-it, the fine side is an operator and Lanczos computes only the top of the
-spectrum. Production checks positive definiteness through a lower bound
-from the 1D factors, or else estimates the smallest eigenvalue from above
-by one Lanczos run on the block's inverse (``_solve_block``); the matrix
-pair route reads it off a values-only ``dsyevd`` instead
-(``unsplit_oracle.checked_pencil``). This is the independent route they
+``dsygst``) and solves the full standard-form spectrum (``dsyevd``,
+``_solve_pencil``); above it, the fine side is an operator and Lanczos
+computes only the top of the spectrum: production's on R_q^{-1} R_r
+through the factor (``_solve_lanczos``), the matrix pair route's on the
+standard form (``unsplit_oracle.standard_form``). Production checks
+positive definiteness through a lower bound from the 1D factors, or else
+estimates the smallest eigenvalue from above by one Lanczos run on the
+block's inverse; the matrix pair route reads it off a values-only
+``dsyevd`` instead (``unsplit_oracle.checked_pencil``). This is the
+independent route they
 replaced: a full ``eigvalsh`` of the denominator for the
 positive-definiteness check and a full generalized ``eigh`` with every
 eigenvector, on the whole pencil rather than one block at a time.

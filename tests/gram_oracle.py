@@ -155,7 +155,8 @@ def split_saturation(spec: ProblemSpec, factors: dict) -> tuple[float, bool]:
     """mu^2 and the tie flag of an E2 cell, with its class pair split into
     its swap blocks and each solved by ``checked_pencil``: formed on both
     sides up to ``_DENSE_ORDER``, and above it with the coarse block formed
-    and the fine one applied by ``swap_product``. The swap blocks are
+    and the fine one applied by ``swap_product``, on the standard form
+    (``unsplit_oracle.standard_form``). The swap blocks are
     compressions of the pair, so the pair's closed-form floor bounds them
     too."""
     (block,) = _spec_blocks(spec)

@@ -8,10 +8,11 @@ top-of-spectrum eigensolve against the full-spectrum oracle in
 sparse-LU oracle in ``sparse_oracle``, the block route (parity classes)
 against the unsplit route in ``unsplit_oracle``, E2's class pair solved
 whole against its swap blocks in ``gram_oracle``, the Schur route against
-the Cholesky route, the reorthogonalized Lanczos against ARPACK in
-``arpack_oracle``, and the tridiagonal 1D factors, the resolvent edge
-weights and the closed-form load floors against the dense pencils, the
-40-digit mpmath references and the per-class eigensolves in
+the Cholesky route, the Lanczos path on R_q^{-1} R_r against the
+standard-form Lanczos of ``unsplit_oracle``, the reorthogonalized Lanczos
+against ARPACK in ``arpack_oracle``, and the tridiagonal 1D factors, the
+resolvent edge weights and the closed-form load floors against the dense
+pencils, the 40-digit mpmath references and the per-class eigensolves in
 ``pencil_oracle``.
 """
 
@@ -87,6 +88,7 @@ from sparse_oracle import (
     stiffness_matrix,
     tensor_space,
 )
+from route_counts import lanczos_solves
 from unsplit_oracle import (
     block_orders,
     checked_pencil,
@@ -1026,8 +1028,14 @@ def test_lanczos_runs_stop_once_their_top_ritz_pairs_converge(monkeypatch):
 
 
 def test_lanczos_matches_the_arpack_oracle(monkeypatch):
-    # every run also goes through ARPACK on the same operator; the top two
-    # values of each block must agree
+    # every run also goes through ARPACK on the same operator (the route's
+    # inverse of the fine block's image, in the fine block's inner
+    # product); the top two values of each block must agree to 1e-14. At
+    # q = r the pencil is the identity, whose eigenvalues are exactly 1,
+    # and the top two values are held to 1 instead: ARPACK converges to
+    # the top of the operator's rounding, up to 1.1e-14 above 1 on these
+    # cells, while the run stops at its first dropped coupling on Rayleigh
+    # quotients within 5e-16 of 1
     compared = []
     lanczos = refsat.coefficients._top_eigenpairs
 
@@ -1035,6 +1043,8 @@ def test_lanczos_matches_the_arpack_oracle(monkeypatch):
         values, vectors = lanczos(apply, n, k, *args, **kwargs)
         expect, _ = arpack_top_eigenpairs(apply, n, k, *args, **kwargs)
         if k == 2:
+            if identity:
+                expect = np.ones(2)
             assert np.all(np.abs(values - expect) <= 1e-14 * np.abs(expect)), (
                 n, values, expect)
             compared.append(n)
@@ -1045,6 +1055,7 @@ def test_lanczos_matches_the_arpack_oracle(monkeypatch):
              for p, q, r in EIGEN_CASES[family]]
     cells += [(name, 28, 32, 64) for name in ("E1", "E2", "E3", "E4", "E5")]
     for cell in cells:
+        identity = cell[2] == cell[3]
         try:
             saturation_coefficient(spec_for(*cell))
         except NumericalError as exc:
@@ -1158,14 +1169,18 @@ def test_a_near_tie_across_the_swap_blocks_ties_alike_when_solved_whole(gap, tie
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
 def test_q_equals_r_ties_at_one_on_the_lanczos_route(monkeypatch, name):
-    # E1 has two parity class pairs, E2 one pair solved whole
+    # E1 has two parity class pairs, E2 one pair solved whole. The operator
+    # is the identity up to rounding: each run drops its first coupling and
+    # stops after two applications
     orders = {"E1": [153, 136], "E2": [289]}[name]
-    runs = counting_runs(monkeypatch)
+    runs, solves = counting_runs(monkeypatch), lanczos_solves(monkeypatch.setattr)
     spec = spec_for(name, 16, 32, 32)
     assert list(block_orders(spec)) == orders
     res = saturation_coefficient(spec)
     assert [n for n, _, _ in runs] == orders
-    assert abs(res.mu - 1.0) <= 1e-12
+    assert [solve.route for solve in solves] == ["Cholesky"] * len(orders)
+    assert all(count <= 2 for _, _, count in runs), runs
+    assert abs(res.mu - 1.0) <= 1e-14
     assert res.tie
 
 
@@ -1182,6 +1197,31 @@ def test_a_lanczos_run_that_does_not_converge_is_a_numerical_failure(
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: Lanczos eigensolve failed")
+
+
+def test_an_eigenpair_off_its_pencil_is_a_numerical_failure(monkeypatch, capsys):
+    # a Cholesky factor 0.1 % off on its diagonal: the Lanczos runs of
+    # E1 (16, 32, 64), both above the dense order, converge on the wrong
+    # pencil, and the defect taken from the two products reads 4.4e-5 of
+    # the fine Gram's norm. Without the residual check the cell would print
+    # mu as if nothing were wrong
+    cholesky = refsat.coefficients._cholesky
+
+    def perturbed(r_bottom):
+        factor = cholesky(r_bottom)
+        factor[np.diag_indices_from(factor)] *= 1.001
+        return factor
+
+    monkeypatch.setattr(refsat.coefficients, "_cholesky", perturbed)
+    with pytest.raises(NumericalError, match=r"^eigensolve failed: the top "
+                       r"eigenpair has relative residual 4\.4e-05, above 1e-8$"):
+        saturation_coefficient(spec_for("E1", 16, 32, 64))
+    code = main(["compute", "--family", "A", "--edges", "1",
+                 "--p", "16", "--q", "32", "--r", "64"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: eigensolve failed")
 
 
 #: the start of each rejection of a singular coarse block
@@ -1361,9 +1401,9 @@ def test_coarse_kernels_match_the_replaced_contractions():
 def residual_gap(spec, factors) -> tuple[float, int]:
     """|residual - formed| and the order n of the winning block, where the
     eigensolve's residual is taken on each block's production route, from
-    the Cholesky factor that overwrote its formed block or from the two
-    products of the Schur route, and ``formed`` takes it from a kept copy
-    of the formed block."""
+    the Cholesky factor that overwrote its formed block up to the dense
+    order or from the fine and coarse products above it, and ``formed``
+    takes it from a kept copy of the formed block."""
     every = _spec_blocks(spec)
     blocks = [block for block in every if block.copies]
     fine, mid = (triples(blocks, *_sides(spec, degree, factors))
@@ -1496,23 +1536,21 @@ def test_schur_inverse_is_the_kronecker_sum_less_a_low_rank_correction():
 
 
 def schur_routes(monkeypatch):
-    """(order, k) of each Schur solve and the (nx, ny) of each class pair
-    set up for one, as they run."""
-    solves, setups = [], []
-    solve, setup = refsat.coefficients._solve_schur, refsat.coefficients._schur_inverse
-
-    def counting_solve(block, fine, mid, *args):
-        (nx, mx), (ny, my) = mid[0].shape, mid[1].shape
-        solves.append((block.order, mx * my - nx * ny))
-        return solve(block, fine, mid, *args)
+    """The ``lanczos_solves`` of both routes, and the (nx, ny) of each
+    class pair set up for a Schur solve, as they run."""
+    setups, setup = [], refsat.coefficients._schur_inverse
 
     def counting_setup(wx, wy, lam_x, lam_y):
         setups.append((len(wx), len(wy)))
         return setup(wx, wy, lam_x, lam_y)
 
-    monkeypatch.setattr(refsat.coefficients, "_solve_schur", counting_solve)
     monkeypatch.setattr(refsat.coefficients, "_schur_inverse", counting_setup)
-    return solves, setups
+    return lanczos_solves(monkeypatch.setattr), setups
+
+
+def on_schur(solves) -> list[tuple[int, int]]:
+    """(order, k) of each of ``solves`` on the Schur route."""
+    return [(solve.order, solve.k) for solve in solves if solve.route == "Schur"]
 
 
 #: the published cells with a block on the Schur route, and every block of
@@ -1616,18 +1654,21 @@ def test_schur_route_solves_k_zero_and_q_equal_r(monkeypatch):
     # probes as modes, so the order-325 block has k = 0 and no correction
     spec = spec_for("E1", 24, 25, 50)
     res = saturation_coefficient(spec)
-    assert solves == [(325, 0)]
+    assert on_schur(solves) == [(325, 0)]
     with monkeypatch.context() as forced:
         forced.setattr(refsat.coefficients, "_SCHUR_ORDER", np.inf)
         expect = saturation_coefficient(spec)
     assert abs(res.mu - expect.mu) <= 1e-13 * expect.mu
     assert res.tie == expect.tie
-    # q = r: the identity pencil ties at 1
+    # q = r: the identity pencil ties at 1, each run stopping after two
+    # applications as on the Cholesky route
     for name, orders in (("E1", [435, 406]), ("E2", [841])):
         solves.clear()
         res = saturation_coefficient(spec_for(name, 28, 32, 32))
-        assert [order for order, _ in solves] == orders, name
-        assert abs(res.mu - 1.0) <= 1e-12 and res.tie, name
+        assert [order for order, _ in on_schur(solves)] == orders, name
+        assert [solve.route for solve in solves] == ["Schur"] * len(orders)
+        assert all(solve.applications <= 2 for solve in solves), (name, solves)
+        assert abs(res.mu - 1.0) <= 1e-14 and res.tie, name
 
 
 def test_e2_solves_its_class_pair_whole_on_the_schur_route(monkeypatch):
@@ -1641,13 +1682,13 @@ def test_e2_solves_its_class_pair_whole_on_the_schur_route(monkeypatch):
             runs = counting_runs(counted)
             saturation_coefficient(spec, factors)
         assert block_orders(spec) == (n,), cell
-        assert [order for order, _ in solves] == [n], cell
+        assert [order for order, _ in on_schur(solves)] == [n], cell
         assert setups == [(cell[1] + 1,) * 2], cell
         assert len(runs) == 1, cell
     # E1's two class pairs take a setup each
     solves, setups = schur_routes(monkeypatch)
     saturation_coefficient(spec_for("E1", 28, 32, 64), factors)
-    assert solves == [(435, 109), (406, 106)]
+    assert on_schur(solves) == [(435, 109), (406, 106)]
     assert setups == [(29, 15), (29, 14)]
 
 
@@ -1704,7 +1745,7 @@ def test_uncertified_blocks_on_the_schur_route_are_estimated_as_on_the_cholesky_
     solves, _ = schur_routes(monkeypatch)
     monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", 3e-7)
     assert saturation_coefficient(spec).mu == expect.mu
-    assert solves == [(841, 183)]
+    assert on_schur(solves) == [(841, 183)]
     monkeypatch.setattr(refsat.coefficients, "_PD_FLOOR", 1e-6)
     messages = []
     for cut in (_SCHUR_ORDER, np.inf):

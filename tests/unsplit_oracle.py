@@ -9,8 +9,10 @@ the whole pencil.
 The matrix forms of the block route live here too, for the tests to
 compare against other routes: ``dual_gram`` scatters its blocks into the
 whole dual Gram, ``block_orders`` lists their orders, ``checked_pencil``
-solves one block's matrix pair after the definiteness check by a full
-eigensolve that production replaced with an estimate, and
+solves one block's pair after the definiteness check by a full
+eigensolve that production replaced with an estimate, above the dense
+order by ``standard_form``, the Lanczos run on L^{-1} r_top L^{-T} that
+production replaced with one on R_q^{-1} R_r, and
 ``max_generalized_eigenvalue`` runs it on a whole matrix pair.
 """
 
@@ -35,6 +37,7 @@ from refsat.coefficients import (
     _sides,
     _solve_pencil,
     _spec_blocks,
+    _top_eigenpairs,
     _volume_gram,
 )
 
@@ -68,10 +71,32 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
     return gram
 
 
+def standard_form(r_top, factor: np.ndarray):
+    """Top of the pencil r_top F = lambda L L^T F of one block, r_top an
+    operator that maps an n-vector to its image and ``factor`` the
+    ``_cholesky`` factor L of the coarse block, with the contract of
+    ``_solve_pencil``: Lanczos (``_top_eigenpairs``) computes the top of the
+    standard form L^{-1} r_top L^{-T}, each step one product and two
+    triangular solves, and the maximizer is F = L^{-T} y."""
+    dtrmv, dtrsv = scipy.linalg.blas.dtrmv, scipy.linalg.blas.dtrsv
+
+    def solve(y: np.ndarray, trans: int) -> np.ndarray:
+        """factor^{-1} y, or factor^{-T} y with ``trans`` 1."""
+        return dtrsv(factor, y, lower=1, trans=trans)
+
+    values, vectors = _top_eigenpairs(
+        lambda y: solve(r_top(solve(y, 1)), 0), factor.shape[0], 2)
+    maximizer = solve(vectors[:, -1], 1)
+    bottom = dtrmv(factor, dtrmv(factor, maximizer, lower=1, trans=1), lower=1)
+    defect = r_top(maximizer) - values[-1] * bottom
+    return values, maximizer, float(np.linalg.norm(defect))
+
+
 def checked_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float = 0.0):
-    """``_solve_pencil`` on one block's pair, r_top a matrix or an operator,
-    with the definiteness check that production makes by an estimate
-    (``_solve_block``) made by a values-only eigensolve of the formed block.
+    """``_solve_pencil`` on one block's pair, or ``standard_form`` where
+    r_top is an operator, with the definiteness check that production
+    makes by an estimate (``_solve_block``) made by a values-only
+    eigensolve of the formed block.
 
     Unless ``floor``, a lower bound on the smallest eigenvalue of the
     coarse block ``r_bottom``, is at least ``_PD_FLOOR`` times ``trace``,
@@ -91,7 +116,9 @@ def checked_pencil(r_top, r_bottom: np.ndarray, trace: float, floor: float = 0.0
     if margin < least:
         raise NumericalError(_ILL_POSED + f"estimated lambda_min/trace "
                              f"{margin:.3e} is under the floor {least:.0e}")
-    return _solve_pencil(r_top, factor)
+    if isinstance(r_top, np.ndarray):
+        return _solve_pencil(r_top, factor)
+    return standard_form(r_top, factor)
 
 
 def max_generalized_eigenvalue(
@@ -101,14 +128,14 @@ def max_generalized_eigenvalue(
 
     With the Cholesky factor r_bottom = L L^T the pencil becomes the
     standard problem for L^{-1} r_top L^{-T}, whose top two eigenpairs give
-    the value, the tie flag and, through F = L^{-T} y, the maximizer. As in
-    ``saturation_coefficient``, the pair is solved densely up to order
-    ``_DENSE_ORDER``, and above it by Lanczos on the product with r_top,
-    which computes only the top of the spectrum. r_bottom must be safely
-    positive definite: its smallest eigenvalue, computed by
-    ``checked_pencil``, is checked against 1e-12 times its trace, and the
-    problem is rejected as ill posed otherwise, rather than silently
-    regularized. A matrix pair has no 1D factors to bound that eigenvalue
+    the value, the tie flag and, through F = L^{-T} y, the maximizer. The
+    pair is solved densely up to order ``_DENSE_ORDER``, as in
+    ``saturation_coefficient``; above it ``standard_form`` runs Lanczos on
+    the product with r_top, which computes only the top of the spectrum.
+    r_bottom must be safely positive definite: its smallest eigenvalue,
+    computed by ``checked_pencil``, is checked against 1e-12 times its
+    trace, and the problem is rejected as ill posed otherwise, rather than
+    silently regularized. A matrix pair has no 1D factors to bound that eigenvalue
     from below, so the check always runs.
     """
     r_top = np.asarray(r_top, dtype=float)
