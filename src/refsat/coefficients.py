@@ -138,8 +138,9 @@ class SaturationResult:
     #: block, checking it is definite, solving its pencil (above order 100
     #: one Lanczos run through its inverse and the fine products), and
     #: taking the defect of the maximizer (``eigensolve``). A family-A block
-    #: above order 300 is on the Schur route and forms nothing: its class
-    #: pair's setup, its run and any CG solves in it are all ``eigensolve``
+    #: above order 300 is on the Schur route and forms nothing: its classes'
+    #: shared setups, its corner factor, its run and any CG solves in it are
+    #: all ``eigensolve``
     stages: dict[str, float] = field(default_factory=dict)
 
 
@@ -608,29 +609,22 @@ def _dimension(spec: ProblemSpec, degree: int) -> int:
 
 #: orders up to which the eigensolves form both blocks; above it the fine
 #: block is applied by products, and the coarse one formed and factored
-#: up to ``_SCHUR_ORDER``. Where q >= 2p a Lanczos run takes 4 to 6
-#: operator applications and beats a dense eigensolve of the formed pair
-#: well below the cut (E1 (12, 32, 64), order 91: 0.25 against 0.55 ms);
-#: where q is close to p it takes 9 to 16, and the two are about even up
-#: to the cut (E1 (12, 14, 28), order 91: 0.61 against 0.58 ms; E1 (14,
-#: 16, 32), order 120: 0.66 against 0.88 ms). A cut at 60, with runs that
-#: also converged their second pairs, moved no benchmark workload beyond
-#: its run-to-run spread
+#: up to ``_SCHUR_ORDER``. A Lanczos run beats a dense eigensolve of the
+#: formed pair well below the cut where q >= 2p (E1 (12, 32, 64), order
+#: 91: 0.25 against 0.55 ms), and the two are about even up to it where q
+#: is close to p (E1 (12, 14, 28), order 91: 0.61 against 0.58 ms)
 _DENSE_ORDER = 100
 
 #: orders above which a family-A block is never formed: it is solved
 #: through the Schur complement of its Kronecker sum (``_schur_inverse``),
-#: exactly where that needs a smaller factor than the block's own and by
-#: CG preconditioned with its first term otherwise. With the cut at 100
-#: instead, E3 and E5 (28, 32, 64), at orders 196-225, took 4.4 and 3.0
-#: ms against 5.3 and 3.8, but E1 (14, 16, 32) 2.5 against 2.4 ms and
-#: E1 (16, 32, 64), whose blocks would go to CG, 7.1 against 2.6 ms (best
-#: of nine, one BLAS thread, 2-core VM)
+#: exactly or by CG. With the cut at 100 instead, E3 and E5 (28, 32, 64)
+#: moved within their spread, but E1 (16, 32, 64), whose blocks would go
+#: to CG, took 6.4-7.2 against 2.8-2.9 ms (best of nine, one BLAS thread)
 _SCHUR_ORDER = 300
 
 #: the most steps a Lanczos run may take short of its operator's order, and
 #: the most iterations of a CG solve; the blocks of the published cells
-#: converge within 17 steps and 47 iterations
+#: converge within 17 steps and 11 iterations
 _LANCZOS_STEPS = 300
 
 #: relative residual at which a CG solve of a coarse block stops
@@ -843,81 +837,65 @@ def _conjugate_gradient(apply, precondition, b: np.ndarray) -> np.ndarray:
 def _schur_by_cg(modes: int, order: int) -> bool:
     """Whether ``_schur_inverse`` inverts a block of ``order`` rows whose
     class pair has ``modes`` mode pairs by CG: where its k = modes - order
-    extra mode pairs are at least the order, so H22 would outgrow it."""
+    extra mode pairs are at least the order."""
     return modes >= 2 * order
 
 
-def _schur_inverse(wx: np.ndarray, wy: np.ndarray, lam_x: np.ndarray,
-                   lam_y: np.ndarray):
+def _schur_inverse(x: tuple, y: tuple, coarse):
     """v -> R^{-1} v for the dual Gram R = (Wx (x) Wy) G (Wx (x) Wy)^T of a
-    family-A class pair, with no formed block and no factor of it.
+    family-A class pair from its ``_schur_sides`` and ``_pair`` triple
+    ``coarse``, with no formed block.
 
-    G^{-1} = diag(lam_x) (+) diag(lam_y) is the Kronecker sum of the
-    classes' eigenvalues (fast diagonalization, see ``_pair``). With the
-    complete QRs Wx^T = Qx [Lx^T; 0], Wy^T = Qy [Ly^T; 0] and the rotated
-    sum H = Ax (+) Ay, Ax = Qx^T diag(lam_x) Qx and Ay likewise, R is
-    (Lx (x) Ly) (H^{-1})11 (Lx (x) Ly)^T, so
-
-        R^{-1} = (Lx (x) Ly)^{-T} (H11 - H12 H22^{-1} H21) (Lx (x) Ly)^{-1},
-
-    set 1 being the n = nx ny mode pairs (a, b) with a < nx and b < ny,
-    set 2 the other k = mx my - n. The first term alone is the Kronecker
-    sum P^{-1} = Ax' (x) My + Mx (x) Ay' of the 1D matrices
-    Ax' = Lx^{-T} Ax11 Lx^{-1} and Mx = Lx^{-T} Lx^{-1}, and y alike, which
-    applies as Ax' V My + Mx V Ay' to the nx x ny array V of a vector.
-
-    Where k < n the correction is exact: H applies as Ax V + V Ay to the
-    mx x my array V of a vector, and the Schur complement of one as
-    H [v; -w] on set 1, with H22 w = (H [v; 0]) on set 2. Only the k x k
-    block H22, entries Ax[c, c'] [d = d'] + [c = c'] Ay[d, d'], is formed,
-    and factored by ``dpotrf``; H is definite, as every family-A pair has a
-    factor with a Dirichlet end, whose lam are positive. Where k >= n that
-    factor would outgrow the block, and R^{-1} v is instead solved by
-    ``_conjugate_gradient`` on the block's ``_product``, preconditioned by
-    P^{-1}: as the correction is semidefinite, the spectrum of P^{-1} R
-    lies in [1, kappa] for a small kappa, and the published blocks take 24
-    to 47 iterations per solve. The rows of each W must be independent, as
-    they are in every block that passes the caller's floor check.
+    With G^{-1} = diag(lam_x) (+) diag(lam_y) and H the rotated sum
+    Ax (+) Ay, R^{-1} is (Lx (x) Ly)^{-T} (H11 - H12 H22^{-1} H21)
+    (Lx (x) Ly)^{-1}, set 1 being the n = nx ny mode pairs with a < nx and
+    b < ny. The other k = mx my - n are the strips {a >= nx, b < ny}
+    and {a < nx, b >= ny}, uncoupled Kronecker sums Ax22 (+) Ay11 and
+    Ax11 (+) Ay22 solved in the sides' eigenbases (Lynch, Rice & Thomas,
+    1964), and a corner of c = (mx - nx)(my - ny), which H12 does not
+    reach. Only the corner's Schur complement is formed and factored, in
+    (e2, f2) coordinates: diag(alpha2 (+) beta2) less Pe diag(dY[:, j])
+    Pe^T on each column j and Fq^T diag(dX[i, :]) Fq on each row i, with
+    Pe = e2^T Ax21 e1, Fq = f1^T Ay12 f2, dX = 1 / (alpha2 (+) beta1) and
+    dY = 1 / (alpha1 (+) beta2). H11 and the couplings stay products in
+    the load-row basis. Where k >= n, R^{-1} v is a ``_conjugate_gradient``
+    solve on the block's ``_product``, preconditioned by the kernel
+    without its corner (5 to 11 iterations a solve on the table).
     """
-    import scipy.linalg
+    # px = Pe^T, py = Fq
+    ux, ax, ex, alpha1, alpha2, bx, px = x
+    uy, ay, ey, beta1, beta2, by, py = y
+    (nx, cx), (ny, cy) = px.shape, py.shape
+    dx = 1.0 / (alpha2[:, np.newaxis] + beta1)
+    dy = 1.0 / (alpha1[:, np.newaxis] + beta2)
+    cg = _schur_by_cg((nx + cx) * (ny + cy), nx * ny)
+    if not cg and cx * cy:
+        corner = np.diag((alpha2[:, np.newaxis] + beta2).ravel())
+        blocks = corner.reshape(cx, cy, cx, cy)
+        rows, columns = np.arange(cx), np.arange(cy)
+        blocks[rows, :, rows, :] -= (py.T * dx[:, np.newaxis]) @ py
+        blocks[:, columns, :, columns] -= (px.T * dy.T[:, np.newaxis]) @ px
+        # symmetric, so its transpose is Fortran-ordered
+        (factor,) = _lapack("dpotrf", corner.T, lower=1, overwrite_a=1)
 
-    (nx, mx), (ny, my) = wx.shape, wy.shape
-    sides = []
-    for w, lam in ((wx, lam_x), (wy, lam_y)):
-        q, r = scipy.linalg.qr(w.T, check_finite=False)
-        (inverse,) = _lapack("dtrtri", r[:len(w)])
-        sides.append(((q.T * lam) @ q, inverse))
-    (ax, ux), (ay, uy) = sides
-    if _schur_by_cg(mx * my, nx * ny):
-        # ux = Lx^{-T}, so Ax' = ux Ax11 ux^T and Mx = ux ux^T
-        (sx, mass_x), (sy, mass_y) = ((u @ a[:len(u), :len(u)] @ u.T, u @ u.T)
-                                      for a, u in sides)
-        coarse = _product(wx, wy, 1.0 / (lam_x[:, np.newaxis] + lam_y))
-
-        def precondition(v: np.ndarray) -> np.ndarray:
-            v = v.reshape(nx, ny)
-            return (sx @ v @ mass_y + mass_x @ v @ sy).ravel()
-
-        return lambda v: _conjugate_gradient(coarse, precondition, v)
-    outer = np.ones((mx, my), dtype=bool)
-    outer[:nx, :ny] = False
-    c, d = np.nonzero(outer)
-    h22 = (ax.take(c, 0).take(c, 1) * np.equal.outer(d, d)
-           + np.equal.outer(c, c) * ay.take(d, 0).take(d, 1))
-    (factor,) = _lapack("dpotrf", h22, lower=1, overwrite_a=1)
-    dpotrs = scipy.linalg.lapack.dpotrs
-
-    def apply(v: np.ndarray) -> np.ndarray:
+    def solve(v: np.ndarray, exact: bool) -> np.ndarray:
         # ux = Lx^{-T}: (Lx (x) Ly)^{-1} v is ux^T V uy on its nx x ny array
-        modes = np.zeros((mx, my))
-        modes[:nx, :ny] = ux.T @ v.reshape(nx, ny) @ uy
+        modes = ux.T @ v.reshape(nx, ny) @ uy
         image = ax @ modes + modes @ ay
-        if c.size:
-            modes[c, d] = -dpotrs(factor, image[c, d], lower=1)[0]
-            image = ax[:nx] @ modes[:, :ny] + modes[:nx] @ ay[:, :ny]
-        return (ux @ image[:nx, :ny] @ uy.T).ravel()
+        strip_x = (bx.T @ modes @ ey) * dx
+        strip_y = (ex.T @ modes @ by) * dy
+        if exact and cx * cy:
+            rhs = -(strip_x @ py + px.T @ strip_y).ravel()
+            far = _lapack("dpotrs", factor, rhs, lower=1)[0].reshape(cx, cy)
+            strip_x -= (far @ py.T) * dx
+            strip_y -= (px @ far) * dy
+        image -= bx @ strip_x @ ey.T + ex @ strip_y @ by.T
+        return (ux @ image @ uy.T).ravel()
 
-    return apply
+    if not cg:
+        return lambda v: solve(v, True)
+    product = _product(*coarse)
+    return lambda v: _conjugate_gradient(product, lambda r: solve(r, False), v)
 
 
 def _schur_route(block: _Block) -> bool:
@@ -944,12 +922,38 @@ def _solve_lanczos(block: _Block, fine, mid, inverse):
     return values, maximizer, float(np.linalg.norm(defect))
 
 
+def _schur_sides(spec: ProblemSpec, block: _Block, factors: dict) -> list:
+    """The ``_schur_inverse`` share of a block's x and y classes at q, kept
+    in ``factors`` under ("schur", bc, q, p, class) for all their blocks:
+    for n load rows W = [L, 0] Q^T and A = Q^T diag(lam) Q, (L^{-T}, A11,
+    e1, alpha1, alpha2, A12 e2, e1^T A12 e2) with A11 = e1 diag(alpha1)
+    e1^T and A22 = e2 diag(alpha2) e2^T."""
+    import scipy.linalg
+
+    sides = []
+    for args, cls, probes in zip(_factor_args(spec, spec.q), (block.x, block.y),
+                                 (block.px, block.py)):
+        key = ("schur", *args, spec.p, cls)
+        if key not in factors:
+            lam, loads = _probed(args, spec.p, factors)[cls]
+            n = probes.size
+            q, r = scipy.linalg.qr(loads[probes].T, check_finite=False)
+            (u,) = _lapack("dtrtri", r[:n])
+            a = (q.T * lam) @ q
+            alpha1, e1 = _lapack("dsyevd", a[:n, :n], lower=1)
+            alpha2, e2 = _lapack("dsyevd", a[n:, n:], lower=1)
+            b = a[:n, n:] @ e2
+            factors[key] = (u, a[:n, :n].copy(), e1, alpha1, alpha2, b, e1.T @ b)
+        sides.append(factors[key])
+    return sides
+
+
 def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
-                 stages: dict, sides):
+                 stages: dict, spec: ProblemSpec, factors: dict):
     """Check that one solved block's coarse block is definite, and solve
     its pencil through the route's inverse of it: on the Schur route
-    (``_schur_route``) the ``_schur_inverse`` of its class pair in
-    ``sides`` (the ``_sides`` at q), with no block formed; otherwise two
+    (``_schur_route``) the ``_schur_inverse`` of its class pair, from the
+    ``_schur_sides`` in ``factors``, with no block formed; otherwise two
     triangular solves on the ``_cholesky`` factor of the formed block.
     Above ``_DENSE_ORDER`` ``_solve_lanczos`` runs Lanczos through that
     inverse; up to it both blocks are formed and ``_solve_pencil`` solves
@@ -958,15 +962,14 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
 
     Unless ``floor``, a lower bound on the coarse block's smallest
     eigenvalue, is at least 1e-12 times ``trace``, that of the whole coarse
-    dual Gram, one Lanczos run on the route's inverse estimates it as
-    1 / lambda_max, at most a relative 1e-8 high, once the route's factor
-    has succeeded; under the check the problem is rejected as ill posed.
+    dual Gram, a Lanczos run on the route's inverse estimates it as
+    1 / lambda_max, at most a relative 1e-8 high; under the check the
+    problem is rejected as ill posed.
     """
     clock = formed = time.perf_counter()
     dense = block.order <= _DENSE_ORDER
     if _schur_route(block):
-        xs, ys = sides
-        inverse = _schur_inverse(*mid[:2], xs[block.x].lam, ys[block.y].lam)
+        inverse = _schur_inverse(*_schur_sides(spec, block, factors), mid)
     else:
         from scipy.linalg.blas import dtrsv
 
@@ -1026,16 +1029,16 @@ def saturation_coefficient(
     Forms the dual Gram of the intermediate (degree q) space block by
     block up to order ``_SCHUR_ORDER``, and that of the fine (degree r)
     space only in its blocks of order up to ``_DENSE_ORDER``: larger ones
-    are applied by products of their 1D factors without being formed. Extracts the largest generalized
-    eigenvalue over the blocks; the maximizer is returned in the family's
-    full load order. The returned residual is the relative defect of the
-    eigenpair and should be tiny.
+    are applied by products of their 1D factors without being formed.
+    Extracts the largest generalized eigenvalue over the blocks; the
+    maximizer is returned in the family's full load order. The returned
+    residual is the relative defect of the eigenpair and should be tiny.
 
-    The 1D factors of both spaces, and the edge weights of families B and
-    C, are looked up in ``factors``, a table filled on a miss (see
-    ``_sides``). A caller that passes one table to many calls, as a sweep
-    does, builds each of them once; without a table the call starts from
-    an empty one of its own.
+    The 1D factors of both spaces, the edge weights of families B and C
+    and the Schur route's class shares are looked up in ``factors``, a
+    table filled on a miss (see ``_sides`` and ``_schur_sides``). A caller
+    that passes one table to many calls, as a sweep does, builds each of
+    them once; without a table the call starts from an empty one.
     """
     # imported before the clock starts: the first cell of a process would
     # otherwise time the import as its own work
@@ -1070,7 +1073,7 @@ def saturation_coefficient(
     rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = [floor - rounding for floor in floors]
     stages["grams"] += time.perf_counter() - clock
-    solutions = [_solve_block(*args, trace, stages, sides[1])
+    solutions = [_solve_block(*args, trace, stages, spec, factors)
                  for args in zip(solved, fine, mid, floors)]
     value, tie, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in solved], frobenius)
@@ -1106,47 +1109,41 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     for the edge weights, whose eliminations run over about d members for
     about d values of mu), for every cell, as a lone ``compute`` starts
     cold; and per solved block of order n, its coarse Gram at degree q and
-    its eigensolve. A block's Gram costs a fixed amount, ~n^2 for its writes
-    and ~n^2 d for its products at degree d. Up to order 100 the eigensolve
-    is the fine block, formed as the coarse one is at degree r, and a dense
-    reduction and full eigensolve of the formed pair (a fixed cost and
-    ~n^3); above it a Cholesky factor (~n^3) and one Lanczos run, each step
-    a fixed cost and ~n^2. A run takes 4 to 6 steps where q >= 2p and 10 to
-    17 where q is close to p on the published blocks, priced as 5 and 13. A
-    block on the Schur route (``_schur_route``) has no Gram. Where its
-    class pair has k < n extra mode pairs, the setup costs a fixed amount,
-    ~k^2 to form H22 and ~k^3 to factor it, and each Lanczos step a fixed
-    cost and ~mx my (mx + my) for the products with the 1D matrices of the
-    inverse, which outweigh the fine block's product. Where k >= n, each
-    Lanczos step is one CG solve, priced as 33 iterations (24 to 47 on the
-    published blocks), each a fixed cost and ~mx my (nx + ny) for the
-    block's product through its 1D load rows; the setup and the
-    preconditioner are of lower order. A block that the closed-form floor
-    does not certify, as at E1 (256, 260, 520), adds one Lanczos run on its
-    route's inverse to check its definiteness, which is not priced; no
-    published block needs one.
-    Every constant is in seconds at the speed where
-    ``perfbench.harness.reference_seconds()`` takes 0.1 s, fitted with
-    one BLAS thread on a 2-core Xeon VM where it took about 0.13 s: the
-    Gram terms to the kernels alone, the others to the wall time of the
-    published cells. The terms above order 100 were refitted by relative
-    least squares to the calls of the published blocks above order 100
-    (best of three). Over two runs on a 2-core VM where the kernel took
-    0.11-0.16 s, the Cholesky term reads 0.67-1.62 of its 25 solves
-    (medians 1.06 and 0.99), the Schur setup 0.70-1.49 of its 29
-    ``_schur_inverse`` calls where k < n (1.04 and 1.01), the Schur steps
-    0.51-1.53 of its 29 Lanczos runs there (0.95 and 1.07), the CG term
-    0.58-2.03 of the 17 setups and runs where k >= n (0.99 and 0.84), and
-    the whole
-    estimate 0.69-1.87 of the wall time of the 32 cells with such blocks
-    (1.09 and 1.08), their 1D factors already built. The 1D factor
-    term was refitted, on a 2-core VM where the kernel took about 0.14 s,
-    to the cold factors stage of the 145 distinct published cells (best of
-    five, six runs). On the 20 B and C cells at r = 256 it reads 0.92-1.19
-    of that stage per cell (median 1.03): 1.02-1.19 where the y factor is
-    one chain (F1, F3) and 0.92-1.01 where it is two (F2, F4, C). Priced
-    by the degree alone, as before, it read 0.74-1.19 (median 0.81):
-    0.74-0.87 and 1.08-1.19.
+    its eigensolve. A block's Gram costs a fixed amount, ~n^2 for its
+    writes and ~n^2 d for its products at degree d. Up to order 100 the
+    eigensolve is the fine block, formed as the coarse one is at degree r,
+    and a dense reduction and full eigensolve of the formed pair (a fixed
+    cost and ~n^3); above it a Cholesky factor (~n^3) and one Lanczos run,
+    each step a fixed cost and ~n^2. A run takes 4 to 6 steps where q >= 2p
+    and 10 to 17 where q is close to p on the published blocks, priced as 5
+    and 13. A block on the Schur route (``_schur_route``) has no Gram; each
+    of its 1D classes costs a fixed amount and ~m^3 for m modes, once per
+    cell. Where its class pair has k < n extra mode pairs, its corner costs
+    a fixed amount and ~c^3, and each Lanczos step a fixed cost and ~mx my
+    (mx + my). Where k >= n, each step is a CG solve, priced as 8
+    iterations (7.3 on the table), each a fixed cost and ~mx my (nx + ny).
+    A block that the closed-form floor does not certify, as at E1 (256,
+    260, 520), adds one unpriced Lanczos run to check it. Every constant is
+    in seconds at the speed where ``perfbench.harness.reference_seconds()``
+    takes 0.1 s, fitted with one BLAS thread on a 2-core Xeon VM where it
+    took about 0.13 s: the Gram terms to the kernels alone, the others to
+    the wall time of the published cells. The terms above order 100 were
+    refitted by relative least squares to the calls of the published blocks
+    above order 100 (best of three), the Schur terms also to five cells
+    past the table. Over two runs where the kernel took 0.11-0.19 s, the
+    Cholesky term reads 0.67-1.62 of its 25 solves, the Schur terms
+    0.26-1.92 of their calls (medians 0.82-1.00), and the whole estimate
+    0.62-1.88 of the wall time of the 32 published cells with blocks above
+    order 100 (medians 1.08, 1.06), their 1D factors built. In fresh
+    processes (six runs) it reads 0.66-0.75 of the time of E1 (128, 256,
+    512), 0.72-0.84 of E2 (112, 128, 256), 0.77-0.93 of E1 (168, 192, 384)
+    and 0.81-1.04 of E1 (512, 586, 1172), whose two definiteness estimates
+    it leaves out. The 1D factor term was refitted, where the kernel took
+    about 0.14 s, to the cold factors stage of the 145 distinct published
+    cells (best of five, six runs). On the 20 B and C cells at r = 256 it
+    reads 0.92-1.19 of that stage per cell (median 1.03): 1.02-1.19 where
+    the y factor is one chain (F1, F3) and 0.92-1.01 where it is two (F2,
+    F4, C).
     """
     r, q = spec.r, spec.q
     overhead = 4e-4
@@ -1163,6 +1160,7 @@ def estimated_seconds(spec: ProblemSpec) -> float:
 
     steps = 5 if q >= 2 * spec.p else 13
     grams = eig = 0.0
+    classes = {}
     for block in _spec_blocks(spec):
         n = block.order
         if not block.copies:
@@ -1170,15 +1168,17 @@ def estimated_seconds(spec: ProblemSpec) -> float:
         if _schur_route(block):
             mx, my = (_class_sizes(args[0], q)[cls]
                       for args, cls in ((x_args, block.x), (y_args, block.y)))
-            k = mx * my - n
+            # one setup per class and cell (``_schur_sides``)
+            classes[x_args[0], block.x] = 2.3e-4 + 5.8e-10 * mx ** 3
+            classes[y_args[0], block.y] = 2.3e-4 + 5.8e-10 * my ** 3
+            nx, ny = block.px.size, block.py.size
             if _schur_by_cg(mx * my, n):
-                product = mx * my * (block.px.size + block.py.size)
-                eig += steps * 33 * (1.5e-5 + 1.45e-10 * product)
+                eig += steps * 8 * (4.3e-5 + 2e-10 * mx * my * (nx + ny))
             else:
-                eig += (3.4e-4 + 7.6e-9 * k ** 2 + 2.6e-11 * k ** 3
-                        + steps * (3.9e-5 + 1.6e-9 * mx * my * (mx + my)))
+                eig += (7.7e-5 + 1.55e-11 * ((mx - nx) * (my - ny)) ** 3
+                        + steps * (8.3e-5 + 5.55e-10 * mx * my * (mx + my)))
             continue
         grams += gram(n, q)
         eig += (gram(n, r) + 4.2e-5 + 1.3e-9 * n ** 3 if n <= _DENSE_ORDER
                 else 5e-4 + 1.2e-11 * n ** 3 + steps * (7.8e-6 + 1.1e-10 * n ** 2))
-    return overhead + modes + grams + eig
+    return overhead + modes + grams + eig + sum(classes.values())

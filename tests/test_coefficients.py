@@ -89,6 +89,7 @@ from sparse_oracle import (
     tensor_space,
 )
 from route_counts import lanczos_solves
+from schur_oracle import h22_inverse
 from unsplit_oracle import (
     block_orders,
     checked_pencil,
@@ -1411,9 +1412,8 @@ def residual_gap(spec, factors) -> tuple[float, int]:
     trace = _gram_trace(triples(every, *_sides(spec, spec.q, factors)))
     frobenius = _gram_norm(triples(every, *_sides(spec, spec.r, factors)))
     kept = [_volume_gram(*pair) for pair in mid]
-    sides = _sides(spec, spec.q, factors)
     stages = {"grams": 0.0, "eigensolve": 0.0}
-    solutions = [_solve_block(*args, trace, stages, sides) for args in
+    solutions = [_solve_block(*args, trace, stages, spec, factors) for args in
                  zip(blocks, fine, mid, _gram_floors(spec, blocks, mid))]
     value, _, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in blocks], frobenius)
@@ -1501,28 +1501,37 @@ def test_saturation_forms_no_fine_block_above_the_dense_order(monkeypatch):
         assert all(order <= _DENSE_ORDER for _, order in formed), name
 
 
-def test_schur_inverse_is_the_kronecker_sum_less_a_low_rank_correction():
+def test_schur_inverse_is_the_kronecker_sum_less_a_low_rank_correction(
+        monkeypatch):
     # R^{-1} = P^{-1} - C: the first term is the Kronecker sum
     # P^{-1} = Ax' (x) My + Mx (x) Ay' of the load rows' pseudo-inverses,
-    # and the correction C is semidefinite of rank at most k
+    # and the correction C is semidefinite of rank at most k. The strip
+    # operator, the CG preconditioner, eliminates all of set 2 but the
+    # corner, so it lies between R^{-1} and P^{-1}, and less R^{-1} it is
+    # semidefinite of rank at most the corner's c pairs
     rng = np.random.default_rng(5)
     kinds = set()
+
+    def matrix(apply, n):
+        return np.column_stack([apply(unit) for unit in np.eye(n)])
+
     for name in ("E1", "E2", "E3", "E4", "E5"):
         for p, q in ((2, 3), (4, 6), (6, 7), (5, 10)):
-            spec = spec_for(name, p, q, 2 * q)
-            xs, ys = _sides(spec, q, {})
-            pairs = {(block.x, block.y): _pair(block, xs, ys)
-                     for block in _spec_blocks(spec)}
-            for (x, y), (wx, wy, weights) in pairs.items():
+            spec, factors = spec_for(name, p, q, 2 * q), {}
+            xs, ys = _sides(spec, q, factors)
+            for block in _spec_blocks(spec):
+                x, y = block.x, block.y
+                wx, wy, weights = _pair(block, xs, ys)
                 (nx, mx), (ny, my) = wx.shape, wy.shape
                 if nx > mx or ny > my:
                     continue
                 gram = _volume_gram(wx, wy, weights)
-                inverse = _schur_inverse(wx, wy, xs[x].lam, ys[y].lam)
+                sides = refsat.coefficients._schur_sides(spec, block, factors)
+                inverse = _schur_inverse(*sides, (wx, wy, weights))
                 vector = rng.standard_normal(nx * ny)
                 assert (np.linalg.norm(gram @ inverse(vector) - vector)
                         <= 1e-11 * np.linalg.norm(vector)), (name, p, q, x, y)
-                whole = np.column_stack([inverse(unit) for unit in np.eye(nx * ny)])
+                whole = matrix(inverse, nx * ny)
                 px, py = np.linalg.pinv(wx), np.linalg.pinv(wy)
                 kronecker = (np.kron((px.T * xs[x].lam) @ px, py.T @ py)
                              + np.kron(px.T @ px, (py.T * ys[y].lam) @ py))
@@ -1531,8 +1540,80 @@ def test_schur_inverse_is_the_kronecker_sum_less_a_low_rank_correction():
                 k = mx * my - nx * ny
                 assert values[0] >= -slack, (name, p, q, x, y)
                 assert np.sum(values > slack) <= k, (name, p, q, x, y)
-                kinds.add(min(k, 1))
-    assert kinds == {0, 1}
+                # the CG branch, with each solve returning its preconditioned
+                # right-hand side
+                with monkeypatch.context() as strips_only:
+                    strips_only.setattr(refsat.coefficients, "_schur_by_cg",
+                                        lambda modes, order: True)
+                    strips_only.setattr(refsat.coefficients, "_conjugate_gradient",
+                                        lambda apply, precondition, b: precondition(b))
+                    strips = matrix(_schur_inverse(*sides, (wx, wy, weights)), nx * ny)
+                values = scipy.linalg.eigvalsh(strips - whole)
+                assert values[0] >= -slack, (name, p, q, x, y)
+                assert scipy.linalg.eigvalsh(kronecker - strips)[0] >= -slack
+                c = (mx - nx) * (my - ny)
+                assert np.sum(values > slack) <= c, (name, p, q, x, y)
+                kinds.add((min(k, 1), min(c, 1)))
+    assert kinds == {(0, 0), (1, 0), (1, 1)}
+
+
+def schur_inverses(cell, factors: dict):
+    """(block, whether it is inverted by CG, production inverse, exact
+    reference) of each Schur block of ``cell``: the reference is the
+    H22-factor oracle where its k x k H22 stays small, and the corner
+    kernel with the CG branch turned off above that (the blocks of
+    (64, 128, 256) with k over 6000)."""
+    spec = spec_for(*cell)
+    xs, ys = _sides(spec, spec.q, factors)
+    for block in _spec_blocks(spec):
+        if not (block.copies and refsat.coefficients._schur_route(block)):
+            continue
+        mid = _pair(block, xs, ys)
+        (nx, mx), (ny, my) = mid[0].shape, mid[1].shape
+        sides = refsat.coefficients._schur_sides(spec, block, factors)
+        inverse = _schur_inverse(*sides, mid)
+        if mx * my - nx * ny <= 3100:
+            reference = h22_inverse(*mid[:2], xs[block.x].lam, ys[block.y].lam)
+        else:
+            with pytest.MonkeyPatch.context() as exact:
+                exact.setattr(refsat.coefficients, "_schur_by_cg",
+                              lambda modes, order: False)
+                reference = _schur_inverse(*sides, mid)
+        cg = refsat.coefficients._schur_by_cg(mx * my, block.order)
+        yield block, cg, inverse, reference
+
+
+def test_schur_inverse_matches_the_h22_oracle():
+    # every published Schur block, 29 with the corner kernel and 17 by CG,
+    # the k = 0 block of E1 (24, 25, 50) and the q = r blocks of E1 and E4
+    # at (28, 32, 32): the inverse agrees with the exact one to 1e-13
+    rng, factors, counts = np.random.default_rng(11), {}, [0, 0]
+    for cell in SCHUR_CELLS + [("E1", 24, 25, 50), ("E1", 28, 32, 32),
+                               ("E4", 28, 32, 32)]:
+        for block, cg, inverse, reference in schur_inverses(cell, factors):
+            for vector in rng.standard_normal((2, block.order)):
+                want = reference(vector)
+                assert (np.linalg.norm(inverse(vector) - want)
+                        <= 1e-13 * np.linalg.norm(want)), (cell, block.order)
+            counts[cg] += 1
+    assert counts == [34, 17]
+
+
+def test_schur_setup_factors_only_the_corners(monkeypatch):
+    # E1 (56, 64, 128): each block's class pair has 7 x 4 corner pairs out
+    # of k = 459 and 452 extra ones, and the corners are all that is
+    # factored, so the setup holds O(c^2), not O(k^2)
+    dpotrf, shapes = scipy.linalg.lapack.dpotrf, []
+
+    def counting_dpotrf(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_dpotrf)
+    solves, _ = schur_routes(monkeypatch)
+    saturation_coefficient(spec_for("E1", 56, 64, 128))
+    assert on_schur(solves) == [(1653, 459), (1596, 452)]
+    assert shapes == [(28, 28), (28, 28)]
 
 
 def schur_routes(monkeypatch):
@@ -1540,9 +1621,9 @@ def schur_routes(monkeypatch):
     class pair set up for a Schur solve, as they run."""
     setups, setup = [], refsat.coefficients._schur_inverse
 
-    def counting_setup(wx, wy, lam_x, lam_y):
-        setups.append((len(wx), len(wy)))
-        return setup(wx, wy, lam_x, lam_y)
+    def counting_setup(x, y, coarse):
+        setups.append((len(coarse[0]), len(coarse[1])))
+        return setup(x, y, coarse)
 
     monkeypatch.setattr(refsat.coefficients, "_schur_inverse", counting_setup)
     return lanczos_solves(monkeypatch.setattr), setups
@@ -1777,8 +1858,8 @@ def test_a_cell_that_the_floors_do_not_certify_takes_the_schur_route(monkeypatch
 
 
 def test_schur_route_holds_less_than_one_block():
-    # no block is formed: the Lanczos bases, H22 and the 1D matrices stay
-    # under one block of the largest order
+    # no block is formed: the Lanczos bases, the corner factors and the 1D
+    # matrices stay under one block of the largest order
     for name in ("E1", "E2", "E4"):
         assert peak_blocks(spec_for(name, 28, 32, 64)) < 1.0, name
 
@@ -1792,7 +1873,7 @@ def test_a_failed_schur_factorization_is_a_numerical_failure(
         return factor, 5
 
     # every block of E1 (28, 32, 64) takes the Schur route, so the only
-    # dpotrf calls factor H22
+    # dpotrf calls factor the 6 x 6 corner of each class pair
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail)
     with pytest.raises(NumericalError,
                        match="^dense eigensolve failed: dpotrf returned info 5$"):
