@@ -251,14 +251,14 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
     """Compute each cell and write its row as soon as the cell is done.
 
     ``cells`` yields (spec, published) pairs. A published value gives the
-    row the status pass or fail by ``tol``; None gives it ok. Cells whose
-    cost estimate exceeds ``budget`` are written as skipped. The destination
-    is opened and the header written before the first cell, so an
-    unwritable destination fails before any work and a run stopped by an
-    error keeps the rows already finished. All cells share one table of 1D
-    factors, so each factor basis is diagonalized once per run, and each
-    distinct spec is solved once per run: a row whose spec is already solved
-    repeats that result, wall_seconds included, with its own status. Returns
+    row the status pass or fail by ``tol``; None gives it ok. Cells priced
+    over ``budget`` are written as skipped. The destination is opened and
+    the header written before the first cell, so an unwritable destination
+    fails before any work and a run stopped by an error keeps the rows
+    already finished. All cells share one table of 1D factors, so each
+    factor basis is diagonalized once per run, and each distinct spec is
+    solved once per run: a later row of a solved spec is not repriced and
+    repeats its result, wall_seconds included, with its own status. Returns
     the number of compared and skipped cells and one line per failed
     comparison.
     """
@@ -267,13 +267,13 @@ def _write_cells(cells, output: str | None, fmt: str, budget: float,
     with _open_output(output) as handle:
         handle.write(_format_header(fmt))
         for spec, entry in cells:
-            if estimated_seconds(spec) > budget:
-                result, status = None, "skipped"
+            result = solved.get(spec)
+            if result is None and estimated_seconds(spec) > budget:
+                status = "skipped"
                 skipped += 1
             else:
-                if spec not in solved:
-                    solved[spec] = saturation_coefficient(spec, factors=factors)
-                result = solved[spec]
+                if result is None:
+                    result = solved[spec] = saturation_coefficient(spec, factors)
                 status = "ok"
                 if entry is not None:
                     compared += 1

@@ -274,14 +274,10 @@ def _chain(index: np.ndarray, coeff: np.ndarray, degree: int) -> _Modes:
     n = len(index)
     theta, vec = np.ones(0), np.zeros((0, 0))
     if n:
-        import scipy.linalg
-
         diag, off = _mass(index, coeff, degree)
         # dstevd reads no coupling at order 1 but takes an array of one
-        theta, vec, info = scipy.linalg.lapack.dstevd(
-            diag, off if n > 1 else np.zeros(1))
-        if info:
-            raise NumericalError(f"1D eigensolve failed: dstevd returned info {info}")
+        theta, vec = _lapack("dstevd", diag, off if n > 1 else np.zeros(1),
+                             stage="1D eigensolve")
         if theta[0] <= 0.0:
             raise NumericalError("1D eigensolve failed: the mass is not definite")
     member = np.zeros((2, degree + 1), dtype=int)
@@ -644,20 +640,19 @@ _ILL_POSED = ("denominator dual Gram is numerically singular; the coarse space "
               "cannot represent all functionals (ill-posed quotient): ")
 
 
-def _lapack(routine: str, *args, **kwargs) -> list:
-    """The outputs of a LAPACK routine of the dense eigensolve, less its
-    trailing info; a nonzero info raises a NumericalError."""
+def _lapack(routine: str, *args, stage: str = "dense eigensolve", **kwargs) -> list:
+    """The outputs of a LAPACK routine, less its trailing info; a nonzero
+    info raises a NumericalError that names the ``stage`` that called it."""
     import scipy.linalg
 
     *outputs, info = getattr(scipy.linalg.lapack, routine)(*args, **kwargs)
     if info:
-        raise NumericalError(f"dense eigensolve failed: {routine} returned "
-                             f"info {info}")
+        raise NumericalError(f"{stage} failed: {routine} returned info {info}")
     return outputs
 
 
 def _top_eigenpairs(
-    apply, n: int, k: int, tol: float = 0.0, inner=None
+    apply, n: int, k: int, tol: float = 0.0, inner=lambda v: v
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs, ascending, of the symmetric operator ``apply``.
 
@@ -689,38 +684,34 @@ def _top_eigenpairs(
     steps taken, not with n; a run that has not converged after
     ``_LANCZOS_STEPS`` steps raises a NumericalError.
 
-    ``inner`` (v -> M v, M definite) makes every inner product and norm
-    that of M, and the operator ``apply`` of M v, self-adjoint in M for a
-    symmetric ``apply``, as K^{-1} M of a pencil M F = lambda K F with
-    ``apply`` = K^{-1}. The basis is M-orthonormal; M times each basis
-    vector is kept from one ``inner`` call per step for the image and the
-    projections.
+    ``inner`` (v -> M v, M definite, the identity by default) makes every
+    inner product and norm that of M, and the operator ``apply`` of M v,
+    self-adjoint in M for a symmetric ``apply``, as K^{-1} M of a pencil
+    M F = lambda K F with ``apply`` = K^{-1}. The basis is M-orthonormal;
+    M times each basis vector is kept from one ``inner`` call per step for
+    the image and the projections.
     """
-    import scipy.linalg
-
     rng = np.random.default_rng(0)
     eps = np.finfo(float).eps
     bound = max(tol, eps)
     most = min(n, _LANCZOS_STEPS)
 
     def metric(v: np.ndarray) -> tuple[np.ndarray, float]:
-        """M v (v itself without ``inner``) and the norm of v."""
-        mv = v if inner is None else inner(v)
+        """M v and the norm of v."""
+        mv = inner(v)
         return mv, np.sqrt(v @ mv)
 
     # the basis, and M times it, double as the run needs rows
     basis, alpha, beta = np.empty((min(most, 16), n)), np.empty(most), np.empty(most)
-    mbasis = basis if inner is None else np.empty_like(basis)
+    mbasis = np.empty_like(basis)
     direction = rng.standard_normal(n)
     mdirection, norm = metric(direction)
     for steps in range(1, most + 1):
         if steps > len(basis):
             rows = (min(most, 2 * len(basis)), n)
-            basis = np.resize(basis, rows)
-            mbasis = basis if inner is None else np.resize(mbasis, rows)
+            basis, mbasis = np.resize(basis, rows), np.resize(mbasis, rows)
         basis[steps - 1] = direction / norm
-        if inner is not None:
-            mbasis[steps - 1] = mdirection / norm
+        mbasis[steps - 1] = mdirection / norm
         kept, mkept = basis[:steps], mbasis[:steps]
         image = apply(mkept[-1])
         coeffs = mkept @ image
@@ -737,11 +728,8 @@ def _top_eigenpairs(
                 direction -= kept.T @ (mkept @ direction)
             mdirection, norm = metric(direction)
         # dstevd reads no coupling at order 1 but takes an array of one
-        theta, ritz, info = scipy.linalg.lapack.dstevd(alpha[:steps],
-                                                      beta[:max(steps - 1, 1)])
-        if info:
-            raise NumericalError(f"Lanczos eigensolve failed: dstevd returned "
-                                 f"info {info}")
+        theta, ritz = _lapack("dstevd", alpha[:steps], beta[:max(steps - 1, 1)],
+                              stage="Lanczos eigensolve")
         first = max(steps - k, 0)
         values = theta[first:].tolist()
         residuals = (beta[steps - 1] * np.abs(ritz[-1, first:])).tolist()
@@ -876,7 +864,8 @@ def _schur_inverse(x: tuple, y: tuple, coarse):
         blocks[rows, :, rows, :] -= (py.T * dx[:, np.newaxis]) @ py
         blocks[:, columns, :, columns] -= (px.T * dy.T[:, np.newaxis]) @ px
         # symmetric, so its transpose is Fortran-ordered
-        (factor,) = _lapack("dpotrf", corner.T, lower=1, overwrite_a=1)
+        (factor,) = _lapack("dpotrf", corner.T, lower=1, overwrite_a=1,
+                            stage="Schur route")
 
     def solve(v: np.ndarray, exact: bool) -> np.ndarray:
         # ux = Lx^{-T}: (Lx (x) Ly)^{-1} v is ux^T V uy on its nx x ny array
@@ -886,7 +875,8 @@ def _schur_inverse(x: tuple, y: tuple, coarse):
         strip_y = (ex.T @ modes @ by) * dy
         if exact and cx * cy:
             rhs = -(strip_x @ py + px.T @ strip_y).ravel()
-            far = _lapack("dpotrs", factor, rhs, lower=1)[0].reshape(cx, cy)
+            far = _lapack("dpotrs", factor, rhs, lower=1,
+                          stage="Schur route")[0].reshape(cx, cy)
             strip_x -= (far @ py.T) * dx
             strip_y -= (px @ far) * dy
         image -= bx @ strip_x @ ey.T + ex @ strip_y @ by.T
@@ -938,10 +928,10 @@ def _schur_sides(spec: ProblemSpec, block: _Block, factors: dict) -> list:
             lam, loads = _probed(args, spec.p, factors)[cls]
             n = probes.size
             q, r = scipy.linalg.qr(loads[probes].T, check_finite=False)
-            (u,) = _lapack("dtrtri", r[:n])
+            (u,) = _lapack("dtrtri", r[:n], stage="Schur route")
             a = (q.T * lam) @ q
-            alpha1, e1 = _lapack("dsyevd", a[:n, :n], lower=1)
-            alpha2, e2 = _lapack("dsyevd", a[n:, n:], lower=1)
+            alpha1, e1 = _lapack("dsyevd", a[:n, :n], lower=1, stage="Schur route")
+            alpha2, e2 = _lapack("dsyevd", a[n:, n:], lower=1, stage="Schur route")
             b = a[:n, n:] @ e2
             factors[key] = (u, a[:n, :n].copy(), e1, alpha1, alpha2, b, e1.T @ b)
         sides.append(factors[key])

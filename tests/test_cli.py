@@ -32,6 +32,7 @@ from refsat.coefficients import (
     SaturationResult,
     saturation_coefficient,
 )
+from route_counts import counts
 
 EXPECTED_HEADER = ("family,edge_class,p,q,r,mu,mu_display,"
                    "dim_H,dim_V,dim_F,wall_seconds,status")
@@ -426,17 +427,7 @@ def test_reproduce_small_slice_passes(tmp_path, capsys):
 @pytest.fixture
 def pencil_solves(monkeypatch):
     """Count the 1D chain eigensolves done through refsat.coefficients."""
-    import refsat.coefficients as coefficients
-
-    solves = []
-    chain = coefficients._chain
-
-    def counting(index, coeff, degree):
-        solves.append(degree)
-        return chain(index, coeff, degree)
-
-    monkeypatch.setattr(coefficients, "_chain", counting)
-    return solves
+    return counts(monkeypatch.setattr).chains
 
 
 def test_reproduce_builds_each_1d_factor_once(capsys, pencil_solves):
@@ -600,7 +591,14 @@ def solves(monkeypatch):
     return specs
 
 
-def test_reproduce_solves_each_distinct_cell_once(capsys, solves):
+def test_reproduce_solves_each_distinct_cell_once(capsys, monkeypatch, solves):
+    priced = []
+
+    def price(spec):
+        priced.append(spec)
+        return estimated_seconds(spec)
+
+    monkeypatch.setattr("refsat.cli.estimated_seconds", price)
     code, out, _ = run_cli(["reproduce", "--max-p", "16"], capsys)
     assert code == 0
     entries = [entry for entry in load_published_table() if entry.p <= 16]
@@ -609,6 +607,8 @@ def test_reproduce_solves_each_distinct_cell_once(capsys, solves):
     # p+4 and 2p name the same cell at p = 4: 16 of the 96 rows repeat one
     assert (len(specs), len(set(specs))) == (96, 80)
     assert solves == list(dict.fromkeys(specs))
+    # a repeated row reuses its cell's result unpriced: 80 estimates, not 96
+    assert priced == solves
     # the rows equal those of solving every row afresh, but for the timing
     factors = {}
     expected = _format_row(CSV_COLUMNS, "csv") + "".join(

@@ -88,7 +88,7 @@ from sparse_oracle import (
     stiffness_matrix,
     tensor_space,
 )
-from route_counts import lanczos_solves
+from route_counts import counts
 from schur_oracle import h22_inverse
 from unsplit_oracle import (
     block_orders,
@@ -483,14 +483,7 @@ def test_gathered_probe_rows_match_the_scattered_load_matrix():
 
 
 def test_cells_that_differ_in_p_share_their_chain_eigensolves(monkeypatch):
-    solves = []
-    chain = refsat.coefficients._chain
-
-    def counting(index, coeff, degree):
-        solves.append(degree)
-        return chain(index, coeff, degree)
-
-    monkeypatch.setattr(refsat.coefficients, "_chain", counting)
+    solves = counts(monkeypatch.setattr).chains
     factors = {}
     cells = [spec_for("F2", 4, 8, 16), spec_for("F2", 8, 8, 16)]
     results = [saturation_coefficient(spec, factors) for spec in cells]
@@ -880,32 +873,24 @@ def test_every_published_block_is_certified_definite(monkeypatch):
 def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
     # the order of each block whose smallest eigenvalue is estimated, by
     # the one-pair Lanczos run on its route's inverse
-    calls = []
-    lanczos = refsat.coefficients._top_eigenpairs
-
-    def counting_lanczos(apply, n, k, *args, **kwargs):
-        if k == 1:
-            calls.append(n)
-        return lanczos(apply, n, k, *args, **kwargs)
-
-    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting_lanczos)
+    counted = counts(monkeypatch.setattr)
     # Lanczos blocks (E1, E2) and a dense one (F1, of order 65)
     for name, p, q, r in (("E1", 28, 32, 64), ("E2", 28, 32, 64),
                           ("F1", 64, 128, 256)):
         res = saturation_coefficient(spec_for(name, p, q, r))
-        assert res.mu > 1.0 and calls == [], name
+        assert res.mu > 1.0 and counted.estimates == [], name
     # at q = 512 the floors of E1 (4, 512, 512) no longer clear the check,
     # so both of its small formed blocks are estimated
     res = saturation_coefficient(spec_for("E1", 4, 512, 512))
-    assert calls == [15, 10]
+    assert counted.estimates == [15, 10]
     assert abs(res.mu - 1.0) <= 1e-12
-    calls.clear()
+    counted.runs.clear()
     # a singular block has floor 0 and is rejected before any eigenvalue of
     # it is read
     for name in ("E5", "F1"):
         with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK):
             saturation_coefficient(spec_for(name, 4, 4, 8))
-    assert calls == []
+    assert counted.estimates == []
 
 
 def checked_outcome(spec):
@@ -993,32 +978,12 @@ def test_uncertified_formed_blocks_are_estimated_as_the_oracle_decides(
     assert isinstance(outcomes[("F1", 8, 12, 24), 1e-3], float)
 
 
-def counting_runs(monkeypatch):
-    """(order, k, operator applications) of each Lanczos run, as they run."""
-    runs = []
-    lanczos = refsat.coefficients._top_eigenpairs
-
-    def counting_lanczos(apply, n, k, *args, **kwargs):
-        calls = []
-
-        def counted(v):
-            calls.append(n)
-            return apply(v)
-
-        result = lanczos(counted, n, k, *args, **kwargs)
-        runs.append((n, k, len(calls)))
-        return result
-
-    monkeypatch.setattr(refsat.coefficients, "_top_eigenpairs", counting_lanczos)
-    return runs
-
-
 def test_lanczos_runs_stop_once_their_top_ritz_pairs_converge(monkeypatch):
     # operator applications of each Lanczos run: 7 for E2's whole class
     # pair, 13 and 13 for E1, as each second Ritz value is certified below
     # the tie gap before it converges; converging the second pairs too
     # takes 10, and 16 and 16
-    runs = counting_runs(monkeypatch)
+    runs = counts(monkeypatch.setattr).runs
     for (name, p, q, r), solved, most in ((("E2", 16, 32, 64), 1, 7),
                                           (("E1", 28, 32, 64), 2, 13)):
         runs.clear()
@@ -1174,7 +1139,8 @@ def test_q_equals_r_ties_at_one_on_the_lanczos_route(monkeypatch, name):
     # is the identity up to rounding: each run drops its first coupling and
     # stops after two applications
     orders = {"E1": [153, 136], "E2": [289]}[name]
-    runs, solves = counting_runs(monkeypatch), lanczos_solves(monkeypatch.setattr)
+    counted = counts(monkeypatch.setattr)
+    runs, solves = counted.runs, counted.solves
     spec = spec_for(name, 16, 32, 32)
     assert list(block_orders(spec)) == orders
     res = saturation_coefficient(spec)
@@ -1198,6 +1164,32 @@ def test_a_lanczos_run_that_does_not_converge_is_a_numerical_failure(
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: Lanczos eigensolve failed")
+
+
+def test_a_failed_lanczos_eigensolve_is_a_numerical_failure(monkeypatch, capsys):
+    # every chain of E1 (16, 32, 64) has at least 16 members, so the dstevd
+    # calls on shorter tridiagonals are the Lanczos runs' projections
+    dstevd, failed = scipy.linalg.lapack.dstevd, []
+
+    def fail(d, e, *args, **kwargs):
+        theta, vec, info = dstevd(d, e, *args, **kwargs)
+        if len(d) < 16:
+            failed.append(len(d))
+            return theta, vec, 3
+        return theta, vec, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", fail)
+    with pytest.raises(NumericalError,
+                       match="^Lanczos eigensolve failed: dstevd returned info 3$"):
+        saturation_coefficient(spec_for("E1", 16, 32, 64))
+    assert failed == [1]
+    code = main(["compute", "--family", "A", "--edges", "1",
+                 "--p", "16", "--q", "32", "--r", "64"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: Lanczos eigensolve failed: "
+                          "dstevd returned info 3")
 
 
 def test_an_eigenpair_off_its_pencil_is_a_numerical_failure(monkeypatch, capsys):
@@ -1617,8 +1609,8 @@ def test_schur_setup_factors_only_the_corners(monkeypatch):
 
 
 def schur_routes(monkeypatch):
-    """The ``lanczos_solves`` of both routes, and the (nx, ny) of each
-    class pair set up for a Schur solve, as they run."""
+    """The Lanczos solves of both routes (``counts``), and the (nx, ny) of
+    each class pair set up for a Schur solve, as they run."""
     setups, setup = [], refsat.coefficients._schur_inverse
 
     def counting_setup(x, y, coarse):
@@ -1626,7 +1618,7 @@ def schur_routes(monkeypatch):
         return setup(x, y, coarse)
 
     monkeypatch.setattr(refsat.coefficients, "_schur_inverse", counting_setup)
-    return lanczos_solves(monkeypatch.setattr), setups
+    return counts(monkeypatch.setattr).solves, setups
 
 
 def on_schur(solves) -> list[tuple[int, int]]:
@@ -1760,7 +1752,7 @@ def test_e2_solves_its_class_pair_whole_on_the_schur_route(monkeypatch):
         spec, n = spec_for(*cell), (cell[1] + 1) ** 2
         with monkeypatch.context() as counted:
             solves, setups = schur_routes(counted)
-            runs = counting_runs(counted)
+            runs = counts(counted.setattr).runs
             saturation_coefficient(spec, factors)
         assert block_orders(spec) == (n,), cell
         assert [order for order, _ in on_schur(solves)] == [n], cell
@@ -1876,14 +1868,14 @@ def test_a_failed_schur_factorization_is_a_numerical_failure(
     # dpotrf calls factor the 6 x 6 corner of each class pair
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail)
     with pytest.raises(NumericalError,
-                       match="^dense eigensolve failed: dpotrf returned info 5$"):
+                       match="^Schur route failed: dpotrf returned info 5$"):
         saturation_coefficient(spec_for("E1", 28, 32, 64))
     code = main(["compute", "--family", "A", "--edges", "1",
                  "--p", "28", "--q", "32", "--r", "64"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("numerical failure: dense eigensolve failed: dpotrf")
+    assert err.startswith("numerical failure: Schur route failed: dpotrf")
 
 
 def test_e5_counts_its_mirror_block_twice():
