@@ -434,8 +434,8 @@ class _Block(NamedTuple):
     #: the number of rows
     order: int
     index: np.ndarray
-    #: blocks of this spectrum that the eigensolve counts: 2 for a block
-    #: whose mirror under the probe swap is not solved, 0 for that mirror
+    #: diagonal blocks of the dual Gram with this spectrum: 2 for E5's
+    #: (even, odd) block, whose mirror under the probe swap is never built
     copies: int = 1
 
 
@@ -447,7 +447,7 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     C one per y class. Equal end conditions of the x and y factors mean
     equal factors. With equal symmetric factors (E5), the (odd, even) block
     is the probe swap of the (even, odd) one, with the same spectrum: only
-    the latter is solved, and counted twice. Equal non-symmetric factors
+    the latter is listed, counted twice. Equal non-symmetric factors
     (E2) have one class, whose pair is one block of order (p + 1)^2. The
     probe swap would split it in halves, but no block above
     ``_SCHUR_ORDER`` is formed, and below it the cells up to p = 16 took
@@ -463,9 +463,10 @@ def _spec_blocks(spec: ProblemSpec) -> list[_Block]:
     mirrored = bc_x == bc_y
     return [_Block(x, y, px, py, px.size * py.size,
                    (px[:, np.newaxis] * n + py).ravel(),
-                   copies=2 * (x < y) if mirrored and x != y else 1)
+                   copies=2 if mirrored and x < y else 1)
             for x, px in enumerate(_class_probes(bc_x, spec.p))
-            for y, py in enumerate(ys) if px.size and py.size]
+            for y, py in enumerate(ys)
+            if px.size and py.size and not (mirrored and x > y)]
 
 
 def _embed(block: _Block, rows: np.ndarray, size: int) -> np.ndarray:
@@ -534,28 +535,29 @@ def _product(wx: np.ndarray, wy: np.ndarray, weights: np.ndarray):
     return apply
 
 
-def _gram_trace(triples: list) -> float:
+def _gram_trace(blocks: list[_Block], triples: list) -> float:
     """Trace of the whole dual Gram, the sum of the traces of its blocks'
-    ``_pair`` triples.
+    ``_pair`` triples, each block counted ``copies`` times.
 
     The diagonal of a block contracts the squared load rows, so the trace
     is sx G sy per class pair and no block is formed.
     """
-    return float(sum((wx ** 2).sum(axis=0) @ weights @ (wy ** 2).sum(axis=0)
-                     for wx, wy, weights in triples))
+    return float(sum(
+        block.copies * (wx ** 2).sum(axis=0) @ weights @ (wy ** 2).sum(axis=0)
+        for block, (wx, wy, weights) in zip(blocks, triples)))
 
 
-def _gram_norm(triples: list) -> float:
+def _gram_norm(blocks: list[_Block], triples: list) -> float:
     """Frobenius norm of the whole dual Gram, from the 1D factors of its
-    blocks' ``_pair`` triples.
+    blocks' ``_pair`` triples, each block counted ``copies`` times.
 
     A class pair contributes trace(G^T Px G Py), with G its weights and
     Px = (Wx^T Wx) o (Wx^T Wx), Py the same for y. Every term is
     non-negative, and no block is formed.
     """
     return float(np.sqrt(sum(
-        np.sum(((wx.T @ wx) ** 2 @ weights @ (wy.T @ wy) ** 2) * weights)
-        for wx, wy, weights in triples)))
+        block.copies * np.sum(((wx.T @ wx) ** 2 @ weights @ (wy.T @ wy) ** 2) * weights)
+        for block, (wx, wy, weights) in zip(blocks, triples))))
 
 
 def _load_floor(bc: BoundaryCondition1D, degree: int, cls: int,
@@ -575,22 +577,33 @@ def _load_floor(bc: BoundaryCondition1D, degree: int, cls: int,
     return 1.0 - (probes + 0.5).sum() / (span + 0.5).sum()
 
 
-def _gram_floors(spec: ProblemSpec, blocks: list[_Block], triples: list) -> list[float]:
-    """A lower bound on the smallest eigenvalue of each coarse block: a
-    class pair's Gram B D B^T, B = Wx (x) Wy and D its weights, is at least
-    min(D) lambda_min(Wx Wx^T) lambda_min(Wy Wy^T) (``_load_floor``; 1 for
-    the 1 x 1 x side of a B or C block). No block is formed. The caller's
-    (q + 1)^2 eps trace allowance also absorbs the 1D factors' rounding of
-    W W^T: at degree 256 at most 7.9e-12 relative, against 1.5e-11.
+def _gram_floors(spec: ProblemSpec, blocks: list[_Block], triples: list,
+                 trace: float) -> list[float]:
+    """The floor of each coarse block, which ``_solve_block`` compares with
+    ``_PD_FLOOR * trace``: a class pair's Gram B D B^T, B = Wx (x) Wy and
+    D its weights, is at least min(D) lambda_min(Wx Wx^T) lambda_min(Wy
+    Wy^T) (``_load_floor``; 1 for the 1 x 1 x side of a B or C block), less
+    (q + 1)^2 eps ``trace``: each entry of a formed block sums at most
+    (q + 1)^2 mode terms, so forming it moves its eigenvalues by no more
+    (Weyl), and the allowance also absorbs the 1D factors' rounding of
+    W W^T (at degree 256 at most 7.9e-12 relative, against 1.5e-11). No
+    block is formed: the first with a class of more probes than modes,
+    whose bound is exactly 0, is rejected as singular.
     """
     (bc_x, _), (bc_y, _) = _factor_args(spec, spec.q)
+    rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
     floors = []
     for block, (_, _, weights) in zip(blocks, triples):
         floor = _load_floor(bc_y, spec.q, block.y, block.py)
         if block.x is not None:
             floor *= _load_floor(bc_x, spec.q, block.x, block.px)
-        # a class without modes has floor 0 and weights without extremes
-        floors.append(floor and floor * float(weights.min()))
+        if floor == 0.0:
+            classes = f"y class {block.y}" if block.x is None else (
+                f"x class {block.x} and y class {block.y}")
+            raise NumericalError(
+                _ILL_POSED + f"the coarse block of {classes} is singular, as "
+                f"one of its 1D classes has more probes than modes")
+        floors.append(floor * float(weights.min()) - rounding)
     return floors
 
 
@@ -950,11 +963,11 @@ def _solve_block(block: _Block, fine, mid, floor: float, trace: float,
     the pair. ``fine`` and ``mid`` are the block's ``_pair`` triples at r
     and q; ``stages`` adds up the seconds of ``grams`` and ``eigensolve``.
 
-    Unless ``floor``, a lower bound on the coarse block's smallest
-    eigenvalue, is at least 1e-12 times ``trace``, that of the whole coarse
-    dual Gram, a Lanczos run on the route's inverse estimates it as
-    1 / lambda_max, at most a relative 1e-8 high; under the check the
-    problem is rejected as ill posed.
+    Unless ``floor``, its ``_gram_floors`` floor and the one floor read,
+    is at least ``_PD_FLOOR`` times ``trace``, that of the whole coarse
+    dual Gram, a Lanczos run on the route's inverse estimates the block's
+    smallest eigenvalue as 1 / lambda_max, at most a relative 1e-8 high;
+    under the check the problem is rejected as ill posed.
     """
     clock = formed = time.perf_counter()
     dense = block.order <= _DENSE_ORDER
@@ -990,7 +1003,7 @@ def _max_over_blocks(solutions, copies, frobenius: float):
     result of each solved diagonal block.
 
     ``copies`` gives the number of diagonal blocks with each block's
-    spectrum (2 where a mirror block is not solved). The spectrum of the
+    spectrum (2 where its mirror is never built). The spectrum of the
     pencil is the union of the block spectra: the value is the largest
     block top, taken from the first block that reaches it, and the tie flag
     compares the top two over all blocks, each counted ``copies`` times.
@@ -1016,13 +1029,13 @@ def saturation_coefficient(
 ) -> SaturationResult:
     """Compute the saturation coefficient for one problem spec.
 
-    Forms the dual Gram of the intermediate (degree q) space block by
-    block up to order ``_SCHUR_ORDER``, and that of the fine (degree r)
-    space only in its blocks of order up to ``_DENSE_ORDER``: larger ones
-    are applied by products of their 1D factors without being formed.
-    Extracts the largest generalized eigenvalue over the blocks; the
-    maximizer is returned in the family's full load order. The returned
-    residual is the relative defect of the eigenpair and should be tiny.
+    The blocks a cell solves (``_spec_blocks``) and their ``_pair``
+    triples at r and q give the coarse trace, the fine norm and the
+    ``_gram_floors``, which reject a singular block before any is formed;
+    each block is then solved on its own (``_solve_block``) and the
+    largest generalized eigenvalue taken over them (``_max_over_blocks``),
+    its maximizer in the family's full load order. The returned residual
+    is the relative defect of the eigenpair and should be tiny.
 
     The 1D factors of both spaces, the edge weights of families B and C
     and the Schur route's class shares are looked up in ``factors``, a
@@ -1043,40 +1056,24 @@ def saturation_coefficient(
     stages = {"factors": time.perf_counter() - start, "grams": 0.0,
               "eigensolve": 0.0}
     clock = time.perf_counter()
-    trace = _gram_trace(mid)
-    frobenius = _gram_norm(fine)
-    solved, fine, mid = ([item for block, item in zip(blocks, items) if block.copies]
-                         for items in (blocks, fine, mid))
-    floors = _gram_floors(spec, solved, mid)
-    for block, floor in zip(solved, floors):
-        # exactly when a class has more probes than modes: the block is
-        # singular, and is rejected before it is formed
-        if floor == 0.0:
-            classes = f"y class {block.y}" if block.x is None else (
-                f"x class {block.x} and y class {block.y}")
-            raise NumericalError(
-                _ILL_POSED + f"the coarse block of {classes} is singular, as "
-                f"one of its 1D classes has more probes than modes")
-    # each entry of a coarse block sums at most (q + 1)^2 mode terms, so the
-    # rounding in forming it has a norm of about this at most, and moves its
-    # eigenvalues by no more (Weyl)
-    rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
-    floors = [floor - rounding for floor in floors]
+    trace = _gram_trace(blocks, mid)
+    frobenius = _gram_norm(blocks, fine)
+    floors = _gram_floors(spec, blocks, mid, trace)
     stages["grams"] += time.perf_counter() - clock
     solutions = [_solve_block(*args, trace, stages, spec, factors)
-                 for args in zip(solved, fine, mid, floors)]
+                 for args in zip(blocks, fine, mid, floors)]
     value, tie, index, maximizer, residual = _max_over_blocks(
-        solutions, [block.copies for block in solved], frobenius)
+        solutions, [block.copies for block in blocks], frobenius)
     # the published cells stay under 1.1e-16: a pair this far off is broken
     if residual > 1e-8:
         raise NumericalError(f"eigensolve failed: the top eigenpair has "
                              f"relative residual {residual:.1e}, above 1e-8")
-    size = sum(block.order for block in blocks)
+    size = sum(block.copies * block.order for block in blocks)
     return SaturationResult(
         spec=spec,
         mu=float(np.sqrt(value)),
         mu_squared=float(value),
-        maximizer=_embed(solved[index], maximizer, size),
+        maximizer=_embed(blocks[index], maximizer, size),
         dim_H=_dimension(spec, spec.r),
         dim_V=_dimension(spec, spec.q),
         dim_F=size,
@@ -1153,8 +1150,6 @@ def estimated_seconds(spec: ProblemSpec) -> float:
     classes = {}
     for block in _spec_blocks(spec):
         n = block.order
-        if not block.copies:
-            continue
         if _schur_route(block):
             mx, my = (_class_sizes(args[0], q)[cls]
                       for args, cls in ((x_args, block.x), (y_args, block.y)))

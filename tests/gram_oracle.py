@@ -162,15 +162,15 @@ def split_saturation(spec: ProblemSpec, factors: dict) -> tuple[float, bool]:
     (block,) = _spec_blocks(spec)
     fine, mid = (_pair(block, *_sides(spec, degree, factors))
                  for degree in (spec.r, spec.q))
-    trace = _gram_trace([mid])
-    (floor,) = _gram_floors(spec, [block], [mid])
+    trace = _gram_trace([block], [mid])
+    (floor,) = _gram_floors(spec, [block], [mid], trace)
     solutions = []
     for part in swap_blocks(spec.p + 1):
         top = (swap_gram(part, *fine) if part.order <= _DENSE_ORDER
                else swap_product(part, fine))
         solutions.append(checked_pencil(top, swap_gram(part, *mid), trace, floor))
     value, tie, _, _, _ = _max_over_blocks(solutions, [1] * len(solutions),
-                                           _gram_norm([fine]))
+                                           _gram_norm([block], [fine]))
     return value, tie
 
 

@@ -94,6 +94,7 @@ from unsplit_oracle import (
     block_orders,
     checked_pencil,
     contract,
+    diagonal_blocks,
     dual_gram,
     max_generalized_eigenvalue,
     saturation as unsplit_saturation,
@@ -336,10 +337,10 @@ def test_formed_pencils_match_lanczos_on_the_same_pair(name):
     checked = 0
     for p, q, r in EIGEN_CASES[family]:
         spec = spec_for(name, p, q, r)
-        blocks = [block for block in _spec_blocks(spec) if block.copies]
+        blocks = _spec_blocks(spec)
         fine, mid = (triples(blocks, *_sides(spec, degree, {}))
                      for degree in (r, q))
-        trace = _gram_trace(mid)
+        trace = _gram_trace(blocks, mid)
         dense_tops, lanczos_tops, whole = [], [], True
         for block, fine_pair, mid_pair in zip(blocks, fine, mid):
             n = block.index.size
@@ -675,7 +676,8 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
         expect = contract(spec, fx, fy)
         got = dual_gram(spec, degree)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
-        blocks = _spec_blocks(spec)
+        # every diagonal block, E5's mirror included
+        blocks = diagonal_blocks(spec)
         pairs = triples(blocks, xs, ys)
         parts = [_volume_gram(*pair) for pair in pairs]
         assert tuple(part.shape[0] for part in parts) == block_orders(spec)
@@ -683,7 +685,9 @@ def test_dual_gram_blocks_match_the_unsplit_oracle(name):
         for part in parts:
             assert np.linalg.norm(part - part.T) <= 1e-14 * np.linalg.norm(part)
         trace = sum(np.trace(part) for part in parts)
-        assert abs(_gram_trace(pairs) - trace) <= 1e-14 * trace
+        solved = _spec_blocks(spec)
+        got = _gram_trace(solved, triples(solved, xs, ys))
+        assert abs(got - trace) <= 1e-14 * trace
         assert abs(trace - np.trace(expect)) <= 1e-12 * trace
 
 
@@ -758,22 +762,26 @@ def published_cells(max_p=None):
 
 
 def test_block_rows_match_their_orders():
-    # each block has one distinct row per load, and the blocks, mirror
-    # blocks included, cover every load once
+    # each block has one distinct row per load, and the blocks, E5's mirror
+    # included, cover every load once; the solved blocks, each counted
+    # ``copies`` times, count every load
     for cell in published_cells():
-        blocks = _spec_blocks(spec_for(*cell))
+        spec = spec_for(*cell)
+        blocks = diagonal_blocks(spec)
         for block in blocks:
             assert block.index.size == block.order, cell
         rows = np.concatenate([block.index for block in blocks])
         assert np.array_equal(np.sort(rows), np.arange(rows.size)), cell
+        solved = _spec_blocks(spec)
+        assert sum(block.copies * block.order for block in solved) == rows.size
 
 
 def coarse_floors(name, p, q, r, factors):
-    """(spec, solved blocks, x side and y classes at q, their floors)."""
+    """(spec, blocks, their ``_pair`` triples at q, the coarse trace)."""
     spec = spec_for(name, p, q, r)
-    blocks = [block for block in _spec_blocks(spec) if block.copies]
-    xs, ys = _sides(spec, q, factors)
-    return spec, blocks, xs, ys, _gram_floors(spec, blocks, triples(blocks, xs, ys))
+    blocks = _spec_blocks(spec)
+    mid = triples(blocks, *_sides(spec, q, factors))
+    return spec, blocks, mid, _gram_trace(blocks, mid)
 
 
 def test_closed_form_load_floors_match_the_lapack_route():
@@ -808,20 +816,39 @@ def test_block_floors_bound_the_smallest_eigenvalue():
              for degrees in EIGEN_CASES[CANONICAL_PROBLEMS[name][0]]]
     factors, singular = {}, 0
     for name, p, q, r in cases + published_cells(max_p=16):
-        spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
-        for floor, block in zip(floors, blocks):
-            gram = _volume_gram(*_pair(block, xs, ys))
+        spec, blocks, mid, trace = coarse_floors(name, p, q, r, factors)
+        # the closed form is the floor plus the forming allowance
+        allowance = (q + 1) ** 2 * np.finfo(float).eps * trace
+        for block, triple in zip(blocks, mid):
+            gram = _volume_gram(*triple)
             lowest = scipy.linalg.eigvalsh(gram)[0]
             # eigvalsh is backward stable: an exactly singular block reads
             # an eigenvalue of either sign at the rounding level
             slack = gram.shape[0] * np.finfo(float).eps * np.trace(gram)
-            assert 0.0 <= floor <= lowest + slack, (name, p, q, r)
-            if p == q and np.linalg.matrix_rank(gram) < gram.shape[0]:
+            deficient = p == q and np.linalg.matrix_rank(gram) < gram.shape[0]
+            # one block at a time, as the first singular block raises
+            try:
+                (floor,) = _gram_floors(spec, [block], [triple], trace)
+            except NumericalError as exc:
+                assert re.search(SINGULAR_BLOCK, str(exc)), (name, p, q, r)
+                assert deficient, (name, p, q, r)
                 singular += 1
-                assert floor == 0.0, (name, p, q, r)
+                continue
+            assert not deficient, (name, p, q, r)
+            assert 0.0 <= floor + allowance <= lowest + slack, (name, p, q, r)
     # the p = q cases of E1..E5, F1, F3 and F4 have singular blocks, E2's
     # one class pair a single block
     assert singular == 16
+
+
+def test_gram_floors_are_the_closed_form_less_the_forming_allowance():
+    spec, blocks, mid, trace = coarse_floors("E1", 28, 32, 64, {})
+    (bc_x, _), (bc_y, _) = _factor_args(spec, 32)
+    closed = [_load_floor(bc_y, 32, block.y, block.py)
+              * _load_floor(bc_x, 32, block.x, block.px) * float(weights.min())
+              for block, (_, _, weights) in zip(blocks, mid)]
+    assert _gram_floors(spec, blocks, mid, trace) == [
+        floor - 33 ** 2 * np.finfo(float).eps * trace for floor in closed]
 
 
 #: the mu of each published cell in full precision, in table order
@@ -863,11 +890,9 @@ def test_every_published_block_is_certified_definite(monkeypatch):
                for p in (70, 84, 112, 140, 168)
                for q in [q_strategy("p+ceil(p/7)", p)]]
     for name, p, q, r in cells + planned:
-        spec, blocks, xs, ys, floors = coarse_floors(name, p, q, r, factors)
-        every = _spec_blocks(spec)
-        trace = _gram_trace(triples(every, xs, ys))
-        rounding = (q + 1) ** 2 * np.finfo(float).eps
-        assert min(floors) >= (_PD_FLOOR + rounding) * trace, (name, p, q, r)
+        spec, blocks, mid, trace = coarse_floors(name, p, q, r, factors)
+        floors = _gram_floors(spec, blocks, mid, trace)
+        assert min(floors) >= _PD_FLOOR * trace, (name, p, q, r)
 
 
 def test_certified_blocks_skip_the_inverse_eigensolve(monkeypatch):
@@ -897,25 +922,24 @@ def checked_outcome(spec):
     """mu^2 of the spec, or the message of its rejection, with every coarse
     block formed and checked by ``checked_pencil`` against production's
     floors: the definiteness path that the estimate replaced. "singular"
-    stands for production's rejection of a block of floor 0."""
-    every = _spec_blocks(spec)
-    blocks = [block for block in every if block.copies]
-    sides = [_sides(spec, degree, {}) for degree in (spec.r, spec.q)]
-    fine, mid = (triples(blocks, *side) for side in sides)
-    trace = _gram_trace(triples(every, *sides[1]))
-    rounding = (spec.q + 1) ** 2 * np.finfo(float).eps * trace
-    floors = _gram_floors(spec, blocks, mid)
+    stands for the rejection that ``_gram_floors`` raises."""
+    blocks = _spec_blocks(spec)
+    fine, mid = (triples(blocks, *_sides(spec, degree, {}))
+                 for degree in (spec.r, spec.q))
+    trace = _gram_trace(blocks, mid)
     try:
-        if min(floors) == 0.0:
-            return "singular"
+        floors = _gram_floors(spec, blocks, mid, trace)
+    except NumericalError:
+        return "singular"
+    try:
         solutions = [checked_pencil(_volume_gram(*top) if block.order <= _DENSE_ORDER
                                     else _product(*top),
-                                    _volume_gram(*bottom), trace, floor - rounding)
+                                    _volume_gram(*bottom), trace, floor)
                      for block, top, bottom, floor in zip(blocks, fine, mid, floors)]
     except NumericalError as exc:
         return str(exc)
     return _max_over_blocks(solutions, [block.copies for block in blocks],
-                            _gram_norm(fine))[0]
+                            _gram_norm(blocks, fine))[0]
 
 
 def test_uncertified_formed_blocks_are_estimated_as_the_oracle_decides(
@@ -1239,8 +1263,13 @@ def test_singular_coarse_blocks_are_rejected_before_they_are_formed(monkeypatch)
 
     monkeypatch.setattr(refsat.coefficients, "_volume_gram", no_block)
     for cell in SINGULAR_CELLS:
-        with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK):
+        with pytest.raises(NumericalError, match=ILL_POSED + SINGULAR_BLOCK) as err:
             saturation_coefficient(spec_for(*cell))
+        # the floors alone raise it, on the same block
+        spec, blocks, mid, trace = coarse_floors(*cell, {})
+        with pytest.raises(NumericalError) as floors:
+            _gram_floors(spec, blocks, mid, trace)
+        assert str(floors.value) == str(err.value), cell
 
 
 def test_stages_time_the_three_stages():
@@ -1289,9 +1318,9 @@ def test_factored_norm_matches_the_formed_grams(name):
     for spec, blocks, xs, ys in fine_blocks(name):
         expect = np.linalg.norm(dual_gram(spec, spec.r))
         pairs = triples(blocks, xs, ys)
-        parts = np.sqrt(sum(np.linalg.norm(_volume_gram(*pair)) ** 2
-                            for pair in pairs))
-        got = _gram_norm(pairs)
+        parts = np.sqrt(sum(block.copies * np.linalg.norm(_volume_gram(*pair)) ** 2
+                            for block, pair in zip(blocks, pairs)))
+        got = _gram_norm(blocks, pairs)
         assert abs(got - expect) <= 1e-13 * expect
         assert abs(got - parts) <= 1e-13 * parts
 
@@ -1397,16 +1426,14 @@ def residual_gap(spec, factors) -> tuple[float, int]:
     the Cholesky factor that overwrote its formed block up to the dense
     order or from the fine and coarse products above it, and ``formed``
     takes it from a kept copy of the formed block."""
-    every = _spec_blocks(spec)
-    blocks = [block for block in every if block.copies]
+    blocks = _spec_blocks(spec)
     fine, mid = (triples(blocks, *_sides(spec, degree, factors))
                  for degree in (spec.r, spec.q))
-    trace = _gram_trace(triples(every, *_sides(spec, spec.q, factors)))
-    frobenius = _gram_norm(triples(every, *_sides(spec, spec.r, factors)))
+    trace, frobenius = _gram_trace(blocks, mid), _gram_norm(blocks, fine)
     kept = [_volume_gram(*pair) for pair in mid]
     stages = {"grams": 0.0, "eigensolve": 0.0}
     solutions = [_solve_block(*args, trace, stages, spec, factors) for args in
-                 zip(blocks, fine, mid, _gram_floors(spec, blocks, mid))]
+                 zip(blocks, fine, mid, _gram_floors(spec, blocks, mid, trace))]
     value, _, index, maximizer, residual = _max_over_blocks(
         solutions, [block.copies for block in blocks], frobenius)
     # the fine side as ``_solve_block`` applies it
@@ -1445,7 +1472,7 @@ def traced_peak(call) -> int:
 def peak_blocks(spec) -> float:
     """The traced peak of ``saturation_coefficient(spec)``, in blocks of its
     largest solved order."""
-    largest = max(block.order for block in _spec_blocks(spec) if block.copies)
+    largest = max(block.order for block in _spec_blocks(spec))
     # a first call loads the modules that the eigensolves import
     saturation_coefficient(spec_for("E1", 16, 20, 40))
     return traced_peak(lambda: saturation_coefficient(spec)) / (8 * largest ** 2)
@@ -1558,7 +1585,7 @@ def schur_inverses(cell, factors: dict):
     spec = spec_for(*cell)
     xs, ys = _sides(spec, spec.q, factors)
     for block in _spec_blocks(spec):
-        if not (block.copies and refsat.coefficients._schur_route(block)):
+        if not refsat.coefficients._schur_route(block):
             continue
         mid = _pair(block, xs, ys)
         (nx, mx), (ny, my) = mid[0].shape, mid[1].shape
@@ -1641,8 +1668,7 @@ SCHUR_CELLS = [(name, p, q, r) for name, cells in (
 
 def schur_routed(spec) -> list[bool]:
     """Whether each solved block of ``spec`` takes the Schur route."""
-    return [refsat.coefficients._schur_route(block)
-            for block in _spec_blocks(spec) if block.copies]
+    return [refsat.coefficients._schur_route(block) for block in _spec_blocks(spec)]
 
 
 def cg_routed(spec) -> list[bool]:
@@ -1655,7 +1681,7 @@ def cg_routed(spec) -> list[bool]:
                         for bc in (bc_x, bc_y))
     return [refsat.coefficients._schur_route(block)
             and sizes_x[block.x] * sizes_y[block.y] >= 2 * block.order
-            for block in _spec_blocks(spec) if block.copies]
+            for block in _spec_blocks(spec)]
 
 
 def test_schur_cells_are_the_published_cells_on_the_route():
@@ -1698,8 +1724,8 @@ def test_schur_route_matches_the_cholesky_route_on_the_published_blocks(
             expect = saturation_coefficient(spec, factors)
         assert expect.tie == res.tie, cell
         assert abs(expect.mu - res.mu) <= 1e-13 * expect.mu, cell
-        frobenius = _gram_norm(triples(_spec_blocks(spec),
-                                       *_sides(spec, spec.r, factors)))
+        listed = _spec_blocks(spec)
+        frobenius = _gram_norm(listed, triples(listed, *_sides(spec, spec.r, factors)))
         for (block, fine, mid, solution), (oracle, _, _, (want, _, _)), cg in zip(
                 schur, solved, cg_routed(spec)):
             assert refsat.coefficients._schur_route(block), cell
@@ -1880,10 +1906,11 @@ def test_a_failed_schur_factorization_is_a_numerical_failure(
 
 def test_e5_counts_its_mirror_block_twice():
     spec = spec_for("E5", 6, 8, 16)
-    blocks = _spec_blocks(spec)
-    assert [block.copies for block in blocks] == [1, 2, 0, 1]
+    assert [block.copies for block in _spec_blocks(spec)] == [1, 2, 1]
     assert block_orders(spec) == (16, 12, 12, 9)
-    # the mirror pencil has the spectrum of the solved one
+    # the oracle's mirror pencil has the spectrum of the solved one
+    blocks = diagonal_blocks(spec)
+    assert [(block.x, block.y) for block in blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     spectra = []
     for index in (1, 2):
         block = blocks[index]
@@ -1892,7 +1919,7 @@ def test_e5_counts_its_mirror_block_twice():
         spectra.append(scipy.linalg.eigvalsh(fine, mid))
     assert np.allclose(spectra[0], spectra[1], rtol=1e-12, atol=0.0)
     res = saturation_coefficient(spec)
-    assert res.dim_F == res.maximizer.size == sum(block_orders(spec))
+    assert res.dim_F == res.maximizer.size == sum(block_orders(spec)) == 49
     # a block counted twice ties with itself
     top = np.diag([2.0, 1.0])
     value, tie, _, _, _ = _max_over_blocks(

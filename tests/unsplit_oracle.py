@@ -7,8 +7,10 @@ whole dual Gram contracted at once and symmetrized, and one eigensolve of
 the whole pencil.
 
 The matrix forms of the block route live here too, for the tests to
-compare against other routes: ``dual_gram`` scatters its blocks into the
-whole dual Gram, ``block_orders`` lists their orders, ``checked_pencil``
+compare against other routes: ``diagonal_blocks`` lists every diagonal
+block, E5's mirror block included, which production never builds,
+``dual_gram`` scatters them into the whole dual Gram, ``block_orders``
+lists their orders, ``checked_pencil``
 solves one block's pair after the definiteness check by a full
 eigensolve that production replaced with an estimate, above the dense
 order by ``standard_form``, the Lanczos run on L^{-1} r_top L^{-T} that
@@ -29,6 +31,7 @@ from refsat.coefficients import (
     _ILL_POSED,
     NumericalError,
     ProblemSpec,
+    _Block,
     _cholesky,
     _embed,
     _factor_args,
@@ -42,10 +45,31 @@ from refsat.coefficients import (
 )
 
 
+def diagonal_blocks(spec: ProblemSpec) -> list[_Block]:
+    """Every diagonal block of the spec's dual Grams, ordered by class pair
+    and each counted once (``copies`` 1).
+
+    These are the blocks of ``_spec_blocks`` and, where the x and y factors
+    of family A are equal, the probe swap (y, x) of each listed block (x, y)
+    whose swap is not listed: E5's (odd, even) mirror of its (even, odd)
+    block, built here by swapping px and py, with its rows at (b, a) for
+    the (a, b) of the listed block.
+    """
+    blocks = [block._replace(copies=1) for block in _spec_blocks(spec)]
+    (bc_x, _), (bc_y, _) = _factor_args(spec, spec.p)
+    if spec.family != "A" or bc_x != bc_y:
+        return blocks
+    listed, n = {(block.x, block.y) for block in blocks}, spec.p + 1
+    blocks += [_Block(block.y, block.x, block.py, block.px, block.order,
+                      (block.py[:, np.newaxis] * n + block.px).ravel())
+               for block in blocks if (block.y, block.x) not in listed]
+    return sorted(blocks, key=lambda block: (block.x, block.y))
+
+
 def block_orders(spec: ProblemSpec) -> tuple[int, ...]:
-    """Orders of the diagonal blocks of the spec's dual Grams, in load order;
-    E5's mirror block is listed, though only its twin is solved."""
-    return tuple(block.order for block in _spec_blocks(spec))
+    """Orders of the diagonal blocks of the spec's dual Grams, ordered by
+    class pair; E5's mirror block is listed (``diagonal_blocks``)."""
+    return tuple(block.order for block in diagonal_blocks(spec))
 
 
 def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
@@ -55,14 +79,15 @@ def dual_gram(spec: ProblemSpec, degree: int) -> np.ndarray:
     quotient space (family C) of coordinate degree at most ``degree``, which
     must be at least the load degree p. Its 1D factors (and edge weights)
     are computed afresh, and the blocks contracted as in
-    ``saturation_coefficient`` are scattered into the full matrix in the
+    ``saturation_coefficient``, with E5's mirror block
+    (``diagonal_blocks``), are scattered into the full matrix in the
     family's load order.
     """
     if spec.p > degree:
         raise ValueError(
             f"load degree p = {spec.p} exceeds the space degree {degree}")
     xs, ys = _sides(spec, degree, {})
-    blocks = _spec_blocks(spec)
+    blocks = diagonal_blocks(spec)
     size = sum(block.order for block in blocks)
     gram = np.zeros((size, size))
     for block in blocks:
